@@ -1,21 +1,26 @@
 """Recursive construction of approximation sequences with a full audit trail.
 
 Each step takes a line through the current point inside the obstruction
-subspace, then picks the smallest multiplier b >= 1 such that
+subspace, then searches for a multiplier b >= 1 such that
 x_next = primitive(z + b*x) grows in norm, telescopes the previous
-projective distance by 1/3, and lands under the decay target.  Every
-inequality is decided in exact rational arithmetic and every value needed
-to re-derive it is recorded in the trace.
+projective distance by 1/3, and lands under the decay target.  The first
+b the scan/hint/doubling/bisection search accepts passes the full exact
+test; a smaller sporadic b may be skipped.  Every inequality is decided
+in exact rational arithmetic and every value needed to re-derive it is
+recorded in the trace.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
+from . import multilinear as ml
 from .exact_geometry import (
     IntVec,
     ProjPointQ,
@@ -25,6 +30,7 @@ from .exact_geometry import (
     inth_root,
     ln_bounds,
     norm_sq,
+    nth_root_bounds,
     primitive,
     rank,
     sqrt_bounds,
@@ -34,6 +40,7 @@ from .exact_geometry import (
     wedge_sq,
 )
 from .families import SearchBudget, TracePoint
+from .quadric import HeightExhausted
 
 
 class InvalidSteps(ValueError):
@@ -45,7 +52,22 @@ class TraceTooShort(ValueError):
 
 
 class NoValidMultiplier(RuntimeError):
-    pass
+    """No multiplier up to 2^cap passes the step conditions.
+
+    When the log3x forced-stop certificate decided the stop, needed_bits
+    is a certified lower bound on log2 of the norm the decay condition
+    needs on the chosen line and cap_bits is the bit length of the largest
+    norm the cap allows; both stay None when the search decided it.
+    """
+
+    def __init__(self, cap: int, w2: int, needed_bits: int | None = None,
+                 cap_bits: int | None = None):
+        super().__init__(
+            "no multiplier up to 2^%d satisfies the step conditions "
+            "(squared wedge area %s forces norm growth beyond the cap)" % (cap, w2)
+        )
+        self.needed_bits = needed_bits
+        self.cap_bits = cap_bits
 
 
 class BudgetExceeded(RuntimeError):
@@ -110,7 +132,7 @@ class ApproxFn:
             return (min(lo / x, Fraction(1)), min(hi / x, Fraction(1)))
         p, q = self.exponent.numerator, self.exponent.denominator
         r = x ** p
-        lo_r, hi_r = _nth_root_bounds_frac(r, q, self.precision_bits + 2)
+        lo_r, hi_r = nth_root_bounds(r, q, self.precision_bits + 2)
         return (1 / hi_r, 1 / lo_r)
 
     def le_phi_sq_lo(self, t: Fraction, norm_sq_next, norm_lo: Fraction) -> bool:
@@ -137,12 +159,6 @@ class ApproxFn:
             return t ** q * Fraction(norm_sq_next) ** p <= 1
         hi = self.phi_hi(max(norm_lo, Fraction(1)))
         return t <= hi * hi
-
-
-def _nth_root_bounds_frac(r: Fraction, n: int, bits: int) -> tuple[Fraction, Fraction]:
-    from .exact_geometry import nth_root_bounds
-
-    return nth_root_bounds(r, n, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +257,51 @@ def _ceil_root(a: int, b: int, r: int) -> int:
     return m
 
 
+def _log3x_stop_forced(n2x: int, n2z: int, w2: int, g: int, b_max: int, prec: int) -> bool:
+    """Covolume certificate: no b in 1..b_max passes the log3x decay test.
+
+    With x, z the line's generators (n2x = |x|^2, n2z = |z|^2,
+    w2 = |x ^ z|^2), G = g the gcd of the 2x2 minors of (x, z), and L the
+    upper end of ln_bounds(3 (ceil|z| + b_max ceil|x|)), the stop is
+    forced when 9 w2 > 4 G^2 L^2 (1 + 2^-prec)^2.  Proof, for
+    y = z + b x with 1 <= b <= b_max, p = primitive(y), n2y = |y|^2,
+    n2p = |p|^2 and m = max(norm_lo, 1), norm_lo the lower end of
+    sqrt_bounds(n2p, prec):
+
+    - the content c of y divides y's entries, hence every 2x2 minor of
+      (x, y), and those equal the minors of (x, z); so c | G and
+      n2y = c^2 n2p <= G^2 n2p;
+    - ``attempt`` accepts b only if 9 w2 <= 4 n2y phi_lo(m)^2;
+    - phi_lo(m) <= ln(3m)/m, and n2p/m^2 <= (1 + 2^-prec)^2: with
+      s = sqrt(n2p) >= 1 and k = prec, floor(2^k s) >= 2^k, so
+      2^k s < floor(2^k s) + 1 <= floor(2^k s) (1 + 2^-k);
+    - 1 <= m <= |p| <= |y| <= ceil|z| + b_max ceil|x|, so 0 <= ln(3m) <= L.
+
+    Together, acceptance needs 9 w2 <= 4 G^2 L^2 (1 + 2^-prec)^2.
+    """
+    norm_hi = _ceil_root(n2z, 1, 2) + b_max * _ceil_root(n2x, 1, 2)
+    ln_hi = ln_bounds(3 * norm_hi, prec)[1]
+    slack = Fraction((1 << prec) + 1, 1 << prec)
+    return 9 * w2 > 4 * g * g * (ln_hi * slack) ** 2
+
+
+def _log3x_stop_bits(n2x: int, n2z: int, w2: int, g: int, cap: int, prec: int) -> tuple[int, int]:
+    """(N, M) for a forced log3x stop: the bits of norm needed against the cap.
+
+    The decay condition (3/2) |x| dist(x_next, x) <= phi(|x_next|) with
+    phi(X) <= ln(3X)/X reads (3/2) |x ^ x_next| <= ln(3 |x_next|), and
+    |x ^ x_next| >= sqrt(w2)/G, so log2 |x_next| >= N, the floor of
+    ((3/2) sqrt(w2)/G - ln 3)/ln 2 taken from certified bounds.  Every
+    |x_next| within the cap is below 2^M, M the bit length of
+    ceil|z| + 2^cap ceil|x|.
+    """
+    ln3_hi = ln_bounds(3, prec)[1]
+    ln2_hi = ln_bounds(2, prec)[1]
+    need = (Fraction(3, 2) * sqrt_bounds(w2, prec)[0] / g - ln3_hi) / ln2_hi
+    norm_cap = _ceil_root(n2z, 1, 2) + (1 << cap) * _ceil_root(n2x, 1, 2)
+    return need.numerator // need.denominator, norm_cap.bit_length()
+
+
 def _select_multiplier(
     x: ProjPointQ,
     z: ProjPointQ,
@@ -248,12 +309,21 @@ def _select_multiplier(
     dsq_prev: Fraction | None,
     budget: SearchBudget,
 ) -> tuple[int, ProjPointQ, Fraction, Fraction]:
-    """Smallest multiplier b >= 1 meeting the step conditions.
+    """A multiplier b >= 1 meeting the step conditions, found by search.
 
-    Returns (b, x_next, dist_sq, norm_lo_next).  Conditions are monotone
-    in b on the growing branch of |z + b*x| except at sporadic content
-    jumps of the primitive representative; the returned b always passes
-    the full exact test even if a smaller sporadic solution was skipped.
+    Returns (b, x_next, dist_sq, norm_lo_next).  The search scans the
+    region where |z + b*x| may still shrink, then 64 values from an
+    analytic hint, then doubles up to the 2^multiplier_bits cap and
+    bisects.  The conditions are monotone in b on the growing branch
+    except at sporadic content jumps of the primitive representative, so
+    the first b this search accepts passes the full exact test but a
+    smaller sporadic b may be skipped.
+
+    Raises NoValidMultiplier when no probed b passes.  Under log3x from the
+    second step on, the covolume certificate (_log3x_stop_forced) is
+    checked before any probe: when it holds, no b the search could probe
+    passes, and the same exception is raised at once, carrying the bits of
+    norm needed against the cap.
     """
     xr, zr = x.rep, z.rep
     n2x = norm_sq(xr)
@@ -292,13 +362,9 @@ def _select_multiplier(
                 return None
         return b, p, Fraction(w2, n2x * n2y), norm_lo
 
-    # exhaust the region where |z + b*x| may still be shrinking
+    # the region where |z + b*x| may still be shrinking is scanned in full
     vertex_end = 0 if dzx >= 0 else (-dzx) // n2x + 1
     scan_end = min(vertex_end, 4096) + 8
-    for b in range(1, scan_end + 1):
-        r = attempt(b)
-        if r is not None:
-            return r
 
     # analytic lower bound on |z + b*x|^2 from the necessary conditions,
     # exact in the model where z + b*x is already primitive
@@ -307,14 +373,27 @@ def _select_multiplier(
         need = Fraction(9 * w2, n2x) / dsq_prev
         theta = max(theta, need.numerator // need.denominator + 1)
         if phi.variant == "pow":
-            p_, q_ = phi.exponent.numerator, phi.exponent.denominator
-            val = Fraction(9 * w2, 4) ** q_  # need n2y^(q-p) >= val
-            theta = max(theta, _ceil_root(val.numerator, val.denominator, q_ - p_))
+            val = Fraction(9 * w2, 4) ** qq  # need n2y^(q-p) >= val
+            theta = max(theta, _ceil_root(val.numerator, val.denominator, qq - pp))
     if theta > n2z:
         disc = dzx * dzx + n2x * (theta - n2z)
         b_hint = max(scan_end + 1, (-dzx + inth_root(disc, 2)) // n2x)
     else:
         b_hint = scan_end + 1
+
+    if phi.variant == "log3x" and dsq_prev is not None:
+        # every b probed below is at most b_max
+        b_max = max(scan_end, b_hint + 63, 1 << budget.multiplier_bits)
+        g = gcd(*(xr[a] * zr[c] - xr[c] * zr[a]
+                  for a, c in itertools.combinations(range(len(xr)), 2)))
+        if _log3x_stop_forced(n2x, n2z, w2, g, b_max, prec):
+            raise NoValidMultiplier(budget.multiplier_bits, w2, *_log3x_stop_bits(
+                n2x, n2z, w2, g, budget.multiplier_bits, prec))
+
+    for b in range(1, scan_end + 1):
+        r = attempt(b)
+        if r is not None:
+            return r
     for b in range(b_hint, b_hint + 64):
         r = attempt(b)
         if r is not None:
@@ -330,11 +409,7 @@ def _select_multiplier(
         lo = b
         b *= 2
     else:
-        raise NoValidMultiplier(
-            "no multiplier up to 2^%d satisfies the step conditions "
-            "(squared wedge area %s forces norm growth beyond the cap)"
-            % (budget.multiplier_bits, w2)
-        )
+        raise NoValidMultiplier(budget.multiplier_bits, w2)
     while lo + 1 < hi:
         mid = (lo + hi) // 2
         if attempt(mid) is not None:
@@ -353,8 +428,6 @@ def _reduce_line_generator(x: ProjPointQ, witness, z_tp: TracePoint, cert: dict,
     into a short monotone range; b >= 1 relative to the reduced z covers
     exactly the norm-growing side of the line.
     """
-    from . import multilinear as ml
-
     n2x = x.norm_sq()
     dzx = dot(z_tp.point.rep, x.rep)
     r = (2 * (-dzx) + n2x) // (2 * n2x)
@@ -397,9 +470,6 @@ def next_point(
         phi_lo, phi_hi = phi._phi_bounds(xeval)
     next_witness = None
     if z_tp.witness is not None:
-        from . import multilinear as ml
-
-        kmap = adapter.kmap
         line_cert = adapter._cert_from_doc(cert)
         next_witness = ml.line_witness(
             line_cert, ml.WitnessedPoint(x, witnesses[-1]), ml.WitnessedPoint(z_tp.point, z_tp.witness), b
@@ -449,9 +519,6 @@ def run(
         ambient_dim=adapter.ambient_dim,
         seed=seed,
     )
-    from .multilinear import BudgetExhausted, DegenerateLine
-    from .quadric import HeightExhausted
-
     points = [tp.point]
     witnesses = [tp.witness]
     entries: list[TraceEntry] = []
@@ -460,7 +527,7 @@ def run(
         try:
             nxt, step = next_point(points, witnesses, adapter, phi,
                                    dsq_prev if i >= 2 else None, budget, rng)
-        except (NoValidMultiplier, BudgetExhausted, HeightExhausted, DegenerateLine) as exc:
+        except (NoValidMultiplier, ml.BudgetExhausted, HeightExhausted, ml.DegenerateLine) as exc:
             trace.entries = entries + [TraceEntry(i, points[-1], witnesses[-1], None)]
             trace.partial = True
             trace.budget_note = f"stopped at point {i}: {exc}"

@@ -123,6 +123,10 @@ def cmd_gen(args) -> int:
     except BudgetExceeded as exc:
         builder.save_trace(exc.partial, args.out)
         print(f"budget exhausted: {exc}", file=sys.stderr)
+        cause = exc.__cause__
+        if isinstance(cause, builder.NoValidMultiplier) and cause.needed_bits is not None:
+            print(f"the chosen line needs at least {cause.needed_bits} bits of norm; "
+                  f"the cap allows about {cause.cap_bits}", file=sys.stderr)
         print(f"partial trace with {len(exc.partial.entries)} points written to {args.out}",
               file=sys.stderr)
         return EXIT_BUDGET

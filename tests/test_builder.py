@@ -1,8 +1,13 @@
+import json
+import math
+import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from maxsing import builder
 from maxsing.builder import (
     ApproxFn,
     BudgetExceeded,
@@ -17,8 +22,17 @@ from maxsing.builder import (
     trace_from_doc,
     trace_to_doc,
 )
-from maxsing.exact_geometry import dist_sq, ln_bounds, primitive, subspace_span
-from maxsing.families import SearchBudget, grassmann_adapter, quadric_adapter
+from maxsing.cli import EXIT_BUDGET, main
+from maxsing.exact_geometry import (
+    dist_sq,
+    ln_bounds,
+    norm_sq,
+    primitive,
+    sqrt_bounds,
+    subspace_span,
+    wedge_sq,
+)
+from maxsing.families import SearchBudget, grassmann_adapter, prodforms_adapter, quadric_adapter
 from maxsing.quadric import split4
 
 
@@ -157,6 +171,114 @@ class TestRun:
         tr = run(grassmann_adapter(4, 2), ApproxFn("pow", Fraction(1, 2)), 6,
                  seed=42, budget=SearchBudget(max_height=3))
         assert check_conditions(tr)["all_pass"]
+
+
+def _log3x_stop(adapter, max_height: int) -> SequenceTrace:
+    """The partial trace of a seed-7 log3x run, which stops at 4 points."""
+    with pytest.raises(BudgetExceeded) as info:
+        run(adapter, ApproxFn("log3x"), 12, seed=7, budget=SearchBudget(max_height=max_height))
+    return info.value.partial
+
+
+def _decay_passes(x, z, b: int, phi: ApproxFn) -> bool:
+    """The log3x decay test for x_next = primitive(z + b x), from its definition.
+
+    (3/2) |x| dist(x_next, x) <= phi_lo(|x_next|) squared and cross-multiplied:
+    9 |x ^ z|^2 <= 4 |z + b x|^2 phi_lo(m)^2, m the certified lower bound of
+    |x_next| clamped to 1.
+    """
+    y = tuple(a + b * c for a, c in zip(z, x))
+    if not any(y):
+        return False
+    w2, n2y = wedge_sq(x, z), norm_sq(y)
+    if 9 * w2 > 4 * n2y:  # phi <= 1
+        return False
+    m = max(sqrt_bounds(primitive(y).norm_sq(), phi.precision_bits)[0], Fraction(1))
+    # phi_lo(m) <= ln(3m)/m < bit_length(3 ceil(m)) ln 2 / m: an exact screen that
+    # spares most b the logarithm
+    ln_hi = (3 * math.ceil(m)).bit_length() * Fraction(6932, 10000)
+    if 9 * w2 * m * m > 4 * n2y * ln_hi * ln_hi:
+        return False
+    lo = phi.phi_lo(m)
+    return 9 * w2 <= 4 * n2y * lo * lo
+
+
+_coords = st.integers(-50, 50)
+
+
+class _CertificateSeen(Exception):
+    pass
+
+
+class TestForcedStop:
+    """The log3x covolume certificate decides exactly the stops the search would."""
+
+    @pytest.mark.parametrize("make,height", [
+        (lambda: quadric_adapter(*split4()), 6),
+        (lambda: grassmann_adapter(4, 2), 4),
+        (lambda: prodforms_adapter(2, 3), 4),
+    ], ids=["split4", "grassmann42", "prodforms23"])
+    def test_partial_trace_matches_search(self, make, height, tmp_path, monkeypatch):
+        verdicts = []
+        certificate = builder._log3x_stop_forced
+
+        def recorded(*args):
+            verdicts.append(certificate(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(builder, "_log3x_stop_forced", recorded)
+        save_trace(_log3x_stop(make(), height), str(tmp_path / "certified.json"))
+        assert verdicts == [False, False, True]  # steps 2 and 3 continue, step 4 stops
+        monkeypatch.setattr(builder, "_log3x_stop_forced", lambda *args: False)
+        save_trace(_log3x_stop(make(), height), str(tmp_path / "searched.json"))
+        assert (tmp_path / "certified.json").read_bytes() == (tmp_path / "searched.json").read_bytes()
+
+    def test_huge_cap_stops_at_once(self, tmp_path):
+        out = tmp_path / "g.json"
+        t0 = time.perf_counter()
+        code = main(["gen", "--family", "grassmann", "--n", "4", "--k", "2", "--phi", "log3x",
+                     "--steps", "8", "--seed", "7", "--max-height", "4",
+                     "--max-multiplier-bits", "65536", "--out", str(out)])
+        elapsed = time.perf_counter() - t0
+        doc = json.loads(out.read_text())
+        assert code == EXIT_BUDGET and len(doc["entries"]) == 4
+        assert "no multiplier up to 2^65536" in doc["budget_note"]
+        assert elapsed < 5
+
+    @given(st.integers(3, 4).flatmap(lambda n: st.tuples(
+               st.lists(_coords, min_size=n, max_size=n),
+               st.lists(_coords, min_size=n, max_size=n))),
+           st.fractions(min_value=Fraction(1, 10 ** 6), max_value=1),
+           st.integers(3, 10),
+           st.sampled_from([0, 2, 64]))
+    # G = 4 and b = 7 passes: fails if the G^2 factor is dropped
+    @example(([1, 0, 0], [1, 4, 0]), Fraction(1), 3, 64)
+    # b = b_max (218, 393) passes within the rounding of norm_lo: fails if
+    # the (1 + 2^-prec)^2 factor is dropped
+    @example(([1, 2, 2], [14, 29, 31]), Fraction(13, 129881), 3, 2)
+    @example(([1, 1, 1, 1], [9, 12, 9, 11]), Fraction(27, 205816), 3, 0)
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_certificate_is_sound(self, xz, dsq_prev, bits, prec):
+        """Whenever the certificate says forced, no b up to b_max passes the decay test."""
+        assume(any(xz[0]) and any(xz[1]))
+        x, z = primitive(xz[0]), primitive(xz[1])
+        assume(wedge_sq(x.rep, z.rep) != 0)
+        phi = ApproxFn("log3x", precision_bits=prec)
+        calls = []
+        certificate = builder._log3x_stop_forced
+
+        def recorded(*args):
+            # the search that would follow is not under test: stop right here
+            calls.append((args, certificate(*args)))
+            raise _CertificateSeen
+
+        with mock.patch.object(builder, "_log3x_stop_forced", recorded):
+            with pytest.raises(_CertificateSeen):
+                builder._select_multiplier(x, z, phi, dsq_prev, SearchBudget(multiplier_bits=bits))
+        [((_, _, _, _, b_max, _), forced)] = calls
+        assume(b_max <= 4096)
+        if forced:
+            assert not any(_decay_passes(x.rep, z.rep, b, phi) for b in range(1, b_max + 1))
 
 
 class TestLimit:

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -31,6 +32,18 @@ class TestGen:
         assert len(doc["entries"]) == 4
         # the partial trace still audits clean
         assert main(["verify", str(out)]) == EXIT_OK
+
+    def test_log3x_stop_says_by_how_much(self, tmp_path, capsys):
+        code, out = gen(tmp_path, "--family", "grassmann", "--n", "4", "--k", "2",
+                        "--phi", "log3x", "--steps", "8", "--seed", "7", "--max-height", "4")
+        assert code == EXIT_BUDGET
+        m = re.search(r"the chosen line needs at least (\d+) bits of norm; "
+                      r"the cap allows about (\d+)", capsys.readouterr().err)
+        assert m, "budget stop does not report the bits needed against the cap"
+        needed, allowed = int(m.group(1)), int(m.group(2))
+        assert needed > allowed
+        # the numbers go to stderr only; the trace note keeps its wording
+        assert "bits of norm" not in json.loads(out.read_text())["budget_note"]
 
     def test_bad_exponent_rejected(self, tmp_path):
         code, _ = gen(tmp_path, "--family", "grassmann", "--n", "3", "--k", "2",
