@@ -35,6 +35,16 @@ def _default_precision() -> int:
     return 64
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="maxsing", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -50,27 +60,27 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--steps", type=int, required=True, help="number of trace points (>= 2)")
     g.add_argument("--seed", type=int, default=0, help="tie-breaking seed (0: natural order)")
     g.add_argument("--out", required=True, help="output trace path")
-    g.add_argument("--precision-bits", type=int, default=None)
+    g.add_argument("--precision-bits", type=_positive_int, default=None)
     g.add_argument("--max-height", type=int, default=6, help="candidate search height cap")
     g.add_argument("--max-multiplier-bits", type=int, default=4096,
                    help="bit cap for the step multiplier search")
 
     v = sub.add_parser("verify", help="audit a trace")
     v.add_argument("trace", help="trace JSON path")
-    v.add_argument("--precision", type=int, default=None)
+    v.add_argument("--precision", type=_positive_int, default=None)
     v.add_argument("--bruteforce-xmax", type=int, default=None)
     v.add_argument("--sample-range", type=int, default=20)
     v.add_argument("--out", help="write the audit JSON here (default: stdout)")
 
     e = sub.add_parser("exponent", help="per-scale certified exponent lower bounds")
     e.add_argument("trace")
-    e.add_argument("--precision", type=int, default=None)
+    e.add_argument("--precision", type=_positive_int, default=None)
     e.add_argument("--json", action="store_true")
 
     b = sub.add_parser("bruteforce", help="exhaustive best-approximation oracle")
     b.add_argument("trace")
     b.add_argument("--xmax", type=int, required=True)
-    b.add_argument("--precision", type=int, default=None)
+    b.add_argument("--precision", type=_positive_int, default=None)
     b.add_argument("--json", action="store_true")
     return p
 
@@ -108,7 +118,7 @@ def _make_adapter(args):
 
 
 def cmd_gen(args) -> int:
-    precision = args.precision_bits or _default_precision()
+    precision = _default_precision() if args.precision_bits is None else args.precision_bits
     try:
         phi = _parse_phi(args.phi, precision)
         adapter = _make_adapter(args)
@@ -150,7 +160,7 @@ def cmd_verify(args) -> int:
     trace = _load_trace_or_exit(args.trace)
     if trace is None:
         return EXIT_USAGE
-    precision = args.precision or _default_precision()
+    precision = _default_precision() if args.precision is None else args.precision
     try:
         report = verifier.audit_report(
             trace,
@@ -188,7 +198,7 @@ def cmd_exponent(args) -> int:
     trace = _load_trace_or_exit(args.trace)
     if trace is None:
         return EXIT_USAGE
-    precision = args.precision or _default_precision()
+    precision = _default_precision() if args.precision is None else args.precision
     try:
         rows = verifier.exponent_report(trace, precision)
     except builder.TraceTooShort as exc:
@@ -214,7 +224,7 @@ def cmd_bruteforce(args) -> int:
     trace = _load_trace_or_exit(args.trace)
     if trace is None:
         return EXIT_USAGE
-    precision = args.precision or _default_precision()
+    precision = _default_precision() if args.precision is None else args.precision
     try:
         lim = builder.limit_point(trace, precision)
         rows = verifier.brute_force_curve(lim, args.xmax, precision)

@@ -3,7 +3,8 @@
 Nothing recorded is trusted: membership, subspaces, distances and every
 inequality of the construction are re-derived from the raw points.  The
 best-approximation function is additionally measured against the
-certified limit ball by exhaustive lattice enumeration at desk scale.
+certified limit ball by a lattice search whose result is that of
+scoring every primitive point up to a norm bound, at desk scale.
 """
 
 from __future__ import annotations
@@ -13,7 +14,14 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterator, Sequence
 
-from .builder import ApproxFn, CertifiedLimit, SequenceTrace, TraceTooShort, limit_point
+from .builder import (
+    ApproxFn,
+    CertifiedLimit,
+    SequenceTrace,
+    TraceTooShort,
+    compute_hi,
+    limit_point,
+)
 from .exact_geometry import (
     IntVec,
     ProjPointQ,
@@ -29,6 +37,7 @@ from .exact_geometry import (
     sqrt_bounds_rel,
     vec_add,
     vec_scale,
+    wedge_sq,
 )
 from .families import TracePoint, adapter_from_descriptor
 
@@ -101,7 +110,7 @@ def check_conditions(trace: SequenceTrace, sample_range: int = 20) -> dict:
         if not adapter.member(TracePoint(nxt_entry.x, nxt_entry.witness)):
             fails.append("(a) next point is not a certified member")
         # subspace bookkeeping
-        h_expect, j_expect = _recompute_h(points[:i], trace.ambient_dim)
+        h_expect, j_expect = compute_hi(points[:i], trace.ambient_dim)
         if step.j != j_expect or tuple(step.h_basis) != h_expect.basis:
             fails.append(f"recorded subspace differs from recomputation (j={step.j} vs {j_expect})")
         h = h_expect
@@ -109,9 +118,7 @@ def check_conditions(trace: SequenceTrace, sample_range: int = 20) -> dict:
         y = vec_add(step.z.rep, vec_scale(step.b, x.rep))
         if all(a == 0 for a in y) or primitive(y) != x_next:
             fails.append("next point is not primitive(z + b*x)")
-        from .exact_geometry import wedge_sq as _wsq
-
-        if _wsq(x.rep, step.z.rep) != step.wedge_sq:
+        if wedge_sq(x.rep, step.z.rep) != step.wedge_sq:
             fails.append("recorded wedge area differs from recomputation")
         dsq = dist_sq(x_next.rep, x.rep)
         if dsq != step.dist_sq:
@@ -167,12 +174,6 @@ def check_conditions(trace: SequenceTrace, sample_range: int = 20) -> dict:
     return {"all_pass": all_pass, "conditions": records}
 
 
-def _recompute_h(points: Sequence[ProjPointQ], ambient: int):
-    from .builder import compute_hi
-
-    return compute_hi(points, ambient)
-
-
 # ---------------------------------------------------------------------------
 # certified approximation measurements
 
@@ -195,28 +196,55 @@ def d_xi(limit: CertifiedLimit, x: Sequence, precision_bits: int = 64) -> DXiInt
     return DXiInterval(lo, hi)
 
 
-def _primitive_points_in_ball(dim: int, x_max: int) -> Iterator[tuple[IntVec, int]]:
-    """Primitive sign-canonical integer points with norm <= x_max, with norm^2."""
-    limit_sq = x_max * x_max
+def _primitive_points_in_ball(
+    rep: IntVec, x_lo: int, x_hi: int, bn: int, shift: int
+) -> Iterator[tuple[IntVec, int]]:
+    """Primitive sign-canonical x with x_lo < |x| <= x_hi and D(x) <= B, with |x|^2.
 
-    def rec(prefix: list[int], remaining: int, budget: int, started: bool):
-        if remaining == 0:
-            if started:
-                yield tuple(prefix), limit_sq - budget
+    D(x) = |x ^ rep| / |rep| is the distance from x to the line R*rep, and
+    B = bn / 4^shift.  The points are found slab by slab along the
+    coordinate k of largest |rep_k|: writing x = t*rep + e with e
+    orthogonal to rep, so |e| = D(x), gives
+    x_j rep_k - x_k rep_j = e_j rep_k - e_k rep_j, and Cauchy-Schwarz
+    bounds its square by D(x)^2 (rep_j^2 + rep_k^2).  Once x_k is fixed,
+    each x_j therefore ranges over an integer interval.
+    """
+    dim = len(rep)
+    k = max(range(dim), key=lambda i: abs(rep[i]))
+    xi = tuple(rep) if rep[k] > 0 else tuple(-a for a in rep)
+    xi_k = xi[k]
+    q4 = 1 << (2 * shift)
+    cylinder = bn * bn * norm_sq(xi)  # D(x) <= B  <=>  16^shift |x ^ xi|^2 <= cylinder
+    others = [j for j in range(dim) if j != k]
+    # |x_j xi_k - x_k xi_j| <= B sqrt(xi_j^2 + xi_k^2), floored to an integer
+    slack = [isqrt(bn * bn * (xi[j] * xi[j] + xi_k * xi_k)) // q4 for j in others]
+    lo_sq, hi_sq = x_lo * x_lo, x_hi * x_hi
+    vec = [0] * dim
+
+    def rec(i: int, budget: int):
+        if i == len(others):
+            n2 = hi_sq - budget
+            if n2 <= lo_sq or next(a for a in vec if a) < 0:
+                return
+            if wedge_sq(vec, xi) * q4 * q4 > cylinder:
+                return
+            g = 0
+            for a in vec:
+                g = gcd(g, a)
+            if g == 1:
+                yield tuple(vec), n2
             return
-        lo = 0 if not started else -isqrt(budget)
-        hi = isqrt(budget)
-        for c in range(lo, hi + 1):
-            prefix.append(c)
-            yield from rec(prefix, remaining - 1, budget - c * c, started or c > 0)
-            prefix.pop()
+        j, m = others[i], slack[i]
+        c = vec[k] * xi[j]
+        r = isqrt(budget)
+        for a in range(max(-r, -((m - c) // xi_k)), min(r, (c + m) // xi_k) + 1):
+            vec[j] = a
+            yield from rec(i + 1, budget - a * a)
+        vec[j] = 0
 
-    for vec, n2 in rec([], dim, limit_sq, False):
-        g = 0
-        for a in vec:
-            g = gcd(g, a)
-        if g == 1:
-            yield vec, n2
+    for a in range(-x_hi, x_hi + 1):
+        vec[k] = a
+        yield from rec(0, hi_sq - a * a)
 
 
 def brute_force_curve(
@@ -227,10 +255,34 @@ def brute_force_curve(
 ) -> list[dict]:
     """Exhaustive best-approximation intervals at every integer scale <= x_max.
 
-    Enumerates all primitive integer points of norm <= x_max once.  For
-    each X the returned row bounds min D over the ball of radius X:
-    lo = min of candidate lower bounds, hi = min of candidate upper
-    bounds, with the earliest candidate attaining hi as the minimizer.
+    For each X the returned row bounds min D over the primitive points of
+    norm <= X: lo = min of candidate lower bounds, hi = min of candidate
+    upper bounds, and argmin the candidate attaining hi, ties going to the
+    smaller bucket ceil(|x|), then to the lexicographically smaller
+    sign-canonical tuple.  The rows are those of scoring every point of
+    the ball, but only the points that can change a row are scored.
+
+    With S = 2^(precision_bits + 8), r_s = ceil(S r) for the ball radius
+    r and the scores lo_s <= hi_s below (the row values times S^2), every
+    x with |x| <= X_b satisfies
+
+        lo_s >= S^2 D(x) - S (X_b (1 + r_s) + 1).
+
+    Proof: put A = S|x| and V = S D(x)/|x| <= S, so that
+    n_lo_s = floor(A) >= A - 1 >= 0 and d_lo_s = floor(V) > V - 1.  If
+    d_lo_s <= r_s, then lo_s = 0 and S^2 D(x) = A V < A (1 + r_s).
+    Otherwise lo_s >= (A - 1)(V - 1 - r_s) >= A V - A (1 + r_s) - V.
+    Either way A <= S X_b and V <= S give the bound.
+
+    Buckets are processed in dyadic bands (X_a, X_b] = (0, 1], (1, 2],
+    (2, 4], ... up to x_max.  Let run_hi be the least hi_s over the
+    buckets before a band.  A point of the band with
+    D(x) > B = (run_hi + S (X_b (1 + r_s) + 1)) / S^2 has
+    lo_s >= run_hi >= run_lo (every lo_s <= its hi_s), and
+    hi_s >= lo_s >= run_hi, which a smaller bucket attains: it changes no
+    row.  So each band scores only the cylinder D(x) <= min(X_b, B) around
+    the line through the limit center.  The first band, with no run_hi,
+    takes B = X_b, which D(x) <= |x| makes exhaustive.
     """
     dim = len(limit.representative)
     if x_max < 1:
@@ -245,46 +297,51 @@ def brute_force_curve(
     rnum, rden = limit.radius_sq.numerator, limit.radius_sq.denominator
     # r_hi scaled: ceil(sqrt(radius_sq) * 2^shift)
     r_hi_s = isqrt((rnum * scale * scale) // rden) + 1
-    best: dict[int, list] = {}
-    for vec, n2 in _primitive_points_in_ball(dim, x_max):
-        dv = dot(vec, rep)
-        wnum = n2 * r2 - dv * dv  # dist^2 = wnum / (n2 * r2)
-        dden = n2 * r2
-        d_lo_s = isqrt((wnum * scale * scale) // dden)
-        d_hi_s = d_lo_s + 1
-        n_lo_s = isqrt(n2 * scale * scale)
-        n_hi_s = n_lo_s + 1
-        lo_s = n_lo_s * max(0, d_lo_s - r_hi_s)
-        hi_s = n_hi_s * (d_hi_s + r_hi_s)
-        x_bucket = isqrt(n2 - 1) + 1 if n2 > 1 else 1  # smallest integer X with norm <= X
-        cur = best.get(x_bucket)
-        if cur is None:
-            best[x_bucket] = [lo_s, hi_s, vec]
-        else:
-            if lo_s < cur[0]:
-                cur[0] = lo_s
-            if hi_s < cur[1]:
-                cur[1] = hi_s
-                cur[2] = vec
     rows = []
     run_lo, run_hi, run_arg = None, None, None
-    for x in range(1, x_max + 1):
-        if x in best:
-            lo_s, hi_s, vec = best[x]
-            if run_hi is None or hi_s < run_hi:
-                run_hi, run_arg = hi_s, vec
-            if run_lo is None or lo_s < run_lo:
-                run_lo = lo_s
-        if run_hi is None:
-            continue
-        rows.append(
-            {
-                "X": x,
-                "lo": Fraction(run_lo, scale * scale),
-                "hi": Fraction(run_hi, scale * scale),
-                "argmin": run_arg,
-            }
-        )
+    x_lo = 0
+    while x_lo < x_max:
+        x_hi = min(max(2 * x_lo, 1), x_max)
+        bn = x_hi * scale * scale
+        if run_hi is not None:
+            bn = min(bn, run_hi + scale * (x_hi * (1 + r_hi_s) + 1))
+        best: dict[int, list] = {}
+        for vec, n2 in _primitive_points_in_ball(rep, x_lo, x_hi, bn, shift):
+            dv = dot(vec, rep)
+            wnum = n2 * r2 - dv * dv  # dist^2 = wnum / (n2 * r2)
+            dden = n2 * r2
+            d_lo_s = isqrt((wnum * scale * scale) // dden)
+            d_hi_s = d_lo_s + 1
+            n_lo_s = isqrt(n2 * scale * scale)
+            n_hi_s = n_lo_s + 1
+            lo_s = n_lo_s * max(0, d_lo_s - r_hi_s)
+            hi_s = n_hi_s * (d_hi_s + r_hi_s)
+            x_bucket = isqrt(n2 - 1) + 1  # smallest integer X with norm <= X
+            cur = best.get(x_bucket)
+            if cur is None:
+                best[x_bucket] = [lo_s, hi_s, vec]
+            else:
+                cur[0] = min(cur[0], lo_s)
+                if (hi_s, vec) < (cur[1], cur[2]):
+                    cur[1], cur[2] = hi_s, vec
+        for x in range(x_lo + 1, x_hi + 1):
+            if x in best:
+                lo_s, hi_s, vec = best[x]
+                if run_hi is None or hi_s < run_hi:
+                    run_hi, run_arg = hi_s, vec
+                if run_lo is None or lo_s < run_lo:
+                    run_lo = lo_s
+            if run_hi is None:
+                continue
+            rows.append(
+                {
+                    "X": x,
+                    "lo": Fraction(run_lo, scale * scale),
+                    "hi": Fraction(run_hi, scale * scale),
+                    "argmin": run_arg,
+                }
+            )
+        x_lo = x_hi
     return rows
 
 

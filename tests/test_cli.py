@@ -157,6 +157,32 @@ class TestBruteforce:
         assert main(["bruteforce", str(out), "--xmax", "3"]) == EXIT_USAGE
 
 
+class TestPrecisionFlags:
+    @pytest.mark.parametrize("value", ["0", "-3", "x"])
+    def test_gen_rejects_non_positive(self, tmp_path, capsys, value):
+        code, out = gen(tmp_path, "--family", "quadric", "--phi", "log3x",
+                        "--steps", "4", "--precision-bits", value)
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--precision-bits" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["verify"], ["exponent"], ["bruteforce", "--xmax", "3"]])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_audit_commands_reject_non_positive(self, tmp_path, capsys, command, value):
+        _, out = gen(tmp_path, "--family", "quadric", "--phi", "log3x", "--steps", "4")
+        capsys.readouterr()
+        code = main([command[0], str(out), *command[1:], "--precision", value])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--precision" in err and "Traceback" not in err
+
+    def test_explicit_precision_is_kept(self, tmp_path):
+        _, out = gen(tmp_path, "--family", "quadric", "--phi", "log3x",
+                     "--steps", "4", "--precision-bits", "16")
+        assert json.loads(out.read_text())["phi"]["precision_bits"] == 16
+
+
 class TestUserMap:
     def test_klinear_file_roundtrip(self, tmp_path):
         from maxsing.multilinear import prodforms_map, save_map

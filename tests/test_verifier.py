@@ -1,11 +1,22 @@
 import copy
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maxsing.builder import CertifiedLimit, limit_point, trace_from_doc, trace_to_doc
-from maxsing.exact_geometry import dist_sq, primitive, sqrt_bounds
+from maxsing.builder import (
+    ApproxFn,
+    BudgetExceeded,
+    CertifiedLimit,
+    limit_point,
+    run,
+    trace_from_doc,
+    trace_to_doc,
+)
+from maxsing.exact_geometry import dist_sq, dot, norm_sq, primitive, sqrt_bounds
+from maxsing.families import SearchBudget, grassmann_adapter, prodforms_adapter, quadric_adapter
+from maxsing.quadric import split4
 from maxsing.verifier import (
     DXiInterval,
     IndexOutOfRange,
@@ -189,6 +200,117 @@ class TestBruteForce:
         rows = brute_force_curve(lim, 8)
         for a, b in zip(rows, rows[1:]):
             assert b["hi"] <= a["hi"]
+
+
+def _whole_ball_points(dim, x_max):
+    """Every primitive sign-canonical point with norm <= x_max, with norm^2, in
+    lexicographic order."""
+    limit_sq = x_max * x_max
+
+    def rec(prefix, remaining, budget, started):
+        if remaining == 0:
+            if started:
+                yield tuple(prefix), limit_sq - budget
+            return
+        lo = 0 if not started else -isqrt(budget)
+        for c in range(lo, isqrt(budget) + 1):
+            prefix.append(c)
+            yield from rec(prefix, remaining - 1, budget - c * c, started or c > 0)
+            prefix.pop()
+
+    for vec, n2 in rec([], dim, limit_sq, False):
+        g = 0
+        for a in vec:
+            g = gcd(g, a)
+        if g == 1:
+            yield vec, n2
+
+
+def whole_ball_curve(limit, x_max, precision_bits=64):
+    """The oracle: score every point of the ball, the first attaining hi wins."""
+    rep = limit.representative
+    r2 = norm_sq(rep)
+    scale = 1 << (precision_bits + 8)
+    rnum, rden = limit.radius_sq.numerator, limit.radius_sq.denominator
+    r_hi_s = isqrt((rnum * scale * scale) // rden) + 1
+    best = {}
+    for vec, n2 in _whole_ball_points(len(rep), x_max):
+        dv = dot(vec, rep)
+        d_lo_s = isqrt(((n2 * r2 - dv * dv) * scale * scale) // (n2 * r2))
+        n_lo_s = isqrt(n2 * scale * scale)
+        lo_s = n_lo_s * max(0, d_lo_s - r_hi_s)
+        hi_s = (n_lo_s + 1) * (d_lo_s + 1 + r_hi_s)
+        cur = best.setdefault(isqrt(n2 - 1) + 1, [lo_s, hi_s, vec])
+        cur[0] = min(cur[0], lo_s)
+        if hi_s < cur[1]:
+            cur[1], cur[2] = hi_s, vec
+    rows = []
+    run_lo = run_hi = run_arg = None
+    for x in range(1, x_max + 1):
+        if x in best:
+            lo_s, hi_s, vec = best[x]
+            if run_hi is None or hi_s < run_hi:
+                run_hi, run_arg = hi_s, vec
+            if run_lo is None or lo_s < run_lo:
+                run_lo = lo_s
+        rows.append({"X": x, "lo": Fraction(run_lo, scale * scale),
+                     "hi": Fraction(run_hi, scale * scale), "argmin": run_arg})
+    return rows
+
+
+# the largest x_max per dimension that the oracle finishes in about 0.1 s
+ORACLE_XMAX = {3: 16, 4: 8, 5: 5, 6: 4}
+
+
+@st.composite
+def limits_and_scales(draw):
+    dim = draw(st.integers(3, 6))
+    rep = draw(st.lists(st.integers(-30, 30), min_size=dim, max_size=dim).filter(any))
+    radius_sq = draw(st.one_of(
+        st.just(Fraction(0)),
+        st.integers(1, 40).map(lambda k: Fraction(1, 10 ** k)),
+        st.integers(1, 13).map(lambda p: Fraction(p, 7)),
+    ))
+    precision = draw(st.sampled_from([0, 8, 64]))
+    x_max = draw(st.integers(1, ORACLE_XMAX[dim]))
+    return CertifiedLimit(tuple(rep), radius_sq), x_max, precision
+
+
+def _log3x_limit(family, seed):
+    if family == "split4":
+        adapter, height = quadric_adapter(*split4()), 6
+    elif family == "grassmann42":
+        adapter, height = grassmann_adapter(4, 2), 4
+    else:
+        adapter, height = prodforms_adapter(2, 3), 4
+    try:
+        trace = run(adapter, ApproxFn("log3x"), 8, seed=seed,
+                    budget=SearchBudget(max_height=height))
+    except BudgetExceeded as exc:
+        trace = exc.partial
+    return limit_point(trace)
+
+
+class TestCylinderMatchesWholeBall:
+    @given(limits_and_scales())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_random_limits(self, case):
+        lim, x_max, precision = case
+        assert brute_force_curve(lim, x_max, precision) == whole_ball_curve(lim, x_max, precision)
+
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    @pytest.mark.parametrize("family", ["split4", "grassmann42", "prodforms23"])
+    def test_log3x_limits(self, family, seed):
+        lim = _log3x_limit(family, seed)
+        x_max = {4: 25, 6: 6}[len(lim.representative)]
+        assert brute_force_curve(lim, x_max) == whole_ball_curve(lim, x_max)
+
+    def test_ties_go_to_the_lexicographically_smaller_tuple(self):
+        # the three unit vectors score alike on the diagonal, as do
+        # (0, 1, 1), (1, 0, 1) and (1, 1, 0); (1, 1, 1) lies on it
+        lim = CertifiedLimit(representative=(1, 1, 1), radius_sq=Fraction(0))
+        rows = brute_force_curve(lim, 2)
+        assert [r["argmin"] for r in rows] == [(0, 0, 1), (1, 1, 1)]
 
 
 class TestExponent:
