@@ -138,15 +138,15 @@ class ApproxFn:
     def le_phi_sq_lo(self, t: Fraction, norm_sq_next, norm_lo: Fraction) -> bool:
         """Decide t <= phi(X)^2 conservatively, X = sqrt(norm_sq_next).
 
-        The power law compares exactly: t <= norm_sq^(-p/q) iff
-        t^q * norm_sq^p <= 1.  log3x compares against the certified
-        lower bound evaluated at the recorded rational norm bound.
+        The power law compares exactly in integers: with t = u/v, v > 0,
+        t <= norm_sq^(-p/q) iff u^q * norm_sq^p <= v^q.  log3x compares
+        against the certified lower bound evaluated at the recorded
+        rational norm bound.
         """
         if t < 0:
             return True
         if self.variant == "pow":
-            p, q = self.exponent.numerator, self.exponent.denominator
-            return t ** q * Fraction(norm_sq_next) ** p <= 1
+            return self._pow_le(t, norm_sq_next)
         lo = self.phi_lo(max(norm_lo, Fraction(1)))
         return t <= lo * lo
 
@@ -155,10 +155,14 @@ class ApproxFn:
         if t < 0:
             return True
         if self.variant == "pow":
-            p, q = self.exponent.numerator, self.exponent.denominator
-            return t ** q * Fraction(norm_sq_next) ** p <= 1
+            return self._pow_le(t, norm_sq_next)
         hi = self.phi_hi(max(norm_lo, Fraction(1)))
         return t <= hi * hi
+
+    def _pow_le(self, t: Fraction, norm_sq: int) -> bool:
+        """t^q * norm_sq^p <= 1 for t >= 0, cross-multiplied in integers."""
+        p, q = self.exponent.numerator, self.exponent.denominator
+        return t.numerator ** q * norm_sq ** p <= t.denominator ** q
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,9 @@ import os
 import sys
 from fractions import Fraction
 
-from . import builder, verifier
+from . import builder, families, verifier
 from .builder import ApproxFn, BudgetExceeded, SequenceTrace
 from .exact_geometry import dec_str
-from .families import SearchBudget
 from .multilinear import InvalidParameters, load_map
 from .quadric import InvalidWitness, load_form, split4
 
@@ -23,16 +22,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_BUDGET = 2
 EXIT_AUDIT = 3
-
-
-def _default_precision() -> int:
-    env = os.environ.get("MAXSING_PRECISION_BITS")
-    if env:
-        try:
-            return max(8, int(env))
-        except ValueError:
-            pass
-    return 64
 
 
 def _positive_int(text: str) -> int:
@@ -43,6 +32,17 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
+
+
+def _default_precision() -> int:
+    """MAXSING_PRECISION_BITS, or 64 when it is unset or empty."""
+    env = os.environ.get("MAXSING_PRECISION_BITS")
+    if not env:
+        return 64
+    try:
+        return _positive_int(env)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"MAXSING_PRECISION_BITS: {exc}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -102,8 +102,6 @@ def _parse_phi(spec: list[str], precision: int) -> ApproxFn:
 
 
 def _make_adapter(args):
-    from . import families
-
     if args.family in ("grassmann", "prodforms"):
         if args.n is None or args.k is None:
             raise ValueError(f"{args.family} needs --n and --k")
@@ -118,16 +116,16 @@ def _make_adapter(args):
 
 
 def cmd_gen(args) -> int:
-    precision = _default_precision() if args.precision_bits is None else args.precision_bits
     try:
-        phi = _parse_phi(args.phi, precision)
+        phi = _parse_phi(args.phi, args.precision_bits)
         adapter = _make_adapter(args)
         if args.steps < 2:
             raise ValueError("--steps must be at least 2")
     except (ValueError, InvalidParameters, InvalidWitness, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    budget = SearchBudget(max_height=args.max_height, multiplier_bits=args.max_multiplier_bits)
+    budget = families.SearchBudget(max_height=args.max_height,
+                                   multiplier_bits=args.max_multiplier_bits)
     try:
         trace = builder.run(adapter, phi, args.steps, seed=args.seed, budget=budget)
     except BudgetExceeded as exc:
@@ -160,11 +158,10 @@ def cmd_verify(args) -> int:
     trace = _load_trace_or_exit(args.trace)
     if trace is None:
         return EXIT_USAGE
-    precision = _default_precision() if args.precision is None else args.precision
     try:
         report = verifier.audit_report(
             trace,
-            precision_bits=precision,
+            precision_bits=args.precision,
             bruteforce_xmax=args.bruteforce_xmax,
             sample_range=args.sample_range,
         )
@@ -198,9 +195,8 @@ def cmd_exponent(args) -> int:
     trace = _load_trace_or_exit(args.trace)
     if trace is None:
         return EXIT_USAGE
-    precision = _default_precision() if args.precision is None else args.precision
     try:
-        rows = verifier.exponent_report(trace, precision)
+        rows = verifier.exponent_report(trace, args.precision)
     except builder.TraceTooShort as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -224,10 +220,9 @@ def cmd_bruteforce(args) -> int:
     trace = _load_trace_or_exit(args.trace)
     if trace is None:
         return EXIT_USAGE
-    precision = _default_precision() if args.precision is None else args.precision
     try:
-        lim = builder.limit_point(trace, precision)
-        rows = verifier.brute_force_curve(lim, args.xmax, precision)
+        lim = builder.limit_point(trace, args.precision)
+        rows = verifier.brute_force_curve(lim, args.xmax, args.precision)
     except (builder.TraceTooShort, verifier.TooLarge, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -254,6 +249,13 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
+    flag = "precision_bits" if args.command == "gen" else "precision"
+    if getattr(args, flag) is None:
+        try:
+            setattr(args, flag, _default_precision())
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     handlers = {
         "gen": cmd_gen,
         "verify": cmd_verify,

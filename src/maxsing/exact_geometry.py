@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterable, Sequence
@@ -97,14 +98,7 @@ def primitive(v: Sequence) -> ProjPointQ:
     """
     if len(v) == 0 or all(a == 0 for a in v):
         raise ZeroVector("cannot projectivize the zero vector")
-    if any(isinstance(a, Fraction) for a in v):
-        denom_lcm = 1
-        for a in v:
-            d = a.denominator if isinstance(a, Fraction) else 1
-            denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
-        ints = [int(a * denom_lcm) for a in v]
-    else:
-        ints = [int(a) for a in v]
+    ints = _clear_denominators(v)
     g = 0
     for a in ints:
         g = gcd(g, a)
@@ -115,6 +109,17 @@ def primitive(v: Sequence) -> ProjPointQ:
                 ints = [-b for b in ints]
             break
     return ProjPointQ(tuple(ints))
+
+
+def _clear_denominators(v: Sequence) -> list[int]:
+    """The integer row c*v, with c the least common denominator of v's entries."""
+    if not any(isinstance(a, Fraction) for a in v):
+        return [int(a) for a in v]
+    m = 1
+    for a in v:
+        d = a.denominator if isinstance(a, Fraction) else 1
+        m = m * d // gcd(m, d)
+    return [int(a * m) for a in v]
 
 
 def dist_sq(x: Sequence, y: Sequence) -> Fraction:
@@ -202,18 +207,58 @@ def wedge_k(vectors: Sequence[Sequence], n: int | None = None) -> tuple:
     return tuple(coords)
 
 
+RANK_PRIME = (1 << 61) - 1
+
+
 def rank(vectors: Iterable[Sequence]) -> int:
-    """Exact rank over Q by fraction-free integer elimination."""
-    rows = []
-    for v in vectors:
-        r = _to_primitive_int_row(v)
-        if r is not None:
-            rows.append(list(r))
+    """Exact rank over Q, certified modulo one word-size prime where it can be.
+
+    The nonzero rows are scaled to integer rows M (clearing denominators
+    changes no rank over Q), and r_p, the rank of M modulo
+    p = RANK_PRIME, is found by elimination over Z/p.
+
+    Certificate: rank_Q(M) <= min(rows, cols) always.  Elimination mod p
+    leaves an r_p x r_p minor of M that is nonzero mod p; that integer
+    minor is then nonzero, so rank_Q(M) >= r_p.  If r_p equals
+    min(rows, cols), the two bounds meet and r_p is the rank.  Otherwise
+    p may divide every larger minor, and the rank comes from exact
+    fraction-free elimination over Z instead.
+    """
+    rows = [_clear_denominators(v) for v in vectors if any(a != 0 for a in v)]
     if not rows:
         return 0
     ncols = len(rows[0])
     if any(len(r) != ncols for r in rows):
         raise DimensionMismatch("rank: inconsistent dimensions")
+    bound = min(len(rows), ncols)
+    if _rank_mod_p(rows, ncols, RANK_PRIME) == bound:
+        return bound
+    return _rank_exact(rows, ncols)
+
+
+def _rank_mod_p(rows: list[list[int]], ncols: int, p: int) -> int:
+    """Rank of an integer matrix over Z/p, p prime."""
+    red = [[a % p for a in r] for r in rows]
+    rnk = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rnk, len(red)) if red[i][col]), None)
+        if piv is None:
+            continue
+        red[rnk], red[piv] = red[piv], red[rnk]
+        prow = red[rnk]
+        inv = pow(prow[col], -1, p)
+        for i in range(rnk + 1, len(red)):
+            c = red[i][col] * inv % p
+            if c:
+                red[i] = [(a - c * b) % p for a, b in zip(red[i], prow)]
+        rnk += 1
+        if rnk == len(red):
+            break
+    return rnk
+
+
+def _rank_exact(rows: list[list[int]], ncols: int) -> int:
+    """Exact rank over Q by fraction-free integer elimination; rows are overwritten."""
     rnk = 0
     col = 0
     while rnk < len(rows) and col < ncols:
@@ -243,13 +288,6 @@ def rank(vectors: Iterable[Sequence]) -> int:
     return rnk
 
 
-def _to_primitive_int_row(v: Sequence) -> IntVec | None:
-    """Scale a rational row to a primitive integer row (None if zero)."""
-    if all(a == 0 for a in v):
-        return None
-    return primitive(v).rep
-
-
 # ---------------------------------------------------------------------------
 # rational subspaces with a canonical basis
 
@@ -273,6 +311,11 @@ class ProjSubspaceQ:
     def is_proper(self) -> bool:
         return self.rank < self.ambient_dim
 
+    @cached_property
+    def functionals(self) -> tuple[IntVec, ...]:
+        """orthogonal_functionals(self), computed on first use and kept."""
+        return orthogonal_functionals(self)
+
     def contains(self, v: Sequence) -> bool:
         return in_span(v, self)
 
@@ -292,7 +335,7 @@ def subspace_span(vectors: Sequence[Sequence], ambient_dim: int | None = None) -
         if len(r) != ambient_dim:
             raise DimensionMismatch("subspace_span: inconsistent dimensions")
     rref = _rref(rows, ambient_dim)
-    return ProjSubspaceQ(tuple(_to_primitive_int_row(r) for r in rref), ambient_dim)
+    return ProjSubspaceQ(tuple(primitive(r).rep for r in rref), ambient_dim)
 
 
 def _rref(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
@@ -320,17 +363,20 @@ def _rref(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
 
 
 def in_span(v: Sequence, s: ProjSubspaceQ) -> bool:
-    """Exact membership of a vector in the span of a subspace."""
+    """Exact membership of a vector in the span of a subspace.
+
+    Certificate: the subspace's functionals (``orthogonal_functionals``)
+    vanish on its basis and are linearly independent, and there are
+    ambient_dim - rank of them, so they span the annihilator of the
+    span.  A vector lies in the span iff every one of them pairs to zero
+    with it.  A rational vector is scaled to an integer one first, so
+    each test is an integer dot product.
+    """
     v = v.rep if isinstance(v, ProjPointQ) else v
     if len(v) != s.ambient_dim:
         raise DimensionMismatch("in_span: wrong ambient dimension")
-    r = [Fraction(a) for a in v]
-    for row in s.basis:
-        pc = next(j for j, a in enumerate(row) if a != 0)
-        if r[pc] != 0:
-            c = Fraction(r[pc], row[pc])
-            r = [a - c * b for a, b in zip(r, row)]
-    return all(a == 0 for a in r)
+    v = _clear_denominators(v)
+    return all(dot(f, v) == 0 for f in s.functionals)
 
 
 def orthogonal_functionals(s: ProjSubspaceQ) -> tuple[IntVec, ...]:

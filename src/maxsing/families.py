@@ -97,24 +97,26 @@ class QuadricAdapter:
             fails.append(f"recorded score {s} but recomputed {actual_s}")
         if s < 1:
             fails.append("step from a point with score 0")
-        if not qd.on_quadric(form, z.point):
+        xr, zr = x.point.rep, z.point.rep
+        qx, bxz, qz = form.q(xr), form.bilinear(xr, zr), form.q(zr)
+        if qz != 0:
             fails.append("line generator not on the quadric")
-        if form.bilinear(x.point.rep, z.point.rep) != 0:
+        if bxz != 0:
             fails.append("line not totally isotropic (generators not orthogonal)")
-        if subspace_span([x.point.rep, z.point.rep], form.dim).rank != 2:
+        if subspace_span([xr, zr], form.dim).rank != 2:
             fails.append("degenerate line: z proportional to x")
         for lam in range(-sample_range, sample_range + 1):
-            y = vec_add(vec_scale(lam, x.point.rep), z.point.rep)
+            y = vec_add(vec_scale(lam, xr), zr)
             if all(a == 0 for a in y):
                 fails.append(f"line point at {lam} vanishes")
                 continue
-            if form.q(y) != 0:
+            if lam * lam * qx + 2 * lam * bxz + qz != 0:  # q(y), expanded by bilinearity
                 fails.append(f"line leaves the quadric at multiplier {lam}")
                 continue
             sy = qd.s_h_quadric(form, h, primitive(y))
             if sy >= s:
                 fails.append(f"score fails to drop at multiplier {lam}: {sy} >= {s}")
-        x_next = primitive(vec_add(vec_scale(b, x.point.rep), z.point.rep))
+        x_next = primitive(vec_add(vec_scale(b, xr), zr))
         if qd.s_h_quadric(form, h, x_next) >= actual_s:
             fails.append("score fails to drop at the chosen multiplier")
         return fails

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
@@ -26,7 +26,7 @@ from .exact_geometry import (
     subspace_span,
     wedge_sq,
 )
-from .multilinear import StepPreconditionError
+from .multilinear import StepPreconditionError, candidate_vectors
 
 
 class DegenerateDirection(ValueError):
@@ -47,9 +47,21 @@ class InvalidWitness(ValueError):
 
 @dataclass(frozen=True)
 class QuadraticFormQ:
-    """Symmetric rational Gram matrix A; b(x,y) = x^T A y and q(x) = b(x,x)."""
+    """Symmetric rational Gram matrix A of the form b(x,y) = x^T A y, q(x) = b(x,x).
+
+    The Gram matrix is scaled once to the integer matrix d*A, d > 0 the
+    least common denominator of its entries.  ``bilinear`` and ``q``
+    return d*b and d*q: integers on integer vectors, with the same sign
+    and the same zeros as b and q.  The rational value is
+    Fraction(form.bilinear(x, y), form.denominator).
+    """
 
     gram: tuple[tuple[Fraction, ...], ...]
+    denominator: int = field(init=False, repr=False, compare=False)
+    # nonzero entries (j, d*A[i][j]) of each row i of d*A
+    _int_rows: tuple = field(init=False, repr=False, compare=False)
+    # nonzero terms (i, j, c) of d*q(x) = sum c*x_i*x_j over i <= j
+    _q_terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.gram)
@@ -62,25 +74,43 @@ class QuadraticFormQ:
                     raise InvalidWitness("gram matrix must be symmetric")
         if all(a == 0 for row in self.gram for a in row):
             raise InvalidWitness("quadratic form must not vanish identically")
+        d = 1
+        for row in self.gram:
+            for a in row:
+                den = Fraction(a).denominator
+                d = d * den // gcd(d, den)
+        int_rows = tuple(
+            tuple((j, int(a * d)) for j, a in enumerate(row) if a != 0) for row in self.gram
+        )
+        q_terms = tuple(
+            (i, j, a if i == j else 2 * a)
+            for i, row in enumerate(int_rows) for j, a in row if i <= j
+        )
+        object.__setattr__(self, "denominator", d)
+        object.__setattr__(self, "_int_rows", int_rows)
+        object.__setattr__(self, "_q_terms", q_terms)
 
     @property
     def dim(self) -> int:
         return len(self.gram)
 
-    def bilinear(self, x: Sequence, y: Sequence) -> Fraction:
-        if len(x) != self.dim or len(y) != self.dim:
+    def apply(self, y: Sequence) -> tuple:
+        """d*A*y, so that d*b(x, y) = dot(x, d*A*y)."""
+        if len(y) != self.dim:
             raise DimensionMismatch("bilinear form: wrong vector dimension")
-        total = Fraction(0)
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            row = self.gram[i]
-            s = sum(row[j] * yj for j, yj in enumerate(y) if yj != 0)
-            total += xi * s
-        return total
+        return tuple(sum(a * y[j] for j, a in row) for row in self._int_rows)
 
-    def q(self, x: Sequence) -> Fraction:
-        return self.bilinear(x, x)
+    def bilinear(self, x: Sequence, y: Sequence):
+        """d*b(x, y): an integer for integer x and y."""
+        if len(x) != self.dim:
+            raise DimensionMismatch("bilinear form: wrong vector dimension")
+        return dot(x, self.apply(y))
+
+    def q(self, x: Sequence):
+        """d*q(x): an integer for integer x."""
+        if len(x) != self.dim:
+            raise DimensionMismatch("bilinear form: wrong vector dimension")
+        return sum(c * x[i] * x[j] for i, j, c in self._q_terms)
 
 
 @dataclass(frozen=True)
@@ -117,18 +147,24 @@ def on_quadric(form: QuadraticFormQ, p: ProjPointQ | Sequence) -> bool:
     return form.q(v) == 0
 
 
+def _pairing_row(form: QuadraticFormQ, v: Sequence) -> tuple:
+    """d*A*v, the functional x -> d*b(v, x); DegenerateDirection if it vanishes."""
+    row = form.apply(v)
+    if all(a == 0 for a in row):
+        raise DegenerateDirection("point pairs to zero with everything (radical direction)")
+    return row
+
+
 def orth_complement(form: QuadraticFormQ, p: ProjPointQ | Sequence) -> ProjSubspaceQ:
     """Kernel of x -> b(p, x) as a canonical subspace."""
     v = p.rep if isinstance(p, ProjPointQ) else p
-    row = [sum(form.gram[i][j] * v[i] for i in range(form.dim)) for j in range(form.dim)]
-    if all(a == 0 for a in row):
-        raise DegenerateDirection("point pairs to zero with everything (radical direction)")
+    row = _pairing_row(form, v)
     j0 = next(j for j, a in enumerate(row) if a != 0)
     basis = []
     for j in range(form.dim):
         if j == j0:
             continue
-        vec = [Fraction(0)] * form.dim
+        vec = [0] * form.dim
         vec[j] = row[j0]
         vec[j0] = -row[j]
         basis.append(vec)
@@ -140,18 +176,25 @@ def s_h_quadric(form: QuadraticFormQ, h: ProjSubspaceQ, alpha: ProjPointQ) -> in
 
     0 if alpha is outside H; 1 if inside with orthogonal complement
     different from H; 2 if inside and the complement equals H exactly.
+
+    Certificate for the score 2 test: with alpha in H and A*alpha != 0
+    (otherwise DegenerateDirection), alpha^perp is the kernel of the
+    nonzero functional x -> b(alpha, x), a hyperplane.  H equals it iff
+    H lies in it and has the same dimension, that is iff rank H = n - 1
+    and b(alpha, h) = 0 for every basis row h of H.
     """
     if not on_quadric(form, alpha):
         raise NotOnQuadric(f"{alpha} is not a zero of the form")
     if not h.contains_point(alpha):
         return 0
-    return 2 if orth_complement(form, alpha) == h else 1
+    row = _pairing_row(form, alpha.rep)
+    if h.rank != form.dim - 1:
+        return 1
+    return 2 if all(dot(row, hb) == 0 for hb in h.basis) else 1
 
 
 def _coefficient_shells(r: int, height: int, rng: random.Random | None = None):
     """Primitive coefficient vectors with canonical sign, by max-norm shell."""
-    from .multilinear import candidate_vectors
-
     for h in range(1, height + 1):
         shell = []
         for c in candidate_vectors(r, h):
@@ -191,8 +234,6 @@ def isotropic_in_subspace_outside(
     to S is precomputed as an integer Gram matrix, and membership in H
     reduces to integer pairings with H's orthogonal functionals.
     """
-    from .exact_geometry import orthogonal_functionals
-
     if all(h.contains(b) for b in s.basis):
         raise StepPreconditionError("search subspace is contained in the excluded one")
     candidates = []
@@ -214,14 +255,10 @@ def isotropic_in_subspace_outside(
     order_seen = {pt: i for i, pt in enumerate(candidates)}
 
     r = s.rank
-    gram_frac = [[form.bilinear(s.basis[i], s.basis[j]) for j in range(r)] for i in range(r)]
-    denom = 1
-    for row in gram_frac:
-        for a in row:
-            denom = denom * a.denominator // gcd(denom, a.denominator)
-    gram_int = [[int(a * denom) for a in row] for row in gram_frac]
-    h_funcs = orthogonal_functionals(h)
-    pairings = [[dot(f, b) for b in s.basis] for f in h_funcs]
+    # d times the form restricted to S: only the zeros of q matter here
+    images = [form.apply(b) for b in s.basis]
+    gram_int = [[dot(s.basis[i], images[j]) for j in range(r)] for i in range(r)]
+    pairings = [[dot(f, b) for b in s.basis] for f in h.functionals]
 
     for coeffs in _coefficient_shells(r, height, rng):
         q_val = 0

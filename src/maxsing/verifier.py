@@ -120,14 +120,20 @@ def check_conditions(trace: SequenceTrace, sample_range: int = 20) -> dict:
             fails.append("next point is not primitive(z + b*x)")
         if wedge_sq(x.rep, step.z.rep) != step.wedge_sq:
             fails.append("recorded wedge area differs from recomputation")
-        dsq = dist_sq(x_next.rep, x.rep)
-        if dsq != step.dist_sq:
+        # distances are compared by cross-multiplication; a Fraction is
+        # built only when the recorded one differs from the recomputation
+        n2n, n2x = x_next.norm_sq(), x.norm_sq()
+        dv = dot(x_next.rep, x.rep)
+        wnum, wden = n2n * n2x - dv * dv, n2n * n2x
+        if wden == 0:
+            raise ZeroVector("projective distance needs nonzero vectors")
+        dsq = step.dist_sq
+        if wnum * dsq.denominator != dsq.numerator * wden:
             fails.append("recorded squared distance differs from recomputation")
+            dsq = Fraction(wnum, wden)
         # (b) strict norm growth
-        if not x_next.norm_sq() > x.norm_sq():
-            fails.append(
-                f"(b) norm fails to grow: {x_next.norm_sq()} <= {x.norm_sq()}"
-            )
+        if not n2n > n2x:
+            fails.append(f"(b) norm fails to grow: {n2n} <= {n2x}")
         # (c) certified score decrease along the line; corrupt inputs make
         # the exact re-derivations raise, which is itself a failure
         if entry.witness is not None or step.certificate.get("kind") == "quadric":
@@ -144,7 +150,7 @@ def check_conditions(trace: SequenceTrace, sample_range: int = 20) -> dict:
             except (ValueError, RuntimeError, KeyError) as exc:
                 fails.append(f"(c) certificate does not re-verify: {exc}")
         # norm bound sanity
-        lo_expect = sqrt_bounds(x_next.norm_sq(), phi.precision_bits)[0]
+        lo_expect = sqrt_bounds(n2n, phi.precision_bits)[0]
         if step.norm_lo_next != lo_expect:
             fails.append("recorded norm lower bound differs from recomputation")
         # (d) for i >= 2, plus the distance-decay consequence
@@ -152,13 +158,13 @@ def check_conditions(trace: SequenceTrace, sample_range: int = 20) -> dict:
             if dsq_prev is None:
                 fails.append("missing previous distance for the telescoping check")
             else:
-                if 9 * dsq > dsq_prev:
+                if 9 * dsq.numerator * dsq_prev.denominator > dsq_prev.numerator * dsq.denominator:
                     fails.append(f"(d) telescoping fails: 9*{dsq} > {dsq_prev}")
-            t = Fraction(9, 4) * dsq * x.norm_sq()
+            t = Fraction(9, 4) * dsq * n2x
             xeval = max(step.norm_lo_next, Fraction(1))
-            if not phi.le_phi_sq_lo(t, x_next.norm_sq(), xeval):
+            if not phi.le_phi_sq_lo(t, n2n, xeval):
                 fails.append("(d) decay target fails at the recorded bound")
-            if not phi.le_phi_sq_hi(t, x_next.norm_sq(), xeval):
+            if not phi.le_phi_sq_hi(t, n2n, xeval):
                 fails.append("(eq2) norm-weighted distance exceeds the decay upper bound")
             lo_b, hi_b = phi._phi_bounds(xeval)
             if step.phi_lo != lo_b or step.phi_hi != hi_b:
@@ -289,7 +295,10 @@ def brute_force_curve(
         raise ValueError("x_max must be at least 1")
     est = (2 * x_max + 1) ** dim
     if est > cost_guard:
-        raise TooLarge(f"enumeration would visit ~{est} points (guard {cost_guard})")
+        raise TooLarge(
+            f"xmax {x_max} refused: the whole-ball bound (2*xmax+1)^{dim} = "
+            f"{2 * x_max + 1}^{dim} = {est} exceeds the cost guard {cost_guard}"
+        )
     rep = limit.representative
     r2 = norm_sq(rep)
     shift = precision_bits + 8

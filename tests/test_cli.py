@@ -183,6 +183,42 @@ class TestPrecisionFlags:
         assert json.loads(out.read_text())["phi"]["precision_bits"] == 16
 
 
+class TestPrecisionEnvironment:
+    @pytest.mark.parametrize("value", ["0", "-3", "abc"])
+    def test_gen_rejects_bad_value(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("MAXSING_PRECISION_BITS", value)
+        code, out = gen(tmp_path, "--family", "quadric", "--phi", "log3x", "--steps", "3")
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "MAXSING_PRECISION_BITS" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["verify"], ["exponent"], ["bruteforce", "--xmax", "3"]])
+    @pytest.mark.parametrize("value", ["0", "abc"])
+    def test_audit_commands_reject_bad_value(self, tmp_path, capsys, monkeypatch, command, value):
+        _, out = gen(tmp_path, "--family", "quadric", "--phi", "log3x", "--steps", "4")
+        capsys.readouterr()
+        monkeypatch.setenv("MAXSING_PRECISION_BITS", value)
+        assert main([command[0], str(out), *command[1:]]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "MAXSING_PRECISION_BITS" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value, expected", [("3", 3), ("80", 80), ("", 64)])
+    def test_good_value_is_recorded_as_given(self, tmp_path, monkeypatch, value, expected):
+        monkeypatch.setenv("MAXSING_PRECISION_BITS", value)
+        code, out = gen(tmp_path, "--family", "quadric", "--phi", "log3x", "--steps", "3")
+        assert code == EXIT_OK
+        assert json.loads(out.read_text())["phi"]["precision_bits"] == expected
+        assert main(["verify", str(out), "--out", str(tmp_path / "a.json")]) == EXIT_OK
+
+    def test_flag_overrides_the_variable(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("MAXSING_PRECISION_BITS", "abc")
+        code, out = gen(tmp_path, "--family", "quadric", "--phi", "log3x", "--steps", "3",
+                        "--precision-bits", "16")
+        assert code == EXIT_OK
+        assert json.loads(out.read_text())["phi"]["precision_bits"] == 16
+
+
 class TestUserMap:
     def test_klinear_file_roundtrip(self, tmp_path):
         from maxsing.multilinear import prodforms_map, save_map

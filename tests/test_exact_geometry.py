@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from maxsing.exact_geometry import (
+    RANK_PRIME,
     DimensionMismatch,
     NegativeInput,
     ProjPointQ,
@@ -23,6 +24,7 @@ from maxsing.exact_geometry import (
     wedge_k,
     wedge_sq,
 )
+from maxsing.exact_geometry import _rank_mod_p
 
 small_ints = st.integers(min_value=-50, max_value=50)
 
@@ -206,6 +208,112 @@ class TestRankSpan:
         if len(mixed) >= 2:
             mixed.append(tuple(a + 2 * b for a, b in zip(mixed[0], mixed[1])))
         assert subspace_span(mixed, 4) == s1
+
+
+# ---------------------------------------------------------------------------
+# oracles: the Fraction elimination code that rank and in_span replaced
+
+
+def _rank_by_elimination(vectors):
+    """Rank over Q by fraction-free elimination of primitive integer rows."""
+    rows = [list(primitive(v).rep) for v in vectors if any(a != 0 for a in v)]
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    rnk = col = 0
+    while rnk < len(rows) and col < ncols:
+        piv = next((i for i in range(rnk, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            col += 1
+            continue
+        rows[rnk], rows[piv] = rows[piv], rows[rnk]
+        pv = rows[rnk][col]
+        for i in range(rnk + 1, len(rows)):
+            ai = rows[i][col]
+            if ai:
+                rows[i] = [a * pv - b * ai for a, b in zip(rows[i], rows[rnk])]
+        rnk += 1
+        col += 1
+    return rnk
+
+
+def _in_span_by_elimination(v, s):
+    """Membership by reducing v against the echelon basis in Fractions."""
+    r = [Fraction(a) for a in v]
+    for row in s.basis:
+        pc = next(j for j, a in enumerate(row) if a != 0)
+        if r[pc] != 0:
+            c = Fraction(r[pc], row[pc])
+            r = [a - c * b for a, b in zip(r, row)]
+    return all(a == 0 for a in r)
+
+
+small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+
+# entries a + b*p with small a: the matrix mod p is the small a-part, which is
+# often singular when the matrix itself is not, so the exact fallback runs
+near_prime_multiples = st.builds(lambda a, b: a + b * RANK_PRIME,
+                                 st.integers(-1, 1), st.integers(-2, 2))
+huge_ints = st.integers(min_value=-(1 << 300), max_value=1 << 300)
+
+
+def matrices(entries, max_dim=6):
+    return st.integers(1, max_dim).flatmap(
+        lambda n: st.lists(st.tuples(*[entries] * n), min_size=0, max_size=n + 2)
+    )
+
+
+class TestCertifiedKernel:
+    """rank and in_span against the elimination code they replaced."""
+
+    def test_minor_divisible_by_the_prime(self):
+        # det = p: rank 1 modulo p, rank 2 over Q, so the exact fallback decides
+        rows = [(1, 1), (1, 1 + RANK_PRIME)]
+        assert _rank_mod_p([list(r) for r in rows], 2, RANK_PRIME) == 1
+        assert rank(rows) == 2
+        rows3 = [(RANK_PRIME, 0, 0), (0, 1, 0), (0, 0, 1)]  # a row that vanishes mod p
+        assert _rank_mod_p([list(r) for r in rows3], 3, RANK_PRIME) == 2
+        assert rank(rows3) == 3
+
+    def test_rational_rows_with_prime_denominator(self):
+        rows = [(Fraction(1, RANK_PRIME), 1), (0, 1)]
+        assert rank(rows) == 2
+
+    @given(st.one_of(matrices(st.integers(-3, 3)), matrices(small_fractions),
+                     matrices(near_prime_multiples), matrices(huge_ints, 4)))
+    @settings(max_examples=400, derandomize=True)
+    def test_rank_matches_elimination(self, rows):
+        assert rank(rows) == _rank_by_elimination(rows)
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(*[st.integers(-3, 3)] * n), max_size=n + 1),
+        st.lists(st.tuples(*[small_fractions] * n), min_size=1, max_size=4),
+    )))
+    @settings(max_examples=400, derandomize=True)
+    def test_in_span_matches_elimination(self, case):
+        n, gens, probes = case
+        s = subspace_span(gens, n)  # every rank from 0 (no nonzero generator) to n
+        # members too: integer combinations of the generators, and rescaled ones
+        probes = list(probes) + [tuple(sum(c * g[j] for c, g in zip(cs, gens)) for j in range(n))
+                                 for cs in itertools.product((1, -2), repeat=min(len(gens), 2))]
+        probes += [tuple(Fraction(a, 7) for a in p) for p in probes]
+        for v in probes:
+            if len(v) == n:
+                assert in_span(v, s) == _in_span_by_elimination(v, s)
+
+    def test_full_and_zero_rank_subspaces(self):
+        full = subspace_span([(1, 2, 3), (0, 1, 5), (0, 0, 7)])
+        zero = subspace_span([], 3)
+        assert full.rank == 3 and full.functionals == ()
+        assert in_span((5, -1, Fraction(1, 3)), full)
+        assert zero.rank == 0 and len(zero.functionals) == 3
+        assert in_span((0, 0, 0), zero) and not in_span((0, 0, 1), zero)
+
+    def test_functionals_are_kept_on_the_subspace(self):
+        s = subspace_span([(1, 2, 3)])
+        assert s.functionals is s.functionals
+        assert s.functionals == orthogonal_functionals(s)
 
 
 class TestSqrtBounds:

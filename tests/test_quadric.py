@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maxsing.exact_geometry import primitive, subspace_span
+from maxsing.exact_geometry import in_span, primitive, subspace_span
 from maxsing.multilinear import StepPreconditionError
 from maxsing.quadric import (
     DegenerateDirection,
@@ -112,6 +112,124 @@ class TestScore:
         got = [s_h_quadric(form, h, alpha) for h, _ in cases]
         assert got == [expected for _, expected in cases]
         assert sorted(set(got)) == [0, 1, 2]
+
+
+# ---------------------------------------------------------------------------
+# oracles: the Fraction code that the integer Gram matrix and the score test
+# replaced
+
+
+def _bilinear_fraction(form, x, y):
+    return sum(Fraction(form.gram[i][j]) * x[i] * y[j]
+               for i in range(form.dim) for j in range(form.dim))
+
+
+def _orth_complement_fraction(form, v):
+    row = [sum(form.gram[i][j] * v[i] for i in range(form.dim)) for j in range(form.dim)]
+    if all(a == 0 for a in row):
+        raise DegenerateDirection("radical direction")
+    j0 = next(j for j, a in enumerate(row) if a != 0)
+    basis = []
+    for j in range(form.dim):
+        if j != j0:
+            vec = [Fraction(0)] * form.dim
+            vec[j], vec[j0] = row[j0], -row[j]
+            basis.append(vec)
+    return subspace_span(basis, form.dim)
+
+
+def _s_h_by_rref(form, h, alpha):
+    """The score with H = alpha^perp decided by comparing canonical bases."""
+    if _bilinear_fraction(form, alpha.rep, alpha.rep) != 0:
+        raise NotOnQuadric(str(alpha))
+    if not in_span(alpha.rep, h):
+        return 0
+    return 2 if _orth_complement_fraction(form, alpha.rep) == h else 1
+
+
+def _isotropic_case(n, entries, alpha, k, extra, rnd):
+    """A rational form with alpha isotropic, and a subspace H of a random kind."""
+    gram = [[Fraction(0)] * n for _ in range(n)]
+    it = iter(entries)
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = next(it)
+    q = sum(gram[i][j] * alpha[i] * alpha[j] for i in range(n) for j in range(n))
+    gram[k][k] -= q / (alpha[k] * alpha[k])  # now q(alpha) = 0
+    if all(a == 0 for row in gram for a in row):
+        return None
+    form = QuadraticFormQ(tuple(tuple(row) for row in gram))
+    kind = rnd.randrange(4)
+    if kind == 0 or all(a == 0 for a in form.apply(alpha)):
+        gens = [alpha] + extra  # alpha inside H of random rank
+    else:
+        perp = _orth_complement_fraction(form, alpha).basis
+        if kind == 1:
+            gens = list(perp)  # H = alpha^perp: score 2
+        elif kind == 2:
+            # alpha inside a smaller subspace of alpha^perp: score 1
+            gens = [alpha] + rnd.sample(list(perp), rnd.randrange(len(perp)))
+        else:
+            gens = extra  # usually alpha outside H
+    return form, subspace_span(gens, n)
+
+
+class TestIntegerKernel:
+    """Integer Gram matrix and score test against the Fraction code."""
+
+    @given(st.integers(2, 5).flatmap(lambda n: st.tuples(
+        st.lists(st.fractions(-4, 4, max_denominator=6), min_size=n * n, max_size=n * n),
+        st.tuples(*[st.integers(-9, 9)] * n),
+        st.tuples(*[st.fractions(-9, 9, max_denominator=4)] * n),
+    )))
+    @settings(max_examples=300, derandomize=True)
+    def test_bilinear_matches_fractions(self, case):
+        entries, x, y = case
+        n = len(x)
+        gram = tuple(tuple(entries[min(i, j) * n + max(i, j)] for j in range(n)) for i in range(n))
+        if all(a == 0 for row in gram for a in row):
+            return
+        form = QuadraticFormQ(gram)
+        d = form.denominator
+        assert all((a * d).denominator == 1 for row in gram for a in row)
+        assert isinstance(form.bilinear(x, x), int) and isinstance(form.q(x), int)
+        assert Fraction(form.bilinear(x, y), d) == _bilinear_fraction(form, x, y)
+        assert Fraction(form.q(x), d) == _bilinear_fraction(form, x, x)
+        assert Fraction(form.q(y), d) == _bilinear_fraction(form, y, y)
+        assert on_quadric(form, x) == (_bilinear_fraction(form, x, x) == 0)
+
+    @given(st.integers(2, 5).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.fractions(-3, 3, max_denominator=4), min_size=n * (n + 1) // 2,
+                 max_size=n * (n + 1) // 2),
+        st.tuples(*[st.integers(-3, 3)] * n).filter(lambda v: any(v)),
+        st.lists(st.tuples(*[st.integers(-3, 3)] * n), max_size=n),
+        st.randoms(use_true_random=False),
+    )))
+    @settings(max_examples=400, derandomize=True)
+    def test_score_matches_rref(self, case):
+        n, entries, alpha, extra, rnd = case
+        k = next(i for i, a in enumerate(alpha) if a)
+        built = _isotropic_case(n, entries, alpha, k, extra, rnd)
+        if built is None:
+            return
+        form, h = built
+        pt = primitive(alpha)
+        try:
+            expected = _s_h_by_rref(form, h, pt)
+        except DegenerateDirection:
+            with pytest.raises(DegenerateDirection):
+                s_h_quadric(form, h, pt)
+            return
+        assert s_h_quadric(form, h, pt) == expected
+
+    def test_radical_point_inside_h_is_degenerate(self):
+        z, h = Fraction(0), Fraction(1, 2)
+        f = QuadraticFormQ(((z, h, z), (h, z, z), (z, z, z)))
+        radical = primitive((0, 0, 1))
+        with pytest.raises(DegenerateDirection):
+            s_h_quadric(f, subspace_span([(0, 0, 1), (1, 0, 0)], 3), radical)
+        assert s_h_quadric(f, subspace_span([(1, 0, 0)], 3), radical) == 0
 
 
 class TestIsotropicSearch:

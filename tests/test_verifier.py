@@ -195,6 +195,11 @@ class TestBruteForce:
         with pytest.raises(TooLarge):
             brute_force_curve(lim, 100)
 
+    def test_cost_guard_message_names_the_bound(self):
+        lim = CertifiedLimit(representative=(1,) * 8, radius_sq=Fraction(0))
+        with pytest.raises(TooLarge, match=r"\(2\*xmax\+1\)\^8 = 201\^8 = .* cost guard 100000000"):
+            brute_force_curve(lim, 100)
+
     def test_curve_monotone(self, split4_log3x_trace):
         lim = limit_point(split4_log3x_trace)
         rows = brute_force_curve(lim, 8)
