@@ -69,7 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("trace", help="trace JSON path")
     v.add_argument("--precision", type=_positive_int, default=None)
     v.add_argument("--bruteforce-xmax", type=int, default=None)
-    v.add_argument("--sample-range", type=int, default=20)
     v.add_argument("--out", help="write the audit JSON here (default: stdout)")
 
     e = sub.add_parser("exponent", help="per-scale certified exponent lower bounds")
@@ -163,7 +162,6 @@ def cmd_verify(args) -> int:
             trace,
             precision_bits=args.precision,
             bruteforce_xmax=args.bruteforce_xmax,
-            sample_range=args.sample_range,
         )
     except (verifier.MalformedTrace, verifier.TooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -404,12 +404,6 @@ def orthogonal_functionals(s: ProjSubspaceQ) -> tuple[IntVec, ...]:
 # certified radicals and logarithms
 
 
-def isqrt_floor(n: int) -> int:
-    if n < 0:
-        raise NegativeInput("integer sqrt of a negative number")
-    return isqrt(n)
-
-
 def inth_root(x: int, n: int) -> int:
     """floor(x**(1/n)) for x >= 0, n >= 1, by Newton iteration."""
     if x < 0:

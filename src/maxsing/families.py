@@ -20,9 +20,8 @@ from .exact_geometry import (
     ProjSubspaceQ,
     RatVec,
     primitive,
+    rank,
     subspace_span,
-    vec_add,
-    vec_scale,
 )
 
 
@@ -49,18 +48,7 @@ class QuadricAdapter:
         self.ambient_dim = form.dim
 
     def descriptor(self) -> dict:
-        w = self.hyp_witness
-        return {
-            "kind": "quadric",
-            "dim": self.form.dim,
-            "gram": [[str(a) for a in row] for row in self.form.gram],
-            "witness": {
-                "u1": [str(a) for a in w.u1],
-                "v1": [str(a) for a in w.v1],
-                "u2": [str(a) for a in w.u2],
-                "v2": [str(a) for a in w.v2],
-            },
-        }
+        return {"kind": "quadric", **qd.form_to_doc(self.form, self.hyp_witness)}
 
     def start(self) -> TracePoint:
         return TracePoint(primitive(self.hyp_witness.u1))
@@ -80,45 +68,44 @@ class QuadricAdapter:
         return TracePoint(z), {"kind": "quadric", "s_at_x": s}
 
     def check_certificate(
-        self,
-        x: TracePoint,
-        z: TracePoint,
-        b: int,
-        h: ProjSubspaceQ,
-        cert: dict,
-        sample_range: int = 20,
+        self, x: TracePoint, z: TracePoint, h: ProjSubspaceQ, cert: dict
     ) -> list[str]:
-        """Exact re-verification of one recorded step; returns failure messages."""
+        """Exact re-verification of one recorded step; returns failure messages.
+
+        Proves the score drop at every point y = λx + z of the line (λ
+        rational, so every multiplier) with one check, no sampling.  With
+        q(x) = 0 (s_h_quadric raises otherwise), q(z) = 0 and b(x, z) = 0,
+        q(y) = λ²q(x) + 2λb(x, z) + q(z) = 0, and rank(x, z) = 2 keeps y
+        nonzero.  Let s be the recomputed score of x.
+
+        - s = 1: x ∈ H, so y ∈ H iff z ∈ H.  Every y has score 0 iff
+          z ∉ H; otherwise every y has score at least 1.
+        - s = 2: H = x^⊥, and b(x, z) = 0 puts z and so every y in H.  y
+          keeps score 2 iff A·y is a nonzero multiple of A·x, and its
+          score is undefined (DegenerateDirection) iff A·y = 0.  A·y =
+          λA·x + A·z meets span(A·x) for some λ iff A·z ∈ span(A·x), and
+          then for every λ.  A·x ≠ 0, so every y has score at most 1 iff
+          rank(A·x, A·z) = 2, that is z ∉ span(x) + rad(q).
+        """
         fails: list[str] = []
         form = self.form
         s = int(cert.get("s_at_x", -1))
         actual_s = qd.s_h_quadric(form, h, x.point)
         if actual_s != s:
             fails.append(f"recorded score {s} but recomputed {actual_s}")
-        if s < 1:
-            fails.append("step from a point with score 0")
         xr, zr = x.point.rep, z.point.rep
-        qx, bxz, qz = form.q(xr), form.bilinear(xr, zr), form.q(zr)
-        if qz != 0:
+        if form.q(zr) != 0:
             fails.append("line generator not on the quadric")
-        if bxz != 0:
+        if form.bilinear(xr, zr) != 0:
             fails.append("line not totally isotropic (generators not orthogonal)")
         if subspace_span([xr, zr], form.dim).rank != 2:
             fails.append("degenerate line: z proportional to x")
-        for lam in range(-sample_range, sample_range + 1):
-            y = vec_add(vec_scale(lam, xr), zr)
-            if all(a == 0 for a in y):
-                fails.append(f"line point at {lam} vanishes")
-                continue
-            if lam * lam * qx + 2 * lam * bxz + qz != 0:  # q(y), expanded by bilinearity
-                fails.append(f"line leaves the quadric at multiplier {lam}")
-                continue
-            sy = qd.s_h_quadric(form, h, primitive(y))
-            if sy >= s:
-                fails.append(f"score fails to drop at multiplier {lam}: {sy} >= {s}")
-        x_next = primitive(vec_add(vec_scale(b, xr), zr))
-        if qd.s_h_quadric(form, h, x_next) >= actual_s:
-            fails.append("score fails to drop at the chosen multiplier")
+        if actual_s == 0:
+            fails.append("step from a point with score 0")
+        elif actual_s == 1 and h.contains(zr):
+            fails.append("score fails to drop along the line: z lies in the subspace")
+        elif actual_s == 2 and rank([form.apply(xr), form.apply(zr)]) != 2:
+            fails.append("score fails to drop along the line: z lies in span(x) + rad(q)")
         return fails
 
 
@@ -134,17 +121,7 @@ class KLinearAdapter:
     def descriptor(self) -> dict:
         if self.kind in ("grassmann", "prodforms"):
             return {"kind": self.kind, "n": self.params["n"], "k": self.params["k"]}
-        entries = [
-            {"index": list(idx), "image": [str(Fraction(a)) for a in img]}
-            for idx, img in sorted(self.kmap.basis_images.items())
-        ]
-        return {
-            "kind": "klinear",
-            "k": self.kmap.k,
-            "n": self.kmap.n,
-            "D": self.kmap.target_dim,
-            "basis_images": entries,
-        }
+        return {"kind": "klinear", **ml.map_to_doc(self.kmap)}
 
     def start(self) -> TracePoint:
         if self._start_witness is not None:
@@ -205,18 +182,37 @@ class KLinearAdapter:
         )
 
     def check_certificate(
-        self,
-        x: TracePoint,
-        z: TracePoint,
-        b: int,
-        h: ProjSubspaceQ,
-        cert_doc: dict,
-        sample_range: int = 20,
+        self, x: TracePoint, z: TracePoint, h: ProjSubspaceQ, cert_doc: dict
     ) -> list[str]:
-        """Exact re-verification of one recorded step; returns failure messages."""
-        fails: list[str] = []
+        """Exact re-verification of one recorded step; returns failure messages.
+
+        Proves, for every rational multiplier b at once, that the line
+        point b·x + z lies in the image and that its companion stays
+        outside H.  Let t be the certificate slot, xs = x.witness[t],
+        ys = z.witness[t], λ = b/anchor_scale and μ = 1/z_scale (the
+        scales are checked nonzero).  The line point's witness w_b is x's
+        witness with slot t set to λ·xs + μ·ys (``ml.line_witness``), and
+        its companion c_b is β's witness with the same slot.
+
+        - w_b evaluates to b·x + z.  The map is linear in slot t, so
+          evaluate(w_b) = λ·evaluate(x.witness) + μ·evaluate(x.witness
+          with slot t set to ys).  z's witness equals x's outside slot t,
+          so the second witness is z's, and the scale checks turn the sum
+          into λ·anchor_scale·x + μ·z_scale·z = b·x + z.
+        - c_b evaluates to λ·E′ + μ·E_y, E′ and E_y being β's witness
+          with slot t set to xs and to ys.  E′ is 0 or in H and E_y is
+          outside H.  Were λ·E′ + μ·E_y in H, then so would be E_y, as
+          μ ≠ 0; so it is outside H, and in particular nonzero.
+
+        The recorded beta_prime must be null iff E′ = 0, and otherwise
+        proportional to E′.
+        """
         kmap = self.kmap
         cert = self._cert_from_doc(cert_doc)
+        t = cert.slot
+        if not 0 <= t < kmap.k:
+            return [f"certificate slot {t} outside 0..{kmap.k - 1}"]
+        fails: list[str] = []
         beta = cert.beta
         if primitive(cert.beta_image) != beta.point:
             fails.append("beta witness does not certify beta")
@@ -225,37 +221,33 @@ class KLinearAdapter:
         m = ml.shared_count(x.witness, beta.witness)
         if m != cert.m:
             fails.append(f"recorded slot agreement {cert.m} but witnesses share {m}")
-        if cert.beta_prime is not None:
-            bp = primitive(cert.beta_prime)
-            if not h.contains_point(bp):
-                fails.append("companion base point escapes the subspace")
-            expect = ml.evaluate(kmap, _replace(beta.witness, cert.slot, x.witness[cert.slot]))
-            if not _proportional(expect, cert.beta_prime):
-                fails.append("recorded companion base does not match the witnesses")
         if z.point == x.point:
             fails.append("degenerate line: z proportional to x")
-        x_wp = ml.WitnessedPoint(x.point, x.witness)
-        z_wp = ml.WitnessedPoint(z.point, z.witness)
-        if ml.evaluate(kmap, x.witness) != tuple(
-            cert.anchor_scale * a for a in x.point.rep
-        ):
+        if _replace(z.witness, t, x.witness[t]) != x.witness:
+            fails.append("z witness differs from the anchor witness outside the certificate slot")
+        if cert.anchor_scale == 0:
+            fails.append("anchor scale is zero")
+        if cert.z_scale == 0:
+            fails.append("z scale is zero")
+        if ml.evaluate(kmap, x.witness) != tuple(cert.anchor_scale * a for a in x.point.rep):
             fails.append("anchor scale does not match the anchor witness")
         if ml.evaluate(kmap, z.witness) != tuple(cert.z_scale * a for a in z.point.rep):
             fails.append("z scale does not match the z witness")
-        samples = sorted(set(range(-sample_range, sample_range + 1)) | {b})
-        for bb in samples:
-            y = vec_add(vec_scale(bb, x.point.rep), z.point.rep)
-            if all(a == 0 for a in y):
-                fails.append(f"line point at {bb} vanishes")
-                continue
-            w = ml.line_witness(cert, x_wp, z_wp, bb)
-            if ml.evaluate(kmap, w) != tuple(Fraction(a) for a in y):
-                fails.append(f"line witness fails at multiplier {bb}")
-            comp = ml.companion_vector(kmap, cert, x_wp, z_wp, bb)
-            if all(a == 0 for a in comp):
-                fails.append(f"companion vanishes at multiplier {bb}")
-            elif h.contains_point(primitive(comp)):
-                fails.append(f"companion falls into the subspace at multiplier {bb}")
+        e_prime = ml.evaluate(kmap, _replace(beta.witness, t, x.witness[t]))
+        if any(e_prime):
+            if cert.beta_prime is None:
+                fails.append("companion base recorded as zero but the witnesses give a nonzero one")
+            elif not _proportional(e_prime, cert.beta_prime):
+                fails.append("recorded companion base does not match the witnesses")
+            if not h.contains(e_prime):
+                fails.append("companion base point escapes the subspace")
+        elif cert.beta_prime is not None:
+            fails.append("recorded companion base is nonzero but the witnesses give zero")
+        e_y = ml.evaluate(kmap, _replace(beta.witness, t, z.witness[t]))
+        if not any(e_y):
+            fails.append("companion vanishes along the line")
+        elif h.contains(e_y):
+            fails.append("companion falls into the subspace along the line")
         return fails
 
 
@@ -292,20 +284,7 @@ def adapter_from_descriptor(d: dict):
     if kind == "prodforms":
         return prodforms_adapter(int(d["n"]), int(d["k"]))
     if kind == "quadric":
-        gram = tuple(tuple(Fraction(a) for a in row) for row in d["gram"])
-        w = d["witness"]
-        wit = qd.HyperbolicWitness(
-            tuple(int(a) for a in w["u1"]),
-            tuple(int(a) for a in w["v1"]),
-            tuple(int(a) for a in w["u2"]),
-            tuple(int(a) for a in w["v2"]),
-        )
-        return QuadricAdapter(qd.QuadraticFormQ(gram), wit)
+        return QuadricAdapter(*qd.form_from_doc(d))
     if kind == "klinear":
-        images = {
-            tuple(int(i) for i in e["index"]): tuple(Fraction(s) for s in e["image"])
-            for e in d["basis_images"]
-        }
-        kmap = ml.KLinearMap(k=int(d["k"]), n=int(d["n"]), target_dim=int(d["D"]), basis_images=images)
-        return KLinearAdapter(kmap, "klinear")
+        return KLinearAdapter(ml.map_from_doc(d), "klinear")
     raise ValueError(f"unknown family kind {kind!r}")

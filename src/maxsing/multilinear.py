@@ -209,11 +209,15 @@ def find_outside(
 class LineCertificate:
     """Audit data for one line step.
 
-    For every rational b the point b*x + z has witness equal to x's
-    witness with the stated slot replaced by the matching combination,
-    and the companion built from beta's witness the same way stays
-    outside H because [beta] is outside while [beta'] lies inside (or
-    beta' = 0).  That pins the witness-agreement drop along the line.
+    z's witness is x's witness with the stated slot t replaced.  For every
+    rational b the point b*x + z then has the witness x's witness with
+    slot t set to (b/anchor_scale)*xs + (1/z_scale)*ys (xs, ys: slot t of
+    x's and z's witnesses), and the companion, beta's witness with the
+    same slot, evaluates to (b/anchor_scale)*beta' + (1/z_scale)*E_y,
+    E_y being beta's witness with slot t set to ys.  beta' lies in H (or
+    is 0) and E_y outside it, so the companion stays outside H for every
+    b.  That pins the witness-agreement drop along the line.
+    ``families.KLinearAdapter.check_certificate`` proves it once per step.
     """
 
     slot: int
@@ -235,25 +239,6 @@ def line_witness(cert: LineCertificate, x: WitnessedPoint, z: WitnessedPoint, b)
     w = list(x.witness)
     w[cert.slot] = combined
     return tuple(w)
-
-
-def companion_vector(
-    kmap: KLinearMap, cert: LineCertificate, x: WitnessedPoint, z: WitnessedPoint, b
-) -> tuple:
-    """Image of beta's witness with the same slot combination as the line point.
-
-    Shares one more slot with the line point's witness than beta does
-    with x's, and stays outside the subspace because it is a nonzero
-    multiple of beta's image plus a multiple of beta', which lies inside.
-    """
-    lam = Fraction(b) / cert.anchor_scale
-    mu = 1 / cert.z_scale
-    xs = x.witness[cert.slot]
-    ys = z.witness[cert.slot]
-    combined = tuple(lam * a + mu * c for a, c in zip(xs, ys))
-    w = list(cert.beta.witness)
-    w[cert.slot] = combined
-    return evaluate(kmap, w)
 
 
 def line_step(
@@ -410,23 +395,28 @@ def _exponent_vectors(n: int, k: int) -> list[tuple[int, ...]]:
 # user-supplied map files
 
 
-def save_map(kmap: KLinearMap, path: str) -> None:
+def map_to_doc(kmap: KLinearMap) -> dict:
     entries = [
         {"index": list(idx), "image": [str(Fraction(a)) for a in img]}
         for idx, img in sorted(kmap.basis_images.items())
     ]
-    doc = {"k": kmap.k, "n": kmap.n, "D": kmap.target_dim, "basis_images": entries}
+    return {"k": kmap.k, "n": kmap.n, "D": kmap.target_dim, "basis_images": entries}
+
+
+def map_from_doc(doc: dict) -> KLinearMap:
+    images = {
+        tuple(int(i) for i in entry["index"]): tuple(Fraction(s) for s in entry["image"])
+        for entry in doc["basis_images"]
+    }
+    return KLinearMap(k=int(doc["k"]), n=int(doc["n"]), target_dim=int(doc["D"]), basis_images=images)
+
+
+def save_map(kmap: KLinearMap, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
+        json.dump(map_to_doc(kmap), fh, indent=2)
         fh.write("\n")
 
 
 def load_map(path: str) -> KLinearMap:
     with open(path) as fh:
-        doc = json.load(fh)
-    images = {}
-    for entry in doc["basis_images"]:
-        idx = tuple(int(i) for i in entry["index"])
-        img = tuple(Fraction(s) for s in entry["image"])
-        images[idx] = img
-    return KLinearMap(k=int(doc["k"]), n=int(doc["n"]), target_dim=int(doc["D"]), basis_images=images)
+        return map_from_doc(json.load(fh))

@@ -349,34 +349,31 @@ def split4() -> tuple[QuadraticFormQ, HyperbolicWitness]:
     return form, wit
 
 
-def save_form(form: QuadraticFormQ, witness: HyperbolicWitness, path: str) -> None:
-    doc = {
+def form_to_doc(form: QuadraticFormQ, witness: HyperbolicWitness) -> dict:
+    names = ("u1", "v1", "u2", "v2")
+    return {
         "dim": form.dim,
         "gram": [[str(a) for a in row] for row in form.gram],
-        "witness": {
-            "u1": [str(a) for a in witness.u1],
-            "v1": [str(a) for a in witness.v1],
-            "u2": [str(a) for a in witness.u2],
-            "v2": [str(a) for a in witness.v2],
-        },
+        "witness": {name: [str(a) for a in v] for name, v in zip(names, witness.vectors())},
     }
+
+
+def form_from_doc(doc: dict) -> tuple[QuadraticFormQ, HyperbolicWitness]:
+    form = QuadraticFormQ(tuple(tuple(Fraction(a) for a in row) for row in doc["gram"]))
+    w = doc["witness"]
+    wit = HyperbolicWitness(*(tuple(int(a) for a in w[name]) for name in ("u1", "v1", "u2", "v2")))
+    return form, wit
+
+
+def save_form(form: QuadraticFormQ, witness: HyperbolicWitness, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
+        json.dump(form_to_doc(form, witness), fh, indent=2)
         fh.write("\n")
 
 
 def load_form(path: str) -> tuple[QuadraticFormQ, HyperbolicWitness]:
     with open(path) as fh:
-        doc = json.load(fh)
-    gram = tuple(tuple(Fraction(a) for a in row) for row in doc["gram"])
-    form = QuadraticFormQ(gram)
-    w = doc["witness"]
-    wit = HyperbolicWitness(
-        tuple(int(a) for a in w["u1"]),
-        tuple(int(a) for a in w["v1"]),
-        tuple(int(a) for a in w["u2"]),
-        tuple(int(a) for a in w["v2"]),
-    )
+        form, wit = form_from_doc(json.load(fh))
     if not validate_witness(form, wit):
         raise InvalidWitness(f"witness in {path} does not certify two hyperbolic planes")
     return form, wit

@@ -68,7 +68,7 @@ class DXiInterval:
 # condition audit
 
 
-def check_conditions(trace: SequenceTrace, sample_range: int = 20) -> dict:
+def check_conditions(trace: SequenceTrace) -> dict:
     """Re-derive every construction inequality from the recorded points.
 
     Returns a report dict with one record per step index; ``all_pass``
@@ -141,10 +141,8 @@ def check_conditions(trace: SequenceTrace, sample_range: int = 20) -> dict:
                 cert_fails = adapter.check_certificate(
                     TracePoint(x, entry.witness),
                     TracePoint(step.z, step.z_witness),
-                    step.b,
                     h,
                     step.certificate,
-                    sample_range=sample_range,
                 )
                 fails.extend(f"(c) {m}" for m in cert_fails)
             except (ValueError, RuntimeError, KeyError) as exc:
@@ -432,10 +430,9 @@ def audit_report(
     trace: SequenceTrace,
     precision_bits: int = 64,
     bruteforce_xmax: int | None = None,
-    sample_range: int = 20,
 ) -> dict:
     """Full audit: conditions, exponents, spanning, optional brute force."""
-    report = check_conditions(trace, sample_range=sample_range)
+    report = check_conditions(trace)
     n = len(trace.entries)
     spanning = {str(i0): spanning_check(trace, i0) for i0 in range(2, n + 1)}
     report["spanning"] = spanning

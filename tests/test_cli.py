@@ -1,3 +1,4 @@
+import copy
 import json
 import re
 import subprocess
@@ -127,6 +128,34 @@ class TestVerify:
         doc = json.loads(audit.read_text())
         assert doc["bruteforce"]["all_dominated"] is True
         assert len(doc["bruteforce"]["rows"]) > 0
+
+
+class TestCertificateTamper:
+    """Hand-edited k-linear certificates give exit 3 with a (c) message, never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def trace_doc(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("tamper") / "g42.json"
+        assert main(["gen", "--family", "grassmann", "--n", "4", "--k", "2", "--phi", "pow", "1/2",
+                     "--steps", "5", "--seed", "7", "--out", str(out)]) == EXIT_OK
+        return json.loads(out.read_text())
+
+    @pytest.mark.parametrize("field, value", [
+        ("slot", 99),
+        ("slot", -1),
+        ("anchor_scale", "0"),
+        ("z_scale", "0"),
+        ("beta_prime", None),
+    ])
+    def test_exit_3_with_message(self, trace_doc, tmp_path, capsys, field, value):
+        doc = copy.deepcopy(trace_doc)
+        cert = doc["entries"][2]["step"]["certificate"]
+        assert cert["beta_prime"] is not None  # β′ ≠ 0 at this step, so a null one is false
+        cert[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["verify", str(bad), "--out", str(tmp_path / "audit.json")]) == EXIT_AUDIT
+        assert "audit FAILED (index 3: (c) " in capsys.readouterr().err
 
 
 class TestExponent:

@@ -12,7 +12,6 @@ from maxsing.multilinear import (
     OutsideSearchBudget,
     StepPreconditionError,
     WitnessedPoint,
-    companion_vector,
     evaluate,
     find_outside,
     grassmann_map,
@@ -24,6 +23,8 @@ from maxsing.multilinear import (
     shared_count,
     witnessed_point,
 )
+
+from sampling_oracle import companion_vector
 
 
 def e(n, i):
