@@ -17,7 +17,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import Sequence
 
 from . import multilinear as ml
@@ -25,7 +25,6 @@ from .exact_geometry import (
     IntVec,
     ProjPointQ,
     ProjSubspaceQ,
-    dist_sq,
     dot,
     inth_root,
     ln_bounds,
@@ -82,6 +81,24 @@ class BudgetExceeded(RuntimeError):
 # decay targets
 
 
+def _product_gt(lhs, rhs) -> bool:
+    """prod(f^e for f, e in lhs) > prod(f^e for f, e in rhs), for ints f >= 0, e >= 1.
+
+    Decided from bit lengths where they suffice (proof in _select_multiplier).
+    """
+    if not all(f for f, _ in lhs):
+        return False
+    if not all(f for f, _ in rhs):
+        return True
+    l_lo, r_lo = (sum(e * (f.bit_length() - 1) for f, e in s) for s in (lhs, rhs))
+    l_hi, r_hi = (sum(e * f.bit_length() for f, e in s) for s in (lhs, rhs))
+    if l_lo >= r_hi:
+        return True
+    if l_hi <= r_lo:
+        return False
+    return prod(f ** e for f, e in lhs) > prod(f ** e for f, e in rhs)
+
+
 @dataclass(frozen=True)
 class ApproxFn:
     """Monotonically decreasing decay target on [1, oo) with values in (0, 1].
@@ -135,34 +152,28 @@ class ApproxFn:
         lo_r, hi_r = nth_root_bounds(r, q, self.precision_bits + 2)
         return (1 / hi_r, 1 / lo_r)
 
-    def le_phi_sq_lo(self, t: Fraction, norm_sq_next, norm_lo: Fraction) -> bool:
-        """Decide t <= phi(X)^2 conservatively, X = sqrt(norm_sq_next).
+    def le_phi_sq_lo(self, u: int, v: int, norm_sq_next, norm_lo: Fraction) -> bool:
+        """Decide t = u/v <= phi(X)^2 conservatively, v > 0, X = sqrt(norm_sq_next).
 
-        The power law compares exactly in integers: with t = u/v, v > 0,
-        t <= norm_sq^(-p/q) iff u^q * norm_sq^p <= v^q.  log3x compares
-        against the certified lower bound evaluated at the recorded
-        rational norm bound.
+        t comes as an unreduced pair, so no gcd is spent on it.  The power
+        law compares exactly in integers: t <= norm_sq^(-p/q) iff
+        u^q * norm_sq^p <= v^q.  log3x compares against the certified lower
+        bound evaluated at the recorded rational norm bound.
         """
-        if t < 0:
+        return self._le_phi_sq(u, v, norm_sq_next, self.phi_lo, norm_lo)
+
+    def le_phi_sq_hi(self, u: int, v: int, norm_sq_next, norm_lo: Fraction) -> bool:
+        """Decide u/v <= phi_hi(X)^2 (the auditable upper-bound flavour)."""
+        return self._le_phi_sq(u, v, norm_sq_next, self.phi_hi, norm_lo)
+
+    def _le_phi_sq(self, u: int, v: int, norm_sq: int, bound, norm_lo: Fraction) -> bool:
+        if u < 0:
             return True
         if self.variant == "pow":
-            return self._pow_le(t, norm_sq_next)
-        lo = self.phi_lo(max(norm_lo, Fraction(1)))
-        return t <= lo * lo
-
-    def le_phi_sq_hi(self, t: Fraction, norm_sq_next, norm_lo: Fraction) -> bool:
-        """Decide t <= phi_hi(X)^2 (the auditable upper-bound flavour)."""
-        if t < 0:
-            return True
-        if self.variant == "pow":
-            return self._pow_le(t, norm_sq_next)
-        hi = self.phi_hi(max(norm_lo, Fraction(1)))
-        return t <= hi * hi
-
-    def _pow_le(self, t: Fraction, norm_sq: int) -> bool:
-        """t^q * norm_sq^p <= 1 for t >= 0, cross-multiplied in integers."""
-        p, q = self.exponent.numerator, self.exponent.denominator
-        return t.numerator ** q * norm_sq ** p <= t.denominator ** q
+            p, q = self.exponent.numerator, self.exponent.denominator
+            return not _product_gt(((u, q), (norm_sq, p)), ((v, q),))
+        b = bound(max(norm_lo, Fraction(1)))
+        return u * b.denominator ** 2 <= v * b.numerator ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -312,16 +323,33 @@ def _select_multiplier(
     phi: ApproxFn,
     dsq_prev: Fraction | None,
     budget: SearchBudget,
-) -> tuple[int, ProjPointQ, Fraction, Fraction]:
+) -> tuple[int, ProjPointQ, int, Fraction, Fraction]:
     """A multiplier b >= 1 meeting the step conditions, found by search.
 
-    Returns (b, x_next, dist_sq, norm_lo_next).  The search scans the
-    region where |z + b*x| may still shrink, then 64 values from an
-    analytic hint, then doubles up to the 2^multiplier_bits cap and
-    bisects.  The conditions are monotone in b on the growing branch
-    except at sporadic content jumps of the primitive representative, so
-    the first b this search accepts passes the full exact test but a
-    smaller sporadic b may be skipped.
+    Returns (b, x_next, w2, dist_sq, norm_lo_next), w2 = |x ^ z|^2.  The
+    search scans the region where |z + b*x| may still shrink, then 64
+    values from an analytic hint, then doubles up to the 2^multiplier_bits
+    cap and bisects.  The conditions are monotone in b on the growing
+    branch except at sporadic content jumps of the primitive
+    representative, so the first b this search accepts passes the full
+    exact test but a smaller sporadic b may be skipped.
+
+    A probe decides b on integers; primitive(y), y = z + b*x, and under pow
+    the root of its norm are computed for the accepted b only.
+
+    - Content through G.  Let G be the gcd of the 2x2 minors of (x, z)
+      and c the content of y.  c divides every entry of y, hence every
+      minor x_a y_c - x_c y_a of (x, y); the b terms cancel, so these are
+      the minors of (x, z) and c | G.  So c = gcd(G, y_0, ..., y_{n-1}),
+      and |primitive(y)|^2 = n2y / c^2 with n2y = |y|^2 in closed form.
+    - One distance.  For the same reason |y ^ x| = |z ^ x|, and the
+      content cancels: dist_sq(x_next, x) = w2 / (n2x n2y).
+    - Bit lengths first (_product_gt).  An f >= 1 of bit length l has
+      2^(l-1) <= f < 2^l, so a product of powers f^e lies in [2^lo, 2^hi),
+      lo = sum e (l - 1), hi = sum e l.  The left is larger if its lo
+      reaches the right's hi, smaller if its hi is at most the right's lo;
+      only overlapping ranges are multiplied out.  A zero factor makes its
+      side 0, so the left is not larger, or larger than a zero right.
 
     Raises NoValidMultiplier when no probed b passes.  Under log3x from the
     second step on, the covolume certificate (_log3x_stop_forced) is
@@ -334,37 +362,44 @@ def _select_multiplier(
     dzx = dot(zr, xr)
     n2z = norm_sq(zr)
     w2 = wedge_sq(xr, zr)
+    w9 = 9 * w2
+    g = gcd(*(xr[a] * zr[c] - xr[c] * zr[a] for a, c in itertools.combinations(range(len(xr)), 2)))
     prec = phi.precision_bits
-    if dsq_prev is not None:
-        p_num, p_den = dsq_prev.numerator, dsq_prev.denominator
+    if dsq_prev is not None:  # telescoping: 9 w2 p_den <= p_num n2x n2y, dsq_prev = p_num/p_den
+        tel_l, tel_r = w9 * dsq_prev.denominator, dsq_prev.numerator * n2x
     if phi.variant == "pow":
         pp, qq = phi.exponent.numerator, phi.exponent.denominator
-        w9q = (9 * w2) ** qq  # decay test: (9 w2)^q * n2p^p <= (4 n2y)^q
 
     def attempt(b: int):
-        # all comparisons are cross-multiplied integers; the one Fraction
-        # (the returned distance) is built only for the accepted b
-        y = vec_add(zr, vec_scale(b, xr))
-        if all(a == 0 for a in y):
+        # (b, y, n2y, n2p, norm_lo or None) when b passes, else None
+        n2y = n2z + 2 * b * dzx + b * b * n2x
+        if dsq_prev is not None and _product_gt(((tel_l, 1),), ((tel_r, 1), (n2y, 1))):
             return None
-        p = primitive(y)
-        n2p = p.norm_sq()
+        y = vec_add(zr, vec_scale(b, xr))
+        if not any(y):
+            return None
+        c = gcd(g, *y)
+        n2p = n2y // (c * c)
         if n2p <= n2x:
             return None
-        n2y = n2z + 2 * b * dzx + b * b * n2x
-        norm_lo = sqrt_bounds(n2p, prec)[0]
+        norm_lo = None
         if dsq_prev is None:
-            return b, p, Fraction(w2, n2x * n2y), norm_lo
-        if 9 * w2 * p_den > p_num * n2x * n2y:
-            return None
+            return b, y, n2y, n2p, norm_lo
         if phi.variant == "pow":
-            if w9q * n2p ** pp > (4 * n2y) ** qq:
+            # decay test: (9 w2)^q * n2p^p <= (4 n2y)^q
+            if _product_gt(((w9, qq), (n2p, pp)), ((4 * n2y, qq),)):
                 return None
         else:
+            norm_lo = sqrt_bounds(n2p, prec)[0]
             lo = phi.phi_lo(max(norm_lo, Fraction(1)))
-            if 9 * w2 * lo.denominator ** 2 > 4 * n2y * lo.numerator ** 2:
+            if w9 * lo.denominator ** 2 > 4 * n2y * lo.numerator ** 2:
                 return None
-        return b, p, Fraction(w2, n2x * n2y), norm_lo
+        return b, y, n2y, n2p, norm_lo
+
+    def accept(r):
+        b, y, n2y, n2p, norm_lo = r
+        norm_lo = sqrt_bounds(n2p, prec)[0] if norm_lo is None else norm_lo
+        return b, primitive(y), w2, Fraction(w2, n2x * n2y), norm_lo
 
     # the region where |z + b*x| may still be shrinking is scanned in full
     vertex_end = 0 if dzx >= 0 else (-dzx) // n2x + 1
@@ -374,11 +409,9 @@ def _select_multiplier(
     # exact in the model where z + b*x is already primitive
     theta = n2x + 1
     if dsq_prev is not None:
-        need = Fraction(9 * w2, n2x) / dsq_prev
-        theta = max(theta, need.numerator // need.denominator + 1)
-        if phi.variant == "pow":
-            val = Fraction(9 * w2, 4) ** qq  # need n2y^(q-p) >= val
-            theta = max(theta, _ceil_root(val.numerator, val.denominator, qq - pp))
+        theta = max(theta, tel_l // tel_r + 1)
+        if phi.variant == "pow":  # need n2y^(q-p) >= (9 w2 / 4)^q
+            theta = max(theta, _ceil_root(w9 ** qq, 4 ** qq, qq - pp))
     if theta > n2z:
         disc = dzx * dzx + n2x * (theta - n2z)
         b_hint = max(scan_end + 1, (-dzx + inth_root(disc, 2)) // n2x)
@@ -388,26 +421,21 @@ def _select_multiplier(
     if phi.variant == "log3x" and dsq_prev is not None:
         # every b probed below is at most b_max
         b_max = max(scan_end, b_hint + 63, 1 << budget.multiplier_bits)
-        g = gcd(*(xr[a] * zr[c] - xr[c] * zr[a]
-                  for a, c in itertools.combinations(range(len(xr)), 2)))
         if _log3x_stop_forced(n2x, n2z, w2, g, b_max, prec):
             raise NoValidMultiplier(budget.multiplier_bits, w2, *_log3x_stop_bits(
                 n2x, n2z, w2, g, budget.multiplier_bits, prec))
 
-    for b in range(1, scan_end + 1):
+    for b in itertools.chain(range(1, scan_end + 1), range(b_hint, b_hint + 64)):
         r = attempt(b)
         if r is not None:
-            return r
-    for b in range(b_hint, b_hint + 64):
-        r = attempt(b)
-        if r is not None:
-            return r
+            return accept(r)
 
     # doubling then bisection on the monotone branch
     lo = b_hint + 63
     b = max(2 * lo, 2)
     while b.bit_length() <= budget.multiplier_bits:
-        if attempt(b) is not None:
+        best = attempt(b)
+        if best is not None:
             hi = b
             break
         lo = b
@@ -416,13 +444,12 @@ def _select_multiplier(
         raise NoValidMultiplier(budget.multiplier_bits, w2)
     while lo + 1 < hi:
         mid = (lo + hi) // 2
-        if attempt(mid) is not None:
-            hi = mid
+        r = attempt(mid)
+        if r is not None:
+            hi, best = mid, r
         else:
             lo = mid
-    result = attempt(hi)
-    assert result is not None
-    return result
+    return accept(best)
 
 
 def _reduce_line_generator(x: ProjPointQ, witness, z_tp: TracePoint, cert: dict, adapter):
@@ -467,7 +494,7 @@ def next_point(
     tp = TracePoint(x, witnesses[-1])
     z_tp, cert = adapter.line_step(tp, h, budget, rng)
     z_tp, cert = _reduce_line_generator(x, witnesses[-1], z_tp, cert, adapter)
-    b, x_next, dsq, norm_lo = _select_multiplier(x, z_tp.point, phi, dsq_prev, budget)
+    b, x_next, w2, dsq, norm_lo = _select_multiplier(x, z_tp.point, phi, dsq_prev, budget)
     phi_lo = phi_hi = None
     if dsq_prev is not None:
         xeval = max(norm_lo, Fraction(1))
@@ -486,8 +513,8 @@ def next_point(
         z=z_tp.point,
         z_witness=z_tp.witness,
         b=b,
-        wedge_sq=wedge_sq(x.rep, z_tp.point.rep),
-        dist_sq=dist_sq(x_next.rep, x.rep),
+        wedge_sq=w2,
+        dist_sq=dsq,
         norm_lo_next=norm_lo,
         phi_lo=phi_lo,
         phi_hi=phi_hi,

@@ -428,18 +428,20 @@ def sqrt_bounds(r, precision_bits: int = 64) -> tuple[Fraction, Fraction]:
 
     Returns (lo, hi) with lo <= sqrt(r) <= hi and hi - lo <= 2^-precision_bits,
     by integer square roots of the scaled numerator with directed rounding.
-    Perfect squares come back exact with lo == hi.
+    Perfect squares come back exact with lo == hi.  An integer r takes one
+    root, m = isqrt(r 4^b): if r = s^2 then m = s 2^b, so r is a perfect
+    square iff m's low b bits are zero and (m >> b)^2 = r.
     """
     r = Fraction(r)
     if r < 0:
         raise NegativeInput("sqrt of a negative rational")
     p, q = r.numerator, r.denominator
-    sp, sq = isqrt(p), isqrt(q)
-    if sp * sp == p and sq * sq == q:
-        e = Fraction(sp, sq)
-        return (e, e)
     b = precision_bits
     m = isqrt((p << (2 * b)) // q)
+    sp, sq = (m >> b, 1) if q == 1 else (isqrt(p), isqrt(q))
+    if (q > 1 or not m & ((1 << b) - 1)) and sp * sp == p and sq * sq == q:
+        e = Fraction(sp, sq)
+        return (e, e)
     return (Fraction(m, 1 << b), Fraction(m + 1, 1 << b))
 
 

@@ -174,8 +174,8 @@ class KLinearAdapter:
         return ml.LineCertificate(
             slot=int(cert["slot"]),
             m=int(cert["m"]),
-            anchor_scale=Fraction(cert["anchor_scale"]),
-            z_scale=Fraction(cert["z_scale"]),
+            anchor_scale=_rational(cert, "anchor_scale"),
+            z_scale=_rational(cert, "z_scale"),
             beta=beta,
             beta_image=ml.evaluate(self.kmap, beta_witness),
             beta_prime=None if beta_prime is None else tuple(Fraction(a) for a in beta_prime),
@@ -212,6 +212,8 @@ class KLinearAdapter:
         t = cert.slot
         if not 0 <= t < kmap.k:
             return [f"certificate slot {t} outside 0..{kmap.k - 1}"]
+        if z.witness is None:
+            return ["z_witness is missing"]
         fails: list[str] = []
         beta = cert.beta
         if primitive(cert.beta_image) != beta.point:
@@ -249,6 +251,13 @@ class KLinearAdapter:
         elif h.contains(e_y):
             fails.append("companion falls into the subspace along the line")
         return fails
+
+
+def _rational(cert: dict, field: str) -> Fraction:
+    try:
+        return Fraction(cert[field])
+    except (TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"certificate {field} {cert[field]!r} is not a rational: {exc}") from None
 
 
 def _replace(witness, slot, vec):

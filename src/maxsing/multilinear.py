@@ -135,21 +135,18 @@ def _coord_value(idx: int) -> int:
     return (idx + 1) // 2 if idx % 2 == 1 else -(idx // 2)
 
 
-def candidate_vectors(n: int, height: int, rng: random.Random | None = None) -> Iterator[tuple[int, ...]]:
+def candidate_vectors(n: int, height: int, rng: random.Random | None = None) -> list[tuple[int, ...]]:
     """Nonzero integer vectors of max-norm exactly ``height``.
 
     Ordered by per-coordinate value index (0, 1, -1, 2, -2, ...)
     lexicographically; a seeded rng, when given, shuffles within the
     shell (the search stays exhaustive either way).
     """
-    shell = []
-    for idxs in itertools.product(range(2 * height + 1), repeat=n):
-        v = tuple(_coord_value(i) for i in idxs)
-        if max(abs(a) for a in v) == height:
-            shell.append(v)
+    values = [_coord_value(i) for i in range(2 * height + 1)]
+    shell = [v for v in itertools.product(values, repeat=n) if height in v or -height in v]
     if rng is not None:
         rng.shuffle(shell)
-    yield from shell
+    return shell
 
 
 def outside_candidates(

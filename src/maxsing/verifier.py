@@ -158,11 +158,12 @@ def check_conditions(trace: SequenceTrace) -> dict:
             else:
                 if 9 * dsq.numerator * dsq_prev.denominator > dsq_prev.numerator * dsq.denominator:
                     fails.append(f"(d) telescoping fails: 9*{dsq} > {dsq_prev}")
-            t = Fraction(9, 4) * dsq * n2x
+            # t = (9/4) dsq |x|^2 as an unreduced pair u/v
+            u, v = 9 * dsq.numerator * n2x, 4 * dsq.denominator
             xeval = max(step.norm_lo_next, Fraction(1))
-            if not phi.le_phi_sq_lo(t, n2n, xeval):
+            if not phi.le_phi_sq_lo(u, v, n2n, xeval):
                 fails.append("(d) decay target fails at the recorded bound")
-            if not phi.le_phi_sq_hi(t, n2n, xeval):
+            if not phi.le_phi_sq_hi(u, v, n2n, xeval):
                 fails.append("(eq2) norm-weighted distance exceeds the decay upper bound")
             lo_b, hi_b = phi._phi_bounds(xeval)
             if step.phi_lo != lo_b or step.phi_hi != hi_b:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import time
@@ -12,6 +13,7 @@ from maxsing.builder import (
     ApproxFn,
     BudgetExceeded,
     InvalidSteps,
+    NoValidMultiplier,
     SequenceTrace,
     TraceTooShort,
     compute_hi,
@@ -72,8 +74,8 @@ class TestApproxFn:
     def test_pow_cross_multiplied_decision(self):
         phi = ApproxFn("pow", Fraction(1, 2))
         # t <= phi(X)^2 = 1/X at X = 3 decided with no rounding
-        assert phi.le_phi_sq_lo(Fraction(1, 3), 9, Fraction(3))
-        assert not phi.le_phi_sq_lo(Fraction(1, 3) + Fraction(1, 10 ** 30), 9, Fraction(3))
+        assert phi.le_phi_sq_lo(1, 3, 9, Fraction(3))
+        assert not phi.le_phi_sq_lo(10 ** 30 + 3, 3 * 10 ** 30, 9, Fraction(3))
 
     def test_descriptor_roundtrip(self):
         for phi in (ApproxFn("log3x"), ApproxFn("pow", Fraction(2, 5), 80)):
@@ -279,6 +281,85 @@ class TestForcedStop:
         assume(b_max <= 4096)
         if forced:
             assert not any(_decay_passes(x.rep, z.rep, b, phi) for b in range(1, b_max + 1))
+
+
+def _minor_gcd(x, z) -> int:
+    return math.gcd(*(x[a] * z[c] - x[c] * z[a] for a, c in itertools.combinations(range(len(x)), 2)))
+
+
+_pow2_edges = st.integers(0, 80).flatmap(lambda k: st.sampled_from([2 ** k - 1, 2 ** k, 2 ** k + 1]))
+_factors = st.lists(st.tuples(st.one_of(st.integers(0, 2 ** 70), _pow2_edges), st.integers(1, 3)),
+                    min_size=1, max_size=3)
+
+
+class TestMultiplierKernels:
+    """The integer shortcuts of the multiplier search against their definitions."""
+
+    @given(st.integers(2, 6).flatmap(lambda n: st.tuples(st.lists(_coords, min_size=n, max_size=n),
+                                                         st.lists(_coords, min_size=n, max_size=n))),
+           st.integers(-10 ** 6, 10 ** 6), st.sampled_from([1, 1, 2, 3, 6, 12, 60]))
+    @settings(max_examples=400, derandomize=True)
+    def test_content_through_g(self, xy, b, d):
+        """gcd(G, y_0, ...) is the content primitive() divides out, also when it exceeds 1."""
+        x, y0 = xy
+        z = tuple(d * c - b * a for a, c in zip(x, y0))  # so y = z + b x = d y0
+        y = tuple(c + b * a for a, c in zip(x, z))
+        assume(any(y))
+        c = math.gcd(_minor_gcd(x, z), *y)
+        p = primitive(y).rep
+        assert tuple(a // c for a in y) in (p, tuple(-a for a in p))
+        assert norm_sq(p) == norm_sq(y) // (c * c)
+
+    @given(_factors, _factors)
+    @example([(2 ** 64, 1)], [(2 ** 64 - 1, 1)])
+    @example([(2 ** 65 - 1, 1)], [(2 ** 64, 1)])
+    @example([(2 ** 64, 1)], [(2 ** 65 - 1, 1)])
+    @example([(2 ** 32, 2)], [(2 ** 64, 1)])
+    @example([(2 ** 32, 2), (3, 1)], [(2 ** 65, 1), (3, 1)])
+    @example([(0, 2)], [(0, 1)])
+    @example([(5, 1)], [(7, 1), (0, 3)])
+    @example([(0, 1), (9, 2)], [(1, 1)])
+    @settings(max_examples=400, derandomize=True)
+    def test_product_gt_matches_plain_comparison(self, lhs, rhs):
+        expect = math.prod(f ** e for f, e in lhs) > math.prod(f ** e for f, e in rhs)
+        assert builder._product_gt(lhs, rhs) == expect
+
+    @given(st.integers(3, 4).flatmap(lambda n: st.tuples(
+               st.lists(_coords, min_size=n, max_size=n),
+               st.lists(_coords, min_size=n, max_size=n))),
+           st.one_of(st.none(), st.fractions(min_value=Fraction(1, 100), max_value=1)),
+           st.sampled_from([ApproxFn("pow", Fraction(1, 2)), ApproxFn("pow", Fraction(2, 5)),
+                            ApproxFn("log3x", precision_bits=8)]))
+    # accepted b with content 2, 4 and 3
+    @example(([1, 0, -2], [1, -2, 2]), Fraction(1, 26), ApproxFn("pow", Fraction(1, 2)))
+    @example(([8, 7, 4, 9], [0, 1, 0, -1]), Fraction(1, 33), ApproxFn("pow", Fraction(1, 2)))
+    @example(([2, -9, 3], [7, 9, 0]), Fraction(1, 28), ApproxFn("pow", Fraction(1, 2)))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_selected_step_matches_definitions(self, xz, dsq_prev, phi):
+        """The returned point, distance and root are those computed from primitive(z + b x)."""
+        assume(any(xz[0]) and any(xz[1]))
+        x, z = primitive(xz[0]), primitive(xz[1])
+        assume(wedge_sq(x.rep, z.rep) != 0)
+        try:
+            b, x_next, w2, dsq, norm_lo = builder._select_multiplier(
+                x, z, phi, dsq_prev, SearchBudget(multiplier_bits=12))
+        except NoValidMultiplier:
+            return
+        y = tuple(c + b * a for a, c in zip(x.rep, z.rep))
+        assert x_next == primitive(y)
+        assert w2 == wedge_sq(x.rep, z.rep)
+        assert dsq == dist_sq(x_next.rep, x.rep)
+        assert norm_lo == sqrt_bounds(x_next.norm_sq(), phi.precision_bits)[0]
+        n2p = x_next.norm_sq()
+        assert n2p > x.norm_sq()
+        if dsq_prev is not None:
+            assert 9 * dsq <= dsq_prev
+            t = Fraction(9, 4) * dsq * x.norm_sq()
+            if phi.variant == "pow":
+                p, q = phi.exponent.numerator, phi.exponent.denominator
+                assert t ** q * n2p ** p <= 1
+            else:
+                assert t <= phi.phi_lo(max(norm_lo, Fraction(1))) ** 2
 
 
 class TestLimit:

@@ -157,6 +157,22 @@ class TestCertificateTamper:
         assert main(["verify", str(bad), "--out", str(tmp_path / "audit.json")]) == EXIT_AUDIT
         assert "audit FAILED (index 3: (c) " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("anchor_scale", "1/0"),
+        ("z_scale", "1/0"),
+        ("z_witness", None),
+    ])
+    def test_unparsable_field_is_named(self, trace_doc, tmp_path, capsys, field, value):
+        doc = copy.deepcopy(trace_doc)
+        step = doc["entries"][2]["step"]
+        (step if field == "z_witness" else step["certificate"])[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["verify", str(bad), "--out", str(tmp_path / "audit.json")]) == EXIT_AUDIT
+        err = capsys.readouterr().err
+        assert "audit FAILED (index 3: (c) " in err and field in err
+        assert "Traceback" not in err
+
 
 class TestExponent:
     def test_table_and_json(self, tmp_path, capsys):

@@ -26,6 +26,8 @@ from maxsing.exact_geometry import (
 )
 from maxsing.exact_geometry import _rank_mod_p
 
+from kernel_oracles import sqrt_bounds_two_roots
+
 small_ints = st.integers(min_value=-50, max_value=50)
 
 
@@ -345,6 +347,23 @@ class TestSqrtBounds:
         lo1, hi1 = sqrt_bounds(r, 16)
         lo2, hi2 = sqrt_bounds(r, 64)
         assert lo1 <= lo2 and hi2 <= hi1
+
+
+class TestSqrtBoundsOneRoot:
+    """The one-root integer path gives the intervals two roots gave."""
+
+    @given(st.one_of(
+               st.sampled_from([0, 1]),
+               st.integers(0, 2 ** 100).map(lambda s: s * s),
+               st.integers(1, 2 ** 100).flatmap(lambda s: st.sampled_from([s * s - 1, s * s + 1])),
+               st.integers(0, 2 ** 200),
+               st.fractions(min_value=0, max_value=10 ** 12, max_denominator=10 ** 9),
+               st.tuples(st.integers(0, 10 ** 6), st.integers(1, 10 ** 6)).map(
+                   lambda ab: Fraction(ab[0] ** 2, ab[1] ** 2))),
+           st.sampled_from([0, 1, 8, 64]))
+    @settings(max_examples=400, derandomize=True)
+    def test_matches_two_roots(self, r, bits):
+        assert sqrt_bounds(r, bits) == sqrt_bounds_two_roots(r, bits)
 
 
 class TestRoots:

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from maxsing.multilinear import (
     OutsideSearchBudget,
     StepPreconditionError,
     WitnessedPoint,
+    candidate_vectors,
     evaluate,
     find_outside,
     grassmann_map,
@@ -24,6 +26,7 @@ from maxsing.multilinear import (
     witnessed_point,
 )
 
+from kernel_oracles import box_scan_candidates
 from sampling_oracle import companion_vector
 
 
@@ -230,3 +233,14 @@ class TestWitnessedPoint:
             return
         wp = witnessed_point(kmap, [u, v])
         assert primitive(evaluate(kmap, wp.witness)) == wp.point
+
+
+class TestCandidateVectors:
+    @given(st.integers(1, 5), st.integers(1, 5), st.one_of(st.none(), st.integers(0, 2 ** 32)))
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_matches_box_scan(self, n, height, seed):
+        """Same shell, same order and same shuffle as the scan of the whole box."""
+        def rng():
+            return None if seed is None else random.Random(seed)
+
+        assert candidate_vectors(n, height, rng()) == box_scan_candidates(n, height, rng())
