@@ -638,10 +638,8 @@ def trace_to_doc(trace: SequenceTrace) -> dict:
     }
 
 
-def _parse_witness(doc):
-    if doc is None:
-        return None
-    return tuple(tuple(Fraction(c) for c in vec) for vec in doc)
+def _parse_witness(doc, field: str):
+    return None if doc is None else ml.witness_from_doc(doc, field)
 
 
 def trace_from_doc(doc: dict) -> SequenceTrace:
@@ -661,7 +659,7 @@ def trace_from_doc(doc: dict) -> SequenceTrace:
                 j=int(s["j"]),
                 h_basis=tuple(tuple(int(Fraction(a)) for a in r) for r in s["H_basis"]),
                 z=ProjPointQ(tuple(int(Fraction(a)) for a in s["z"])),
-                z_witness=_parse_witness(s.get("z_witness")),
+                z_witness=_parse_witness(s.get("z_witness"), "z_witness"),
                 b=int(s["b"]),
                 wedge_sq=int(Fraction(s["wedge_sq"])),
                 dist_sq=Fraction(s["dist_sq"]),
@@ -675,7 +673,7 @@ def trace_from_doc(doc: dict) -> SequenceTrace:
             TraceEntry(
                 index=int(e["index"]),
                 x=ProjPointQ(tuple(int(Fraction(a)) for a in e["x"])),
-                witness=_parse_witness(e.get("witness")),
+                witness=_parse_witness(e.get("witness"), "witness"),
                 step=step,
             )
         )

@@ -141,7 +141,8 @@ class KLinearAdapter:
         return TracePoint(wp.point, wp.witness)
 
     def member(self, tp: TracePoint) -> bool:
-        if tp.witness is None:
+        w = tp.witness
+        if w is None or len(w) != self.kmap.k or any(len(v) != self.kmap.n for v in w):
             return False
         img = ml.evaluate(self.kmap, tp.witness)
         if all(a == 0 for a in img):
@@ -166,7 +167,7 @@ class KLinearAdapter:
         return TracePoint(z.point, z.witness), cert_doc
 
     def _cert_from_doc(self, cert: dict) -> ml.LineCertificate:
-        beta_witness = tuple(tuple(Fraction(c) for c in v) for v in cert["beta_witness"])
+        beta_witness = ml.witness_from_doc(cert["beta_witness"], "certificate beta_witness")
         beta = ml.WitnessedPoint(
             ProjPointQ(tuple(int(Fraction(a)) for a in cert["beta_point"])), beta_witness
         )
@@ -225,7 +226,7 @@ class KLinearAdapter:
             fails.append(f"recorded slot agreement {cert.m} but witnesses share {m}")
         if z.point == x.point:
             fails.append("degenerate line: z proportional to x")
-        if _replace(z.witness, t, x.witness[t]) != x.witness:
+        if ml.replace_slot(z.witness, t, x.witness[t]) != x.witness:
             fails.append("z witness differs from the anchor witness outside the certificate slot")
         if cert.anchor_scale == 0:
             fails.append("anchor scale is zero")
@@ -235,7 +236,7 @@ class KLinearAdapter:
             fails.append("anchor scale does not match the anchor witness")
         if ml.evaluate(kmap, z.witness) != tuple(cert.z_scale * a for a in z.point.rep):
             fails.append("z scale does not match the z witness")
-        e_prime = ml.evaluate(kmap, _replace(beta.witness, t, x.witness[t]))
+        e_prime = ml.evaluate(kmap, ml.replace_slot(beta.witness, t, x.witness[t]))
         if any(e_prime):
             if cert.beta_prime is None:
                 fails.append("companion base recorded as zero but the witnesses give a nonzero one")
@@ -245,7 +246,7 @@ class KLinearAdapter:
                 fails.append("companion base point escapes the subspace")
         elif cert.beta_prime is not None:
             fails.append("recorded companion base is nonzero but the witnesses give zero")
-        e_y = ml.evaluate(kmap, _replace(beta.witness, t, z.witness[t]))
+        e_y = ml.evaluate(kmap, ml.replace_slot(beta.witness, t, z.witness[t]))
         if not any(e_y):
             fails.append("companion vanishes along the line")
         elif h.contains(e_y):
@@ -258,12 +259,6 @@ def _rational(cert: dict, field: str) -> Fraction:
         return Fraction(cert[field])
     except (TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"certificate {field} {cert[field]!r} is not a rational: {exc}") from None
-
-
-def _replace(witness, slot, vec):
-    w = list(witness)
-    w[slot] = vec
-    return tuple(w)
 
 
 def _proportional(u: Sequence, v: Sequence) -> bool:

@@ -5,6 +5,10 @@ witness (a k-tuple of rational source vectors mapping onto it), because
 witness slot agreement is what certifies the line constructions: two
 image points whose witnesses agree in many slots lie on checkable
 rational lines inside the image.
+
+Evaluation runs on integers: ``evaluate`` contracts an integer map with
+every slot fixed, and the outside-candidate search contracts the anchor's
+kept slots once per line step, so a candidate is a small integer contraction.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import cached_property
+from math import comb, lcm, prod
 from typing import Iterator, Sequence
 
 from .exact_geometry import (
@@ -75,28 +80,63 @@ class KLinearMap:
     def __hash__(self):
         return hash((self.k, self.n, self.target_dim))
 
+    @cached_property
+    def integer_images(self) -> tuple[int, dict[tuple[int, ...], list[tuple[int, int]]]]:
+        """(d, N): d the basis images' common denominator, N[idx] the pairs (j, d*a_j) with a_j != 0."""
+        d = lcm(*(Fraction(a).denominator for img in self.basis_images.values() for a in img))
+        return d, {idx: [(j, int(Fraction(a) * d)) for j, a in enumerate(img) if a]
+                   for idx, img in self.basis_images.items()}
+
+
+def _integer_slots(vectors: Sequence[Sequence]) -> tuple[int, list[list[int]]]:
+    """(d_1*...*d_k, [d_s*v_s]): each slot scaled by its least common denominator d_s."""
+    dens = [lcm(*(c.denominator for c in v)) for v in vectors]
+    return prod(dens), [[c.numerator * (ds // c.denominator) for c in v] for ds, v in zip(dens, vectors)]
+
+
+def _contract(images: dict, dim: int, vectors: Sequence, free: tuple[int, ...] = ()) -> dict:
+    """Fix the slots outside ``free`` of an integer map with sparse ``images`` to ``vectors``.
+
+    Returns the contracted map: free-slot index tuples to dense images (key () if none is free).
+    """
+    fixed = [(s, v) for s, v in enumerate(vectors) if s not in free]
+    out: dict = {}
+    for idx, img in images.items():
+        c = 1
+        for s, v in fixed:
+            c *= v[idx[s]]
+            if not c:
+                break
+        else:
+            key = tuple(idx[s] for s in free) if free else ()
+            acc = out.get(key)
+            if acc is None:
+                acc = out[key] = [0] * dim
+            for j, a in img:
+                acc[j] += c * a
+    return out
+
+
+def _sparse(images: dict) -> dict:
+    """A contracted map's dense images as sparse ones, ready to contract again."""
+    return {idx: [(j, a) for j, a in enumerate(img) if a] for idx, img in images.items()}
+
 
 def evaluate(kmap: KLinearMap, vectors: Sequence[Sequence]) -> tuple:
-    """Evaluate the map on a k-tuple of rational vectors, exactly."""
-    if len(vectors) != kmap.k:
-        raise DimensionMismatch(f"need {kmap.k} vectors, got {len(vectors)}")
-    for v in vectors:
-        if len(v) != kmap.n:
-            raise DimensionMismatch(f"source vectors must have dim {kmap.n}")
-    supports = [[(i, c) for i, c in enumerate(v) if c != 0] for v in vectors]
-    acc = [Fraction(0)] * kmap.target_dim
-    for combo in itertools.product(*supports):
-        idx = tuple(i for i, _ in combo)
-        img = kmap.basis_images.get(idx)
-        if img is None:
-            continue
-        coeff = 1
-        for _, c in combo:
-            coeff = coeff * c
-        for j, a in enumerate(img):
-            if a:
-                acc[j] += coeff * a
-    return tuple(acc)
+    """Evaluate the map on a k-tuple of rational vectors, exactly.
+
+    With d the basis images' common denominator, N = d*M has integer
+    images; with d_s slot s's common denominator, u_s = d_s*v_s is an
+    integer vector.  M is multilinear, so the scales factor out of every
+    slot: M(v_1, ..., v_k) = N(u_1, ..., u_k) / (d*d_1*...*d_k).  The
+    integer image N(u) is the contraction of N with every slot fixed.
+    """
+    if len(vectors) != kmap.k or any(len(v) != kmap.n for v in vectors):
+        raise DimensionMismatch(f"need {kmap.k} source vectors of dim {kmap.n}")
+    d, images = kmap.integer_images
+    scale, ints = _integer_slots(vectors)
+    img = _contract(images, kmap.target_dim, ints).get((), [0] * kmap.target_dim)
+    return tuple(Fraction(a, d * scale) for a in img)
 
 
 @dataclass(frozen=True)
@@ -112,6 +152,21 @@ def witnessed_point(kmap: KLinearMap, witness: Sequence[Sequence]) -> WitnessedP
     if all(a == 0 for a in img):
         raise ZeroVector("witness maps to zero")
     return WitnessedPoint(primitive(img), tuple(tuple(Fraction(c) for c in v) for v in witness))
+
+
+def witness_from_doc(doc, field: str) -> tuple[RatVec, ...]:
+    """A witness from its JSON list of lists; a ValueError names ``field`` if it is malformed."""
+    try:
+        return tuple(tuple(Fraction(c) for c in v) for v in doc)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{field} {doc!r} is not a witness: {exc}") from None
+
+
+def replace_slot(witness: Sequence[Sequence], slot: int, vec: Sequence) -> tuple:
+    """The witness tuple with slot ``slot`` set to ``vec``."""
+    w = list(witness)
+    w[slot] = vec
+    return tuple(w)
 
 
 def shared_count(w1: Sequence[Sequence], w2: Sequence[Sequence]) -> int:
@@ -160,28 +215,34 @@ def outside_candidates(
 
     For m from k-1 down to 0, replaces exactly k-m anchor slots with
     bounded-height integer vectors; m is then a lower-bound certificate
-    for the witness agreement between anchor and beta.
+    for the witness agreement between anchor and beta.  The anchor's
+    kept slots are contracted once per set of replaced slots; a
+    candidate's point is the primitive of that integer map's image, as
+    the dropped scales are positive.
     """
     k = kmap.k
+    _, images = kmap.integer_images
+    _, anchor_ints = _integer_slots(anchor.witness)
     for m in range(k - 1, -1, -1):
         d = k - m
-        slot_subsets = list(itertools.combinations(range(k), d))
+        contracted = {subset: _sparse(_contract(images, kmap.target_dim, anchor_ints, subset))
+                      for subset in itertools.combinations(range(k), d)}
         for height in range(1, budget.max_height + 1):
             pools = [list(candidate_vectors(kmap.n, hh, rng)) for hh in range(1, height + 1)]
-            for subset in slot_subsets:
+            for subset, sub in contracted.items():
                 for heights in itertools.product(range(height), repeat=d):
                     if max(heights) != height - 1:
                         continue  # only new combinations at this height
                     for repl in itertools.product(*(pools[hh] for hh in heights)):
-                        witness = list(anchor.witness)
-                        for slot, vec in zip(subset, repl):
-                            witness[slot] = tuple(Fraction(c) for c in vec)
-                        img = evaluate(kmap, witness)
-                        if all(a == 0 for a in img):
+                        img = _contract(sub, kmap.target_dim, repl).get(())
+                        if img is None or not any(img):
                             continue
                         pt = primitive(img)
                         if h.contains_point(pt):
                             continue
+                        witness = list(anchor.witness)
+                        for slot, vec in zip(subset, repl):
+                            witness[slot] = tuple(Fraction(c) for c in vec)
                         yield m, WitnessedPoint(pt, tuple(witness))
 
 
@@ -232,10 +293,7 @@ def line_witness(cert: LineCertificate, x: WitnessedPoint, z: WitnessedPoint, b)
     mu = 1 / cert.z_scale
     xs = x.witness[cert.slot]
     ys = z.witness[cert.slot]
-    combined = tuple(lam * a + mu * c for a, c in zip(xs, ys))
-    w = list(x.witness)
-    w[cert.slot] = combined
-    return tuple(w)
+    return replace_slot(x.witness, cert.slot, tuple(lam * a + mu * c for a, c in zip(xs, ys)))
 
 
 def line_step(
@@ -256,6 +314,7 @@ def line_step(
     if not h.contains_point(x.point):
         raise StepPreconditionError("line_step needs a point inside the subspace")
     k = kmap.k
+    anchor_scale = _scale_of(evaluate(kmap, x.witness), x.point)
     best = None  # (area, order, z, cert)
     best_m = -1
     order = 0
@@ -265,47 +324,43 @@ def line_step(
         while improved and m < k - 1:
             improved = False
             for t in _differing_slots(x, beta):
-                w2 = list(beta.witness)
-                w2[t] = x.witness[t]
+                w2 = replace_slot(beta.witness, t, x.witness[t])
                 img2 = evaluate(kmap, w2)
                 if all(a == 0 for a in img2):
                     continue
                 p2 = primitive(img2)
                 if not h.contains_point(p2):
-                    beta = WitnessedPoint(p2, tuple(w2))
+                    beta = WitnessedPoint(p2, w2)
                     m += 1
                     improved = True
                     break
         if m < best_m:
             continue
+        beta_image = evaluate(kmap, beta.witness)
         for t in _differing_slots(x, beta):
-            w_z = list(x.witness)
-            w_z[t] = beta.witness[t]
-            alpha_prime = evaluate(kmap, w_z)
+            w_z = replace_slot(x.witness, t, beta.witness[t])
+            alpha_prime = beta_image if w_z == beta.witness else evaluate(kmap, w_z)
             if all(a == 0 for a in alpha_prime):
                 continue
             z_pt = primitive(alpha_prime)
             if z_pt == x.point:
                 continue  # degenerate: proportional to x, retry next candidate
-            w_bp = list(beta.witness)
-            w_bp[t] = x.witness[t]
-            beta_prime = evaluate(kmap, w_bp)
+            beta_prime = evaluate(kmap, replace_slot(beta.witness, t, x.witness[t]))
             bp_zero = all(a == 0 for a in beta_prime)
             if not bp_zero and not h.contains_point(primitive(beta_prime)):
                 continue  # cannot certify this slot; the bootstrap above already tried it
-            z = WitnessedPoint(z_pt, tuple(w_z))
-            cert = LineCertificate(
-                slot=t,
-                m=m,
-                anchor_scale=_scale_of(kmap, x),
-                z_scale=_scale_of(kmap, z),
-                beta=beta,
-                beta_image=evaluate(kmap, beta.witness),
-                beta_prime=None if bp_zero else tuple(beta_prime),
-            )
             area = wedge_sq(x.point.rep, z_pt.rep)
             if best is None or m > best_m or (m == best_m and area < best[0]):
-                best = (area, order, z, cert)
+                cert = LineCertificate(
+                    slot=t,
+                    m=m,
+                    anchor_scale=anchor_scale,
+                    z_scale=_scale_of(alpha_prime, z_pt),  # z's witness is w_z
+                    beta=beta,
+                    beta_image=beta_image,
+                    beta_prime=None if bp_zero else beta_prime,
+                )
+                best = (area, order, WitnessedPoint(z_pt, w_z), cert)
                 best_m = m
             order += 1
         if best is not None and best_m == k - 1 and (m < k - 1 or order > 8):
@@ -321,10 +376,10 @@ def _differing_slots(x: WitnessedPoint, beta: WitnessedPoint) -> list[int]:
     return [t for t in range(len(x.witness)) if x.witness[t] != beta.witness[t]]
 
 
-def _scale_of(kmap: KLinearMap, wp: WitnessedPoint) -> Fraction:
-    img = evaluate(kmap, wp.witness)
-    j = next(i for i, a in enumerate(wp.point.rep) if a != 0)
-    return Fraction(img[j]) / wp.point.rep[j]
+def _scale_of(img: Sequence, point: ProjPointQ) -> Fraction:
+    """The c with img == c * point.rep, given that img is a multiple of it."""
+    j = next(i for i, a in enumerate(point.rep) if a != 0)
+    return Fraction(img[j]) / point.rep[j]
 
 
 # ---------------------------------------------------------------------------

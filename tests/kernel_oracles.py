@@ -3,7 +3,9 @@
 ``box_scan_candidates`` is ``multilinear.candidate_vectors`` as a scan of
 the whole box [-h, h]^n; ``sqrt_bounds_two_roots`` is
 ``exact_geometry.sqrt_bounds`` with a separate root for the perfect-square
-test.  The faster kernels must return exactly what these return.
+test; ``fraction_evaluate`` is ``multilinear.evaluate`` in ``Fraction``
+arithmetic over the product of the slots' supports.  The faster kernels
+must return exactly what these return.
 """
 
 from __future__ import annotations
@@ -34,3 +36,19 @@ def sqrt_bounds_two_roots(r, precision_bits: int) -> tuple[Fraction, Fraction]:
     b = precision_bits
     m = isqrt((p << (2 * b)) // q)
     return (Fraction(m, 1 << b), Fraction(m + 1, 1 << b))
+
+
+def fraction_evaluate(kmap, vectors) -> tuple:
+    supports = [[(i, c) for i, c in enumerate(v) if c != 0] for v in vectors]
+    acc = [Fraction(0)] * kmap.target_dim
+    for combo in itertools.product(*supports):
+        img = kmap.basis_images.get(tuple(i for i, _ in combo))
+        if img is None:
+            continue
+        coeff = 1
+        for _, c in combo:
+            coeff = coeff * c
+        for j, a in enumerate(img):
+            if a:
+                acc[j] += coeff * a
+    return tuple(acc)

@@ -131,7 +131,8 @@ class TestVerify:
 
 
 class TestCertificateTamper:
-    """Hand-edited k-linear certificates give exit 3 with a (c) message, never a traceback."""
+    """Hand-edited k-linear certificates and witnesses give exit 3 with an (a) or (c) message,
+    or exit 1 when the trace cannot be loaded; never a traceback."""
 
     @pytest.fixture(scope="class")
     def trace_doc(self, tmp_path_factory):
@@ -161,6 +162,7 @@ class TestCertificateTamper:
         ("anchor_scale", "1/0"),
         ("z_scale", "1/0"),
         ("z_witness", None),
+        ("beta_witness", 5),
     ])
     def test_unparsable_field_is_named(self, trace_doc, tmp_path, capsys, field, value):
         doc = copy.deepcopy(trace_doc)
@@ -171,6 +173,31 @@ class TestCertificateTamper:
         assert main(["verify", str(bad), "--out", str(tmp_path / "audit.json")]) == EXIT_AUDIT
         err = capsys.readouterr().err
         assert "audit FAILED (index 3: (c) " in err and field in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("mutate", [
+        lambda w: [w[0][:-1], w[1]],   # a slot one coordinate short
+        lambda w: [w[0], w[1], w[1]],  # three slots for a 2-linear map
+    ], ids=["short-vector", "three-slots"])
+    def test_malformed_witness_is_not_a_member(self, trace_doc, tmp_path, capsys, mutate):
+        doc = copy.deepcopy(trace_doc)
+        entry = doc["entries"][2]
+        entry["witness"] = mutate(entry["witness"])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["verify", str(bad), "--out", str(tmp_path / "audit.json")]) == EXIT_AUDIT
+        err = capsys.readouterr().err
+        assert "(a) next point is not a certified member" in err
+        assert "Traceback" not in err
+
+    def test_unparsable_witness_coordinate_is_named(self, trace_doc, tmp_path, capsys):
+        doc = copy.deepcopy(trace_doc)
+        doc["entries"][2]["witness"][0][0] = "1/0"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["verify", str(bad), "--out", str(tmp_path / "audit.json")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "error: cannot load trace" in err and "witness" in err
         assert "Traceback" not in err
 
 

@@ -1,13 +1,15 @@
 import itertools
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from maxsing.exact_geometry import primitive, subspace_span, wedge_k
 from maxsing.multilinear import (
     BudgetExhausted,
+    DegenerateLine,
     InvalidParameters,
     KLinearMap,
     OutsideSearchBudget,
@@ -24,9 +26,13 @@ from maxsing.multilinear import (
     save_map,
     shared_count,
     witnessed_point,
+    _contract,
+    _integer_slots,
+    _scale_of,
+    _sparse,
 )
 
-from kernel_oracles import box_scan_candidates
+from kernel_oracles import box_scan_candidates, fraction_evaluate
 from sampling_oracle import companion_vector
 
 
@@ -97,6 +103,103 @@ class TestEvaluate:
         r1 = evaluate(kmap, [w, u])
         r2 = evaluate(kmap, [w, v])
         assert left == tuple(a * x + b * y for x, y in zip(r1, r2))
+
+
+def scaled(kmap: KLinearMap) -> KLinearMap:
+    """kmap with basis image idx divided by 2 + idx[0]."""
+    images = {idx: tuple(Fraction(a, 2 + idx[0]) for a in img)
+              for idx, img in kmap.basis_images.items()}
+    return KLinearMap(k=kmap.k, n=kmap.n, target_dim=kmap.target_dim, basis_images=images)
+
+
+RATIONALS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+NAMED_MAPS = [grassmann_map(3, 1), grassmann_map(4, 2), grassmann_map(5, 2), grassmann_map(4, 3),
+              prodforms_map(2, 3), prodforms_map(3, 2), scaled(prodforms_map(3, 2))]
+
+
+@st.composite
+def rational_maps(draw):
+    """Random maps with rational basis images (denominators <= 6), some of them missing."""
+    k, n = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    assume(n ** k >= 3)
+    dim = draw(st.integers(3, min(n ** k, 6)))
+    images = {idx: tuple(draw(RATIONALS) for _ in range(dim))
+              for idx in itertools.product(range(n), repeat=k) if draw(st.integers(0, 3))}
+    try:
+        return KLinearMap(k=k, n=n, target_dim=dim, basis_images=images)
+    except InvalidParameters:
+        assume(False)
+
+
+def slots(n):
+    """A witness slot: zero, integer or rational."""
+    return st.one_of(st.just((0,) * n), st.tuples(*[st.integers(-6, 6)] * n),
+                     st.tuples(*[RATIONALS] * n))
+
+
+class TestIntegerKernel:
+    """The integer evaluator and the anchor contraction against the Fraction oracle."""
+
+    @given(st.one_of(st.sampled_from(NAMED_MAPS), rational_maps()), st.data())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_evaluate_matches_fraction_oracle(self, kmap, data):
+        witness = [data.draw(slots(kmap.n)) for _ in range(kmap.k)]
+        got = evaluate(kmap, witness)
+        assert got == fraction_evaluate(kmap, witness)
+        assert all(type(a) is Fraction for a in got)
+
+    @given(st.one_of(st.sampled_from(NAMED_MAPS), rational_maps()), st.data())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_contraction_matches_substitution(self, kmap, data):
+        """Fixing the other slots, then evaluating on the free ones, is evaluating the whole."""
+        witness = [data.draw(slots(kmap.n)) for _ in range(kmap.k)]
+        d, images = kmap.integer_images
+        _, ints = _integer_slots(witness)
+        for r in range(kmap.k + 1):
+            for free in itertools.combinations(range(kmap.k), r):
+                repl = [data.draw(st.tuples(*[st.integers(-4, 4)] * kmap.n)) for _ in free]
+                sub = _sparse(_contract(images, kmap.target_dim, ints, free))
+                got = _contract(sub, kmap.target_dim, repl).get((), [0] * kmap.target_dim)
+                scale = d * prod(_integer_slots([witness[s]])[0]
+                                 for s in range(kmap.k) if s not in free)
+                full = list(witness)
+                for s, v in zip(free, repl):
+                    full[s] = v
+                assert tuple(Fraction(a, scale) for a in got) == evaluate(kmap, full)
+
+    @given(st.sampled_from([grassmann_map(4, 2), prodforms_map(2, 3), scaled(prodforms_map(3, 2))]),
+           st.data())
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_line_step_certificate_recomputes(self, kmap, data):
+        """The scales and beta's image, each computed once per step, match a fresh evaluation."""
+        witness = [data.draw(slots(kmap.n)) for _ in range(kmap.k)]
+        assume(any(evaluate(kmap, witness)))
+        x = witnessed_point(kmap, witness)
+        dim = kmap.target_dim
+        extra = data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * dim), max_size=dim - 2))
+        h = subspace_span([x.point.rep, *extra], dim)
+        rng = random.Random(data.draw(st.integers(0, 99)))
+        try:
+            assert_certificate_recomputes(kmap, x, h, OutsideSearchBudget(2), rng)
+        except DegenerateLine:
+            assume(False)
+
+    def test_line_step_certificate_recomputes_after_multi_slot_escape(self):
+        """Here beta differs from x in both slots, so z's witness is not beta's."""
+        kmap = grassmann_map(4, 2)
+        x = witnessed_point(kmap, [e(4, 0), e(4, 1)])
+        h = subspace_span([e(6, i) for i in range(5)], 6)  # {p34 = 0}: one slot cannot escape
+        cert = assert_certificate_recomputes(kmap, x, h, OutsideSearchBudget(1), None)
+        assert shared_count(x.witness, cert.beta.witness) == 0
+
+
+def assert_certificate_recomputes(kmap, x, h, budget, rng):
+    """line_step's scales and beta's image equal a fresh evaluation; returns the certificate."""
+    z, cert = line_step(kmap, x, h, budget, rng)
+    assert cert.anchor_scale == _scale_of(evaluate(kmap, x.witness), x.point)
+    assert cert.z_scale == _scale_of(evaluate(kmap, z.witness), z.point)
+    assert cert.beta_image == evaluate(kmap, cert.beta.witness)
+    return cert
 
 
 class TestSharedCount:
