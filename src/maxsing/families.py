@@ -144,7 +144,7 @@ class KLinearAdapter:
         w = tp.witness
         if w is None or len(w) != self.kmap.k or any(len(v) != self.kmap.n for v in w):
             return False
-        img = ml.evaluate(self.kmap, tp.witness)
+        img = ml.evaluate(self.kmap, w)
         if all(a == 0 for a in img):
             return False
         return primitive(img) == tp.point
