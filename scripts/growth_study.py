@@ -15,6 +15,7 @@ import sys
 from fractions import Fraction
 
 from maxsing.builder import ApproxFn, BudgetExceeded, run
+from maxsing.exact_geometry import wedge_sq
 from maxsing.families import SearchBudget, quadric_adapter
 from maxsing.quadric import split4
 
@@ -32,7 +33,7 @@ def study(phi: ApproxFn, steps: int, cap_bits: int) -> None:
     for entry in trace.entries:
         bits = max(abs(c).bit_length() for c in entry.x.rep)
         if entry.step is not None:
-            area_bits = (entry.step.wedge_sq.bit_length() + 1) // 2
+            area_bits = (wedge_sq(entry.x.rep, entry.step.z.rep).bit_length() + 1) // 2
             b_bits = entry.step.b.bit_length()
             print(f"{entry.index:>3} {bits:>11} {area_bits:>16} {b_bits:>8}")
         else:

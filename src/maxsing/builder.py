@@ -6,8 +6,9 @@ x_next = primitive(z + b*x) grows in norm, telescopes the previous
 projective distance by 1/3, and lands under the decay target.  The first
 b the scan/hint/doubling/bisection search accepts passes the full exact
 test; a smaller sporadic b may be skipped.  Every inequality is decided
-in exact rational arithmetic and every value needed to re-derive it is
-recorded in the trace.
+in exact rational arithmetic.  The trace records the points, the line
+generators, the multipliers and the family certificates; the verifier
+re-derives every other value from them.
 """
 
 from __future__ import annotations
@@ -43,6 +44,10 @@ from .quadric import HeightExhausted
 
 
 class InvalidSteps(ValueError):
+    pass
+
+
+class MalformedTrace(ValueError):
     pass
 
 
@@ -182,17 +187,9 @@ class ApproxFn:
 
 @dataclass(frozen=True)
 class StepData:
-    j: int
-    h_basis: tuple[IntVec, ...]
     z: ProjPointQ
     z_witness: tuple | None
     b: int
-    wedge_sq: int
-    dist_sq: Fraction
-    norm_lo_next: Fraction
-    phi_lo: Fraction | None
-    phi_hi: Fraction | None
-    tail_spans: bool
     certificate: dict
 
 
@@ -321,21 +318,24 @@ def _select_multiplier(
     x: ProjPointQ,
     z: ProjPointQ,
     phi: ApproxFn,
-    dsq_prev: Fraction | None,
+    dsq_prev: tuple[int, int] | None,
     budget: SearchBudget,
-) -> tuple[int, ProjPointQ, int, Fraction, Fraction]:
+) -> tuple[int, ProjPointQ, tuple[int, int]]:
     """A multiplier b >= 1 meeting the step conditions, found by search.
 
-    Returns (b, x_next, w2, dist_sq, norm_lo_next), w2 = |x ^ z|^2.  The
-    search scans the region where |z + b*x| may still shrink, then 64
-    values from an analytic hint, then doubles up to the 2^multiplier_bits
-    cap and bisects.  The conditions are monotone in b on the growing
-    branch except at sporadic content jumps of the primitive
-    representative, so the first b this search accepts passes the full
-    exact test but a smaller sporadic b may be skipped.
+    Returns (b, x_next, (w2, n2x n2y)): the second pair is the squared
+    distance dist_sq(x_next, x) = w2 / (n2x n2y), unreduced, with
+    w2 = |x ^ z|^2, n2x = |x|^2 and n2y = |z + b x|^2.  dsq_prev is the
+    previous step's distance in the same form.  The search scans the
+    region where |z + b*x| may still shrink, then 64 values from an
+    analytic hint, then doubles up to the 2^multiplier_bits cap and
+    bisects.  The conditions are monotone in b on the growing branch
+    except at sporadic content jumps of the primitive representative, so
+    the first b this search accepts passes the full exact test but a
+    smaller sporadic b may be skipped.
 
-    A probe decides b on integers; primitive(y), y = z + b*x, and under pow
-    the root of its norm are computed for the accepted b only.
+    A probe decides b on integers; primitive(y), y = z + b*x, is computed
+    for the accepted b only, and no distance is reduced.
 
     - Content through G.  Let G be the gcd of the 2x2 minors of (x, z)
       and c the content of y.  c divides every entry of y, hence every
@@ -366,12 +366,12 @@ def _select_multiplier(
     g = gcd(*(xr[a] * zr[c] - xr[c] * zr[a] for a, c in itertools.combinations(range(len(xr)), 2)))
     prec = phi.precision_bits
     if dsq_prev is not None:  # telescoping: 9 w2 p_den <= p_num n2x n2y, dsq_prev = p_num/p_den
-        tel_l, tel_r = w9 * dsq_prev.denominator, dsq_prev.numerator * n2x
+        tel_l, tel_r = w9 * dsq_prev[1], dsq_prev[0] * n2x
     if phi.variant == "pow":
         pp, qq = phi.exponent.numerator, phi.exponent.denominator
 
     def attempt(b: int):
-        # (b, y, n2y, n2p, norm_lo or None) when b passes, else None
+        # (b, y, n2y) when b passes, else None
         n2y = n2z + 2 * b * dzx + b * b * n2x
         if dsq_prev is not None and _product_gt(((tel_l, 1),), ((tel_r, 1), (n2y, 1))):
             return None
@@ -382,9 +382,8 @@ def _select_multiplier(
         n2p = n2y // (c * c)
         if n2p <= n2x:
             return None
-        norm_lo = None
         if dsq_prev is None:
-            return b, y, n2y, n2p, norm_lo
+            return b, y, n2y
         if phi.variant == "pow":
             # decay test: (9 w2)^q * n2p^p <= (4 n2y)^q
             if _product_gt(((w9, qq), (n2p, pp)), ((4 * n2y, qq),)):
@@ -394,12 +393,11 @@ def _select_multiplier(
             lo = phi.phi_lo(max(norm_lo, Fraction(1)))
             if w9 * lo.denominator ** 2 > 4 * n2y * lo.numerator ** 2:
                 return None
-        return b, y, n2y, n2p, norm_lo
+        return b, y, n2y
 
     def accept(r):
-        b, y, n2y, n2p, norm_lo = r
-        norm_lo = sqrt_bounds(n2p, prec)[0] if norm_lo is None else norm_lo
-        return b, primitive(y), w2, Fraction(w2, n2x * n2y), norm_lo
+        b, y, n2y = r
+        return b, primitive(y), (w2, n2x * n2y)
 
     # the region where |z + b*x| may still be shrinking is scanned in full
     vertex_end = 0 if dzx >= 0 else (-dzx) // n2x + 1
@@ -484,44 +482,29 @@ def next_point(
     witnesses: list,
     adapter,
     phi: ApproxFn,
-    dsq_prev: Fraction | None,
+    dsq_prev: tuple[int, int] | None,
     budget: SearchBudget,
     rng: random.Random | None,
-) -> tuple[TracePoint, StepData]:
-    """Extend the sequence by one audited step."""
+) -> tuple[TracePoint, StepData, tuple[int, int]]:
+    """Extend the sequence by one audited step.
+
+    Returns the next point, the step record and the step's squared
+    distance as an unreduced pair (see _select_multiplier).
+    """
     x = points[-1]
-    h, j = compute_hi(points, adapter.ambient_dim)
+    h, _ = compute_hi(points, adapter.ambient_dim)
     tp = TracePoint(x, witnesses[-1])
     z_tp, cert = adapter.line_step(tp, h, budget, rng)
     z_tp, cert = _reduce_line_generator(x, witnesses[-1], z_tp, cert, adapter)
-    b, x_next, w2, dsq, norm_lo = _select_multiplier(x, z_tp.point, phi, dsq_prev, budget)
-    phi_lo = phi_hi = None
-    if dsq_prev is not None:
-        xeval = max(norm_lo, Fraction(1))
-        phi_lo, phi_hi = phi._phi_bounds(xeval)
+    b, x_next, dsq = _select_multiplier(x, z_tp.point, phi, dsq_prev, budget)
     next_witness = None
     if z_tp.witness is not None:
         line_cert = adapter._cert_from_doc(cert)
         next_witness = ml.line_witness(
             line_cert, ml.WitnessedPoint(x, witnesses[-1]), ml.WitnessedPoint(z_tp.point, z_tp.witness), b
         )
-    new_points = points + [x_next]
-    tail = rank([p.rep for p in new_points[1:]]) == adapter.ambient_dim
-    step = StepData(
-        j=j,
-        h_basis=h.basis,
-        z=z_tp.point,
-        z_witness=z_tp.witness,
-        b=b,
-        wedge_sq=w2,
-        dist_sq=dsq,
-        norm_lo_next=norm_lo,
-        phi_lo=phi_lo,
-        phi_hi=phi_hi,
-        tail_spans=tail,
-        certificate=cert,
-    )
-    return TracePoint(x_next, next_witness), step
+    step = StepData(z=z_tp.point, z_witness=z_tp.witness, b=b, certificate=cert)
+    return TracePoint(x_next, next_witness), step, dsq
 
 
 def run(
@@ -553,11 +536,10 @@ def run(
     points = [tp.point]
     witnesses = [tp.witness]
     entries: list[TraceEntry] = []
-    dsq_prev: Fraction | None = None
+    dsq_prev = None
     for i in range(1, steps):
         try:
-            nxt, step = next_point(points, witnesses, adapter, phi,
-                                   dsq_prev if i >= 2 else None, budget, rng)
+            nxt, step, dsq_prev = next_point(points, witnesses, adapter, phi, dsq_prev, budget, rng)
         except (NoValidMultiplier, ml.BudgetExhausted, HeightExhausted, ml.DegenerateLine) as exc:
             trace.entries = entries + [TraceEntry(i, points[-1], witnesses[-1], None)]
             trace.partial = True
@@ -566,10 +548,18 @@ def run(
         entries.append(TraceEntry(i, points[-1], witnesses[-1], step))
         points.append(nxt.point)
         witnesses.append(nxt.witness)
-        dsq_prev = step.dist_sq
     entries.append(TraceEntry(steps, points[-1], witnesses[-1], None))
     trace.entries = entries
     return trace
+
+
+def decay_term(n2x: int, n2y: int, dxy: int) -> Fraction:
+    """(9/4) |x|^2 dist(x, y)^2 = 9 |x ^ y|^2 / (4 |y|^2), reduced, from |x|^2, |y|^2 and x.y.
+
+    Its root bounds D(x) when y follows x (telescoping).  |x|^2 cancels, so
+    the gcd that reduces it is smaller than that of dist_sq.
+    """
+    return Fraction(9 * (n2x * n2y - dxy * dxy), 4 * n2y)
 
 
 def limit_point(trace: SequenceTrace, precision_bits: int = 64) -> CertifiedLimit:
@@ -581,17 +571,23 @@ def limit_point(trace: SequenceTrace, precision_bits: int = 64) -> CertifiedLimi
     """
     if len(trace.entries) < 3:
         raise TraceTooShort("limit extraction needs at least 3 points")
-    last = trace.entries[-1].x
-    dsq = trace.entries[-2].step.dist_sq
-    return CertifiedLimit(representative=last.rep, radius_sq=Fraction(9, 4) * dsq)
+    prev, last = trace.entries[-2].x, trace.entries[-1].x
+    n2x = prev.norm_sq()
+    t = decay_term(n2x, last.norm_sq(), dot(prev.rep, last.rep))
+    return CertifiedLimit(representative=last.rep, radius_sq=t / n2x)
 
 
 # ---------------------------------------------------------------------------
 # trace (de)serialization
+#
+# Version 2 writes integers as 0x hex strings, which convert in linear time
+# where decimal takes quadratic time (Brent and Zimmermann, Modern Computer
+# Arithmetic, 2010, section 1.7).  Version 1 wrote them in decimal, and also
+# the values the verifier re-derives; the reader ignores those.
 
 
-def _vec_strs(v) -> list[str]:
-    return [str(Fraction(a)) for a in v]
+def _hex_vec(v) -> list[str]:
+    return [format(a, "#x") for a in v]
 
 
 def _witness_doc(w):
@@ -603,31 +599,20 @@ def _witness_doc(w):
 def trace_to_doc(trace: SequenceTrace) -> dict:
     entries = []
     for e in trace.entries:
-        doc = {
+        s = e.step
+        entries.append({
             "index": e.index,
-            "x": _vec_strs(e.x.rep),
+            "x": _hex_vec(e.x.rep),
             "witness": _witness_doc(e.witness),
-            "step": None,
-        }
-        if e.step is not None:
-            s = e.step
-            doc["step"] = {
-                "j": s.j,
-                "H_basis": [_vec_strs(r) for r in s.h_basis],
-                "z": _vec_strs(s.z.rep),
+            "step": None if s is None else {
+                "z": _hex_vec(s.z.rep),
                 "z_witness": _witness_doc(s.z_witness),
-                "b": str(s.b),
-                "wedge_sq": str(s.wedge_sq),
-                "dist_sq": str(s.dist_sq),
-                "norm_lo_next": str(s.norm_lo_next),
-                "phi_lo": None if s.phi_lo is None else str(s.phi_lo),
-                "phi_hi": None if s.phi_hi is None else str(s.phi_hi),
-                "tail_spans": s.tail_spans,
+                "b": format(s.b, "#x"),
                 "certificate": s.certificate,
-            }
-        entries.append(doc)
+            },
+        })
     return {
-        "version": 1,
+        "version": 2,
         "family": trace.family,
         "phi": trace.phi,
         "ambient_dim": trace.ambient_dim,
@@ -638,45 +623,98 @@ def trace_to_doc(trace: SequenceTrace) -> dict:
     }
 
 
-def _parse_witness(doc, field: str):
-    return None if doc is None else ml.witness_from_doc(doc, field)
+def _parse_int(value, where: str) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value, 16) if value.lstrip("+-")[:2].lower() == "0x" else int(value)
+        except ValueError:
+            pass
+    raise MalformedTrace(f"{where}: {value!r:.40} is not an integer")
 
 
-def trace_from_doc(doc: dict) -> SequenceTrace:
+def _parse_point(doc, dim: int, where: str) -> ProjPointQ:
+    if not isinstance(doc, list) or len(doc) != dim:
+        raise MalformedTrace(f"{where}: expected a list of {dim} integers")
+    rep = tuple(_parse_int(a, where) for a in doc)
+    if not any(rep):
+        raise MalformedTrace(f"{where}: the zero vector is not a projective point")
+    return ProjPointQ(rep)
+
+
+def _parse_witness(doc, where: str, shape: tuple[int, int] | None = None):
+    if doc is None:
+        return None
+    if shape is not None and not (
+        isinstance(doc, list) and len(doc) == shape[0]
+        and all(isinstance(v, list) and len(v) == shape[1] for v in doc)
+    ):
+        raise MalformedTrace(f"{where}: expected {shape[0]} slots of {shape[1]} coordinates")
+    try:
+        return ml.witness_from_doc(doc, where)
+    except ValueError as exc:
+        raise MalformedTrace(str(exc)) from None
+
+
+def _parse_step(doc, dim: int, shape, where: str) -> StepData:
+    if not isinstance(doc, dict):
+        raise MalformedTrace(f"{where}: expected an object")
+    if not isinstance(doc.get("certificate"), dict):
+        raise MalformedTrace(f"{where}.certificate: expected an object")
+    return StepData(
+        z=_parse_point(doc.get("z"), dim, f"{where}.z"),
+        z_witness=_parse_witness(doc.get("z_witness"), f"{where}.z_witness", shape),
+        b=_parse_int(doc.get("b"), f"{where}.b"),
+        certificate=doc["certificate"],
+    )
+
+
+def trace_from_doc(doc) -> SequenceTrace:
+    """A trace from a version 1 or 2 document, every stored field checked.
+
+    An integer is a JSON int, a 0x hex string or a decimal string.  A
+    point is a nonzero list of ambient_dim integers.  A z_witness has the
+    family's k slots of n coordinates, since the certificate check indexes
+    it; a point's witness is judged by the audit's membership test.  A
+    defect raises MalformedTrace naming the entry and the field.
+    """
+    if not isinstance(doc, dict):
+        raise MalformedTrace("a trace is a JSON object")
+    version = doc.get("version")
+    if version not in (1, 2):
+        raise MalformedTrace(f"unsupported trace version {version!r:.40}")
+    family, phi, entries = doc.get("family"), doc.get("phi"), doc.get("entries")
+    if not isinstance(family, dict) or not isinstance(phi, dict):
+        raise MalformedTrace("family and phi must be objects")
+    try:
+        ApproxFn.from_descriptor(phi)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise MalformedTrace(f"phi: {exc}") from None
+    if not isinstance(entries, list):
+        raise MalformedTrace("entries: expected a list")
+    dim = _parse_int(doc.get("ambient_dim"), "ambient_dim")
+    k, n = family.get("k"), family.get("n")
+    shape = (k, n) if isinstance(k, int) and isinstance(n, int) else None
     trace = SequenceTrace(
-        family=doc["family"],
-        phi=doc["phi"],
-        ambient_dim=int(doc["ambient_dim"]),
-        seed=int(doc.get("seed", 0)),
+        family=family,
+        phi=phi,
+        ambient_dim=dim,
+        seed=_parse_int(doc.get("seed", 0), "seed"),
         partial=bool(doc.get("partial", False)),
         budget_note=doc.get("budget_note"),
     )
-    for e in doc["entries"]:
-        step = None
-        if e.get("step") is not None:
-            s = e["step"]
-            step = StepData(
-                j=int(s["j"]),
-                h_basis=tuple(tuple(int(Fraction(a)) for a in r) for r in s["H_basis"]),
-                z=ProjPointQ(tuple(int(Fraction(a)) for a in s["z"])),
-                z_witness=_parse_witness(s.get("z_witness"), "z_witness"),
-                b=int(s["b"]),
-                wedge_sq=int(Fraction(s["wedge_sq"])),
-                dist_sq=Fraction(s["dist_sq"]),
-                norm_lo_next=Fraction(s["norm_lo_next"]),
-                phi_lo=None if s.get("phi_lo") is None else Fraction(s["phi_lo"]),
-                phi_hi=None if s.get("phi_hi") is None else Fraction(s["phi_hi"]),
-                tail_spans=bool(s["tail_spans"]),
-                certificate=s["certificate"],
-            )
-        trace.entries.append(
-            TraceEntry(
-                index=int(e["index"]),
-                x=ProjPointQ(tuple(int(Fraction(a)) for a in e["x"])),
-                witness=_parse_witness(e.get("witness"), "witness"),
-                step=step,
-            )
-        )
+    for i, e in enumerate(entries):
+        where = f"entries[{i}]"
+        if not isinstance(e, dict):
+            raise MalformedTrace(f"{where}: expected an object")
+        s = e.get("step")
+        trace.entries.append(TraceEntry(
+            index=_parse_int(e.get("index"), f"{where}.index"),
+            x=_parse_point(e.get("x"), dim, f"{where}.x"),
+            witness=_parse_witness(e.get("witness"), f"{where}.witness"),
+            step=None if s is None else _parse_step(s, dim, shape, f"{where}.step"),
+        ))
     return trace
 
 

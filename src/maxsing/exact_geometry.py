@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import index
 from typing import Iterable, Sequence
 
 Rat = Fraction
@@ -112,9 +113,14 @@ def primitive(v: Sequence) -> ProjPointQ:
 
 
 def _clear_denominators(v: Sequence) -> list[int]:
-    """The integer row c*v, with c the least common denominator of v's entries."""
-    if not any(isinstance(a, Fraction) for a in v):
-        return [int(a) for a in v]
+    """The integer row c*v, with c the least common denominator of v's entries.
+
+    An all-integer v takes one pass: a Fraction fails operator.index.
+    """
+    try:
+        return list(map(index, v))
+    except TypeError:
+        pass
     m = 1
     for a in v:
         d = a.denominator if isinstance(a, Fraction) else 1

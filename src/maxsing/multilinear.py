@@ -155,7 +155,13 @@ def witnessed_point(kmap: KLinearMap, witness: Sequence[Sequence]) -> WitnessedP
 
 
 def witness_from_doc(doc, field: str) -> tuple[RatVec, ...]:
-    """A witness from its JSON list of lists; a ValueError names ``field`` if it is malformed."""
+    """A witness from its JSON list of lists; a ValueError names ``field`` if it is malformed.
+
+    Each slot must be a list: a string slot such as "1000" would otherwise
+    be read digit by digit as a vector.
+    """
+    if not isinstance(doc, list) or not all(isinstance(v, list) for v in doc):
+        raise ValueError(f"{field} {doc!r:.80} is not a witness: expected a list of lists")
     try:
         return tuple(tuple(Fraction(c) for c in v) for v in doc)
     except (TypeError, ValueError, ZeroDivisionError) as exc:

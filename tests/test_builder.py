@@ -42,6 +42,11 @@ def e(i, n=4):
     return tuple(1 if j == i else 0 for j in range(n))
 
 
+def as_pair(dsq):
+    """A distance as the unreduced (numerator, denominator) pair the multiplier search takes."""
+    return None if dsq is None else (dsq.numerator, dsq.denominator)
+
+
 class TestApproxFn:
     def test_variants_validated(self):
         with pytest.raises(ValueError):
@@ -131,16 +136,18 @@ class TestRun:
         pts = tr.points()
         for a, b in zip(pts, pts[1:]):
             assert b.norm_sq() > a.norm_sq()
-        steps = [entry.step for entry in tr.entries[:-1]]
-        for prev, cur in zip(steps, steps[1:]):
-            assert 9 * cur.dist_sq <= prev.dist_sq
+        dsqs = [dist_sq(a.rep, b.rep) for a, b in zip(pts, pts[1:])]
+        for prev, cur in zip(dsqs, dsqs[1:]):
+            assert 9 * cur <= prev
 
     def test_distance_identity(self, split4_pow_trace):
-        # dist(x_i, x_{i+1}) = |x_i ^ z| / (|x_i| |z + b x_i|), recorded exactly
+        # dist(x_i, x_{i+1})^2 = |x_i ^ z|^2 / (|x_i|^2 |z + b x_i|^2): the
+        # content of z + b x_i cancels, so gen's unreduced distance is exact
         tr = split4_pow_trace
         for entry, nxt in zip(tr.entries[:-1], tr.entries[1:]):
-            s = entry.step
-            assert s.dist_sq == dist_sq(entry.x.rep, nxt.x.rep)
+            x, s = entry.x.rep, entry.step
+            y = tuple(c + s.b * a for a, c in zip(x, s.z.rep))
+            assert Fraction(wedge_sq(x, s.z.rep), norm_sq(x) * norm_sq(y)) == dist_sq(x, nxt.x.rep)
 
     def test_log3x_budget_exhaustion_is_flagged(self, split4_log3x_trace):
         tr = split4_log3x_trace
@@ -276,7 +283,7 @@ class TestForcedStop:
 
         with mock.patch.object(builder, "_log3x_stop_forced", recorded):
             with pytest.raises(_CertificateSeen):
-                builder._select_multiplier(x, z, phi, dsq_prev, SearchBudget(multiplier_bits=bits))
+                builder._select_multiplier(x, z, phi, as_pair(dsq_prev), SearchBudget(multiplier_bits=bits))
         [((_, _, _, _, b_max, _), forced)] = calls
         assume(b_max <= 4096)
         if forced:
@@ -341,15 +348,17 @@ class TestMultiplierKernels:
         x, z = primitive(xz[0]), primitive(xz[1])
         assume(wedge_sq(x.rep, z.rep) != 0)
         try:
-            b, x_next, w2, dsq, norm_lo = builder._select_multiplier(
-                x, z, phi, dsq_prev, SearchBudget(multiplier_bits=12))
+            b, x_next, (w2, n2xy) = builder._select_multiplier(
+                x, z, phi, as_pair(dsq_prev), SearchBudget(multiplier_bits=12))
         except NoValidMultiplier:
             return
         y = tuple(c + b * a for a, c in zip(x.rep, z.rep))
         assert x_next == primitive(y)
         assert w2 == wedge_sq(x.rep, z.rep)
+        assert n2xy == x.norm_sq() * norm_sq(y)
+        dsq = Fraction(w2, n2xy)
         assert dsq == dist_sq(x_next.rep, x.rep)
-        assert norm_lo == sqrt_bounds(x_next.norm_sq(), phi.precision_bits)[0]
+        norm_lo = sqrt_bounds(x_next.norm_sq(), phi.precision_bits)[0]
         n2p = x_next.norm_sq()
         assert n2p > x.norm_sq()
         if dsq_prev is not None:
@@ -367,7 +376,7 @@ class TestLimit:
         tr = split4_pow_trace
         lim = limit_point(tr)
         assert lim.representative == tr.entries[-1].x.rep
-        assert lim.radius_sq == Fraction(9, 4) * tr.entries[-2].step.dist_sq
+        assert lim.radius_sq == Fraction(9, 4) * dist_sq(tr.entries[-2].x.rep, tr.entries[-1].x.rep)
 
     def test_short_trace_rejected(self, split4_form):
         form, wit = split4_form

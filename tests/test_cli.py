@@ -3,10 +3,13 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from maxsing.cli import EXIT_AUDIT, EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main
+
+V1_TRACE = Path(__file__).with_name("data") / "grassmann42_pow_seed7_v1.json"
 
 
 def gen(tmp_path, *extra, name="t.json"):
@@ -198,6 +201,40 @@ class TestCertificateTamper:
         assert main(["verify", str(bad), "--out", str(tmp_path / "audit.json")]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "error: cannot load trace" in err and "witness" in err
+        assert "Traceback" not in err
+
+
+class TestMalformedTrace:
+    """A malformed version 1 or 2 trace is rejected on load: exit 1, a message naming
+    the entry and the field, never a traceback or a wrong reading."""
+
+    @pytest.fixture(scope="class")
+    def docs(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("malformed") / "g42.json"
+        assert main(["gen", "--family", "grassmann", "--n", "4", "--k", "2", "--phi", "pow", "1/2",
+                     "--steps", "5", "--seed", "7", "--out", str(out)]) == EXIT_OK
+        return {1: json.loads(V1_TRACE.read_text()), 2: json.loads(out.read_text())}
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("mutate, field", [
+        (lambda d: d["entries"][2]["x"].__setitem__(0, "1/2"), "entries[2].x"),
+        (lambda d: d["entries"][2].__setitem__("x", ["0"] * 6), "entries[2].x"),
+        (lambda d: d["entries"][2]["x"].pop(), "entries[2].x"),
+        (lambda d: d.__setitem__("entries", "abc"), "entries"),
+        (lambda d: d["entries"][2]["step"]["z_witness"].pop(), "entries[2].step.z_witness"),
+        (lambda d: d["entries"][2].__setitem__("witness", ["".join(v) for v in d["entries"][2]["witness"]]),
+         "entries[2].witness"),
+    ], ids=["half-coordinate", "zero-point", "short-vector", "entries-not-a-list", "short-witness",
+            "string-slot"])
+    def test_rejected_on_load(self, docs, tmp_path, capsys, version, mutate, field):
+        doc = copy.deepcopy(docs[version])
+        assert doc["version"] == version
+        mutate(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["verify", str(bad), "--out", str(tmp_path / "audit.json")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"error: cannot load trace {bad}: {field}" in err
         assert "Traceback" not in err
 
 

@@ -1,19 +1,25 @@
 """Traces stay byte-identical: gen output is pinned by sha256 digests.
 
-The split4 and grassmann(4,2) pow digests were taken from the code before
-the multiplier search was reworked to take contents through G and to
-defer roots; the other k-linear digests from the code before k-linear
-evaluation moved to integers.  A speed change must keep them; a
-deliberate format change replaces them and says so.
+Each case pins two digests.  The file digest is of the trace version 2
+bytes; a speed change must keep it, a deliberate format change replaces
+it and says so.  The stored-values digest is of what a trace stores (the
+header, and per entry x, witness, z, z_witness, b and certificate) in a
+canonical form, so it holds across formats: these were taken from the
+version 1 traces, before the format changed.
 """
 
 import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from maxsing.builder import trace_from_doc
 from maxsing.cli import EXIT_BUDGET, EXIT_OK, main
 from maxsing.multilinear import KLinearMap, prodforms_map, save_map
+
+V1_FIXTURE = Path(__file__).with_name("data") / "grassmann42_pow_seed7_v1.json"
 
 KLINEAR_POW = ("--phi", "pow", "1/2", "--steps", "8", "--max-height", "4")
 SPLIT4_POW = ("--family", "quadric", "--phi", "pow", "1/2", "--steps", "11")
@@ -23,6 +29,7 @@ GRASSMANN52_POW = ("--family", "grassmann", "--n", "5", "--k", "2", *KLINEAR_POW
 PRODFORMS23_POW = ("--family", "prodforms", "--n", "2", "--k", "3", *KLINEAR_POW)
 GRASSMANN42_LOG3X = ("--family", "grassmann", "--n", "4", "--k", "2", "--phi", "log3x", "--steps", "12")
 RATIONAL_MAP_POW = ("--family", "klinear", "--klinear-file", "{map}", *KLINEAR_POW)
+GRASSMANN42_V1 = ("--family", "grassmann", "--n", "4", "--k", "2", "--phi", "pow", "1/2", "--steps", "5")
 
 
 def rational_prodforms_map() -> KLinearMap:
@@ -37,24 +44,80 @@ def rational_prodforms_map() -> KLinearMap:
     return KLinearMap(k=2, n=3, target_dim=base.target_dim, basis_images=images)
 
 
-@pytest.mark.parametrize("args, seed, exit_code, digest", [
-    (SPLIT4_POW, 0, EXIT_OK, "1a3650327ec0862e30a4ee29a43b601c2f1697ace7aa04f3e1c986fefe48f805"),
-    (SPLIT4_POW, 7, EXIT_OK, "2286dc90642639588a295dcecbc41ed64d7973c71cba52928121009398f1be61"),
-    (SPLIT4_LOG3X, 7, EXIT_BUDGET, "37ee8491dafc66df6fc2597c3faa8e09bbc6c195946a42a85a19108698126f35"),
-    (GRASSMANN42_POW, 7, EXIT_OK, "8bd30fe685a7ce4d336ca41eb976448b723fe133f65c2b132ca03b16e067e228"),
-    (GRASSMANN52_POW, 7, EXIT_OK, "7f62fe7a71e2e269b1fa17e6b0f053ab730a7de51768eced0df0c2a4f3740e6a"),
-    (PRODFORMS23_POW, 7, EXIT_OK, "05cf2794ed82ed5504809ee82db660053d9cc539f861ecb47150a9a8cbfb24f5"),
-    (GRASSMANN42_LOG3X, 7, EXIT_BUDGET, "f488354487e3fc993a60a9a43fa83f4404e48e3c2845ede62163b2d56a48e3bc"),
-    (RATIONAL_MAP_POW, 7, EXIT_OK, "6c40338c6435e486284836529b5c921fe64361b4f5fe6cbcbd7ed2f3ed78f4f7"),
-], ids=["split4-pow-seed0", "split4-pow-seed7", "split4-log3x-seed7", "grassmann42-pow-seed7",
-        "grassmann52-pow-seed7", "prodforms23-pow-seed7", "grassmann42-log3x-seed7",
-        "rational-map-pow-seed7"])
-def test_trace_digest(tmp_path, args, seed, exit_code, digest):
+def stored_values_digest(doc: dict) -> str:
+    """sha256 of a trace document's stored values, the same for version 1 and 2."""
+    def ints(v):
+        return [format(int(a, 0), "x") for a in v]
+
+    def step(s):
+        return None if s is None else {"z": ints(s["z"]), "z_witness": s["z_witness"],
+                                       "b": format(int(s["b"], 0), "x"), "certificate": s["certificate"]}
+
+    canon = {
+        "header": {k: doc[k] for k in ("family", "phi", "ambient_dim", "seed", "partial", "budget_note")},
+        "entries": [{"index": e["index"], "x": ints(e["x"]), "witness": e["witness"], "step": step(e["step"])}
+                    for e in doc["entries"]],
+    }
+    return hashlib.sha256(json.dumps(canon, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
+def gen(tmp_path, args, seed) -> tuple[int, Path]:
     if args is RATIONAL_MAP_POW:
         map_path = tmp_path / "map.json"
         save_map(rational_prodforms_map(), str(map_path))
         args = tuple(str(map_path) if a == "{map}" else a for a in args)
     out = tmp_path / "t.json"
     code = main(["gen", *args, "--seed", str(seed), "--precision-bits", "64", "--out", str(out)])
+    return code, out
+
+
+@pytest.mark.parametrize("args, seed, exit_code, digest, stored", [
+    (SPLIT4_POW, 0, EXIT_OK, "f0c54eaa5900c33029c361769bb483e4d252cae922e84f997dd1d4db3dca5021",
+     "e79bd3a378bc80ab4bf3d4c7d652d182f2d41ca49bbacb53ce20e31af8f9bddc"),
+    (SPLIT4_POW, 7, EXIT_OK, "3d8b2a08a241e277241b2e0c31c4f39263c5f72d38819547c99d36fda1c7e2c1",
+     "f260982c56516e5ddd2311877022b0e0c588bc8b52938c03cf5c0dc02c3a6979"),
+    (SPLIT4_LOG3X, 7, EXIT_BUDGET, "ca92318656fab4b7a6d699df2148721247f5e994f80a8d6d3e27435de48a53c8",
+     "c1c98a6d7e450f723d80c663bf7694ad219d05e1f901d5f6e271682d8720bc2e"),
+    (GRASSMANN42_POW, 7, EXIT_OK, "abf9c335a2dcc5e32c3bf74d80fa0f7cd2f997a74ae65b3f403c6bafc6913f4e",
+     "41d4968b23342e50c45e57eb32edd532631d998e25ad1e113658cf3a0f9b84af"),
+    (GRASSMANN52_POW, 7, EXIT_OK, "9846d62ca3a554031f0b5bc19e3a48566dadf124fe7dee4ca35ddf819ff1aa0e",
+     "f962e89bc0e3da5cfd80412226bfe89d4539ecbf404e6c60023bb99ad50ad3b5"),
+    (PRODFORMS23_POW, 7, EXIT_OK, "6d639a57b9c20fc724fde2c7c02742f0f0ed4e2ac0538f120dc34b3c36351c73",
+     "dab77217be8557a9d6aadc40c66bab06720ec60a0198dc7cf88ec605ee7d354d"),
+    (GRASSMANN42_LOG3X, 7, EXIT_BUDGET, "bd51e0f810751b6a7e80423d92e070bd985844bb361f155d21799ae8f3c8225b",
+     "b6f3b7f6f6b764b8c67f70c421be8de488c7797e8c7f2f5cf4bb2bfb8cfc5a31"),
+    (RATIONAL_MAP_POW, 7, EXIT_OK, "8a1859eaa1d3c6fefaec032c7f9228a49c655c924744cc05c0f7daa36e6a6655",
+     "8e9db1f2eaac252ac83512ec338d943c79614cb9473118a391a60a26f333c590"),
+], ids=["split4-pow-seed0", "split4-pow-seed7", "split4-log3x-seed7", "grassmann42-pow-seed7",
+        "grassmann52-pow-seed7", "prodforms23-pow-seed7", "grassmann42-log3x-seed7",
+        "rational-map-pow-seed7"])
+def test_trace_digest(tmp_path, args, seed, exit_code, digest, stored):
+    code, out = gen(tmp_path, args, seed)
     assert code == exit_code
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    data = out.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+    assert stored_values_digest(json.loads(data)) == stored
+
+
+class TestVersion1Fixture:
+    """A version 1 trace, written before the format changed, still reads and audits the same.
+
+    The fixture is GRASSMANN42_V1 at seed 7 and 64 precision bits; the
+    audit digest was taken from the code that wrote it.
+    """
+
+    def test_verify_audit_is_unchanged(self, tmp_path):
+        audit = tmp_path / "audit.json"
+        assert main(["verify", str(V1_FIXTURE), "--precision", "64", "--out", str(audit)]) == EXIT_OK
+        assert hashlib.sha256(audit.read_bytes()).hexdigest() == (
+            "acbc65152e4ae51312cb49d6dc3cf5398d961c916e89c3f27999cbdc6840e73f")
+
+    def test_reads_as_a_version_2_rerun(self, tmp_path):
+        v1 = json.loads(V1_FIXTURE.read_text())
+        assert v1["version"] == 1
+        code, out = gen(tmp_path, GRASSMANN42_V1, 7)
+        assert code == EXIT_OK
+        v2 = json.loads(out.read_text())
+        assert v2["version"] == 2
+        assert stored_values_digest(v1) == stored_values_digest(v2)
+        assert trace_from_doc(v1) == trace_from_doc(v2)

@@ -14,7 +14,7 @@ from maxsing.builder import (
     trace_from_doc,
     trace_to_doc,
 )
-from maxsing.exact_geometry import dist_sq, dot, norm_sq, primitive, sqrt_bounds
+from maxsing.exact_geometry import dist_sq, dot, norm_sq, primitive
 from maxsing.families import SearchBudget, grassmann_adapter, prodforms_adapter, quadric_adapter
 from maxsing.quadric import split4
 from maxsing.verifier import (
@@ -65,18 +65,32 @@ class TestCheckConditions:
         assert any("(a)" in msg for r in bad for msg in r["failures"])
 
     def test_tampered_distance_detected(self, split4_pow_trace):
+        # the distance is derived from the points, so tamper a stored
+        # field it rests on: one coordinate of the line generator z
         def corrupt(doc):
-            doc["entries"][2]["step"]["dist_sq"] = "1/7"
+            z = doc["entries"][2]["step"]["z"]
+            z[0] = hex(int(z[0], 0) + 1)
 
         report = check_conditions(tamper(split4_pow_trace, corrupt))
         assert not report["all_pass"]
 
     def test_tampered_multiplier_detected(self, grassmann_pow_trace):
         def corrupt(doc):
-            doc["entries"][1]["step"]["b"] = str(int(doc["entries"][1]["step"]["b"]) + 1)
+            doc["entries"][1]["step"]["b"] = hex(int(doc["entries"][1]["step"]["b"], 0) + 1)
 
         report = check_conditions(tamper(grassmann_pow_trace, corrupt))
         assert not report["all_pass"]
+
+    def test_stricter_decay_target_fails_d(self, split4_pow_trace):
+        # the points meet X^(-1/2) with the first multiplier found; relabelled
+        # X^(-2/3), the decay part of (d) fails while telescoping still holds
+        def relabel(doc):
+            doc["phi"]["exponent"] = "2/3"
+
+        report = check_conditions(tamper(split4_pow_trace, relabel))
+        msgs = [m for r in report["conditions"] for m in r["failures"]]
+        assert any(m.startswith("(d) decay target fails") for m in msgs)
+        assert not any("telescoping" in m for m in msgs)
 
     def test_malformed_trace_rejected(self, split4_pow_trace):
         doc = copy.deepcopy(trace_to_doc(split4_pow_trace))
@@ -88,8 +102,7 @@ class TestCheckConditions:
         # rewrite the last step consistently with a smaller multiplier:
         # the builder chose the minimal one, so the decay or telescoping
         # part of (d) must now fail, and nothing else should
-        from maxsing.builder import ApproxFn
-        from maxsing.exact_geometry import primitive as prim, rank, sqrt_bounds, vec_add, vec_scale
+        from maxsing.exact_geometry import primitive as prim, vec_add, vec_scale
 
         tr = trace_from_doc(copy.deepcopy(trace_to_doc(split4_pow_trace)))
         entry = tr.entries[-2]
@@ -99,18 +112,9 @@ class TestCheckConditions:
             if prim(vec_add(z.rep, vec_scale(bb, x.rep))).norm_sq() > x.norm_sq()
         )
         new_last = prim(vec_add(z.rep, vec_scale(b_small, x.rep)))
-        phi = ApproxFn.from_descriptor(tr.phi)
-        norm_lo = sqrt_bounds(new_last.norm_sq(), phi.precision_bits)[0]
-        phi_lo, phi_hi = phi._phi_bounds(max(norm_lo, Fraction(1)))
-        pts = [e.x.rep for e in tr.entries[:-1]] + [new_last.rep]
         doc = trace_to_doc(tr)
-        step = doc["entries"][-2]["step"]
-        step["b"] = str(b_small)
-        step["dist_sq"] = str(dist_sq(new_last.rep, x.rep))
-        step["norm_lo_next"] = str(norm_lo)
-        step["phi_lo"], step["phi_hi"] = str(phi_lo), str(phi_hi)
-        step["tail_spans"] = rank(pts[1:]) == tr.ambient_dim
-        doc["entries"][-1]["x"] = [str(a) for a in new_last.rep]
+        doc["entries"][-2]["step"]["b"] = hex(b_small)
+        doc["entries"][-1]["x"] = [hex(a) for a in new_last.rep]
         report = check_conditions(trace_from_doc(doc))
         assert not report["all_pass"]
         msgs = [m for r in report["conditions"] for m in r["failures"]]
@@ -322,6 +326,8 @@ class TestExponent:
     def test_certified_lower_bound_semantics(self, split4_log3x_trace):
         rows = exponent_report(split4_log3x_trace)
         lim = limit_point(split4_log3x_trace)
+        # the limit's radius gives the last step's term exactly
+        assert exponent_report(split4_log3x_trace, limit=lim) == rows
         for r in rows:
             # the bound it certifies: Dmin(X) <= D(x_index) <= D_hi <= X^(-lambda)
             assert r.d_hi > 0
