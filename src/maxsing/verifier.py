@@ -108,7 +108,7 @@ def check_conditions(trace: SequenceTrace) -> dict:
         nxt_entry = trace.entries[i]
         if not adapter.member(TracePoint(nxt_entry.x, nxt_entry.witness)):
             fails.append("(a) next point is not a certified member")
-        h, _ = compute_hi(points[:i], trace.ambient_dim)
+        h = compute_hi(points[:i], trace.ambient_dim)
         # step consistency: x_next == primitive(z + b*x)
         y = vec_add(step.z.rep, vec_scale(step.b, x.rep))
         if all(a == 0 for a in y) or primitive(y) != x_next:
@@ -142,10 +142,9 @@ def check_conditions(trace: SequenceTrace) -> dict:
                 fails.append(f"(d) telescoping fails: 9*{Fraction(wnum, wden)} > {Fraction(pnum, pden)}")
             # t = (9/4) dsq |x|^2 as an unreduced pair u/v; |x|^2 cancels
             u, v = 9 * wnum, 4 * n2n
-            xeval = max(sqrt_bounds(n2n, phi.precision_bits)[0], Fraction(1))
-            if not phi.le_phi_sq_lo(u, v, n2n, xeval):
+            if not phi.le_phi_sq_lo(u, v, n2n):
                 fails.append("(d) decay target fails at the certified norm bound")
-            if not phi.le_phi_sq_hi(u, v, n2n, xeval):
+            if not phi.le_phi_sq_hi(u, v, n2n):
                 fails.append("(eq2) norm-weighted distance exceeds the decay upper bound")
         if fails:
             all_pass = False
@@ -356,17 +355,14 @@ class ExponentRow:
     lambda_lb: Fraction   # certified lower bound: Dmin(X_i) <= X_i^(-lambda_lb)
 
 
-def exponent_report(
-    trace: SequenceTrace, precision_bits: int = 64, limit: CertifiedLimit | None = None
-) -> list[ExponentRow]:
+def exponent_report(trace: SequenceTrace, precision_bits: int = 64) -> list[ExponentRow]:
     """Certified per-scale exponent lower bounds from a trace.
 
     For each step i >= 2 the telescoping gives
     D(x_i) <= (3/2) |x_i| dist(x_{i+1}, x_i) for every valid
     continuation, and x_i stays feasible at every scale X >= |x_i|, so
-    -log(D_hi)/log(X_i) certifies the decay exponent at X_i.  The squared
-    bound is decay_term; a limit from limit_point(trace) supplies the last
-    step's as radius_sq |x|^2, which saves reducing it a second time.
+    -log(D_hi)/log(X_i) certifies the decay exponent at X_i; the squared
+    bound is decay_term.
     """
     if len(trace.entries) < 3:
         raise TraceTooShort("exponent estimates need at least 3 points")
@@ -379,10 +375,7 @@ def exponent_report(
             break
         x, x_next = points[i - 1], points[i]
         n2x, n2n = n2n, x_next.norm_sq()
-        if limit is not None and i == len(points) - 1:
-            t = limit.radius_sq * n2x
-        else:
-            t = decay_term(n2x, n2n, dot(x.rep, x_next.rep))
+        t = decay_term(n2x, n2n, dot(x.rep, x_next.rep))
         d_hi = sqrt_bounds_rel(t, precision_bits + 4)[1]
         # the lower bound of |x_{i+1}| at the trace's precision, as gen uses it
         x_scale = sqrt_bounds(n2n, norm_prec)[0]
@@ -427,6 +420,8 @@ def audit_report(
         report["all_pass"] = False
     report["spanning_required_ok"] = span_ok
     if n >= 3:
+        # exponent_report first: limit_point then reuses the last step's term
+        exp_rows = exponent_report(trace, precision_bits)
         lim = limit_point(trace, precision_bits)
         report["limit"] = {
             "representative": [str(a) for a in lim.representative],
@@ -442,7 +437,7 @@ def audit_report(
                 "lambda_lb": str(r.lambda_lb),
                 "lambda_lb_dec": dec_str(r.lambda_lb, 12),
             }
-            for r in exponent_report(trace, precision_bits, lim)
+            for r in exp_rows
         ]
     else:
         report["limit"] = None

@@ -97,7 +97,7 @@ def stopping_line(trace: SequenceTrace, budget: SearchBudget) -> tuple[IntVec, I
     rng = random.Random(trace.seed) if trace.seed else None
     points = trace.points()
     for i, entry in enumerate(trace.entries, start=1):
-        h, _ = compute_hi(points[:i], adapter.ambient_dim)
+        h = compute_hi(points[:i], adapter.ambient_dim)
         z_tp, cert = adapter.line_step(TracePoint(entry.x, entry.witness), h, budget, rng)
         z_tp, _ = _reduce_line_generator(entry.x, entry.witness, z_tp, cert, adapter)
         if entry.step is not None:
