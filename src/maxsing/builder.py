@@ -28,6 +28,7 @@ from .exact_geometry import (
     ProjPointQ,
     ProjSubspaceQ,
     dot,
+    int_from_doc,
     inth_root,
     ln_bounds,
     norm_sq,
@@ -169,9 +170,16 @@ class ApproxFn:
         """
         return self._le_phi_sq(u, v, norm_sq_next, self.phi_lo)
 
-    def le_phi_sq_hi(self, u: int, v: int, norm_sq_next: int) -> bool:
-        """Decide u/v <= phi_hi(X)^2 (the auditable upper-bound flavour)."""
-        return self._le_phi_sq(u, v, norm_sq_next, self.phi_hi)
+    def le_phi_sq_lo_hi(self, u: int, v: int, norm_sq_next: int) -> tuple[bool, bool]:
+        """Decide u/v <= phi_lo(X)^2, then u/v <= phi_hi(X)^2 (the auditable upper-bound flavour).
+
+        phi_lo <= phi_hi, so the first implies the second, and the power law
+        decides both by the same exact comparison, which is made once.
+        """
+        lo = self.le_phi_sq_lo(u, v, norm_sq_next)
+        if lo or self.variant == "pow":
+            return lo, lo
+        return lo, self._le_phi_sq(u, v, norm_sq_next, self.phi_hi)
 
     def _le_phi_sq(self, u: int, v: int, norm_sq: int, bound) -> bool:
         if u < 0:
@@ -630,14 +638,10 @@ def trace_to_doc(trace: SequenceTrace) -> dict:
 
 
 def _parse_int(value, where: str) -> int:
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, str):
-        try:
-            return int(value, 16) if value.lstrip("+-")[:2].lower() == "0x" else int(value)
-        except ValueError:
-            pass
-    raise MalformedTrace(f"{where}: {value!r:.40} is not an integer")
+    try:
+        return int_from_doc(value, where)
+    except ValueError as exc:
+        raise MalformedTrace(str(exc)) from None
 
 
 def _parse_point(doc, dim: int, where: str) -> ProjPointQ:

@@ -182,13 +182,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _scale_str(x) -> str:
-    digits = str(int(x))
-    if len(digits) <= 12:
-        return dec_str(x, 4)
-    return f"{digits[0]}.{digits[1:7]}e+{len(digits) - 1}"
-
-
 def cmd_exponent(args) -> int:
     trace = _load_trace_or_exit(args.trace)
     if trace is None:
@@ -198,19 +191,13 @@ def cmd_exponent(args) -> int:
     except builder.TraceTooShort as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    docs = [r.to_doc() for r in rows]
     if args.json:
-        print(json.dumps(
-            [
-                {"index": r.index, "X": str(r.x_scale), "D_hi": str(r.d_hi),
-                 "lambda_lb": str(r.lambda_lb), "lambda_lb_dec": dec_str(r.lambda_lb, 12)}
-                for r in rows
-            ],
-            indent=2,
-        ))
+        print(json.dumps(docs, indent=2))
         return EXIT_OK
-    print(f"{'index':>5}  {'X':>16}  {'lambda_lb':>16}")
-    for r in rows:
-        print(f"{r.index:>5}  {_scale_str(r.x_scale):>16}  {dec_str(r.lambda_lb, 12):>16}")
+    print(f"{'index':>5}  {'X':>18}  {'lambda_lb':>16}")
+    for d in docs:
+        print(f"{d['index']:>5}  {d['X_dec']:>18}  {d['lambda_lb_dec']:>16}")
     return EXIT_OK
 
 

@@ -586,3 +586,57 @@ def dec_str(x, digits: int = 12) -> str:
     scaled = (x.numerator * 10 ** digits) // x.denominator
     ip, fp = divmod(scaled, 10 ** digits)
     return f"{sign}{ip}.{str(fp).zfill(digits)}"
+
+
+# Exact values are written in hex, which converts in linear time where decimal
+# takes quadratic time (Brent and Zimmermann, Modern Computer Arithmetic, 2010,
+# section 1.7); int(s, 0) on each side of the slash reads them back.
+
+
+def hex_str(x) -> str:
+    """Exact rendering of a rational: 0x<num>/0x<den>, or 0x<num> for an integer."""
+    x = Fraction(x)
+    num = format(x.numerator, "#x")
+    return num if x.denominator == 1 else f"{num}/{x.denominator:#x}"
+
+
+def sci_str(x, digits: int = 12) -> str:
+    """d.ddd...e±N with ``digits`` significant digits truncated toward zero; "0" for zero.
+
+    With m the digits read as one integer,
+    m * 10^(N-digits+1) <= |x| < (m+1) * 10^(N-digits+1) and
+    10^(digits-1) <= m < 10^digits.  Bit lengths give |x| > 2^e, so
+    L = floor(e * c) <= N for c = 0.3010299956 (0.3010299957 when e < 0)
+    on the right side of log10(2); |x| < 2^(e+1) keeps N - L <= 1 for
+    |e| < 10^9.  So floor(|x| * 10^(digits-1-L)) takes one power of ten
+    and one division, and dropping its extra low digits gives m, since
+    floor(floor(y) / 10^k) = floor(y / 10^k).
+    """
+    x = Fraction(x)
+    if x == 0:
+        return "0"
+    p, q = abs(x.numerator), x.denominator
+    e = p.bit_length() - q.bit_length() - 1
+    low = e * (3010299956 if e >= 0 else 3010299957) // 10 ** 10
+    s = digits - 1 - low
+    m = p * 10 ** s // q if s >= 0 else p // (q * 10 ** -s)
+    extra = len(str(m)) - digits
+    mantissa = str(m // 10 ** extra)
+    sign = "-" if x < 0 else ""
+    return f"{sign}{mantissa[0]}.{mantissa[1:]}e{low + extra:+d}"
+
+
+def int_from_doc(value, field: str) -> int:
+    """An integer from JSON: an int, a 0x hex string or a decimal string.
+
+    Anything else, a "1/2" or a bool included, raises a ValueError naming
+    ``field``.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value, 16) if value.lstrip("+-")[:2].lower() == "0x" else int(value)
+        except ValueError:
+            pass
+    raise ValueError(f"{field}: {value!r:.40} is not an integer")

@@ -19,6 +19,7 @@ from .exact_geometry import (
     ProjPointQ,
     ProjSubspaceQ,
     RatVec,
+    int_from_doc,
     primitive,
     rank,
     subspace_span,
@@ -168,8 +169,11 @@ class KLinearAdapter:
 
     def _cert_from_doc(self, cert: dict) -> ml.LineCertificate:
         beta_witness = ml.witness_from_doc(cert["beta_witness"], "certificate beta_witness")
+        beta_point = cert["beta_point"]
+        if not isinstance(beta_point, list):
+            raise ValueError(f"certificate beta_point: {beta_point!r:.40} is not a list of integers")
         beta = ml.WitnessedPoint(
-            ProjPointQ(tuple(int(Fraction(a)) for a in cert["beta_point"])), beta_witness
+            ProjPointQ(tuple(int_from_doc(a, "certificate beta_point") for a in beta_point)), beta_witness
         )
         beta_prime = cert.get("beta_prime")
         return ml.LineCertificate(

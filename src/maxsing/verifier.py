@@ -21,6 +21,7 @@ from .builder import (
     MalformedTrace,
     SequenceTrace,
     TraceTooShort,
+    _product_gt,
     compute_hi,
     decay_term,
     limit_point,
@@ -32,10 +33,12 @@ from .exact_geometry import (
     dec_str,
     dist_sq,
     dot,
+    hex_str,
     ln_bounds,
     norm_sq,
     primitive,
     rank,
+    sci_str,
     sqrt_bounds,
     sqrt_bounds_rel,
     vec_add,
@@ -138,13 +141,13 @@ def check_conditions(trace: SequenceTrace) -> dict:
         # (d) for i >= 2, plus the distance-decay consequence
         if i >= 2:
             pnum, pden = dsq_prev
-            if 9 * wnum * pden > pnum * wden:
+            if _product_gt(((9 * wnum, 1), (pden, 1)), ((pnum, 1), (wden, 1))):
                 fails.append(f"(d) telescoping fails: 9*{Fraction(wnum, wden)} > {Fraction(pnum, pden)}")
             # t = (9/4) dsq |x|^2 as an unreduced pair u/v; |x|^2 cancels
-            u, v = 9 * wnum, 4 * n2n
-            if not phi.le_phi_sq_lo(u, v, n2n):
+            lo_ok, hi_ok = phi.le_phi_sq_lo_hi(9 * wnum, 4 * n2n, n2n)
+            if not lo_ok:
                 fails.append("(d) decay target fails at the certified norm bound")
-            if not phi.le_phi_sq_hi(u, v, n2n):
+            if not hi_ok:
                 fails.append("(eq2) norm-weighted distance exceeds the decay upper bound")
         if fails:
             all_pass = False
@@ -354,6 +357,18 @@ class ExponentRow:
     d_hi: Fraction        # certified upper bound on D(x_i)
     lambda_lb: Fraction   # certified lower bound: Dmin(X_i) <= X_i^(-lambda_lb)
 
+    def to_doc(self) -> dict:
+        """X and D_hi exact in hex and as 12 significant digits; lambda_lb as a decimal."""
+        return {
+            "index": self.index,
+            "X": hex_str(self.x_scale),
+            "X_dec": sci_str(self.x_scale, 12),
+            "D_hi": hex_str(self.d_hi),
+            "D_hi_dec": sci_str(self.d_hi, 12),
+            "lambda_lb": str(self.lambda_lb),
+            "lambda_lb_dec": dec_str(self.lambda_lb, 12),
+        }
+
 
 def exponent_report(trace: SequenceTrace, precision_bits: int = 64) -> list[ExponentRow]:
     """Certified per-scale exponent lower bounds from a trace.
@@ -423,22 +438,12 @@ def audit_report(
         # exponent_report first: limit_point then reuses the last step's term
         exp_rows = exponent_report(trace, precision_bits)
         lim = limit_point(trace, precision_bits)
+        # the center is the trace's last point, which the report does not repeat
         report["limit"] = {
-            "representative": [str(a) for a in lim.representative],
-            "radius_sq": str(lim.radius_sq),
+            "radius_sq": hex_str(lim.radius_sq),
+            "radius_sq_dec": sci_str(lim.radius_sq, 12),
         }
-        report["exponents"] = [
-            {
-                "index": r.index,
-                "X": str(r.x_scale),
-                "X_dec": dec_str(r.x_scale, 6),
-                "D_hi": str(r.d_hi),
-                "D_hi_dec": dec_str(r.d_hi, 12),
-                "lambda_lb": str(r.lambda_lb),
-                "lambda_lb_dec": dec_str(r.lambda_lb, 12),
-            }
-            for r in exp_rows
-        ]
+        report["exponents"] = [r.to_doc() for r in exp_rows]
     else:
         report["limit"] = None
         report["exponents"] = []

@@ -166,6 +166,8 @@ class TestCertificateTamper:
         ("z_scale", "1/0"),
         ("z_witness", None),
         ("beta_witness", 5),
+        ("beta_point", ["1/2", "0", "0", "0", "0", "1"]),
+        ("beta_point", 5),
     ])
     def test_unparsable_field_is_named(self, trace_doc, tmp_path, capsys, field, value):
         doc = copy.deepcopy(trace_doc)
@@ -248,6 +250,7 @@ class TestExponent:
         assert main(["exponent", str(out), "--json"]) == EXIT_OK
         rows = json.loads(capsys.readouterr().out)
         assert all({"index", "X", "D_hi", "lambda_lb"} <= set(r) for r in rows)
+        assert [r["X_dec"] for r in rows] == [line.split()[1] for line in table.splitlines()[-len(rows):]]
 
     def test_short_trace_rejected(self, tmp_path):
         _, out = gen(tmp_path, "--family", "quadric", "--phi", "log3x", "--steps", "2")

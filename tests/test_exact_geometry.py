@@ -1,8 +1,9 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from maxsing.exact_geometry import (
     RANK_PRIME,
@@ -11,6 +12,7 @@ from maxsing.exact_geometry import (
     ProjPointQ,
     ZeroVector,
     dist_sq,
+    hex_str,
     in_span,
     inth_root,
     ln_bounds,
@@ -18,6 +20,7 @@ from maxsing.exact_geometry import (
     orthogonal_functionals,
     primitive,
     rank,
+    sci_str,
     sqrt_bounds,
     subspace_span,
     vec_scale,
@@ -425,3 +428,48 @@ class TestLnBounds:
         lo1, hi1 = ln_bounds(y, 24)
         lo2, hi2 = ln_bounds(y, 80)
         assert lo1 <= lo2 and hi2 <= hi1
+
+
+# integers of up to 400k bits, the size of a 12-point split4 coordinate's products
+big_ints = st.builds(lambda bits, seed: random.Random(seed).getrandbits(bits) | 1,
+                     st.integers(min_value=1, max_value=400_000), st.integers(min_value=0, max_value=2 ** 32))
+small_dens = st.integers(min_value=1, max_value=2 ** 4096)
+render_values = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(min_value=-10 ** 40, max_value=10 ** 40).map(Fraction),
+    st.builds(lambda a, k: Fraction(a, 1 << k),
+              st.integers(min_value=-10 ** 40, max_value=10 ** 40), st.integers(min_value=0, max_value=300)),
+    st.builds(lambda a, d, neg: Fraction(-a if neg else a, d), big_ints, small_dens, st.booleans()),
+    st.builds(lambda a, d, neg: Fraction(-d if neg else d, a), big_ints, small_dens, st.booleans()),
+    st.builds(lambda k, d: Fraction(10) ** k + Fraction(d, 10 ** 80),
+              st.integers(min_value=-60, max_value=60), st.integers(min_value=-1, max_value=1)),
+)
+
+
+class TestRenderers:
+    """hex_str is exact and sci_str gives the truncated leading digits."""
+
+    @given(render_values)
+    @example(Fraction(10 ** 12))
+    @example(Fraction(10 ** 12 - 1))
+    @example(Fraction(-1, 3))
+    @example(Fraction(random.Random(7).getrandbits(400_000) | 1, 3 << 64))
+    # just above 2^e where e*log10(2) lies within 3e-6 of an integer (above
+    # it for e = 254370, below it for e = -325147), so a bound on log10(2)
+    # rounded the wrong way overestimates the exponent
+    @example(Fraction(1 << (254370 + 64), (1 << 64) - 1))
+    @example(Fraction(1 << 64, ((1 << 64) - 1) << 325147))
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_hex_round_trip_and_scientific_bounds(self, x):
+        assert Fraction(*(int(t, 0) for t in hex_str(x).split("/"))) == x
+        assert ("/" in hex_str(x)) == (x.denominator != 1)
+        s = sci_str(x, 12)
+        if x == 0:
+            assert s == "0"
+            return
+        mantissa, exp = s.split("e")
+        assert mantissa.startswith("-") == (x < 0)
+        m, n = int(mantissa.lstrip("-").replace(".", "")), int(exp)
+        assert 10 ** 11 <= m < 10 ** 12
+        unit = Fraction(10) ** (n - 11)
+        assert m * unit <= abs(x) < (m + 1) * unit

@@ -61,6 +61,23 @@ def stored_values_digest(doc: dict) -> str:
     return hashlib.sha256(json.dumps(canon, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
 
+def audit_values_digest(doc: dict) -> str:
+    """sha256 of an audit report's values, the same for the decimal and the hex rendering.
+
+    Exact values are read as Fractions with one int(s, 0) per side of the
+    slash; the *_dec renderings and the limit's center (the trace's last
+    point, which only the decimal rendering repeats) are dropped.
+    """
+    def exact(s):
+        return str(Fraction(*(int(t, 0) for t in s.split("/"))))
+
+    limit = doc["limit"] and {"radius_sq": exact(doc["limit"]["radius_sq"])}
+    rows = [{"index": r["index"], **{k: exact(r[k]) for k in ("X", "D_hi", "lambda_lb")}}
+            for r in doc["exponents"]]
+    canon = {**doc, "limit": limit, "exponents": rows}
+    return hashlib.sha256(json.dumps(canon, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
 def gen(tmp_path, args, seed) -> tuple[int, Path]:
     if args is RATIONAL_MAP_POW:
         map_path = tmp_path / "map.json"
@@ -102,15 +119,19 @@ def test_trace_digest(tmp_path, args, seed, exit_code, digest, stored):
 class TestVersion1Fixture:
     """A version 1 trace, written before the format changed, still reads and audits the same.
 
-    The fixture is GRASSMANN42_V1 at seed 7 and 64 precision bits; the
-    audit digest was taken from the code that wrote it.
+    The fixture is GRASSMANN42_V1 at seed 7 and 64 precision bits.  The
+    audit file digest is of the hex rendering of the report; the
+    audit-values digest was taken from the decimal rendering, before it
+    changed, so the report still states the same values.
     """
 
     def test_verify_audit_is_unchanged(self, tmp_path):
         audit = tmp_path / "audit.json"
         assert main(["verify", str(V1_FIXTURE), "--precision", "64", "--out", str(audit)]) == EXIT_OK
         assert hashlib.sha256(audit.read_bytes()).hexdigest() == (
-            "acbc65152e4ae51312cb49d6dc3cf5398d961c916e89c3f27999cbdc6840e73f")
+            "34bff36c3b08fca512a2fa19607d653115d9ccf4fdbcbbfeee11bfa06a64c4ed")
+        assert audit_values_digest(json.loads(audit.read_text())) == (
+            "9c711b8aba939a20a4923e96a525c4a71f4169841dcb07c916a8e7d45dabccc0")
 
     def test_reads_as_a_version_2_rerun(self, tmp_path):
         v1 = json.loads(V1_FIXTURE.read_text())

@@ -90,6 +90,8 @@ class TestCheckConditions:
         report = check_conditions(tamper(split4_pow_trace, relabel))
         msgs = [m for r in report["conditions"] for m in r["failures"]]
         assert any(m.startswith("(d) decay target fails") for m in msgs)
+        # the power law decides both bounds by one exact comparison, and both fail
+        assert any(m.startswith("(eq2)") for m in msgs)
         assert not any("telescoping" in m for m in msgs)
 
     def test_malformed_trace_rejected(self, split4_pow_trace):
