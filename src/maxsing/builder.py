@@ -39,7 +39,6 @@ from .exact_geometry import (
     subspace_span,
     vec_add,
     vec_scale,
-    wedge_sq,
 )
 from .families import SearchBudget, TracePoint
 from .quadric import HeightExhausted
@@ -354,6 +353,14 @@ def _select_multiplier(
       and |primitive(y)|^2 = n2y / c^2 with n2y = |y|^2 in closed form.
     - One distance.  For the same reason |y ^ x| = |z ^ x|, and the
       content cancels: dist_sq(x_next, x) = w2 / (n2x n2y).
+    - No second gcd.  ``accept`` divides y by the c that ``attempt``
+      found, which is y's content.  The first nonzero entries of x and z
+      are positive and b >= 1, so the first nonzero entry of y is too, and
+      y / c is primitive(y).
+    - A skipped division.  With l = bl(tel_l) - bl(tel_r) + 1, bl the bit
+      length, tel_l / tel_r < 2^l, so floor(tel_l / tel_r) + 1 <= 2^l.
+      theta >= 2^(bl(theta) - 1), so when l < bl(theta) the telescoping
+      bound cannot raise theta and is not divided out.
     - Bit lengths first (_product_gt).  An f >= 1 of bit length l has
       2^(l-1) <= f < 2^l, so a product of powers f^e lies in [2^lo, 2^hi),
       lo = sum e (l - 1), hi = sum e l.  The left is larger if its lo
@@ -371,7 +378,7 @@ def _select_multiplier(
     n2x = norm_sq(xr)
     dzx = dot(zr, xr)
     n2z = norm_sq(zr)
-    w2 = wedge_sq(xr, zr)
+    w2 = n2x * n2z - dzx * dzx
     w9 = 9 * w2
     g = gcd(*(xr[a] * zr[c] - xr[c] * zr[a] for a, c in itertools.combinations(range(len(xr)), 2)))
     prec = phi.precision_bits
@@ -393,7 +400,7 @@ def _select_multiplier(
         if n2p <= n2x:
             return None
         if dsq_prev is None:
-            return b, y, n2y
+            return b, y, n2y, c
         if phi.variant == "pow":
             # decay test: (9 w2)^q * n2p^p <= (4 n2y)^q
             if _product_gt(((w9, qq), (n2p, pp)), ((4 * n2y, qq),)):
@@ -403,11 +410,11 @@ def _select_multiplier(
             lo = phi.phi_lo(max(norm_lo, Fraction(1)))
             if w9 * lo.denominator ** 2 > 4 * n2y * lo.numerator ** 2:
                 return None
-        return b, y, n2y
+        return b, y, n2y, c
 
     def accept(r):
-        b, y, n2y = r
-        return b, primitive(y), (w2, n2x * n2y)
+        b, y, n2y, c = r
+        return b, ProjPointQ(tuple(a // c for a in y)), (w2, n2x * n2y)
 
     # the region where |z + b*x| may still be shrinking is scanned in full
     vertex_end = 0 if dzx >= 0 else (-dzx) // n2x + 1
@@ -417,9 +424,10 @@ def _select_multiplier(
     # exact in the model where z + b*x is already primitive
     theta = n2x + 1
     if dsq_prev is not None:
-        theta = max(theta, tel_l // tel_r + 1)
         if phi.variant == "pow":  # need n2y^(q-p) >= (9 w2 / 4)^q
             theta = max(theta, _ceil_root(w9 ** qq, 4 ** qq, qq - pp))
+        if tel_l.bit_length() - tel_r.bit_length() + 1 >= theta.bit_length():
+            theta = max(theta, tel_l // tel_r + 1)
     if theta > n2z:
         disc = dzx * dzx + n2x * (theta - n2z)
         b_hint = max(scan_end + 1, (-dzx + inth_root(disc, 2)) // n2x)

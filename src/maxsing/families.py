@@ -22,7 +22,6 @@ from .exact_geometry import (
     int_from_doc,
     primitive,
     rank,
-    subspace_span,
 )
 
 
@@ -63,7 +62,7 @@ class QuadricAdapter:
         s = qd.s_h_quadric(self.form, h, tp.point)
         if s == 0:
             raise ml.StepPreconditionError("line step needs the point inside the subspace")
-        _, z = qd.line_in_quadric_through(
+        z = qd.line_in_quadric_through(
             self.form, self.hyp_witness, tp.point, h, s, height=budget.max_height, rng=rng
         )
         return TracePoint(z), {"kind": "quadric", "s_at_x": s}
@@ -88,9 +87,11 @@ class QuadricAdapter:
           then for every λ.  A·x ≠ 0, so every y has score at most 1 iff
           rank(A·x, A·z) = 2, that is z ∉ span(x) + rad(q).
         """
+        if cert.get("kind") != "quadric":
+            return [f"certificate kind {cert.get('kind')!r:.40} is not 'quadric'"]
         fails: list[str] = []
         form = self.form
-        s = int(cert.get("s_at_x", -1))
+        s = int_from_doc(cert.get("s_at_x"), "certificate s_at_x")
         actual_s = qd.s_h_quadric(form, h, x.point)
         if actual_s != s:
             fails.append(f"recorded score {s} but recomputed {actual_s}")
@@ -99,7 +100,7 @@ class QuadricAdapter:
             fails.append("line generator not on the quadric")
         if form.bilinear(xr, zr) != 0:
             fails.append("line not totally isotropic (generators not orthogonal)")
-        if subspace_span([xr, zr], form.dim).rank != 2:
+        if rank([xr, zr]) != 2:
             fails.append("degenerate line: z proportional to x")
         if actual_s == 0:
             fails.append("step from a point with score 0")
@@ -168,22 +169,22 @@ class KLinearAdapter:
         return TracePoint(z.point, z.witness), cert_doc
 
     def _cert_from_doc(self, cert: dict) -> ml.LineCertificate:
+        """The certificate from its document; a ValueError names a malformed field."""
         beta_witness = ml.witness_from_doc(cert["beta_witness"], "certificate beta_witness")
-        beta_point = cert["beta_point"]
-        if not isinstance(beta_point, list):
-            raise ValueError(f"certificate beta_point: {beta_point!r:.40} is not a list of integers")
         beta = ml.WitnessedPoint(
-            ProjPointQ(tuple(int_from_doc(a, "certificate beta_point") for a in beta_point)), beta_witness
+            ProjPointQ(tuple(int_from_doc(a, "certificate beta_point") for a in _list(cert, "beta_point"))),
+            beta_witness,
         )
         beta_prime = cert.get("beta_prime")
         return ml.LineCertificate(
-            slot=int(cert["slot"]),
-            m=int(cert["m"]),
-            anchor_scale=_rational(cert, "anchor_scale"),
-            z_scale=_rational(cert, "z_scale"),
+            slot=int_from_doc(cert.get("slot"), "certificate slot"),
+            m=int_from_doc(cert.get("m"), "certificate m"),
+            anchor_scale=_rational(cert["anchor_scale"], "anchor_scale"),
+            z_scale=_rational(cert["z_scale"], "z_scale"),
             beta=beta,
             beta_image=ml.evaluate(self.kmap, beta_witness),
-            beta_prime=None if beta_prime is None else tuple(Fraction(a) for a in beta_prime),
+            beta_prime=None if beta_prime is None else tuple(
+                _rational(a, "beta_prime") for a in _list(cert, "beta_prime")),
         )
 
     def check_certificate(
@@ -212,11 +213,15 @@ class KLinearAdapter:
         The recorded beta_prime must be null iff E′ = 0, and otherwise
         proportional to E′.
         """
+        if cert_doc.get("kind") != "klinear":
+            return [f"certificate kind {cert_doc.get('kind')!r:.40} is not 'klinear'"]
         kmap = self.kmap
         cert = self._cert_from_doc(cert_doc)
         t = cert.slot
         if not 0 <= t < kmap.k:
             return [f"certificate slot {t} outside 0..{kmap.k - 1}"]
+        if x.witness is None:
+            return ["witness is missing"]
         if z.witness is None:
             return ["z_witness is missing"]
         fails: list[str] = []
@@ -258,11 +263,18 @@ class KLinearAdapter:
         return fails
 
 
-def _rational(cert: dict, field: str) -> Fraction:
+def _rational(value, field: str) -> Fraction:
     try:
-        return Fraction(cert[field])
-    except (TypeError, ZeroDivisionError) as exc:
-        raise ValueError(f"certificate {field} {cert[field]!r} is not a rational: {exc}") from None
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"certificate {field} {value!r:.40} is not a rational: {exc}") from None
+
+
+def _list(cert: dict, field: str) -> list:
+    value = cert.get(field)
+    if not isinstance(value, list):
+        raise ValueError(f"certificate {field}: {value!r:.40} is not a list")
+    return value
 
 
 def _proportional(u: Sequence, v: Sequence) -> bool:

@@ -14,10 +14,13 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
+from operator import mul
 from typing import Sequence
 
 from .exact_geometry import (
+    RANK_PRIME,
     DimensionMismatch,
     ProjPointQ,
     ProjSubspaceQ,
@@ -156,19 +159,26 @@ def _pairing_row(form: QuadraticFormQ, v: Sequence) -> tuple:
 
 
 def orth_complement(form: QuadraticFormQ, p: ProjPointQ | Sequence) -> ProjSubspaceQ:
-    """Kernel of x -> b(p, x) as a canonical subspace."""
+    """Kernel of x -> b(p, x) as a canonical subspace, in closed form.
+
+    With row = d*A*p and j* its last nonzero index, the kernel has the
+    basis row[j*] e_j - row[j] e_j* for j != j*.  Row j has its leading
+    entry at j (row[j] = 0 for j > j*) and j* is no pivot, so after
+    scaling each row to its leading entry this is the reduced row echelon
+    form, which is unique.  Dividing by gcd(row[j*], row[j]) and fixing
+    the sign of row[j*] gives the primitive rows of ProjSubspaceQ.
+    """
     v = p.rep if isinstance(p, ProjPointQ) else p
     row = _pairing_row(form, v)
-    j0 = next(j for j, a in enumerate(row) if a != 0)
+    js = max(j for j, a in enumerate(row) if a != 0)
+    lead = row[js]
     basis = []
     for j in range(form.dim):
-        if j == j0:
-            continue
-        vec = [0] * form.dim
-        vec[j] = row[j0]
-        vec[j0] = -row[j]
-        basis.append(vec)
-    return subspace_span(basis, form.dim)
+        if j != js:
+            g = gcd(lead, row[j]) if lead > 0 else -gcd(lead, row[j])
+            basis.append(tuple(lead // g if i == j else -row[j] // g if i == js else 0
+                               for i in range(form.dim)))
+    return ProjSubspaceQ(tuple(basis), form.dim)
 
 
 def s_h_quadric(form: QuadraticFormQ, h: ProjSubspaceQ, alpha: ProjPointQ) -> int:
@@ -193,23 +203,16 @@ def s_h_quadric(form: QuadraticFormQ, h: ProjSubspaceQ, alpha: ProjPointQ) -> in
     return 2 if all(dot(row, hb) == 0 for hb in h.basis) else 1
 
 
-def _coefficient_shells(r: int, height: int, rng: random.Random | None = None):
-    """Primitive coefficient vectors with canonical sign, by max-norm shell."""
-    for h in range(1, height + 1):
-        shell = []
-        for c in candidate_vectors(r, h):
-            g = 0
-            for a in c:
-                g = gcd(g, a)
-            if g != 1:
-                continue
-            lead = next(a for a in c if a != 0)
-            if lead < 0:
-                continue
-            shell.append(c)
-        if rng is not None:
-            rng.shuffle(shell)
-        yield from shell
+@lru_cache(maxsize=None)
+def _coefficient_shell(r: int, h: int) -> tuple[tuple, tuple]:
+    """Primitive coefficient vectors of max-norm h with canonical sign, and their monomials.
+
+    The vectors keep candidate_vectors' order.  The monomials of c are
+    c_i c_j over the pairs i <= j of combinations_with_replacement.
+    """
+    shell = tuple(c for c in candidate_vectors(r, h) if gcd(*c) == 1 and next(a for a in c if a) > 0)
+    pairs = tuple(itertools.combinations_with_replacement(range(r), 2))
+    return shell, tuple(tuple(c[i] * c[j] for i, j in pairs) for c in shell)
 
 
 def isotropic_in_subspace_outside(
@@ -224,15 +227,21 @@ def isotropic_in_subspace_outside(
     """A zero of the form inside S but outside H, by exhaustive enumeration.
 
     Seeds are tried first; then primitive coefficient vectors over S's
-    canonical basis up to the given max-norm height, in deterministic
-    order.  When ``prefer_small_area_to`` is set, all valid candidates in
-    the search range are collected and the one minimizing
-    |anchor ∧ candidate|^2 wins (ties: earliest found), which keeps the
-    construction's coordinate growth down.
+    canonical basis up to the given max-norm height, shell by shell, each
+    shell in a fixed order that a seeded rng shuffles.  When
+    ``prefer_small_area_to`` is set, all valid candidates in the search
+    range are collected and the one minimizing |anchor ∧ candidate|^2 wins
+    (ties: earliest found), which keeps the construction's coordinate
+    growth down.
 
-    The per-candidate tests run in coefficient space: the form restricted
-    to S is precomputed as an integer Gram matrix, and membership in H
-    reduces to integer pairings with H's orthogonal functionals.
+    The per-candidate tests run in coefficient space: d*q on S is the sum
+    of weights w_ij c_i c_j, w_ij the entries of d*A restricted to S
+    (doubled off the diagonal), and membership in H reduces to integer
+    pairings with H's orthogonal functionals.  Prefilter: each shell's
+    q values are first reduced modulo p = RANK_PRIME, from the weights
+    reduced once.  q mod p != 0 implies q != 0, so a skipped vector is
+    not a zero; the rest get the exact integer test.  The candidates, their
+    order and the result are those of the exact test alone.
     """
     if all(h.contains(b) for b in s.basis):
         raise StepPreconditionError("search subspace is contained in the excluded one")
@@ -255,36 +264,35 @@ def isotropic_in_subspace_outside(
     order_seen = {pt: i for i, pt in enumerate(candidates)}
 
     r = s.rank
-    # d times the form restricted to S: only the zeros of q matter here
     images = [form.apply(b) for b in s.basis]
-    gram_int = [[dot(s.basis[i], images[j]) for j in range(r)] for i in range(r)]
+    weights = [dot(s.basis[i], images[j]) * (1 if i == j else 2)
+               for i, j in itertools.combinations_with_replacement(range(r), 2)]
+    weights_p = [w % RANK_PRIME for w in weights]
     pairings = [[dot(f, b) for b in s.basis] for f in h.functionals]
 
-    for coeffs in _coefficient_shells(r, height, rng):
-        q_val = 0
-        for i in range(r):
-            ci = coeffs[i]
-            if ci == 0:
+    for hh in range(1, height + 1):
+        shell, monos = _coefficient_shell(r, hh)
+        maybe = {k for k, m in enumerate(monos) if not sum(map(mul, weights_p, m)) % RANK_PRIME}
+        order = list(range(len(shell)))
+        if rng is not None:
+            rng.shuffle(order)
+        for k in order:
+            if k not in maybe or sum(map(mul, weights, monos[k])) != 0:
                 continue
-            q_val += gram_int[i][i] * ci * ci
-            for j in range(i + 1, r):
-                if coeffs[j]:
-                    q_val += 2 * gram_int[i][j] * ci * coeffs[j]
-        if q_val != 0:
-            continue
-        if all(sum(c * w for c, w in zip(coeffs, row)) == 0 for row in pairings):
-            continue  # inside H
-        vec = [0] * s.ambient_dim
-        for c, bas in zip(coeffs, s.basis):
-            if c:
-                for j, a in enumerate(bas):
-                    vec[j] += c * a
-        pt = primitive(vec)
-        if pt not in order_seen:
-            order_seen[pt] = len(order_seen)
-            candidates.append(pt)
-        if candidates and prefer_small_area_to is None:
-            return candidates[0]
+            coeffs = shell[k]
+            if all(sum(c * w for c, w in zip(coeffs, row)) == 0 for row in pairings):
+                continue  # inside H
+            vec = [0] * s.ambient_dim
+            for c, bas in zip(coeffs, s.basis):
+                if c:
+                    for j, a in enumerate(bas):
+                        vec[j] += c * a
+            pt = primitive(vec)
+            if pt not in order_seen:
+                order_seen[pt] = len(order_seen)
+                candidates.append(pt)
+            if candidates and prefer_small_area_to is None:
+                return candidates[0]
     if not candidates:
         raise HeightExhausted(f"no isotropic point in S outside H up to height {height}")
     if prefer_small_area_to is None:
@@ -301,13 +309,13 @@ def line_in_quadric_through(
     s: int,
     height: int = 6,
     rng: random.Random | None = None,
-) -> tuple[ProjSubspaceQ, ProjPointQ]:
-    """A totally isotropic rational line through alpha that lowers the score.
+) -> ProjPointQ:
+    """A second generator z of a totally isotropic rational line through alpha that lowers the score.
 
-    For s = 1 the second generator is an isotropic point of the
-    orthogonal complement of alpha outside H, so every other rational
-    line point leaves H.  For s = 2 (complement equals H) any isotropic
-    line through alpha works; the witness guarantees one exists.
+    For s = 1, z is an isotropic point of the orthogonal complement of
+    alpha outside H, so every other rational line point leaves H.  For
+    s = 2 (complement equals H) any isotropic line through alpha works;
+    the witness guarantees one exists.
     """
     if s not in (1, 2):
         raise StepPreconditionError(f"line construction needs score 1 or 2, got {s}")
@@ -322,12 +330,9 @@ def line_in_quadric_through(
         seeds.append(tuple(x + y for x, y in zip(a, b)))
         seeds.append(tuple(x - y for x, y in zip(a, b)))
     excluded = h if s == 1 else subspace_span([alpha.rep], form.dim)
-    z = isotropic_in_subspace_outside(
+    return isotropic_in_subspace_outside(
         form, perp, excluded, height, seeds=seeds, rng=rng, prefer_small_area_to=alpha
     )
-    line = subspace_span([alpha.rep, z.rep], form.dim)
-    assert line.rank == 2
-    return line, z
 
 
 # ---------------------------------------------------------------------------

@@ -125,19 +125,15 @@ def check_conditions(trace: SequenceTrace) -> dict:
         # (b) strict norm growth
         if not n2n > n2x:
             fails.append(f"(b) norm fails to grow: {n2n} <= {n2x}")
-        # (c) certified score decrease along the line; corrupt inputs make
-        # the exact re-derivations raise, which is itself a failure
-        if entry.witness is not None or step.certificate.get("kind") == "quadric":
-            try:
-                cert_fails = adapter.check_certificate(
-                    TracePoint(x, entry.witness),
-                    TracePoint(step.z, step.z_witness),
-                    h,
-                    step.certificate,
-                )
-                fails.extend(f"(c) {m}" for m in cert_fails)
-            except (ValueError, RuntimeError, KeyError) as exc:
-                fails.append(f"(c) certificate does not re-verify: {exc}")
+        # (c) certified score decrease along the line, for every step; corrupt
+        # inputs make the exact re-derivations raise, which is itself a failure
+        try:
+            cert_fails = adapter.check_certificate(
+                TracePoint(x, entry.witness), TracePoint(step.z, step.z_witness), h, step.certificate
+            )
+            fails.extend(f"(c) {m}" for m in cert_fails)
+        except (ValueError, RuntimeError, KeyError) as exc:
+            fails.append(f"(c) certificate does not re-verify: {exc}")
         # (d) for i >= 2, plus the distance-decay consequence
         if i >= 2:
             pnum, pden = dsq_prev

@@ -108,6 +108,25 @@ class TestVerify:
         bad.write_text(json.dumps(doc))
         assert main(["verify", str(bad)]) == EXIT_AUDIT
 
+    @pytest.mark.parametrize("certificate, message", [
+        ({"kind": "none"}, "certificate kind 'none' is not 'quadric'"),
+        ({"kind": "quadric", "s_at_x": None}, "certificate s_at_x: None is not an integer"),
+    ])
+    def test_relabelled_certificates_fail(self, tmp_path, capsys, certificate, message):
+        # the family proof runs at every step, whatever a certificate claims
+        _, out = gen(tmp_path, "--family", "quadric", "--phi", "pow", "1/2",
+                     "--steps", "6", "--seed", "7")
+        doc = json.loads(out.read_text())
+        for entry in doc["entries"]:
+            if entry["step"] is not None:
+                entry["step"]["certificate"] = certificate
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["verify", str(bad), "--out", str(tmp_path / "audit.json")]) == EXIT_AUDIT
+        err = capsys.readouterr().err
+        assert "audit FAILED (index 1: (c) " in err and message in err
+        assert "Traceback" not in err
+
     def test_malformed_json_is_usage_error(self, tmp_path):
         p = tmp_path / "garbage.json"
         p.write_text("{not json")
@@ -150,6 +169,7 @@ class TestCertificateTamper:
         ("anchor_scale", "0"),
         ("z_scale", "0"),
         ("beta_prime", None),
+        ("kind", "quadric"),
     ])
     def test_exit_3_with_message(self, trace_doc, tmp_path, capsys, field, value):
         doc = copy.deepcopy(trace_doc)
@@ -168,6 +188,9 @@ class TestCertificateTamper:
         ("beta_witness", 5),
         ("beta_point", ["1/2", "0", "0", "0", "0", "1"]),
         ("beta_point", 5),
+        ("slot", None),
+        ("beta_prime", ["1/0", "0", "0", "0", "0", "1"]),
+        ("beta_prime", 5),
     ])
     def test_unparsable_field_is_named(self, trace_doc, tmp_path, capsys, field, value):
         doc = copy.deepcopy(trace_doc)

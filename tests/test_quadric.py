@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maxsing.exact_geometry import in_span, primitive, subspace_span
+from maxsing.exact_geometry import RANK_PRIME, in_span, primitive, subspace_span
 from maxsing.multilinear import StepPreconditionError
 from maxsing.quadric import (
     DegenerateDirection,
@@ -87,6 +87,36 @@ class TestOrthComplement:
         f = QuadraticFormQ(((z, h, z), (h, z, z), (z, z, z)))
         with pytest.raises(DegenerateDirection):
             orth_complement(f, primitive((0, 0, 1)))
+
+    @given(st.integers(2, 5).flatmap(lambda n: st.tuples(
+        st.lists(st.fractions(-4, 4, max_denominator=6), min_size=n * n, max_size=n * n),
+        st.integers(0, n - 1),
+        st.tuples(*[st.integers(-9, 9)] * n),
+        st.tuples(*[st.integers(-9, 9)] * n),
+        st.integers(1 << 10_000, 1 << 10_050),
+    )))
+    @settings(max_examples=200, derandomize=True)
+    def test_closed_form_matches_rref(self, case):
+        """The closed form equals the Fraction RREF of the old basis.
+
+        The last ``tail`` rows and columns of the Gram matrix are zero, so
+        the pairing row ends in zeros; coordinates have 10k+ bits.
+        """
+        entries, tail, big_part, small_part, big = case
+        n = len(big_part)
+        gram = tuple(tuple(entries[min(i, j) * n + max(i, j)] if max(i, j) < n - tail else Fraction(0)
+                           for j in range(n)) for i in range(n))
+        v = tuple(a * big + b for a, b in zip(big_part, small_part))
+        if all(a == 0 for row in gram for a in row) or not any(v):
+            return
+        form = QuadraticFormQ(gram)
+        try:
+            expected = _orth_complement_fraction(form, v)
+        except DegenerateDirection:
+            with pytest.raises(DegenerateDirection):
+                orth_complement(form, v)
+            return
+        assert orth_complement(form, v) == expected
 
 
 class TestScore:
@@ -255,6 +285,16 @@ class TestIsotropicSearch:
         with pytest.raises(StepPreconditionError):
             isotropic_in_subspace_outside(form, s, subspace_span([e(0), e(1)], 4), 3)
 
+    def test_zero_mod_p_is_not_a_zero(self):
+        # q = p*x0^2 + x1^2 has no nontrivial rational zero, but q(1, 0) = p
+        # passes the mod-p prefilter, so only the exact test rejects it
+        p = RANK_PRIME
+        f = QuadraticFormQ(((Fraction(p), Fraction(0)), (Fraction(0), Fraction(1))))
+        assert f.q((1, 0)) % p == 0 and f.q((1, 0)) != 0
+        s = subspace_span([e(0, 2), e(1, 2)], 2)
+        with pytest.raises(HeightExhausted):
+            isotropic_in_subspace_outside(f, s, subspace_span([e(1, 2)], 2), 3)
+
     def test_height_exhausted(self):
         # x0*x1 + x2^2 + x3^2: only trivial zeros in the searched subspace
         z, half = Fraction(0), Fraction(1, 2)
@@ -269,14 +309,17 @@ class TestLineConstruction:
     def test_score_two_line(self, form, witness):
         alpha = primitive(e(0))
         h = hyperplane(1)  # equals perp(alpha): score 2
-        line, z = line_in_quadric_through(form, witness, alpha, h, 2)
+        z = line_in_quadric_through(form, witness, alpha, h, 2)
+        line = subspace_span([alpha.rep, z.rep], 4)
+        assert line.rank == 2
         assert z == primitive(e(2))
         assert line == subspace_span([e(0), e(2)], 4)
 
     def test_score_one_line(self, form, witness):
         alpha = primitive(e(0))
         h = hyperplane(2)  # score 1
-        line, z = line_in_quadric_through(form, witness, alpha, h, 1)
+        z = line_in_quadric_through(form, witness, alpha, h, 1)
+        assert subspace_span([alpha.rep, z.rep], 4).rank == 2
         assert z == primitive(e(2))
         assert not h.contains_point(z)
         # every other rational line point leaves H
@@ -293,7 +336,8 @@ class TestLineConstruction:
         h = subspace_span([e(0), (1, 0, 1, 0)], 4)
         s = s_h_quadric(form, h, alpha)
         assert s == 1
-        line, z = line_in_quadric_through(form, witness, alpha, h, s)
+        z = line_in_quadric_through(form, witness, alpha, h, s)
+        assert subspace_span([alpha.rep, z.rep], 4).rank == 2
         assert form.q(z.rep) == 0
         assert form.bilinear(alpha.rep, z.rep) == 0
         for lam, mu in itertools.product(range(-5, 6), repeat=2):
@@ -303,7 +347,8 @@ class TestLineConstruction:
     def test_score_two_samples_drop(self, form, witness):
         alpha = primitive(e(0))
         h = hyperplane(1)
-        _, z = line_in_quadric_through(form, witness, alpha, h, 2)
+        z = line_in_quadric_through(form, witness, alpha, h, 2)
+        assert subspace_span([alpha.rep, z.rep], 4).rank == 2
         for lam in range(-20, 21):
             y = primitive(tuple(lam * a + c for a, c in zip(alpha.rep, z.rep)))
             assert s_h_quadric(form, h, y) <= 1
