@@ -9,10 +9,10 @@ against the certified limit ball.
 
 import sys as _sys
 
-# traces and the audit report write big integers in hex, but version 1
-# traces store them as decimal strings and failure messages print exact
-# values in decimal, and both routinely exceed the default 4300-digit
-# guard on int <-> decimal-string conversion
+# traces and the audit report write big integers in hex, and failure
+# messages print bit lengths, but version 1 traces store them as decimal
+# strings, which routinely exceed the default 4300-digit guard on
+# int <-> decimal-string conversion
 if hasattr(_sys, "set_int_max_str_digits"):
     _sys.set_int_max_str_digits(0)
 

@@ -18,8 +18,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, prod
+from math import gcd
 from typing import Sequence
 
 from . import multilinear as ml
@@ -90,7 +89,8 @@ class BudgetExceeded(RuntimeError):
 def _product_gt(lhs, rhs) -> bool:
     """prod(f^e for f, e in lhs) > prod(f^e for f, e in rhs), for ints f >= 0, e >= 1.
 
-    Decided from bit lengths where they suffice (proof in _select_multiplier).
+    Decided from bit lengths, then from top bits, where they suffice, and
+    exactly (proof in _select_multiplier).
     """
     if not all(f for f, _ in lhs):
         return False
@@ -102,7 +102,33 @@ def _product_gt(lhs, rhs) -> bool:
         return True
     if l_hi <= r_lo:
         return False
-    return prod(f ** e for f, e in lhs) > prod(f ** e for f, e in rhs)
+    k = 64
+    while True:
+        (l_lo, l_hi, l_s), (r_lo, r_hi, r_s) = _top_bounds(lhs, k), _top_bounds(rhs, k)
+        m = min(l_s, r_s)
+        l_lo, l_hi, r_lo, r_hi = l_lo << (l_s - m), l_hi << (l_s - m), r_lo << (r_s - m), r_hi << (r_s - m)
+        if l_lo > r_hi:
+            return True
+        if l_hi <= r_lo:
+            return False
+        k *= 2
+
+
+def _top_bounds(side, k: int) -> tuple[int, int, int]:
+    """(lo, hi, s) with lo 2^s <= prod(f^e for f, e in side) <= hi 2^s, from each f's top k bits."""
+    lo, s, cut = 1, 0, 0
+    for f, e in side:
+        sh = max(0, f.bit_length() - k)
+        lo *= (f >> sh) ** e
+        s += e * sh
+        cut += e if sh else 0
+    return lo, (lo + ((lo * cut) >> (k - 2)) + 1 if cut else lo), s
+
+
+# The largest precision a decay target or an audit may ask for: every root and
+# logarithm is taken at about this many bits.  Built-in runs use 64 and tests
+# at most 96.
+MAX_PRECISION_BITS = 4096
 
 
 @dataclass(frozen=True)
@@ -128,6 +154,8 @@ class ApproxFn:
                 raise ValueError("power-law exponent must lie strictly between 0 and 1")
         elif self.exponent is not None:
             raise ValueError("log3x takes no exponent")
+        if not 0 <= self.precision_bits <= MAX_PRECISION_BITS:
+            raise ValueError(f"precision_bits {self.precision_bits} is outside 0..{MAX_PRECISION_BITS}")
 
     def descriptor(self) -> dict:
         d = {"variant": self.variant, "precision_bits": self.precision_bits}
@@ -364,9 +392,21 @@ def _select_multiplier(
     - Bit lengths first (_product_gt).  An f >= 1 of bit length l has
       2^(l-1) <= f < 2^l, so a product of powers f^e lies in [2^lo, 2^hi),
       lo = sum e (l - 1), hi = sum e l.  The left is larger if its lo
-      reaches the right's hi, smaller if its hi is at most the right's lo;
-      only overlapping ranges are multiplied out.  A zero factor makes its
-      side 0, so the left is not larger, or larger than a zero right.
+      reaches the right's hi, smaller if its hi is at most the right's lo.
+      A zero factor makes its side 0, so the left is not larger, or larger
+      than a zero right.
+    - Top bits next (_top_bounds).  With s = max(0, l - K) and t = f >> s,
+      t 2^s <= f <= (t + [s > 0]) 2^s.  A cut factor (s > 0) has
+      t >= 2^(K-1), so (t + 1) / t <= 1 + 2^(1-K).  With lo the product of
+      the t^e and c the sum of the e of cut factors, a side lies in
+      [lo 2^S, lo (1 + 2^(1-K))^c 2^S], and (1 + x)^c <= e^(cx)
+      <= 1 + 2cx for cx <= 1/2, so hi = lo + floor(c lo / 2^(K-2)) + 1
+      bounds it above with one product per side.  The left is larger if
+      its lower bound exceeds the right's upper bound, and not larger if
+      its upper bound is at most the right's lower bound.  K starts at 64
+      and doubles; once it reaches every factor's bit length, nothing is
+      cut, hi = lo is the product itself, and one of the two tests holds:
+      the comparison is made exactly, multiplied out only then.
 
     Raises NoValidMultiplier when no probed b passes.  Under log3x from the
     second step on, the covolume certificate (_log3x_stop_forced) is
@@ -571,32 +611,20 @@ def run(
     return trace
 
 
-@lru_cache(maxsize=1)
-def decay_term(n2x: int, n2y: int, dxy: int) -> Fraction:
-    """(9/4) |x|^2 dist(x, y)^2 = 9 |x ^ y|^2 / (4 |y|^2), reduced, from |x|^2, |y|^2 and x.y.
-
-    Its root bounds D(x) when y follows x (telescoping).  |x|^2 cancels, so
-    the gcd that reduces it is smaller than that of dist_sq.  The last
-    term is kept: the audit asks for the last step's term from
-    exponent_report and then from limit_point, and on an 11-point split4
-    trace reducing it takes about a tenth of the audit.
-    """
-    return Fraction(9 * (n2x * n2y - dxy * dxy), 4 * n2y)
-
-
 def limit_point(trace: SequenceTrace, precision_bits: int = 64) -> CertifiedLimit:
     """Ball around the last point containing the limit of any valid continuation.
 
     The telescoping condition bounds the remaining travel by a geometric
     series with ratio 1/3, so (3/2) * dist(x_last, x_prev) is a certified
-    radius; its square is exact, no rounding needed.
+    radius; its square, 9 |x_prev ^ x_last|^2 / (4 |x_prev|^2 |x_last|^2),
+    is exact, no rounding needed.  The audit writes an upper bound of it
+    instead and needs this exact value only for the brute-force search.
     """
     if len(trace.entries) < 3:
         raise TraceTooShort("limit extraction needs at least 3 points")
-    prev, last = trace.entries[-2].x, trace.entries[-1].x
-    n2x = prev.norm_sq()
-    t = decay_term(n2x, last.norm_sq(), dot(prev.rep, last.rep))
-    return CertifiedLimit(representative=last.rep, radius_sq=t / n2x)
+    prev, last = trace.entries[-2].x.rep, trace.entries[-1].x.rep
+    nn = norm_sq(prev) * norm_sq(last)
+    return CertifiedLimit(representative=last, radius_sq=Fraction(9 * (nn - dot(prev, last) ** 2), 4 * nn))
 
 
 # ---------------------------------------------------------------------------
@@ -714,6 +742,11 @@ def trace_from_doc(doc) -> SequenceTrace:
     dim = _parse_int(doc.get("ambient_dim"), "ambient_dim")
     k, n = family.get("k"), family.get("n")
     shape = (k, n) if isinstance(k, int) and isinstance(n, int) else None
+    if shape is not None:
+        try:
+            ml.check_caps("family", n=n, k=k)
+        except ml.InvalidParameters as exc:
+            raise MalformedTrace(str(exc)) from None
     trace = SequenceTrace(
         family=family,
         phi=phi,

@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import builder, families, verifier
-from .builder import ApproxFn, BudgetExceeded, SequenceTrace
+from .builder import MAX_PRECISION_BITS, ApproxFn, BudgetExceeded, SequenceTrace
 from .exact_geometry import dec_str
 from .multilinear import InvalidParameters, load_map
 from .quadric import InvalidWitness, load_form, split4
@@ -24,13 +24,13 @@ EXIT_BUDGET = 2
 EXIT_AUDIT = 3
 
 
-def _positive_int(text: str) -> int:
+def _precision(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    if not 1 <= value <= MAX_PRECISION_BITS:
+        raise argparse.ArgumentTypeError(f"expected an integer from 1 to {MAX_PRECISION_BITS}, got {text!r}")
     return value
 
 
@@ -40,7 +40,7 @@ def _default_precision() -> int:
     if not env:
         return 64
     try:
-        return _positive_int(env)
+        return _precision(env)
     except argparse.ArgumentTypeError as exc:
         raise ValueError(f"MAXSING_PRECISION_BITS: {exc}") from None
 
@@ -60,26 +60,26 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--steps", type=int, required=True, help="number of trace points (>= 2)")
     g.add_argument("--seed", type=int, default=0, help="tie-breaking seed (0: natural order)")
     g.add_argument("--out", required=True, help="output trace path")
-    g.add_argument("--precision-bits", type=_positive_int, default=None)
+    g.add_argument("--precision-bits", type=_precision, default=None)
     g.add_argument("--max-height", type=int, default=6, help="candidate search height cap")
     g.add_argument("--max-multiplier-bits", type=int, default=4096,
                    help="bit cap for the step multiplier search")
 
     v = sub.add_parser("verify", help="audit a trace")
     v.add_argument("trace", help="trace JSON path")
-    v.add_argument("--precision", type=_positive_int, default=None)
+    v.add_argument("--precision", type=_precision, default=None)
     v.add_argument("--bruteforce-xmax", type=int, default=None)
     v.add_argument("--out", help="write the audit JSON here (default: stdout)")
 
     e = sub.add_parser("exponent", help="per-scale certified exponent lower bounds")
     e.add_argument("trace")
-    e.add_argument("--precision", type=_positive_int, default=None)
+    e.add_argument("--precision", type=_precision, default=None)
     e.add_argument("--json", action="store_true")
 
     b = sub.add_parser("bruteforce", help="exhaustive best-approximation oracle")
     b.add_argument("trace")
     b.add_argument("--xmax", type=int, required=True)
-    b.add_argument("--precision", type=_positive_int, default=None)
+    b.add_argument("--precision", type=_precision, default=None)
     b.add_argument("--json", action="store_true")
     return p
 

@@ -451,20 +451,52 @@ def sqrt_bounds(r, precision_bits: int = 64) -> tuple[Fraction, Fraction]:
     return (Fraction(m, 1 << b), Fraction(m + 1, 1 << b))
 
 
-def sqrt_bounds_rel(r, precision_bits: int = 64) -> tuple[Fraction, Fraction]:
-    """Like sqrt_bounds but with width at most 2^-precision_bits * sqrt(r).
+def dyadic_bounds(p: int, q: int, precision_bits: int, root: int = 1) -> tuple[Fraction, Fraction]:
+    """Dyadic lo <= (p/q)^(1/root) <= hi with hi - lo <= 2^-precision_bits (p/q)^(1/root).
 
-    For tiny r the absolute-width interval is useless relatively; this
-    shifts the working precision by the magnitude of r.
+    For integers p >= 0, q >= 1 and root 1 or 2.  Working precision (the
+    MPFI design: Revol and Rouillier, Reliable Computing 11, 2005): only
+    the top t = root*b + 3 bits of p and q are read, b = precision_bits + 2,
+    so no full-size product, gcd or root is taken.  Proof:
+
+    - p = P 2^a and q = Q 2^c with a, c the bits dropped and
+      p_lo <= P <= p_hi, q_lo <= Q <= q_hi for p_lo = p >> a,
+      p_hi = p_lo + [a > 0], and likewise q.  When a > 0, p_lo >= 2^(t-1),
+      so p_hi / p_lo <= 1 + 2^(1-t); likewise q.
+    - d = root*b + 2 + bl(q_hi) - bl(p_lo) >= 0 (bl the bit length,
+      bl(p_lo) <= t), raised by less than root so that e = (a - c - d)/root
+      is an integer.  Then N = (p/q) 2^(-root e) = (P/Q) 2^d lies in
+      [N_lo, N_hi] = [p_lo 2^d / q_hi, p_hi 2^d / q_lo], and
+      N_lo > 2^(bl(p_lo) - 1 + d - bl(q_hi)) >= 2^(root*b + 1).
+    - A = floor(N_lo) <= N <= B = ceil(N_hi), so lo = floor(A^(1/root)) 2^e
+      and hi = ceil(B^(1/root)) 2^e bracket (p/q)^(1/root) = N^(1/root) 2^e.
+    - N_hi / N_lo <= (1 + 2^(1-t))^2 <= 1 + 2^(3-t) = 1 + 2^(-root*b), so
+      B - A < N_lo 2^(-root*b) + 2, and with A >= 2^(root*b + 1),
+      (B - A) / A <= 2^(2 - root*b).
+    - Relative to (p/q)^(1/root) >= A^(1/root) 2^e, the width is at most
+      (B - A) / A <= 2^(2-b) for root 1, and for root 2 at most
+      (sqrt B - sqrt A + 2) / sqrt A <= (B - A) / (2A) + 2 / sqrt A
+      <= 2^(1-2b) + 2^(1/2-b) <= 2^(1-b).  Both are at most 2^-precision_bits.
     """
-    r = Fraction(r)
-    if r < 0:
-        raise NegativeInput("sqrt of a negative rational")
-    if r == 0:
+    if p < 0 or q < 1:
+        raise NegativeInput("dyadic bounds need p >= 0 and q >= 1")
+    if root not in (1, 2):
+        raise ValueError("dyadic bounds take root 1 or 2")
+    if p == 0:
         return (Fraction(0), Fraction(0))
-    e = r.numerator.bit_length() - r.denominator.bit_length()  # log2 r up to +-1
-    extra = max(0, -(e // 2)) + 2
-    return sqrt_bounds(r, precision_bits + extra)
+    b = precision_bits + 2
+    t = root * b + 3
+    a, c = max(0, p.bit_length() - t), max(0, q.bit_length() - t)
+    p_lo, q_lo = p >> a, q >> c
+    p_hi, q_hi = p_lo + (a > 0), q_lo + (c > 0)
+    d = root * b + 2 + q_hi.bit_length() - p_lo.bit_length()
+    d += (a - c - d) % root
+    e = (a - c - d) // root
+    lo = inth_root((p_lo << d) // q_hi, root)
+    hi = inth_root(-(-(p_hi << d) // q_lo) - 1, root) + 1
+    if e >= 0:
+        return (Fraction(lo << e), Fraction(hi << e))
+    return (Fraction(lo, 1 << -e), Fraction(hi, 1 << -e))
 
 
 def nth_root_bounds(r, n: int, precision_bits: int = 64) -> tuple[Fraction, Fraction]:
@@ -588,16 +620,25 @@ def dec_str(x, digits: int = 12) -> str:
     return f"{sign}{ip}.{str(fp).zfill(digits)}"
 
 
-# Exact values are written in hex, which converts in linear time where decimal
-# takes quadratic time (Brent and Zimmermann, Modern Computer Arithmetic, 2010,
-# section 1.7); int(s, 0) on each side of the slash reads them back.
+def dyadic_str(x) -> str:
+    """Exact rendering of a dyadic rational m 2^e as 0x<hex m>p<signed decimal e>, m odd.
 
-
-def hex_str(x) -> str:
-    """Exact rendering of a rational: 0x<num>/0x<den>, or 0x<num> for an integer."""
+    Zero is 0x0p+0.  The length follows the mantissa, not the exponent: a
+    value near 2^-46000 stays a few dozen characters, where 0x<num>/0x<den>
+    would take 11,500.  Hex converts in linear time where decimal takes
+    quadratic time (Brent and Zimmermann, Modern Computer Arithmetic, 2010,
+    section 1.7).  float.fromhex reads it approximately; int(m, 0) * 2**e
+    exactly.
+    """
     x = Fraction(x)
-    num = format(x.numerator, "#x")
-    return num if x.denominator == 1 else f"{num}/{x.denominator:#x}"
+    p, q = x.numerator, x.denominator
+    if q & (q - 1):
+        raise ValueError(f"{x} is not a dyadic rational")
+    e = 1 - q.bit_length()
+    if p and q == 1:
+        e = (p & -p).bit_length() - 1
+        p >>= e
+    return f"{p:#x}p{e:+d}"
 
 
 def sci_str(x, digits: int = 12) -> str:

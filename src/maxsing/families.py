@@ -146,10 +146,8 @@ class KLinearAdapter:
         w = tp.witness
         if w is None or len(w) != self.kmap.k or any(len(v) != self.kmap.n for v in w):
             return False
-        img = ml.evaluate(self.kmap, w)
-        if all(a == 0 for a in img):
-            return False
-        return primitive(img) == tp.point
+        img = ml.integer_image(self.kmap, w)[1]
+        return any(img) and primitive(img) == tp.point
 
     def line_step(
         self, tp: TracePoint, h: ProjSubspaceQ, budget: SearchBudget, rng: random.Random | None

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, lcm, prod
+from math import comb, lcm, perm, prod
 from typing import Iterator, Sequence
 
 from .exact_geometry import (
@@ -48,6 +48,25 @@ class DegenerateLine(RuntimeError):
 
 class StepPreconditionError(ValueError):
     pass
+
+
+# Caps on the size of a k-linear map, checked before any map is built, so that a
+# trace or a map file cannot ask for work exponential in its own size: a
+# grassmann map with n = 30, k = 15 would list about 2*10^20 index tuples.
+# Every built-in, test and script map stays far below them (n <= 5, k <= 3,
+# D <= 10, at most 24 basis images).
+MAX_SOURCE_DIM = 16
+MAX_ARITY = 8
+MAX_TARGET_DIM = 64
+MAX_BASIS_IMAGES = 4096
+
+
+def check_caps(where: str, **fields: int) -> None:
+    """Raise InvalidParameters naming the first of the fields n, k, D, basis_images above its cap."""
+    caps = {"n": MAX_SOURCE_DIM, "k": MAX_ARITY, "D": MAX_TARGET_DIM, "basis_images": MAX_BASIS_IMAGES}
+    for name, value in fields.items():
+        if value > caps[name]:
+            raise InvalidParameters(f"{where}: {name} = {value} exceeds the cap {caps[name]}")
 
 
 @dataclass(frozen=True)
@@ -122,21 +141,30 @@ def _sparse(images: dict) -> dict:
     return {idx: [(j, a) for j, a in enumerate(img) if a] for idx, img in images.items()}
 
 
-def evaluate(kmap: KLinearMap, vectors: Sequence[Sequence]) -> tuple:
-    """Evaluate the map on a k-tuple of rational vectors, exactly.
+def integer_image(kmap: KLinearMap, vectors: Sequence[Sequence]) -> tuple[int, list[int]]:
+    """(s, N(u)) with evaluate(kmap, vectors) = N(u) / s, s > 0.
 
     With d the basis images' common denominator, N = d*M has integer
     images; with d_s slot s's common denominator, u_s = d_s*v_s is an
     integer vector.  M is multilinear, so the scales factor out of every
-    slot: M(v_1, ..., v_k) = N(u_1, ..., u_k) / (d*d_1*...*d_k).  The
-    integer image N(u) is the contraction of N with every slot fixed.
+    slot: M(v_1, ..., v_k) = N(u_1, ..., u_k) / s with s = d*d_1*...*d_k.
+    The integer image N(u) is the contraction of N with every slot fixed;
+    s > 0, so primitive(N(u)) is the image's point.
     """
     if len(vectors) != kmap.k or any(len(v) != kmap.n for v in vectors):
         raise DimensionMismatch(f"need {kmap.k} source vectors of dim {kmap.n}")
     d, images = kmap.integer_images
     scale, ints = _integer_slots(vectors)
-    img = _contract(images, kmap.target_dim, ints).get((), [0] * kmap.target_dim)
-    return tuple(Fraction(a, d * scale) for a in img)
+    return d * scale, _contract(images, kmap.target_dim, ints).get((), [0] * kmap.target_dim)
+
+
+def evaluate(kmap: KLinearMap, vectors: Sequence[Sequence]) -> tuple:
+    """Evaluate the map on a k-tuple of rational vectors, exactly (see integer_image)."""
+    return _rational(*integer_image(kmap, vectors))
+
+
+def _rational(s: int, img: Sequence[int]) -> tuple:
+    return tuple(Fraction(a, s) for a in img)
 
 
 @dataclass(frozen=True)
@@ -148,8 +176,8 @@ class WitnessedPoint:
 
 
 def witnessed_point(kmap: KLinearMap, witness: Sequence[Sequence]) -> WitnessedPoint:
-    img = evaluate(kmap, witness)
-    if all(a == 0 for a in img):
+    img = integer_image(kmap, witness)[1]
+    if not any(img):
         raise ZeroVector("witness maps to zero")
     return WitnessedPoint(primitive(img), tuple(tuple(Fraction(c) for c in v) for v in witness))
 
@@ -320,7 +348,8 @@ def line_step(
     if not h.contains_point(x.point):
         raise StepPreconditionError("line_step needs a point inside the subspace")
     k = kmap.k
-    anchor_scale = _scale_of(evaluate(kmap, x.witness), x.point)
+    s_x, img_x = integer_image(kmap, x.witness)
+    anchor_scale = _scale_of(img_x, x.point, s_x)
     best = None  # (area, order, z, cert)
     best_m = -1
     order = 0
@@ -331,8 +360,8 @@ def line_step(
             improved = False
             for t in _differing_slots(x, beta):
                 w2 = replace_slot(beta.witness, t, x.witness[t])
-                img2 = evaluate(kmap, w2)
-                if all(a == 0 for a in img2):
+                img2 = integer_image(kmap, w2)[1]
+                if not any(img2):
                     continue
                 p2 = primitive(img2)
                 if not h.contains_point(p2):
@@ -342,17 +371,17 @@ def line_step(
                     break
         if m < best_m:
             continue
-        beta_image = evaluate(kmap, beta.witness)
+        beta_image = integer_image(kmap, beta.witness)
         for t in _differing_slots(x, beta):
             w_z = replace_slot(x.witness, t, beta.witness[t])
-            alpha_prime = beta_image if w_z == beta.witness else evaluate(kmap, w_z)
-            if all(a == 0 for a in alpha_prime):
+            s_z, alpha_prime = beta_image if w_z == beta.witness else integer_image(kmap, w_z)
+            if not any(alpha_prime):
                 continue
             z_pt = primitive(alpha_prime)
             if z_pt == x.point:
                 continue  # degenerate: proportional to x, retry next candidate
-            beta_prime = evaluate(kmap, replace_slot(beta.witness, t, x.witness[t]))
-            bp_zero = all(a == 0 for a in beta_prime)
+            s_b, beta_prime = integer_image(kmap, replace_slot(beta.witness, t, x.witness[t]))
+            bp_zero = not any(beta_prime)
             if not bp_zero and not h.contains_point(primitive(beta_prime)):
                 continue  # cannot certify this slot; the bootstrap above already tried it
             area = wedge_sq(x.point.rep, z_pt.rep)
@@ -361,10 +390,10 @@ def line_step(
                     slot=t,
                     m=m,
                     anchor_scale=anchor_scale,
-                    z_scale=_scale_of(alpha_prime, z_pt),  # z's witness is w_z
+                    z_scale=_scale_of(alpha_prime, z_pt, s_z),  # z's witness is w_z
                     beta=beta,
-                    beta_image=beta_image,
-                    beta_prime=None if bp_zero else beta_prime,
+                    beta_image=_rational(*beta_image),
+                    beta_prime=None if bp_zero else _rational(s_b, beta_prime),
                 )
                 best = (area, order, WitnessedPoint(z_pt, w_z), cert)
                 best_m = m
@@ -382,10 +411,10 @@ def _differing_slots(x: WitnessedPoint, beta: WitnessedPoint) -> list[int]:
     return [t for t in range(len(x.witness)) if x.witness[t] != beta.witness[t]]
 
 
-def _scale_of(img: Sequence, point: ProjPointQ) -> Fraction:
-    """The c with img == c * point.rep, given that img is a multiple of it."""
+def _scale_of(img: Sequence, point: ProjPointQ, s: int = 1) -> Fraction:
+    """The c with img / s == c * point.rep, given that img is a multiple of it."""
     j = next(i for i, a in enumerate(point.rep) if a != 0)
-    return Fraction(img[j]) / point.rep[j]
+    return Fraction(img[j]) / (s * point.rep[j])
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +423,10 @@ def _scale_of(img: Sequence, point: ProjPointQ) -> Fraction:
 
 def grassmann_map(n: int, k: int) -> KLinearMap:
     """The wedge map (Q^n)^k -> Q^C(n,k), Plücker coordinates in lex order."""
+    check_caps("grassmann", n=n, k=k)
     if not (1 <= k < n) or n < 3 or comb(n, k) < 3:
         raise InvalidParameters(f"grassmann map needs 1 <= k < n, n >= 3, C(n,k) >= 3; got n={n}, k={k}")
+    check_caps(f"grassmann({n}, {k})", D=comb(n, k), basis_images=perm(n, k))
     d = comb(n, k)
     subsets = {s: i for i, s in enumerate(itertools.combinations(range(n), k))}
     images: dict[tuple[int, ...], tuple] = {}
@@ -423,8 +454,10 @@ def prodforms_map(n: int, k: int) -> KLinearMap:
     Target coordinates are homogeneous degree-k monomials in
     degree-lexicographic order with x1 > x2 > ... > xn.
     """
-    if n < 2 or n + k < 4:
-        raise InvalidParameters(f"product-of-forms map needs n >= 2 and n + k >= 4; got n={n}, k={k}")
+    check_caps("prodforms", n=n, k=k)
+    if n < 2 or k < 1 or n + k < 4:
+        raise InvalidParameters(f"product-of-forms map needs n >= 2, k >= 1 and n + k >= 4; got n={n}, k={k}")
+    check_caps(f"prodforms({n}, {k})", D=comb(n + k - 1, k), basis_images=n ** k)
     monomials = sorted(_exponent_vectors(n, k), reverse=True)
     index = {m: i for i, m in enumerate(monomials)}
     d = len(monomials)
@@ -462,11 +495,13 @@ def map_to_doc(kmap: KLinearMap) -> dict:
 
 
 def map_from_doc(doc: dict) -> KLinearMap:
+    k, n, dim = int(doc["k"]), int(doc["n"]), int(doc["D"])
+    check_caps("k-linear map", k=k, n=n, D=dim, basis_images=len(doc["basis_images"]))
     images = {
         tuple(int(i) for i in entry["index"]): tuple(Fraction(s) for s in entry["image"])
         for entry in doc["basis_images"]
     }
-    return KLinearMap(k=int(doc["k"]), n=int(doc["n"]), target_dim=int(doc["D"]), basis_images=images)
+    return KLinearMap(k=k, n=n, target_dim=dim, basis_images=images)
 
 
 def save_map(kmap: KLinearMap, path: str) -> None:

@@ -23,7 +23,6 @@ from .builder import (
     TraceTooShort,
     _product_gt,
     compute_hi,
-    decay_term,
     limit_point,
 )
 from .exact_geometry import (
@@ -33,14 +32,14 @@ from .exact_geometry import (
     dec_str,
     dist_sq,
     dot,
-    hex_str,
+    dyadic_bounds,
+    dyadic_str,
     ln_bounds,
     norm_sq,
     primitive,
     rank,
     sci_str,
     sqrt_bounds,
-    sqrt_bounds_rel,
     vec_add,
     vec_scale,
     wedge_sq,
@@ -70,11 +69,38 @@ class DXiInterval:
 # condition audit
 
 
-def check_conditions(trace: SequenceTrace) -> dict:
+@dataclass(frozen=True)
+class TraceGeometry:
+    """The full-size products an audit needs, each computed once from the points.
+
+    For the trace's points x_0, x_1, ...: norms[j] = |x_j|^2,
+    products[j] = |x_j|^2 |x_{j+1}|^2 and wedges[j] = |x_j ^ x_{j+1}|^2 =
+    products[j] - (x_j . x_{j+1})^2, so that
+    dist(x_j, x_{j+1})^2 = wedges[j] / products[j].
+    """
+
+    norms: tuple[int, ...]
+    products: tuple[int, ...]
+    wedges: tuple[int, ...]
+
+
+def trace_geometry(trace: SequenceTrace) -> TraceGeometry:
+    reps = [p.rep for p in trace.points()]
+    norms = tuple(norm_sq(r) for r in reps)
+    if not all(norms):
+        raise ZeroVector("projective distance needs nonzero vectors")
+    products = tuple(a * b for a, b in zip(norms, norms[1:]))
+    wedges = tuple(nn - dot(x, y) ** 2 for nn, x, y in zip(products, reps, reps[1:]))
+    return TraceGeometry(norms, products, wedges)
+
+
+def check_conditions(trace: SequenceTrace, geometry: TraceGeometry | None = None) -> dict:
     """Re-derive every construction inequality from the recorded points.
 
     Returns a report dict with one record per step index; ``all_pass``
-    aggregates them.  Failures carry the offending values.
+    aggregates them.  Failures name the condition and print bit lengths,
+    never a full-size decimal.  ``geometry`` is trace_geometry(trace),
+    computed here when not given.
     """
     if not trace.entries:
         raise MalformedTrace("empty trace")
@@ -88,6 +114,8 @@ def check_conditions(trace: SequenceTrace) -> dict:
     if adapter.ambient_dim != trace.ambient_dim:
         raise MalformedTrace("ambient dimension does not match the family")
     points = trace.points()
+    geo = geometry or trace_geometry(trace)
+    n2, w = geo.norms, geo.wedges
     records = []
     all_pass = True
     first = trace.entries[0]
@@ -96,7 +124,6 @@ def check_conditions(trace: SequenceTrace) -> dict:
         rec0["failures"].append("(a) start point is not a certified member")
         all_pass = False
     records.append(rec0)
-    dsq_prev = None
     for i, entry in enumerate(trace.entries[:-1], start=1):
         step = entry.step
         rec = {"index": i, "failures": []}
@@ -116,15 +143,10 @@ def check_conditions(trace: SequenceTrace) -> dict:
         y = vec_add(step.z.rep, vec_scale(step.b, x.rep))
         if all(a == 0 for a in y) or primitive(y) != x_next:
             fails.append("next point is not primitive(z + b*x)")
-        # the squared distance wnum/wden, compared by cross-multiplication
-        n2n, n2x = x_next.norm_sq(), x.norm_sq()
-        dv = dot(x_next.rep, x.rep)
-        wnum, wden = n2n * n2x - dv * dv, n2n * n2x
-        if wden == 0:
-            raise ZeroVector("projective distance needs nonzero vectors")
         # (b) strict norm growth
-        if not n2n > n2x:
-            fails.append(f"(b) norm fails to grow: {n2n} <= {n2x}")
+        if not n2[i] > n2[i - 1]:
+            fails.append(f"(b) norm fails to grow: |x_next|^2 <= |x|^2 "
+                         f"({n2[i].bit_length()} and {n2[i - 1].bit_length()} bits)")
         # (c) certified score decrease along the line, for every step; corrupt
         # inputs make the exact re-derivations raise, which is itself a failure
         try:
@@ -136,11 +158,11 @@ def check_conditions(trace: SequenceTrace) -> dict:
             fails.append(f"(c) certificate does not re-verify: {exc}")
         # (d) for i >= 2, plus the distance-decay consequence
         if i >= 2:
-            pnum, pden = dsq_prev
-            if _product_gt(((9 * wnum, 1), (pden, 1)), ((pnum, 1), (wden, 1))):
-                fails.append(f"(d) telescoping fails: 9*{Fraction(wnum, wden)} > {Fraction(pnum, pden)}")
+            # 9 w[i-1] / (n2[i-1] n2[i]) > w[i-2] / (n2[i-2] n2[i-1]), times n2[i-2] n2[i-1] n2[i]
+            if _product_gt(((9 * w[i - 1], 1), (n2[i - 2], 1)), ((w[i - 2], 1), (n2[i], 1))):
+                fails.append("(d) telescoping fails: 9 dist(x, x_next)^2 > dist(x_prev, x)^2")
             # t = (9/4) dsq |x|^2 as an unreduced pair u/v; |x|^2 cancels
-            lo_ok, hi_ok = phi.le_phi_sq_lo_hi(9 * wnum, 4 * n2n, n2n)
+            lo_ok, hi_ok = phi.le_phi_sq_lo_hi(9 * w[i - 1], 4 * n2[i], n2[i])
             if not lo_ok:
                 fails.append("(d) decay target fails at the certified norm bound")
             if not hi_ok:
@@ -148,7 +170,6 @@ def check_conditions(trace: SequenceTrace) -> dict:
         if fails:
             all_pass = False
         records.append(rec)
-        dsq_prev = (wnum, wden)
     return {"all_pass": all_pass, "conditions": records}
 
 
@@ -349,57 +370,69 @@ def brute_force_dmin(
 @dataclass(frozen=True)
 class ExponentRow:
     index: int
-    x_scale: Fraction     # certified lower bound of |x_{i+1}|, the scale X_i
-    d_hi: Fraction        # certified upper bound on D(x_i)
+    x_scale: Fraction     # the scale X_i, a dyadic with |x_i| <= X_i
+    d_hi: Fraction        # dyadic upper bound on D(x_i)
     lambda_lb: Fraction   # certified lower bound: Dmin(X_i) <= X_i^(-lambda_lb)
 
     def to_doc(self) -> dict:
-        """X and D_hi exact in hex and as 12 significant digits; lambda_lb as a decimal."""
+        """X and D_hi exact as dyadics and as 12 significant digits; lambda_lb as a decimal."""
         return {
             "index": self.index,
-            "X": hex_str(self.x_scale),
+            "X": dyadic_str(self.x_scale),
             "X_dec": sci_str(self.x_scale, 12),
-            "D_hi": hex_str(self.d_hi),
+            "D_hi": dyadic_str(self.d_hi),
             "D_hi_dec": sci_str(self.d_hi, 12),
             "lambda_lb": str(self.lambda_lb),
             "lambda_lb_dec": dec_str(self.lambda_lb, 12),
         }
 
 
-def exponent_report(trace: SequenceTrace, precision_bits: int = 64) -> list[ExponentRow]:
-    """Certified per-scale exponent lower bounds from a trace.
+def exponent_row(index: int, n2x: int, n2n: int, w: int, precision_bits: int = 64) -> ExponentRow | None:
+    """The row of step x_i -> x_{i+1}, from n2x = |x_i|^2, n2n = |x_{i+1}|^2 and w = |x_i ^ x_{i+1}|^2.
 
-    For each step i >= 2 the telescoping gives
-    D(x_i) <= (3/2) |x_i| dist(x_{i+1}, x_i) for every valid
-    continuation, and x_i stays feasible at every scale X >= |x_i|, so
-    -log(D_hi)/log(X_i) certifies the decay exponent at X_i; the squared
-    bound is decay_term.
+    The telescoping gives D(x_i) <= (3/2) |x_i| dist(x_i, x_{i+1}) for
+    every valid continuation, and that bound is sqrt(9 w / (4 n2n)), as
+    |x_i|^2 cancels.  D_hi is its upper dyadic bound and X_i the lower
+    dyadic bound of |x_{i+1}| = sqrt(n2n), both of relative width at most
+    2^-(precision_bits + 3) (exact_geometry.dyadic_bounds).  When
+    X_i^2 < n2x, X_i is the upper bound of |x_i| instead.  Either way
+    |x_i| <= X_i, so x_i is feasible at the scale X_i and
+    Dmin(X_i) <= D(x_i) <= D_hi.  With ln_bounds' directed rounding,
+    lambda_lb <= -ln(D_hi) / ln(X_i), so Dmin(X_i) <= X_i^(-lambda_lb).
+    None when X_i <= 1 or D_hi = 0, where no exponent is certified.
+    """
+    prec = precision_bits + 3
+    d_hi = dyadic_bounds(9 * w, 4 * n2n, prec, 2)[1]
+    x_scale = dyadic_bounds(n2n, 1, prec, 2)[0]
+    if _product_gt(((n2x, 1), (x_scale.denominator, 2)), ((x_scale.numerator, 2),)):
+        x_scale = dyadic_bounds(n2x, 1, prec, 2)[1]
+    if x_scale <= 1 or d_hi == 0:
+        return None
+    ln_x_lo, ln_x_hi = ln_bounds(x_scale, precision_bits)
+    if d_hi < 1:
+        lam = ln_bounds(1 / d_hi, precision_bits)[0] / ln_x_hi
+    else:
+        lam = -ln_bounds(d_hi, precision_bits)[1] / ln_x_lo
+    return ExponentRow(index=index, x_scale=x_scale, d_hi=d_hi, lambda_lb=lam)
+
+
+def exponent_report(
+    trace: SequenceTrace, precision_bits: int = 64, geometry: TraceGeometry | None = None
+) -> list[ExponentRow]:
+    """Certified per-scale exponent lower bounds, one row per step i >= 2 (exponent_row).
+
+    ``geometry`` is trace_geometry(trace), computed here when not given.
     """
     if len(trace.entries) < 3:
         raise TraceTooShort("exponent estimates need at least 3 points")
+    geo = geometry or trace_geometry(trace)
     rows = []
-    points = trace.points()
-    norm_prec = ApproxFn.from_descriptor(trace.phi).precision_bits
-    n2n = points[1].norm_sq()
     for i in range(2, len(trace.entries)):
         if trace.entries[i - 1].step is None:
             break
-        x, x_next = points[i - 1], points[i]
-        n2x, n2n = n2n, x_next.norm_sq()
-        t = decay_term(n2x, n2n, dot(x.rep, x_next.rep))
-        d_hi = sqrt_bounds_rel(t, precision_bits + 4)[1]
-        # the lower bound of |x_{i+1}| at the trace's precision, as gen uses it
-        x_scale = sqrt_bounds(n2n, norm_prec)[0]
-        if x_scale * x_scale < n2x:
-            x_scale = sqrt_bounds(n2x, precision_bits + 4)[1]
-        if x_scale <= 1 or d_hi == 0:
-            continue
-        ln_x_lo, ln_x_hi = ln_bounds(x_scale, precision_bits)
-        if d_hi < 1:
-            lam = ln_bounds(1 / d_hi, precision_bits)[0] / ln_x_hi
-        else:
-            lam = -ln_bounds(d_hi, precision_bits)[1] / ln_x_lo
-        rows.append(ExponentRow(index=i, x_scale=x_scale, d_hi=d_hi, lambda_lb=lam))
+        row = exponent_row(i, geo.norms[i - 1], geo.norms[i], geo.wedges[i - 1], precision_bits)
+        if row is not None:
+            rows.append(row)
     return rows
 
 
@@ -421,7 +454,8 @@ def audit_report(
     bruteforce_xmax: int | None = None,
 ) -> dict:
     """Full audit: conditions, exponents, spanning, optional brute force."""
-    report = check_conditions(trace)
+    geo = trace_geometry(trace)
+    report = {"version": 3, **check_conditions(trace, geo)}
     n = len(trace.entries)
     spanning = {str(i0): spanning_check(trace, i0) for i0 in range(2, n + 1)}
     report["spanning"] = spanning
@@ -431,22 +465,18 @@ def audit_report(
         report["all_pass"] = False
     report["spanning_required_ok"] = span_ok
     if n >= 3:
-        # exponent_report first: limit_point then reuses the last step's term
-        exp_rows = exponent_report(trace, precision_bits)
-        lim = limit_point(trace, precision_bits)
-        # the center is the trace's last point, which the report does not repeat
-        report["limit"] = {
-            "radius_sq": hex_str(lim.radius_sq),
-            "radius_sq_dec": sci_str(lim.radius_sq, 12),
-        }
-        report["exponents"] = [r.to_doc() for r in exp_rows]
+        # the ball around the trace's last point, which the report does not
+        # repeat: radius^2 = 9 w / (4 |x_prev|^2 |x_last|^2) (limit_point)
+        r2_hi = dyadic_bounds(9 * geo.wedges[-1], 4 * geo.products[-1], precision_bits + 3)[1]
+        report["limit"] = {"radius_sq_hi": dyadic_str(r2_hi), "radius_sq_hi_dec": sci_str(r2_hi, 12)}
+        report["exponents"] = [r.to_doc() for r in exponent_report(trace, precision_bits, geo)]
     else:
         report["limit"] = None
         report["exponents"] = []
     if bruteforce_xmax is not None and n >= 3:
         phi = ApproxFn.from_descriptor(trace.phi)
-        rows = brute_force_curve(lim, bruteforce_xmax, precision_bits)
-        x2_norm_sq = trace.points()[1].norm_sq()
+        rows = brute_force_curve(limit_point(trace), bruteforce_xmax, precision_bits)
+        x2_norm_sq = geo.norms[1]
         out_rows = []
         all_dominated = True
         for row in rows:

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 import time
 from fractions import Fraction
 from unittest import mock
@@ -327,6 +328,31 @@ class TestMultiplierKernels:
     def test_product_gt_matches_plain_comparison(self, lhs, rhs):
         expect = math.prod(f ** e for f, e in lhs) > math.prod(f ** e for f, e in rhs)
         assert builder._product_gt(lhs, rhs) == expect
+
+    @given(st.data())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_product_gt_top_bits_match_plain_comparison(self, data):
+        """Big products decided from top bits: ties, off-by-one and zero factors included."""
+        big = st.builds(lambda seed, bits: random.Random(seed).getrandbits(bits) | 1 << (bits - 1),
+                        st.integers(0, 2 ** 32), st.integers(1, 100_000))
+        side = st.lists(st.tuples(st.one_of(big, st.integers(0, 2 ** 70)), st.integers(1, 3)),
+                        min_size=1, max_size=3)
+        lhs = data.draw(side) + [(data.draw(big), 1)]
+        total = math.prod(f ** e for f, e in lhs)
+        kind = data.draw(st.sampled_from(["random", "tie", "plus one", "minus one", "zero"]))
+        if kind == "random":
+            rhs = data.draw(side)
+        elif kind == "tie":  # the same product, regrouped: expand each power
+            rhs = [(f, 1) for f, e in lhs for _ in range(e)]
+        elif kind == "zero":
+            rhs = data.draw(side) + [(0, data.draw(st.integers(1, 3)))]
+            lhs, rhs = (rhs, lhs) if data.draw(st.booleans()) else (lhs, rhs)
+        else:
+            rhs = [(total + (1 if kind == "plus one" else -1), 1)]
+            assume(rhs[0][0] >= 0)
+        expect = math.prod(f ** e for f, e in lhs) > math.prod(f ** e for f, e in rhs)
+        assert builder._product_gt(lhs, rhs) == expect
+        assert builder._product_gt(rhs, lhs) == (math.prod(f ** e for f, e in rhs) > math.prod(f ** e for f, e in lhs))
 
     @given(st.integers(3, 4).flatmap(lambda n: st.tuples(
                st.lists(_coords, min_size=n, max_size=n),

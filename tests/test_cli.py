@@ -3,11 +3,13 @@ import json
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from maxsing.cli import EXIT_AUDIT, EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main
+from maxsing.exact_geometry import primitive
 
 V1_TRACE = Path(__file__).with_name("data") / "grassmann42_pow_seed7_v1.json"
 
@@ -98,6 +100,14 @@ class TestGen:
         assert main(["verify", str(out)]) == EXIT_OK
 
 
+@pytest.fixture(scope="module")
+def split4_11_doc(tmp_path_factory):
+    out = tmp_path_factory.mktemp("split4") / "t.json"
+    assert main(["gen", "--family", "quadric", "--phi", "pow", "1/2", "--steps", "11", "--seed", "7",
+                 "--out", str(out)]) == EXIT_OK
+    return json.loads(out.read_text())
+
+
 class TestVerify:
     def test_tampered_trace_fails(self, tmp_path):
         _, out = gen(tmp_path, "--family", "quadric", "--phi", "pow", "1/2",
@@ -126,6 +136,24 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "audit FAILED (index 1: (c) " in err and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("b, condition", [(1, "(b) norm fails to grow"), (5, "(d) telescoping fails")])
+    def test_failure_message_prints_no_long_decimal(self, split4_11_doc, tmp_path, capsys, b, condition):
+        """A multiplier tampered to fail (b) or (d), with the point it gives, names the condition.
+
+        The messages print bit lengths instead of the 92k-bit norms in decimal.
+        """
+        doc = copy.deepcopy(split4_11_doc)
+        entry = doc["entries"][-2]
+        x, z = ([int(a, 0) for a in v] for v in (entry["x"], entry["step"]["z"]))
+        entry["step"]["b"] = hex(b)
+        doc["entries"][-1]["x"] = [format(a, "#x") for a in primitive([c + b * a for a, c in zip(x, z)]).rep]
+        bad, audit = tmp_path / "bad.json", tmp_path / "audit.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["verify", str(bad), "--out", str(audit)]) == EXIT_AUDIT
+        err = capsys.readouterr().err
+        assert f"audit FAILED (index 10: {condition}" in err and "Traceback" not in err
+        assert not re.search(r"\d{41}", err + audit.read_text())
 
     def test_malformed_json_is_usage_error(self, tmp_path):
         p = tmp_path / "garbage.json"
@@ -352,6 +380,80 @@ class TestPrecisionEnvironment:
                         "--precision-bits", "16")
         assert code == EXIT_OK
         assert json.loads(out.read_text())["phi"]["precision_bits"] == 16
+
+
+class TestSizeCaps:
+    """A descriptor, a map file or a flag asking for unbounded work exits 1 at once, naming the field."""
+
+    @pytest.mark.parametrize("mutate, field", [
+        (lambda d: d["family"].update(n=30, k=15), "n = 30 exceeds the cap"),
+        (lambda d: d["family"].update(n=10, k=9), "k = 9 exceeds the cap"),
+        (lambda d: d["phi"].update(precision_bits=10 ** 6), "precision_bits 1000000 is outside 0..4096"),
+        (lambda d: d["phi"].update(precision_bits=-5), "precision_bits -5 is outside 0..4096"),
+    ])
+    def test_trace_field(self, tmp_path, capsys, mutate, field):
+        _, out = gen(tmp_path, "--family", "grassmann", "--n", "4", "--k", "2", "--phi", "pow", "1/2",
+                     "--steps", "3", "--max-height", "4")
+        doc = json.loads(out.read_text())
+        mutate(doc)
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        t0 = time.perf_counter()
+        assert main(["verify", str(out)]) == EXIT_USAGE
+        assert time.perf_counter() - t0 < 1
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"k": 9, "n": 2, "D": 3, "basis_images": []}, "k = 9 exceeds the cap"),
+        ({"k": 2, "n": 10 ** 9, "D": 3, "basis_images": []}, "n = 1000000000 exceeds the cap"),
+        ({"k": 2, "n": 2, "D": 10 ** 6, "basis_images": []}, "D = 1000000 exceeds the cap"),
+        ({"k": 2, "n": 2, "D": 3, "basis_images": [{"index": [0, 0], "image": ["1", "0", "0"]}] * 5000},
+         "basis_images = 5000 exceeds the cap"),
+    ])
+    def test_map_file_field(self, tmp_path, capsys, doc, field):
+        mp = tmp_path / "map.json"
+        mp.write_text(json.dumps(doc))
+        t0 = time.perf_counter()
+        code, out = gen(tmp_path, "--family", "klinear", "--klinear-file", str(mp), "--phi", "pow", "1/2",
+                        "--steps", "3")
+        assert code == EXIT_USAGE and time.perf_counter() - t0 < 1
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("family, field", [
+        (("grassmann", "--n", "30", "--k", "15"), "n = 30 exceeds the cap"),
+        (("grassmann", "--n", "10", "--k", "8"), "basis_images = 1814400 exceeds the cap"),
+        (("prodforms", "--n", "6", "--k", "6"), "D = 462 exceeds the cap"),
+    ])
+    def test_gen_family_size(self, tmp_path, capsys, family, field):
+        t0 = time.perf_counter()
+        code, out = gen(tmp_path, "--family", *family, "--phi", "pow", "1/2", "--steps", "3")
+        assert code == EXIT_USAGE and time.perf_counter() - t0 < 1
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["verify", "{trace}", "--precision", "1000000"], "--precision"),
+        (["exponent", "{trace}", "--precision", "1000000"], "--precision"),
+        (["gen", "--family", "quadric", "--phi", "log3x", "--steps", "3", "--precision-bits", "1000000",
+          "--out", "{trace}"], "--precision-bits"),
+    ])
+    def test_precision_flag(self, tmp_path, capsys, argv, flag):
+        _, out = gen(tmp_path, "--family", "quadric", "--phi", "log3x", "--steps", "3")
+        capsys.readouterr()
+        t0 = time.perf_counter()
+        assert main([str(out) if a == "{trace}" else a for a in argv]) == EXIT_USAGE
+        assert time.perf_counter() - t0 < 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected an integer from 1 to 4096, got '1000000'" in err
+        assert "Traceback" not in err
+
+    def test_precision_variable(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MAXSING_PRECISION_BITS", "1000000")
+        code, out = gen(tmp_path, "--family", "quadric", "--phi", "log3x", "--steps", "3")
+        assert code == EXIT_USAGE and not out.exists()
+        assert "MAXSING_PRECISION_BITS: expected an integer from 1 to 4096" in capsys.readouterr().err
 
 
 class TestUserMap:

@@ -12,7 +12,8 @@ from maxsing.exact_geometry import (
     ProjPointQ,
     ZeroVector,
     dist_sq,
-    hex_str,
+    dyadic_bounds,
+    dyadic_str,
     in_span,
     inth_root,
     ln_bounds,
@@ -369,6 +370,46 @@ class TestSqrtBoundsOneRoot:
         assert sqrt_bounds(r, bits) == sqrt_bounds_two_roots(r, bits)
 
 
+class TestDyadicBounds:
+    """Working-precision bounds from top bits: they bracket and have relative width 2^-precision."""
+
+    @given(st.integers(0, 2 ** 3000), st.integers(1, 2 ** 3000), st.integers(1, 80), st.sampled_from([1, 2]))
+    @example(0, 7, 64, 2)
+    @example(2 ** 200, 1, 64, 2)  # an exact square
+    @example(1, 2 ** 3000 - 1, 1, 2)
+    @example(2 ** 3000, 1, 64, 1)
+    @settings(max_examples=400, derandomize=True)
+    def test_brackets_within_relative_width(self, p, q, prec, root):
+        lo, hi = dyadic_bounds(p, q, prec, root)
+        v = Fraction(p, q)
+        assert lo ** root <= v <= hi ** root
+        # hi - lo <= 2^-prec v^(1/root), squared for root 2
+        assert (hi - lo) ** root <= v / 2 ** (root * prec)
+        for b in (lo, hi):
+            assert b.denominator & (b.denominator - 1) == 0
+
+    @given(st.integers(-2 ** 80, 2 ** 80), st.integers(-3000, 3000))
+    @example(0, 5)
+    @settings(max_examples=300, derandomize=True)
+    def test_renderer_reads_back(self, m, e):
+        x = Fraction(m) * Fraction(2) ** e
+        text = dyadic_str(x)
+        mant, exp = text.split("p")
+        assert Fraction(int(mant, 0)) * Fraction(2) ** int(exp) == x
+        assert m == 0 or int(mant, 0) % 2 == 1
+        assert len(text) < 40
+
+    def test_renderer_rejects_non_dyadic(self):
+        with pytest.raises(ValueError):
+            dyadic_str(Fraction(1, 3))
+
+    def test_bad_input(self):
+        with pytest.raises(NegativeInput):
+            dyadic_bounds(-1, 1, 64)
+        with pytest.raises(ValueError):
+            dyadic_bounds(1, 1, 64, 3)
+
+
 class TestRoots:
     def test_inth_root(self):
         assert inth_root(0, 3) == 0
@@ -447,7 +488,7 @@ render_values = st.one_of(
 
 
 class TestRenderers:
-    """hex_str is exact and sci_str gives the truncated leading digits."""
+    """sci_str gives the truncated leading digits."""
 
     @given(render_values)
     @example(Fraction(10 ** 12))
@@ -460,9 +501,7 @@ class TestRenderers:
     @example(Fraction(1 << (254370 + 64), (1 << 64) - 1))
     @example(Fraction(1 << 64, ((1 << 64) - 1) << 325147))
     @settings(max_examples=300, derandomize=True, deadline=None)
-    def test_hex_round_trip_and_scientific_bounds(self, x):
-        assert Fraction(*(int(t, 0) for t in hex_str(x).split("/"))) == x
-        assert ("/" in hex_str(x)) == (x.denominator != 1)
+    def test_scientific_bounds(self, x):
         s = sci_str(x, 12)
         if x == 0:
             assert s == "0"

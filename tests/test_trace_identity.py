@@ -1,4 +1,4 @@
-"""Traces stay byte-identical: gen output is pinned by sha256 digests.
+"""Traces stay byte-identical: gen output is pinned by sha256 digests, and so is one audit.
 
 Each case pins two digests.  The file digest is of the trace version 2
 bytes; a speed change must keep it, a deliberate format change replaces
@@ -62,19 +62,20 @@ def stored_values_digest(doc: dict) -> str:
 
 
 def audit_values_digest(doc: dict) -> str:
-    """sha256 of an audit report's values, the same for the decimal and the hex rendering.
+    """sha256 of the audit values that audit versions 2 and 3 state alike.
 
-    Exact values are read as Fractions with one int(s, 0) per side of the
-    slash; the *_dec renderings and the limit's center (the trace's last
-    point, which only the decimal rendering repeats) are dropped.
+    These are the verdicts, the condition records, spanning, brute force,
+    ``partial``, each exponent row's index and every 12-digit ``*_dec``
+    string, the limit's included, taken in key order.  Version 3 writes X,
+    D_hi and the limit radius as working-precision bounds, so their exact
+    strings and lambda_lb change; they are left out.
     """
-    def exact(s):
-        return str(Fraction(*(int(t, 0) for t in s.split("/"))))
+    def decs(d):
+        return [d[k] for k in sorted(d) if k.endswith("_dec")]
 
-    limit = doc["limit"] and {"radius_sq": exact(doc["limit"]["radius_sq"])}
-    rows = [{"index": r["index"], **{k: exact(r[k]) for k in ("X", "D_hi", "lambda_lb")}}
-            for r in doc["exponents"]]
-    canon = {**doc, "limit": limit, "exponents": rows}
+    canon = {k: doc[k] for k in ("all_pass", "conditions", "spanning", "spanning_required_ok", "bruteforce", "partial")}
+    canon["limit"] = doc["limit"] and decs(doc["limit"])
+    canon["exponents"] = [[r["index"], *decs(r)] for r in doc["exponents"]]
     return hashlib.sha256(json.dumps(canon, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
 
@@ -116,22 +117,36 @@ def test_trace_digest(tmp_path, args, seed, exit_code, digest, stored):
     assert stored_values_digest(json.loads(data)) == stored
 
 
+# the audit of the split4-pow-seed7 trace; CI checks that the oldest supported
+# Python writes the same bytes
+SPLIT4_POW_SEED7_AUDIT = "aaab40ee2771cf428ac87ac3c491277264a26dfa2294813af625eb0d022d2b68"
+
+
+def test_audit_digest(tmp_path):
+    code, out = gen(tmp_path, SPLIT4_POW, 7)
+    assert code == EXIT_OK
+    audit = tmp_path / "audit.json"
+    assert main(["verify", str(out), "--precision", "64", "--out", str(audit)]) == EXIT_OK
+    assert hashlib.sha256(audit.read_bytes()).hexdigest() == SPLIT4_POW_SEED7_AUDIT
+
+
 class TestVersion1Fixture:
     """A version 1 trace, written before the format changed, still reads and audits the same.
 
     The fixture is GRASSMANN42_V1 at seed 7 and 64 precision bits.  The
-    audit file digest is of the hex rendering of the report; the
-    audit-values digest was taken from the decimal rendering, before it
-    changed, so the report still states the same values.
+    audit file digest is of the audit version 3 rendering; the
+    audit-values digest was taken from the version 2 audit, before
+    version 3 changed it, so the report still states the same verdicts
+    and decimals.
     """
 
     def test_verify_audit_is_unchanged(self, tmp_path):
         audit = tmp_path / "audit.json"
         assert main(["verify", str(V1_FIXTURE), "--precision", "64", "--out", str(audit)]) == EXIT_OK
         assert hashlib.sha256(audit.read_bytes()).hexdigest() == (
-            "34bff36c3b08fca512a2fa19607d653115d9ccf4fdbcbbfeee11bfa06a64c4ed")
+            "d72c2a1a2205f0499962f7958f89fe931d9e1c9652db963aa0691298bcf32f83")
         assert audit_values_digest(json.loads(audit.read_text())) == (
-            "9c711b8aba939a20a4923e96a525c4a71f4169841dcb07c916a8e7d45dabccc0")
+            "a805659727570d3b371cb3d24a2ac94108ca233419d8b2589f16d3e5ec5f38c4")
 
     def test_reads_as_a_version_2_rerun(self, tmp_path):
         v1 = json.loads(V1_FIXTURE.read_text())

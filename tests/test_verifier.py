@@ -1,4 +1,6 @@
 import copy
+import random
+import re
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -14,11 +16,12 @@ from maxsing.builder import (
     trace_from_doc,
     trace_to_doc,
 )
-from maxsing.exact_geometry import dist_sq, dot, norm_sq, primitive
+from maxsing.exact_geometry import dist_sq, dot, ln_bounds, norm_sq, primitive
 from maxsing.families import SearchBudget, grassmann_adapter, prodforms_adapter, quadric_adapter
 from maxsing.quadric import split4
 from maxsing.verifier import (
     DXiInterval,
+    ExponentRow,
     IndexOutOfRange,
     MalformedTrace,
     TooLarge,
@@ -28,8 +31,12 @@ from maxsing.verifier import (
     check_conditions,
     d_xi,
     exponent_report,
+    exponent_row,
     spanning_check,
+    trace_geometry,
 )
+
+from kernel_oracles import exponent_report_v2, exponent_row_v2, radius_sq_v2
 
 
 def tamper(trace, mutate):
@@ -397,3 +404,87 @@ class TestAuditReport:
         assert applicable
         for row in applicable:
             assert Fraction(row["hi"]) <= Fraction(row["phi_hi"])
+
+
+@pytest.fixture(scope="module")
+def grassmann52_pow_trace():
+    return run(grassmann_adapter(5, 2), ApproxFn("pow", Fraction(1, 2)), 8, budget=SearchBudget(max_height=4))
+
+
+def _dyadic(s: str) -> Fraction:
+    m, e = s.split("p")
+    return Fraction(int(m, 0)) * Fraction(2) ** int(e)
+
+
+def _assert_row_brackets(row: ExponentRow, n2x: int, n2n: int, w: int, precision: int):
+    """X and D_hi bound |x_i| <= X and D_hi >= sqrt(9 w / (4 n2n)) within relative 2^-(precision+3)."""
+    eps = Fraction(1, 2 ** (precision + 3))
+    x2, d2 = row.x_scale ** 2, row.d_hi ** 2
+    assert x2 >= n2x
+    if x2 <= n2n:  # a lower bound of |x_{i+1}|
+        assert x2 >= (1 - eps) ** 2 * n2n
+    else:  # the upper bound of |x_i|, taken when |x_{i+1}|'s lower bound is below |x_i|
+        assert x2 <= (1 + eps) ** 2 * n2x
+    t = Fraction(9 * w, 4 * n2n)
+    assert t <= d2 <= (1 + eps) ** 2 * t
+    # a valid lower bound: lambda ln X <= -ln D_hi, at a finer precision
+    lx_lo, lx_hi = ln_bounds(row.x_scale, 128)
+    assert row.lambda_lb * (lx_hi if row.lambda_lb >= 0 else lx_lo) <= -ln_bounds(row.d_hi, 128)[1]
+
+
+class TestAuditV3Bounds:
+    """Audit version 3's working-precision values against version 2's exact computation."""
+
+    @pytest.mark.parametrize("name", [
+        "split4_pow_trace", "grassmann_pow_trace", "grassmann52_pow_trace", "prodforms_pow_trace",
+        "split4_log3x_trace", "grassmann_log3x_trace", "prodforms_log3x_trace"])
+    @pytest.mark.parametrize("precision", [16, 64])
+    def test_benchmark_families(self, request, name, precision):
+        trace = request.getfixturevalue(name)
+        pts = [p.rep for p in trace.points()]
+        rows = exponent_report(trace, precision)
+        oracle = exponent_report_v2(trace, precision)
+        assert [r.index for r in rows] == [o[0] for o in oracle]
+        for row, (_, _, _, lam_v2) in zip(rows, oracle):
+            x, y = pts[row.index - 1], pts[row.index]
+            _assert_row_brackets(row, norm_sq(x), norm_sq(y), norm_sq(x) * norm_sq(y) - dot(x, y) ** 2,
+                                 precision)
+            if precision == 64:
+                assert abs(row.lambda_lb - lam_v2) <= Fraction(1, 2 ** 50)
+        r2 = radius_sq_v2(trace)
+        assert limit_point(trace).radius_sq == r2
+        r2_hi = _dyadic(audit_report(trace, precision)["limit"]["radius_sq_hi"])
+        assert r2 <= r2_hi <= (1 + Fraction(1, 2 ** (precision + 3))) * r2
+
+    @given(st.integers(10_000, 100_000), st.integers(0, 2 ** 32), st.sampled_from([16, 64]))
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_synthetic_big_norms(self, bits, seed, precision):
+        rng = random.Random(seed)
+        n2n = rng.getrandbits(bits) | (1 << (bits - 1))
+        # equal-size norms reach the branch where X is the upper bound of |x_i|
+        n2x = rng.choice([n2n - rng.getrandbits(rng.randint(1, bits // 2)), rng.getrandbits(bits - 10) + 1])
+        root = isqrt(n2x * n2n)
+        dxy = root - rng.getrandbits(rng.choice([1, bits // 4, bits // 2, bits]))
+        dxy = max(dxy, -root)
+        w = n2x * n2n - dxy * dxy
+        row = exponent_row(5, n2x, n2n, w, precision)
+        oracle = exponent_row_v2(5, n2x, n2n, dxy, precision, precision)
+        assert (row is None) == (oracle is None)
+        if row is not None:
+            _assert_row_brackets(row, n2x, n2n, w, precision)
+            if precision == 64:
+                assert abs(row.lambda_lb - oracle[3]) <= Fraction(1, 2 ** 50)
+
+    def test_shared_geometry_gives_the_same_report(self, split4_pow_trace):
+        geo = trace_geometry(split4_pow_trace)
+        assert check_conditions(split4_pow_trace, geo) == check_conditions(split4_pow_trace)
+        assert exponent_report(split4_pow_trace, 64, geo) == exponent_report(split4_pow_trace, 64)
+
+    def test_report_is_version_3_with_dyadics(self, split4_pow_trace):
+        report = audit_report(split4_pow_trace)
+        assert report["version"] == 3
+        assert set(report["limit"]) == {"radius_sq_hi", "radius_sq_hi_dec"}
+        for r in report["exponents"]:
+            for field in ("X", "D_hi"):
+                assert re.fullmatch(r"0x[0-9a-f]+p[+-]\d+", r[field])
+                assert int(r[field].split("p")[0], 0) % 2 == 1
