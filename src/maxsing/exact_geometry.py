@@ -627,8 +627,8 @@ def dyadic_str(x) -> str:
     value near 2^-46000 stays a few dozen characters, where 0x<num>/0x<den>
     would take 11,500.  Hex converts in linear time where decimal takes
     quadratic time (Brent and Zimmermann, Modern Computer Arithmetic, 2010,
-    section 1.7).  float.fromhex reads it approximately; int(m, 0) * 2**e
-    exactly.
+    section 1.7).  int(m, 0) * 2**e reads it exactly, and float.fromhex
+    approximately within the float range.
     """
     x = Fraction(x)
     p, q = x.numerator, x.denominator
