@@ -18,7 +18,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import Sequence
 
 from . import multilinear as ml
@@ -29,7 +29,9 @@ from .exact_geometry import (
     dot,
     int_from_doc,
     inth_root,
-    ln_bounds,
+    ln_hi_fixed,
+    ln_lo_fixed,
+    minors_gcd,
     norm_sq,
     nth_root_bounds,
     primitive,
@@ -179,12 +181,22 @@ class ApproxFn:
         if x < 1:
             raise ValueError("decay target is only defined for X >= 1")
         if self.variant == "log3x":
-            lo, hi = ln_bounds(3 * x, self.precision_bits + 2)
-            return (min(lo / x, Fraction(1)), min(hi / x, Fraction(1)))
+            lo, hi = (Fraction(*self._log3x_phi(x.numerator, x.denominator, up)) for up in (False, True))
+            return (lo, hi)
         p, q = self.exponent.numerator, self.exponent.denominator
         r = x ** p
         lo_r, hi_r = nth_root_bounds(r, q, self.precision_bits + 2)
         return (1 / hi_r, 1 / lo_r)
+
+    def _log3x_phi(self, p: int, q: int, upper: bool) -> tuple[int, int]:
+        """(num, den) with num/den = min(1, L/X) at X = p/q >= 1, unreduced.
+
+        L/2^w is the lower (upper) end of ln_bounds(3X, precision_bits + 2),
+        so L/X = L q / (p 2^w), and the clamp is one integer comparison.
+        """
+        a, w = (ln_hi_fixed if upper else ln_lo_fixed)(3 * p, q, self.precision_bits + 2)
+        num, den = a * q, p << w
+        return (1, 1) if num >= den else (num, den)
 
     def le_phi_sq_lo(self, u: int, v: int, norm_sq_next: int) -> bool:
         """Decide t = u/v <= phi(X)^2 conservatively, v > 0, X = sqrt(norm_sq_next).
@@ -195,7 +207,7 @@ class ApproxFn:
         bound at the certified lower bound of the norm, computed from
         norm_sq_next.
         """
-        return self._le_phi_sq(u, v, norm_sq_next, self.phi_lo)
+        return self._le_phi_sq(u, v, norm_sq_next, False)
 
     def le_phi_sq_lo_hi(self, u: int, v: int, norm_sq_next: int) -> tuple[bool, bool]:
         """Decide u/v <= phi_lo(X)^2, then u/v <= phi_hi(X)^2 (the auditable upper-bound flavour).
@@ -206,16 +218,25 @@ class ApproxFn:
         lo = self.le_phi_sq_lo(u, v, norm_sq_next)
         if lo or self.variant == "pow":
             return lo, lo
-        return lo, self._le_phi_sq(u, v, norm_sq_next, self.phi_hi)
+        return lo, self._le_phi_sq(u, v, norm_sq_next, True)
 
-    def _le_phi_sq(self, u: int, v: int, norm_sq: int, bound) -> bool:
+    def _le_phi_sq(self, u: int, v: int, norm_sq: int, upper: bool) -> bool:
+        """u/v <= phi(X)^2 at the lower (upper) end of phi, all in integers.
+
+        Under log3x, X = max(m / 2^b, 1) with b = precision_bits and
+        m = isqrt(norm_sq 4^b), the lower end of sqrt_bounds(norm_sq, b)
+        (exact for perfect squares too), and phi = num/den from _log3x_phi,
+        so the test is u den^2 <= v num^2, with no Fraction and no gcd.
+        """
         if u < 0:
             return True
         if self.variant == "pow":
             p, q = self.exponent.numerator, self.exponent.denominator
             return not _product_gt(((u, q), (norm_sq, p)), ((v, q),))
-        b = bound(max(sqrt_bounds(norm_sq, self.precision_bits)[0], Fraction(1)))
-        return u * b.denominator ** 2 <= v * b.numerator ** 2
+        b = self.precision_bits
+        m = max(isqrt(norm_sq << (2 * b)), 1 << b)
+        num, den = self._log3x_phi(m, 1 << b, upper)
+        return u * den * den <= v * num * num
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +350,8 @@ def _log3x_stop_forced(n2x: int, n2z: int, w2: int, g: int, b_max: int, prec: in
     Together, acceptance needs 9 w2 <= 4 G^2 L^2 (1 + 2^-prec)^2.
     """
     norm_hi = _ceil_root(n2z, 1, 2) + b_max * _ceil_root(n2x, 1, 2)
-    ln_hi = ln_bounds(3 * norm_hi, prec)[1]
-    slack = Fraction((1 << prec) + 1, 1 << prec)
-    return 9 * w2 > 4 * g * g * (ln_hi * slack) ** 2
+    a, w = ln_hi_fixed(3 * norm_hi, 1, prec)  # L = a / 2^w
+    return (9 * w2) << (2 * (w + prec)) > 4 * (g * a * ((1 << prec) + 1)) ** 2
 
 
 def _log3x_stop_bits(n2x: int, n2z: int, w2: int, g: int, cap: int, prec: int) -> tuple[int, int]:
@@ -344,8 +364,7 @@ def _log3x_stop_bits(n2x: int, n2z: int, w2: int, g: int, cap: int, prec: int) -
     |x_next| within the cap is below 2^M, M the bit length of
     ceil|z| + 2^cap ceil|x|.
     """
-    ln3_hi = ln_bounds(3, prec)[1]
-    ln2_hi = ln_bounds(2, prec)[1]
+    ln3_hi, ln2_hi = (Fraction(a, 1 << w) for a, w in (ln_hi_fixed(3, 1, prec), ln_hi_fixed(2, 1, prec)))
     need = (Fraction(3, 2) * sqrt_bounds(w2, prec)[0] / g - ln3_hi) / ln2_hi
     norm_cap = _ceil_root(n2z, 1, 2) + (1 << cap) * _ceil_root(n2x, 1, 2)
     return need.numerator // need.denominator, norm_cap.bit_length()
@@ -374,11 +393,10 @@ def _select_multiplier(
     A probe decides b on integers; primitive(y), y = z + b*x, is computed
     for the accepted b only, and no distance is reduced.
 
-    - Content through G.  Let G be the gcd of the 2x2 minors of (x, z)
-      and c the content of y.  c divides every entry of y, hence every
-      minor x_a y_c - x_c y_a of (x, y); the b terms cancel, so these are
-      the minors of (x, z) and c | G.  So c = gcd(G, y_0, ..., y_{n-1}),
-      and |primitive(y)|^2 = n2y / c^2 with n2y = |y|^2 in closed form.
+    - Content through G.  With G = minors_gcd(x, z), the gcd of the 2x2
+      minors of (x, z), the content c of y divides G (proof there), so
+      c = gcd(G, y_0, ..., y_{n-1}), and |primitive(y)|^2 = n2y / c^2
+      with n2y = |y|^2 in closed form.
     - One distance.  For the same reason |y ^ x| = |z ^ x|, and the
       content cancels: dist_sq(x_next, x) = w2 / (n2x n2y).
     - No second gcd.  ``accept`` divides y by the c that ``attempt``
@@ -420,7 +438,7 @@ def _select_multiplier(
     n2z = norm_sq(zr)
     w2 = n2x * n2z - dzx * dzx
     w9 = 9 * w2
-    g = gcd(*(xr[a] * zr[c] - xr[c] * zr[a] for a, c in itertools.combinations(range(len(xr)), 2)))
+    g = minors_gcd(xr, zr)
     prec = phi.precision_bits
     if dsq_prev is not None:  # telescoping: 9 w2 p_den <= p_num n2x n2y, dsq_prev = p_num/p_den
         tel_l, tel_r = w9 * dsq_prev[1], dsq_prev[0] * n2x
@@ -439,17 +457,8 @@ def _select_multiplier(
         n2p = n2y // (c * c)
         if n2p <= n2x:
             return None
-        if dsq_prev is None:
-            return b, y, n2y, c
-        if phi.variant == "pow":
-            # decay test: (9 w2)^q * n2p^p <= (4 n2y)^q
-            if _product_gt(((w9, qq), (n2p, pp)), ((4 * n2y, qq),)):
-                return None
-        else:
-            norm_lo = sqrt_bounds(n2p, prec)[0]
-            lo = phi.phi_lo(max(norm_lo, Fraction(1)))
-            if w9 * lo.denominator ** 2 > 4 * n2y * lo.numerator ** 2:
-                return None
+        if dsq_prev is not None and not phi.le_phi_sq_lo(w9, 4 * n2y, n2p):
+            return None
         return b, y, n2y, c
 
     def accept(r):
@@ -722,8 +731,10 @@ def trace_from_doc(doc) -> SequenceTrace:
     An integer is a JSON int, a 0x hex string or a decimal string.  A
     point is a nonzero list of ambient_dim integers.  A z_witness has the
     family's k slots of n coordinates, since the certificate check indexes
-    it; a point's witness is judged by the audit's membership test.  A
-    defect raises MalformedTrace naming the entry and the field.
+    it; a point's witness is judged by the audit's membership test.  The
+    family's n and k, and for grassmann and prodforms the map's D and
+    basis-image count, are checked against the caps before any entry is
+    read.  A defect raises MalformedTrace naming the entry and the field.
     """
     if not isinstance(doc, dict):
         raise MalformedTrace("a trace is a JSON object")
@@ -745,6 +756,9 @@ def trace_from_doc(doc) -> SequenceTrace:
     if shape is not None:
         try:
             ml.check_caps("family", n=n, k=k)
+            kind = family.get("kind")
+            if kind in ("grassmann", "prodforms") and n >= 1 and k >= 1:
+                ml.check_caps(f"{kind}({n}, {k})", **ml.map_sizes(kind, n, k))
         except ml.InvalidParameters as exc:
             raise MalformedTrace(str(exc)) from None
     trace = SequenceTrace(

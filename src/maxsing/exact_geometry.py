@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from operator import index
 from typing import Iterable, Sequence
 
@@ -90,17 +90,20 @@ class ProjPointQ:
         return "[" + ":".join(str(c) for c in self.rep) + "]"
 
 
-def primitive(v: Sequence) -> ProjPointQ:
+def primitive(v: Sequence, content_multiple: int = 0) -> ProjPointQ:
     """Canonical representative of the projective class of ``v``.
 
     Accepts integer or rational coordinates; clears denominators, divides
     by the content and flips sign so the first nonzero coordinate is
     positive.  primitive(c*v) == primitive(v) for every nonzero rational c.
+    A nonzero ``content_multiple``, a multiple of the content of the
+    integer row (minors_gcd(x, z) for v = z + b*x), starts the gcd chain,
+    so no gcd of two full-size entries is taken.
     """
     if len(v) == 0 or all(a == 0 for a in v):
         raise ZeroVector("cannot projectivize the zero vector")
     ints = _clear_denominators(v)
-    g = 0
+    g = content_multiple
     for a in ints:
         g = gcd(g, a)
     ints = [a // g for a in ints]
@@ -110,6 +113,17 @@ def primitive(v: Sequence) -> ProjPointQ:
                 ints = [-b for b in ints]
             break
     return ProjPointQ(tuple(ints))
+
+
+def minors_gcd(x: Sequence[int], z: Sequence[int]) -> int:
+    """G, the gcd of the 2x2 minors x_a z_c - x_c z_a of integer vectors; 0 iff x and z are parallel.
+
+    The content of y = z + b*x divides G for every integer b: it divides
+    every entry of y, hence every minor of (x, y), and the b terms cancel
+    there, leaving the minors of (x, z).  So when G != 0 the content of y
+    is gcd(G, y_0, ..., y_{n-1}).
+    """
+    return gcd(*(x[a] * z[c] - x[c] * z[a] for a, c in itertools.combinations(range(len(x)), 2)))
 
 
 def _clear_denominators(v: Sequence) -> list[int]:
@@ -394,14 +408,17 @@ def orthogonal_functionals(s: ProjSubspaceQ) -> tuple[IntVec, ...]:
     """
     pivots = [next(j for j, a in enumerate(row) if a != 0) for row in s.basis]
     pivot_set = set(pivots)
+    # f_j = e_j - sum_rows (row_j / row_pc) e_pc, scaled by the lcm of the
+    # (positive) pivot entries to an integer vector with the same primitive
+    scale = lcm(*(row[pc] for row, pc in zip(s.basis, pivots)))
     funcs = []
     for j in range(s.ambient_dim):
         if j in pivot_set:
             continue
-        f = [Fraction(0)] * s.ambient_dim
-        f[j] = Fraction(1)
+        f = [0] * s.ambient_dim
+        f[j] = scale
         for row, pc in zip(s.basis, pivots):
-            f[pc] = Fraction(-row[j], row[pc])
+            f[pc] = -row[j] * (scale // row[pc])
         funcs.append(primitive(f).rep)
     return tuple(funcs)
 
@@ -520,92 +537,111 @@ def _atanh_series_scaled(t_scaled: int, scale_bits: int, terms: int, round_up: b
     Directed rounding: with round_up=False every intermediate floor gives a
     lower bound of the truncated series; with round_up=True every ceiling
     plus an explicit tail bound gives an upper bound of the full series.
+    A ceiling is a floor of the numerator raised by the divisor less one:
+    ceil(a / d) = floor((a + d - 1) / d) for d >= 1.
     """
     one = 1 << scale_bits
     if t_scaled == 0:
         return 0
-
-    def mul(a: int, b: int) -> int:
-        prod = a * b
-        if round_up:
-            return -((-prod) >> scale_bits)
-        return prod >> scale_bits
-
-    def div(a: int, b: int) -> int:
-        if round_up:
-            return -((-a) // b)
-        return a // b
-
-    t2 = mul(t_scaled, t_scaled)
+    up = int(round_up)
+    mul_pad = (one - 1) * up
+    t2 = (t_scaled * t_scaled + mul_pad) >> scale_bits
     total = t_scaled
     power = t_scaled
     j = 1
     while j <= terms:
-        power = mul(power, t2)
+        power = (power * t2 + mul_pad) >> scale_bits
         if power == 0 and not round_up:
             break
-        total += div(power, 2 * j + 1)
+        d = 2 * j + 1
+        total += (power + (d - 1) * up) // d
         j += 1
     if round_up:
         # tail: sum_{i>terms} t^(2i+1)/(2i+1) <= t^(2J+3) / ((2J+3)(1-t^2))
-        next_power = mul(power, t2)
+        next_power = (power * t2 + mul_pad) >> scale_bits
         denom = (2 * j + 1) * (one - t2)
         if denom <= 0:
             raise NegativeInput("atanh series needs t < 1")
-        total += div(next_power * one, denom) + 1
+        total += (next_power * one + denom - 1) // denom + 1
     return total
 
 
-_LN2_CACHE: dict[int, tuple[Fraction, Fraction]] = {}
+_LN2_CACHE: dict[tuple[int, bool], int] = {}
 
 
-def _ln2_bounds(scale_bits: int) -> tuple[Fraction, Fraction]:
-    if scale_bits not in _LN2_CACHE:
-        terms = scale_bits // 3 + 3
-        t_lo = (1 << scale_bits) // 3
-        t_hi = t_lo + 1
-        lo = 2 * _atanh_series_scaled(t_lo, scale_bits, terms, round_up=False)
-        hi = 2 * _atanh_series_scaled(t_hi, scale_bits, terms, round_up=True)
-        _LN2_CACHE[scale_bits] = (Fraction(lo, 1 << scale_bits), Fraction(hi, 1 << scale_bits))
-    return _LN2_CACHE[scale_bits]
+def _ln2_scaled(scale_bits: int, round_up: bool) -> int:
+    """The lower (round_up=False) or upper bound of 2^scale_bits ln 2, as 2 atanh(1/3)."""
+    key = (scale_bits, round_up)
+    if key not in _LN2_CACHE:
+        t = (1 << scale_bits) // 3 + round_up
+        _LN2_CACHE[key] = 2 * _atanh_series_scaled(t, scale_bits, scale_bits // 3 + 3, round_up)
+    return _LN2_CACHE[key]
+
+
+def _ln_fixed(p: int, q: int, precision_bits: int, round_up: bool) -> tuple[int, int]:
+    """(A, w) with A / 2^w the lower (round_up=False) or upper bound of ln(p/q), p, q >= 1.
+
+    p/q < 1 takes the other end of ln(q/p), negated; p = q gives (0, 0).
+    Otherwise p/q = 2^e m with m in [1, 2), w = precision_bits + 32 +
+    bl(e), bl the bit length, and ln(p/q) = e ln 2 + 2 atanh(t) with
+    t = (m - 1)/(m + 1) = tn / td, tn = p - q 2^e, td = p + q 2^e.  The
+    series runs on t_s = floor(2^w tn / td) (lower) or t_s + 1 (upper),
+    with w // 3 + 3 terms and every rounding directed outward.
+    """
+    if p < 1 or q < 1:
+        raise NegativeInput("log of a non-positive rational")
+    if p < q:
+        a, w = _ln_fixed(q, p, precision_bits, not round_up)
+        return -a, w
+    if p == q:
+        return 0, 0
+    e = p.bit_length() - q.bit_length()
+    if (q << e) > p:
+        e -= 1
+    w = precision_bits + 32 + e.bit_length()
+    tn = p - (q << e)
+    a = 0
+    if tn:
+        t_scaled = (tn << w) // (p + (q << e)) + round_up
+        a = 2 * _atanh_series_scaled(t_scaled, w, w // 3 + 3, round_up)
+    if e:
+        a += e * _ln2_scaled(w, round_up)
+    return a, w
+
+
+def ln_lo_fixed(p: int, q: int, precision_bits: int = 64) -> tuple[int, int]:
+    """(A, w) with A / 2^w <= ln(p/q), the lower end of ln_bounds(p/q, precision_bits)."""
+    return _ln_fixed(p, q, precision_bits, False)
+
+
+def ln_hi_fixed(p: int, q: int, precision_bits: int = 64) -> tuple[int, int]:
+    """(A, w) with A / 2^w >= ln(p/q), the upper end of ln_bounds(p/q, precision_bits)."""
+    return _ln_fixed(p, q, precision_bits, True)
 
 
 def ln_bounds(y, precision_bits: int = 64) -> tuple[Fraction, Fraction]:
     """Certified rational interval around ln(y), width <= 2^-precision_bits.
 
-    Range-reduces y = 2^e * m with m in [1, 2) and sums the atanh series
-    of (m-1)/(m+1) in fixed-point integers with directed rounding.
+    The pair (ln_lo_fixed, ln_hi_fixed) of y = p/q in lowest terms.  Each
+    end is the value the two-sided evaluation gave, bit for bit:
+
+    - e, w and the number of terms depend on p/q only, and so does
+      t_s = floor(2^w tn / td): scaling p and q by c scales tn and td by c.
+    - Both ends share e and w, and ln 2 is cached per (w, end), so the
+      sum e ln 2 + 2 atanh(t) is made over the one denominator 2^w that
+      the Fraction sum reduced; A / 2^w is the same rational.
+    - y < 1 went through 1/y and swapped and negated the ends; each
+      function now takes the other end of ln(q/p) and negates it.
+    - A ceiling is the floor of the padded numerator
+      (_atanh_series_scaled), which is the same integer.
     """
     y = Fraction(y)
     if y <= 0:
         raise NegativeInput("log of a non-positive rational")
-    if y == 1:
-        return (Fraction(0), Fraction(0))
-    if y < 1:
-        lo, hi = ln_bounds(1 / y, precision_bits)
-        return (-hi, -lo)
     p, q = y.numerator, y.denominator
-    e = p.bit_length() - q.bit_length()
-    while e > 0 and (q << e) > p:
-        e -= 1
-    while (q << (e + 1)) <= p:
-        e += 1
-    w = precision_bits + 32 + e.bit_length()
-    tn = p - (q << e)
-    td = p + (q << e)
-    terms = w // 3 + 3
-    if tn == 0:
-        m_lo = m_hi = Fraction(0)
-    else:
-        t_scaled = (tn << w) // td
-        t_lo, t_hi = t_scaled, t_scaled + 1
-        m_lo = Fraction(2 * _atanh_series_scaled(t_lo, w, terms, round_up=False), 1 << w)
-        m_hi = Fraction(2 * _atanh_series_scaled(t_hi, w, terms, round_up=True), 1 << w)
-    if e == 0:
-        lo, hi = m_lo, m_hi
-    else:
-        l2_lo, l2_hi = _ln2_bounds(w)
-        lo, hi = e * l2_lo + m_lo, e * l2_hi + m_hi
+    a_lo, w = ln_lo_fixed(p, q, precision_bits)
+    a_hi, _ = ln_hi_fixed(p, q, precision_bits)
+    lo, hi = Fraction(a_lo, 1 << w), Fraction(a_hi, 1 << w)
     assert hi - lo <= Fraction(1, 1 << precision_bits)
     return (lo, hi)
 

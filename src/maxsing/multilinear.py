@@ -69,6 +69,16 @@ def check_caps(where: str, **fields: int) -> None:
             raise InvalidParameters(f"{where}: {name} = {value} exceeds the cap {caps[name]}")
 
 
+def map_sizes(kind: str, n: int, k: int) -> dict[str, int]:
+    """D and the basis-image count of the grassmann or prodforms map on (Q^n)^k, n, k >= 1.
+
+    The fields check_caps takes, read off n and k before any map is built.
+    """
+    if kind == "grassmann":
+        return {"D": comb(n, k), "basis_images": perm(n, k)}
+    return {"D": comb(n + k - 1, k), "basis_images": n ** k}
+
+
 @dataclass(frozen=True)
 class KLinearMap:
     """A k-linear map (Q^n)^k -> Q^D given by its values on basis tuples.
@@ -426,7 +436,7 @@ def grassmann_map(n: int, k: int) -> KLinearMap:
     check_caps("grassmann", n=n, k=k)
     if not (1 <= k < n) or n < 3 or comb(n, k) < 3:
         raise InvalidParameters(f"grassmann map needs 1 <= k < n, n >= 3, C(n,k) >= 3; got n={n}, k={k}")
-    check_caps(f"grassmann({n}, {k})", D=comb(n, k), basis_images=perm(n, k))
+    check_caps(f"grassmann({n}, {k})", **map_sizes("grassmann", n, k))
     d = comb(n, k)
     subsets = {s: i for i, s in enumerate(itertools.combinations(range(n), k))}
     images: dict[tuple[int, ...], tuple] = {}
@@ -457,7 +467,7 @@ def prodforms_map(n: int, k: int) -> KLinearMap:
     check_caps("prodforms", n=n, k=k)
     if n < 2 or k < 1 or n + k < 4:
         raise InvalidParameters(f"product-of-forms map needs n >= 2, k >= 1 and n + k >= 4; got n={n}, k={k}")
-    check_caps(f"prodforms({n}, {k})", D=comb(n + k - 1, k), basis_images=n ** k)
+    check_caps(f"prodforms({n}, {k})", **map_sizes("prodforms", n, k))
     monomials = sorted(_exponent_vectors(n, k), reverse=True)
     index = {m: i for i, m in enumerate(monomials)}
     d = len(monomials)

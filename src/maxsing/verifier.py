@@ -34,7 +34,9 @@ from .exact_geometry import (
     dot,
     dyadic_bounds,
     dyadic_str,
-    ln_bounds,
+    ln_hi_fixed,
+    ln_lo_fixed,
+    minors_gcd,
     norm_sq,
     primitive,
     rank,
@@ -139,9 +141,10 @@ def check_conditions(trace: SequenceTrace, geometry: TraceGeometry | None = None
         if not adapter.member(TracePoint(nxt_entry.x, nxt_entry.witness)):
             fails.append("(a) next point is not a certified member")
         h = compute_hi(points[:i], trace.ambient_dim)
-        # step consistency: x_next == primitive(z + b*x)
+        # step consistency: x_next == primitive(z + b*x), the content taken
+        # through G = minors_gcd(x, z), or in full when x is parallel to z
         y = vec_add(step.z.rep, vec_scale(step.b, x.rep))
-        if all(a == 0 for a in y) or primitive(y) != x_next:
+        if all(a == 0 for a in y) or primitive(y, minors_gcd(x.rep, step.z.rep)) != x_next:
             fails.append("next point is not primitive(z + b*x)")
         # (b) strict norm growth
         if not n2[i] > n2[i - 1]:
@@ -408,11 +411,10 @@ def exponent_row(index: int, n2x: int, n2n: int, w: int, precision_bits: int = 6
         x_scale = dyadic_bounds(n2x, 1, prec, 2)[1]
     if x_scale <= 1 or d_hi == 0:
         return None
-    ln_x_lo, ln_x_hi = ln_bounds(x_scale, precision_bits)
-    if d_hi < 1:
-        lam = ln_bounds(1 / d_hi, precision_bits)[0] / ln_x_hi
-    else:
-        lam = -ln_bounds(d_hi, precision_bits)[1] / ln_x_lo
+    # lambda_lb = -ln_hi(D_hi) / ln(X_i), over the upper end of ln(X_i) when D_hi < 1
+    a, s = ln_hi_fixed(d_hi.numerator, d_hi.denominator, precision_bits)
+    c, t = (ln_hi_fixed if d_hi < 1 else ln_lo_fixed)(x_scale.numerator, x_scale.denominator, precision_bits)
+    lam = Fraction(-a << t, c << s)
     return ExponentRow(index=index, x_scale=x_scale, d_hi=d_hi, lambda_lb=lam)
 
 

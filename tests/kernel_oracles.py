@@ -7,6 +7,15 @@ test; ``fraction_evaluate`` is ``multilinear.evaluate`` in ``Fraction``
 arithmetic over the product of the slots' supports.  The faster kernels
 must return exactly what these return.
 
+``ln_bounds_two_series`` is ``exact_geometry.ln_bounds`` as it summed both
+series per call in ``Fraction`` ends, and ``le_phi_sq_log3x_fraction`` is
+``ApproxFn.le_phi_sq_lo_hi`` under ``log3x`` as it decided in ``Fraction``s
+on that logarithm; the one-sided fixed-point logarithms and the integer
+decay test must give the same values.
+
+``fraction_functionals`` is ``exact_geometry.orthogonal_functionals`` as it
+built each functional from ``Fraction`` entries before ``primitive``.
+
 ``exponent_report_v2`` and ``radius_sq_v2`` are the audit's exponent rows
 and limit radius as audit version 2 computed them: exact reduced
 ``Fraction``s of full size and roots of absolute width 2^-64.  Audit
@@ -22,7 +31,7 @@ from fractions import Fraction
 from math import isqrt
 
 from maxsing.builder import ApproxFn
-from maxsing.exact_geometry import dot, ln_bounds, sqrt_bounds
+from maxsing.exact_geometry import dot, ln_bounds, primitive, sqrt_bounds
 
 
 def box_scan_candidates(n: int, height: int, rng: random.Random | None = None) -> list:
@@ -61,6 +70,20 @@ def fraction_evaluate(kmap, vectors) -> tuple:
             if a:
                 acc[j] += coeff * a
     return tuple(acc)
+
+
+def fraction_functionals(s) -> tuple:
+    pivots = [next(j for j, a in enumerate(row) if a != 0) for row in s.basis]
+    funcs = []
+    for j in range(s.ambient_dim):
+        if j in pivots:
+            continue
+        f = [Fraction(0)] * s.ambient_dim
+        f[j] = Fraction(1)
+        for row, pc in zip(s.basis, pivots):
+            f[pc] = Fraction(-row[j], row[pc])
+        funcs.append(primitive(f).rep)
+    return tuple(funcs)
 
 
 def _sqrt_bounds_rel(r, precision_bits: int) -> tuple[Fraction, Fraction]:
@@ -108,3 +131,116 @@ def exponent_report_v2(trace, precision_bits: int = 64) -> list:
 def radius_sq_v2(trace) -> Fraction:
     x, y = trace.entries[-2].x.rep, trace.entries[-1].x.rep
     return _decay_term(dot(x, x), dot(y, y), dot(x, y)) / dot(x, x)
+
+
+
+def _atanh_series_closures(t_scaled: int, scale_bits: int, terms: int, round_up: bool) -> int:
+    """2^scale_bits * atanh(t) bounds for t = t_scaled / 2^scale_bits in [0, 1/2].
+
+    Directed rounding: with round_up=False every intermediate floor gives a
+    lower bound of the truncated series; with round_up=True every ceiling
+    plus an explicit tail bound gives an upper bound of the full series.
+    """
+    one = 1 << scale_bits
+    if t_scaled == 0:
+        return 0
+
+    def mul(a: int, b: int) -> int:
+        prod = a * b
+        if round_up:
+            return -((-prod) >> scale_bits)
+        return prod >> scale_bits
+
+    def div(a: int, b: int) -> int:
+        if round_up:
+            return -((-a) // b)
+        return a // b
+
+    t2 = mul(t_scaled, t_scaled)
+    total = t_scaled
+    power = t_scaled
+    j = 1
+    while j <= terms:
+        power = mul(power, t2)
+        if power == 0 and not round_up:
+            break
+        total += div(power, 2 * j + 1)
+        j += 1
+    if round_up:
+        # tail: sum_{i>terms} t^(2i+1)/(2i+1) <= t^(2J+3) / ((2J+3)(1-t^2))
+        next_power = mul(power, t2)
+        denom = (2 * j + 1) * (one - t2)
+        if denom <= 0:
+            raise ValueError("atanh series needs t < 1")
+        total += div(next_power * one, denom) + 1
+    return total
+
+
+_LN2_FRACTION_CACHE: dict[int, tuple[Fraction, Fraction]] = {}
+
+
+def _ln2_bounds_fraction(scale_bits: int) -> tuple[Fraction, Fraction]:
+    if scale_bits not in _LN2_FRACTION_CACHE:
+        terms = scale_bits // 3 + 3
+        t_lo = (1 << scale_bits) // 3
+        t_hi = t_lo + 1
+        lo = 2 * _atanh_series_closures(t_lo, scale_bits, terms, round_up=False)
+        hi = 2 * _atanh_series_closures(t_hi, scale_bits, terms, round_up=True)
+        _LN2_FRACTION_CACHE[scale_bits] = (Fraction(lo, 1 << scale_bits), Fraction(hi, 1 << scale_bits))
+    return _LN2_FRACTION_CACHE[scale_bits]
+
+
+def ln_bounds_two_series(y, precision_bits: int = 64) -> tuple[Fraction, Fraction]:
+    """Certified rational interval around ln(y), width <= 2^-precision_bits.
+
+    Range-reduces y = 2^e * m with m in [1, 2) and sums the atanh series
+    of (m-1)/(m+1) in fixed-point integers with directed rounding.
+    """
+    y = Fraction(y)
+    if y <= 0:
+        raise ValueError("log of a non-positive rational")
+    if y == 1:
+        return (Fraction(0), Fraction(0))
+    if y < 1:
+        lo, hi = ln_bounds_two_series(1 / y, precision_bits)
+        return (-hi, -lo)
+    p, q = y.numerator, y.denominator
+    e = p.bit_length() - q.bit_length()
+    while e > 0 and (q << e) > p:
+        e -= 1
+    while (q << (e + 1)) <= p:
+        e += 1
+    w = precision_bits + 32 + e.bit_length()
+    tn = p - (q << e)
+    td = p + (q << e)
+    terms = w // 3 + 3
+    if tn == 0:
+        m_lo = m_hi = Fraction(0)
+    else:
+        t_scaled = (tn << w) // td
+        t_lo, t_hi = t_scaled, t_scaled + 1
+        m_lo = Fraction(2 * _atanh_series_closures(t_lo, w, terms, round_up=False), 1 << w)
+        m_hi = Fraction(2 * _atanh_series_closures(t_hi, w, terms, round_up=True), 1 << w)
+    if e == 0:
+        lo, hi = m_lo, m_hi
+    else:
+        l2_lo, l2_hi = _ln2_bounds_fraction(w)
+        lo, hi = e * l2_lo + m_lo, e * l2_hi + m_hi
+    assert hi - lo <= Fraction(1, 1 << precision_bits)
+    return (lo, hi)
+
+
+def le_phi_sq_log3x_fraction(u: int, v: int, norm_sq: int, precision_bits: int) -> tuple[bool, bool]:
+    """(u/v <= phi_lo(X)^2, u/v <= phi_hi(X)^2) with phi = min(1, ln(3X)/X), X = max(sqrt_lo(norm_sq), 1)."""
+    x = max(sqrt_bounds_two_roots(norm_sq, precision_bits)[0], Fraction(1))
+    ln = ln_bounds_two_series(3 * x, precision_bits + 2)
+
+    def le(end: int) -> bool:
+        if u < 0:
+            return True
+        b = min(ln[end] / x, Fraction(1))
+        return u * b.denominator ** 2 <= v * b.numerator ** 2
+
+    lo = le(0)
+    return lo, lo or le(1)
+

@@ -38,6 +38,8 @@ from maxsing.exact_geometry import (
 from maxsing.families import SearchBudget, grassmann_adapter, prodforms_adapter, quadric_adapter
 from maxsing.quadric import split4
 
+from kernel_oracles import le_phi_sq_log3x_fraction, ln_bounds_two_series, sqrt_bounds_two_roots
+
 
 def e(i, n=4):
     return tuple(1 if j == i else 0 for j in range(n))
@@ -95,6 +97,35 @@ class TestApproxFn:
             lo, hi = phi._phi_bounds(x)
             assert 0 < lo <= hi <= 1
             assert hi - lo <= Fraction(1, 2 ** 64)
+
+
+class TestLog3xDecayTest:
+    """The integer log3x decay test decides as the Fraction test did, bit for bit."""
+
+    @given(st.one_of(st.sampled_from([1, 2, 3, 4, 9]), st.integers(1, 60),
+                     st.integers(1, 10 ** 6).map(lambda r: r * r), st.integers(2, 2 ** 300)),
+           st.sampled_from([0, 1, 64, 4096]),
+           st.sampled_from(["lo", "hi", "between", "negative"]),
+           st.integers(-3, 3))
+    @example(0, 64, "lo", 1)  # X = max(0, 1)
+    @example(1, 0, "lo", 0)  # X = 1 at the clamp, phi = 1 (ln 3 > 1)
+    @example(2, 0, "hi", 1)  # isqrt(2) = 1: X clamped to 1
+    @example(2, 64, "between", 0)
+    @example(4, 4096, "lo", 0)  # a perfect square
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_matches_the_fraction_oracle(self, n2, prec, near, nudge):
+        x = max(sqrt_bounds_two_roots(n2, prec)[0], Fraction(1))
+        ln_lo, ln_hi = ln_bounds_two_series(3 * x, prec + 2)
+        phi_lo, phi_hi = min(ln_lo / x, Fraction(1)), min(ln_hi / x, Fraction(1))
+        # u/v at or next to phi_lo^2 and phi_hi^2, where the two tests differ
+        t = {"lo": phi_lo ** 2, "hi": phi_hi ** 2, "between": (phi_lo ** 2 + phi_hi ** 2) / 2,
+             "negative": Fraction(-1)}[near]
+        u, v = t.numerator * 2 ** 20 + nudge, t.denominator * 2 ** 20
+        phi = ApproxFn("log3x", precision_bits=prec)
+        expected = le_phi_sq_log3x_fraction(u, v, n2, prec)
+        assert phi.le_phi_sq_lo_hi(u, v, n2) == expected
+        assert phi.le_phi_sq_lo(u, v, n2) == expected[0]
+        assert phi._phi_bounds(x) == (phi_lo, phi_hi)
 
 
 class TestComputeHi:
@@ -286,6 +317,30 @@ class TestForcedStop:
         assume(b_max <= 4096)
         if forced:
             assert not any(_decay_passes(x.rep, z.rep, b, phi) for b in range(1, b_max + 1))
+
+
+class TestForcedStopIntegers:
+    """The forced-stop certificate and its message decide in integers as the Fraction forms did."""
+
+    @given(st.integers(1, 2 ** 200), st.integers(1, 2 ** 200), st.integers(1, 2 ** 40),
+           st.integers(1, 2 ** 64), st.sampled_from([0, 2, 64, 130]), st.integers(-1, 1))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_certificate_at_its_boundary(self, n2x, n2z, g, b_max, prec, delta):
+        norm_hi = builder._ceil_root(n2z, 1, 2) + b_max * builder._ceil_root(n2x, 1, 2)
+        ln_hi = ln_bounds_two_series(3 * norm_hi, prec)[1]
+        rhs = 4 * g * g * (ln_hi * Fraction((1 << prec) + 1, 1 << prec)) ** 2
+        w2 = max(0, math.floor(rhs / 9) + delta)
+        assert builder._log3x_stop_forced(n2x, n2z, w2, g, b_max, prec) == (9 * w2 > rhs)
+
+    @given(st.integers(1, 2 ** 200), st.integers(1, 2 ** 200), st.integers(1, 2 ** 400),
+           st.integers(1, 2 ** 40), st.integers(1, 64), st.sampled_from([0, 2, 64, 130]))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_stop_bits(self, n2x, n2z, w2, g, cap, prec):
+        ln3_hi, ln2_hi = ln_bounds_two_series(3, prec)[1], ln_bounds_two_series(2, prec)[1]
+        need = (Fraction(3, 2) * sqrt_bounds_two_roots(w2, prec)[0] / g - ln3_hi) / ln2_hi
+        bits, cap_bits = builder._log3x_stop_bits(n2x, n2z, w2, g, cap, prec)
+        assert bits == math.floor(need)
+        assert cap_bits == (builder._ceil_root(n2z, 1, 2) + (1 << cap) * builder._ceil_root(n2x, 1, 2)).bit_length()
 
 
 def _minor_gcd(x, z) -> int:

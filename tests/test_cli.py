@@ -388,6 +388,10 @@ class TestSizeCaps:
     @pytest.mark.parametrize("mutate, field", [
         (lambda d: d["family"].update(n=30, k=15), "n = 30 exceeds the cap"),
         (lambda d: d["family"].update(n=10, k=9), "k = 9 exceeds the cap"),
+        # the caps on the map's sizes come before the z_witness shape check
+        (lambda d: d["family"].update(n=16, k=8), "grassmann(16, 8): D = 12870 exceeds the cap"),
+        (lambda d: d["family"].update(n=10, k=8), "grassmann(10, 8): basis_images = 1814400 exceeds the cap"),
+        (lambda d: d["family"].update(kind="prodforms", n=6, k=6), "prodforms(6, 6): D = 462 exceeds the cap"),
         (lambda d: d["phi"].update(precision_bits=10 ** 6), "precision_bits 1000000 is outside 0..4096"),
         (lambda d: d["phi"].update(precision_bits=-5), "precision_bits -5 is outside 0..4096"),
     ])

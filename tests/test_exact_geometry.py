@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -17,6 +18,9 @@ from maxsing.exact_geometry import (
     in_span,
     inth_root,
     ln_bounds,
+    ln_hi_fixed,
+    ln_lo_fixed,
+    minors_gcd,
     nth_root_bounds,
     orthogonal_functionals,
     primitive,
@@ -30,7 +34,7 @@ from maxsing.exact_geometry import (
 )
 from maxsing.exact_geometry import _rank_mod_p
 
-from kernel_oracles import sqrt_bounds_two_roots
+from kernel_oracles import fraction_functionals, ln_bounds_two_series, sqrt_bounds_two_roots
 
 small_ints = st.integers(min_value=-50, max_value=50)
 
@@ -63,6 +67,21 @@ class TestPrimitive:
     def test_scale_invariance(self, v, c):
         scaled = tuple(c * a for a in v)
         assert primitive(scaled) == primitive(v)
+
+    @given(vectors(4, 10 ** 12), vectors(4, 10 ** 12), st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+           st.integers(min_value=-3, max_value=3))
+    @settings(max_examples=300, derandomize=True)
+    def test_content_through_the_minors(self, x, z, b, c):
+        # the content of z + b*x divides G = minors_gcd(x, z), also for a z
+        # parallel to x (c x, where G = 0 and the plain content is taken)
+        z = z if c == 0 else tuple(c * a for a in x)
+        y = tuple(zi + b * xi for zi, xi in zip(z, x))
+        g = minors_gcd(x, z)
+        assert (g == 0) == (rank([x, z]) < 2)
+        if any(y):
+            content = math.gcd(*y)
+            sign = 1 if next(a for a in y if a) > 0 else -1
+            assert primitive(y, g).rep == tuple(sign * a // content for a in y)
 
 
 class TestDistSq:
@@ -180,6 +199,14 @@ class TestRankSpan:
         for f in funcs:
             for v in nonzero:
                 assert sum(a * b for a, b in zip(f, v)) == 0
+
+    @given(st.lists(vectors(5, 30), min_size=1, max_size=4))
+    @settings(max_examples=200, derandomize=True)
+    def test_functionals_match_the_fraction_construction(self, vecs):
+        nonzero = [v for v in vecs if any(a != 0 for a in v)]
+        if nonzero:
+            s = subspace_span(nonzero)
+            assert orthogonal_functionals(s) == fraction_functionals(s)
 
     @given(st.lists(vectors(4, 7), min_size=1, max_size=4))
     @settings(max_examples=300, derandomize=True)
@@ -469,6 +496,50 @@ class TestLnBounds:
         lo1, hi1 = ln_bounds(y, 24)
         lo2, hi2 = ln_bounds(y, 80)
         assert lo1 <= lo2 and hi2 <= hi1
+
+
+def _pow2(e: int) -> tuple[int, int]:
+    return (1 << e, 1) if e >= 0 else (1, 1 << -e)
+
+
+# (p, q) pairs, not necessarily in lowest terms: y < 1 and y > 1, y = 1,
+# y = 2^e, y just above 1, and 1000-bit numerators
+ln_pairs = st.one_of(
+    st.tuples(st.integers(min_value=1, max_value=2 ** 80), st.integers(min_value=1, max_value=2 ** 80)),
+    st.integers(min_value=1, max_value=2 ** 80).map(lambda q: (q, q)),
+    st.integers(min_value=-300, max_value=300).map(_pow2),
+    st.integers(min_value=1, max_value=2 ** 200).map(lambda q: (q + 1, q)),
+    st.tuples(st.integers(min_value=2 ** 999, max_value=2 ** 1000), st.integers(min_value=1, max_value=2 ** 140)),
+)
+
+
+class TestOneSidedLn:
+    """ln_lo_fixed and ln_hi_fixed are the ends of the two-series ln_bounds, bit for bit."""
+
+    @given(ln_pairs, st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=256))
+    @example((3, 1), 1, 4096)
+    @example((1, 3 * 2 ** 70 + 1), 5, 4096)
+    @example((2 ** 1000 - 1, 7), 1, 4096)
+    @example((2 ** 64 + 1, 2 ** 64), 3, 4096)
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    def test_ends_match_the_two_series_oracle(self, pq, c, bits):
+        p, q = pq[0] * c, pq[1] * c  # a common factor changes nothing
+        lo, hi = ln_bounds_two_series(Fraction(p, q), bits)
+        (a, w), (b, v) = ln_lo_fixed(p, q, bits), ln_hi_fixed(p, q, bits)
+        assert Fraction(a, 1 << w) == lo and Fraction(b, 1 << v) == hi
+        assert ln_bounds(Fraction(p, q), bits) == (lo, hi)
+
+    def test_one_and_reciprocal(self):
+        assert ln_lo_fixed(7, 7) == ln_hi_fixed(7, 7) == (0, 0)
+        a, w = ln_lo_fixed(1, 3, 64)
+        b, v = ln_hi_fixed(3, 1, 64)
+        assert (a, w) == (-b, v)
+
+    def test_nonpositive_rejected(self):
+        with pytest.raises(NegativeInput):
+            ln_lo_fixed(0, 1)
+        with pytest.raises(NegativeInput):
+            ln_hi_fixed(1, -2)
 
 
 # integers of up to 400k bits, the size of a 12-point split4 coordinate's products

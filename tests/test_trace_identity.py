@@ -117,17 +117,23 @@ def test_trace_digest(tmp_path, args, seed, exit_code, digest, stored):
     assert stored_values_digest(json.loads(data)) == stored
 
 
-# the audit of the split4-pow-seed7 trace; CI checks that the oldest supported
-# Python writes the same bytes
+# the audits of the split4-pow-seed7 trace and of the partial split4-log3x-seed7
+# trace, whose exponent rows and decay tests take the logarithms; CI checks
+# that the oldest supported Python writes the same bytes
 SPLIT4_POW_SEED7_AUDIT = "aaab40ee2771cf428ac87ac3c491277264a26dfa2294813af625eb0d022d2b68"
+SPLIT4_LOG3X_SEED7_AUDIT = "6853cd2d0142cb0ee10f138b8833c3592a4ed6d4585264f64f87fb8c6bbe700b"
 
 
-def test_audit_digest(tmp_path):
-    code, out = gen(tmp_path, SPLIT4_POW, 7)
-    assert code == EXIT_OK
+@pytest.mark.parametrize("args, exit_code, digest", [
+    (SPLIT4_POW, EXIT_OK, SPLIT4_POW_SEED7_AUDIT),
+    (SPLIT4_LOG3X, EXIT_BUDGET, SPLIT4_LOG3X_SEED7_AUDIT),
+], ids=["split4-pow-seed7", "split4-log3x-seed7"])
+def test_audit_digest(tmp_path, args, exit_code, digest):
+    code, out = gen(tmp_path, args, 7)
+    assert code == exit_code
     audit = tmp_path / "audit.json"
     assert main(["verify", str(out), "--precision", "64", "--out", str(audit)]) == EXIT_OK
-    assert hashlib.sha256(audit.read_bytes()).hexdigest() == SPLIT4_POW_SEED7_AUDIT
+    assert hashlib.sha256(audit.read_bytes()).hexdigest() == digest
 
 
 class TestVersion1Fixture:

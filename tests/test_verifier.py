@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from maxsing.builder import (
     ApproxFn,
@@ -36,7 +36,7 @@ from maxsing.verifier import (
     trace_geometry,
 )
 
-from kernel_oracles import exponent_report_v2, exponent_row_v2, radius_sq_v2
+from kernel_oracles import exponent_report_v2, exponent_row_v2, ln_bounds_two_series, radius_sq_v2
 
 
 def tamper(trace, mutate):
@@ -87,6 +87,29 @@ class TestCheckConditions:
 
         report = check_conditions(tamper(grassmann_pow_trace, corrupt))
         assert not report["all_pass"]
+
+    def test_step_check_normalizes_the_sign(self, split4_pow_trace):
+        # z -> -z and b -> -b give -(z + b x), whose primitive is the same point
+        def negate(doc):
+            step = doc["entries"][2]["step"]
+            step["z"] = [hex(-int(a, 0)) for a in step["z"]]
+            step["b"] = hex(-int(step["b"], 0))
+
+        report = check_conditions(tamper(split4_pow_trace, negate))
+        assert not any("primitive" in m for r in report["conditions"] for m in r["failures"])
+
+    @pytest.mark.parametrize("same_next", [False, True])
+    def test_step_check_with_z_parallel_to_x(self, split4_pow_trace, same_next):
+        # z = 2x makes G = 0: the content is taken in full, and z + b x = (2 + b) x
+        # is x again, which the check accepts only as the next point
+        def parallel(doc):
+            entry = doc["entries"][2]
+            entry["step"]["z"] = [hex(2 * int(a, 0)) for a in entry["x"]]
+            if same_next:
+                doc["entries"][3]["x"] = list(entry["x"])
+
+        failures = check_conditions(tamper(split4_pow_trace, parallel))["conditions"][3]["failures"]
+        assert ("next point is not primitive(z + b*x)" in failures) != same_next
 
     def test_stricter_decay_target_fails_d(self, split4_pow_trace):
         # the points meet X^(-1/2) with the first multiplier found; relabelled
@@ -349,6 +372,24 @@ class TestExponent:
         d = Fraction(1, 10)
         lam = ln_bounds(1 / d, 64)[0] / ln_bounds(x, 64)[1]
         assert Fraction(1) - Fraction(1, 2 ** 50) <= lam <= 1
+
+    @given(st.integers(2, 2 ** 300), st.integers(2, 2 ** 300), st.integers(1, 2 ** 600),
+           st.sampled_from([0, 1, 64, 200]))
+    @example(2 ** 200, 2 ** 200 + 1, 3, 64)  # D_hi < 1
+    @example(2 ** 200, 2 ** 200 + 1, 2 ** 260, 64)  # D_hi > 1
+    @example(10, 9, 4, 0)  # D_hi = 1 and X_i from |x_i|
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_one_ended_logarithms_give_the_two_series_lambda(self, n2x, n2n, w, prec):
+        # D_hi both below and above 1: w up to 2^600 against norms up to 2^300
+        row = exponent_row(2, n2x, n2n, w, prec)
+        if row is None:
+            return
+        ln_x, ln_d = ln_bounds_two_series(row.x_scale, prec), ln_bounds_two_series(row.d_hi, prec)
+        if row.d_hi < 1:
+            expected = ln_bounds_two_series(1 / row.d_hi, prec)[0] / ln_x[1]
+        else:
+            expected = -ln_d[1] / ln_x[0]
+        assert row.lambda_lb == expected
 
     def test_short_trace_rejected(self, split4_form):
         from maxsing.builder import ApproxFn, TraceTooShort, run
