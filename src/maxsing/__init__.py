@@ -51,7 +51,6 @@ from .multilinear import (
     OutsideSearchBudget,
     WitnessedPoint,
     evaluate,
-    find_outside,
     grassmann_map,
     line_step,
     prodforms_map,

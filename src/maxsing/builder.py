@@ -517,7 +517,7 @@ def _select_multiplier(
     return accept(best)
 
 
-def _reduce_line_generator(x: ProjPointQ, witness, z_tp: TracePoint, cert: dict, adapter):
+def _reduce_line_generator(x: ProjPointQ, witness, z_tp: TracePoint, cert: dict):
     """Shift z by a multiple of x to center it on the line.
 
     Keeps the line and the wedge area, but brings the multiplier search
@@ -533,10 +533,7 @@ def _reduce_line_generator(x: ProjPointQ, witness, z_tp: TracePoint, cert: dict,
     z_new = primitive(y)
     if z_tp.witness is None:
         return TracePoint(z_new), cert
-    line_cert = adapter._cert_from_doc(cert)
-    w = ml.line_witness(
-        line_cert, ml.WitnessedPoint(x, witness), ml.WitnessedPoint(z_tp.point, z_tp.witness), r
-    )
+    w = ml.line_witness(witness, z_tp.witness, cert["slot"], cert["anchor_scale"], cert["z_scale"], r)
     k = next(i for i, a in enumerate(z_new.rep) if a != 0)
     scale = Fraction(y[k], z_new.rep[k])
     cert = dict(cert)
@@ -562,14 +559,10 @@ def next_point(
     h = compute_hi(points, adapter.ambient_dim)
     tp = TracePoint(x, witnesses[-1])
     z_tp, cert = adapter.line_step(tp, h, budget, rng)
-    z_tp, cert = _reduce_line_generator(x, witnesses[-1], z_tp, cert, adapter)
+    z_tp, cert = _reduce_line_generator(x, witnesses[-1], z_tp, cert)
     b, x_next, dsq = _select_multiplier(x, z_tp.point, phi, dsq_prev, budget)
-    next_witness = None
-    if z_tp.witness is not None:
-        line_cert = adapter._cert_from_doc(cert)
-        next_witness = ml.line_witness(
-            line_cert, ml.WitnessedPoint(x, witnesses[-1]), ml.WitnessedPoint(z_tp.point, z_tp.witness), b
-        )
+    next_witness = None if z_tp.witness is None else ml.line_witness(
+        witnesses[-1], z_tp.witness, cert["slot"], cert["anchor_scale"], cert["z_scale"], b)
     step = StepData(z=z_tp.point, z_witness=z_tp.witness, b=b, certificate=cert)
     return TracePoint(x_next, next_witness), step, dsq
 
@@ -607,7 +600,7 @@ def run(
     for i in range(1, steps):
         try:
             nxt, step, dsq_prev = next_point(points, witnesses, adapter, phi, dsq_prev, budget, rng)
-        except (NoValidMultiplier, ml.BudgetExhausted, HeightExhausted, ml.DegenerateLine) as exc:
+        except (NoValidMultiplier, HeightExhausted, ml.DegenerateLine) as exc:
             trace.entries = entries + [TraceEntry(i, points[-1], witnesses[-1], None)]
             trace.partial = True
             trace.budget_note = f"stopped at point {i}: {exc}"

@@ -328,9 +328,6 @@ class ProjSubspaceQ:
     def rank(self) -> int:
         return len(self.basis)
 
-    def is_proper(self) -> bool:
-        return self.rank < self.ambient_dim
-
     @cached_property
     def functionals(self) -> tuple[IntVec, ...]:
         """orthogonal_functionals(self), computed on first use and kept."""
@@ -344,42 +341,55 @@ class ProjSubspaceQ:
 
 
 def subspace_span(vectors: Sequence[Sequence], ambient_dim: int | None = None) -> ProjSubspaceQ:
-    """Span of the given vectors as a canonical ProjSubspaceQ."""
+    """Span of the given vectors as a canonical ProjSubspaceQ.
+
+    Fraction-free (Bareiss, Math. Comp. 22, 1968) Gauss-Jordan
+    elimination on the integer rows c*v (``_clear_denominators``), each
+    kept row primitive, with a positive leading entry (its pivot) and
+    zeros at the other kept pivots.  A new row has the kept pivots
+    cleared by ``_eliminate``; a nonzero rest is made primitive with a
+    positive pivot and cleared from the kept rows, scaling each by a
+    positive factor, which keeps its pivot positive.
+
+    Ordered by pivot, the kept rows divided by their pivots form a reduced
+    row echelon matrix of the span.  That matrix is unique, so each kept
+    row is a positive multiple of the rational RREF's row, and being
+    primitive it is that row's ``primitive``: the Fraction basis.
+    """
     vecs = [v.rep if isinstance(v, ProjPointQ) else v for v in vectors]
     if ambient_dim is None:
         if not vecs:
             raise DimensionMismatch("empty span needs an explicit ambient_dim")
         ambient_dim = len(vecs[0])
-    rows = [[Fraction(a) for a in v] for v in vecs if any(c != 0 for c in v)]
-    for r in rows:
-        if len(r) != ambient_dim:
-            raise DimensionMismatch("subspace_span: inconsistent dimensions")
-    rref = _rref(rows, ambient_dim)
-    return ProjSubspaceQ(tuple(primitive(r).rep for r in rref), ambient_dim)
-
-
-def _rref(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    rref: list[list[Fraction]] = []
+    rows: list[IntVec] = []
     pivots: list[int] = []
-    for row in rows:
-        r = row[:]
-        for prow, pc in zip(rref, pivots):
-            if r[pc] != 0:
-                c = r[pc]
-                r = [a - c * b for a, b in zip(r, prow)]
-        pc = next((j for j, a in enumerate(r) if a != 0), None)
+    for v in vecs:
+        if not any(v):
+            continue
+        if len(v) != ambient_dim:
+            raise DimensionMismatch("subspace_span: inconsistent dimensions")
+        r = _clear_denominators(v)
+        for row, pc in zip(rows, pivots):
+            if r[pc]:
+                r = _eliminate(r, row, pc)
+        pc = next((j for j, a in enumerate(r) if a), None)
         if pc is None:
             continue
-        inv = r[pc]
-        r = [a / inv for a in r]
-        for prow in rref:
-            if prow[pc] != 0:
-                c = prow[pc]
-                prow[:] = [a - c * b for a, b in zip(prow, r)]
-        rref.append(r)
+        r = primitive(r).rep
+        for i, row in enumerate(rows):
+            if row[pc]:
+                rows[i] = primitive(_eliminate(row, r, pc)).rep
+        rows.append(r)
         pivots.append(pc)
-    order = sorted(range(len(rref)), key=lambda i: pivots[i])
-    return [rref[i] for i in order]
+    order = sorted(range(len(rows)), key=pivots.__getitem__)
+    return ProjSubspaceQ(tuple(rows[i] for i in order), ambient_dim)
+
+
+def _eliminate(r: Sequence[int], row: Sequence[int], pc: int) -> list[int]:
+    """(row[pc]*r - r[pc]*row) / gcd(row[pc], r[pc]): zero at pc, r's factor positive if row[pc] is."""
+    g = gcd(row[pc], r[pc])
+    a, b = row[pc] // g, r[pc] // g
+    return [a * x - b * y for x, y in zip(r, row)]
 
 
 def in_span(v: Sequence, s: ProjSubspaceQ) -> bool:

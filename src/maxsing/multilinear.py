@@ -8,7 +8,8 @@ rational lines inside the image.
 
 Evaluation runs on integers: ``evaluate`` contracts an integer map with
 every slot fixed, and the outside-candidate search contracts the anchor's
-kept slots once per line step, so a candidate is a small integer contraction.
+kept slots and H's functionals once per set of replaced slots, so testing a
+candidate is a small integer contraction.
 """
 
 from __future__ import annotations
@@ -35,10 +36,6 @@ from .exact_geometry import (
 
 
 class InvalidParameters(ValueError):
-    pass
-
-
-class BudgetExhausted(RuntimeError):
     pass
 
 
@@ -254,57 +251,55 @@ def outside_candidates(
     anchor: WitnessedPoint,
     budget: OutsideSearchBudget,
     rng: random.Random | None = None,
-) -> Iterator[tuple[int, WitnessedPoint]]:
-    """Yield (m, beta) with [beta] outside H, best witness agreement first.
+) -> Iterator[tuple[int, WitnessedPoint, tuple[int, list[int]]]]:
+    """Yield (m, beta, (s, img)) with [beta] outside H, best witness agreement first.
 
     For m from k-1 down to 0, replaces exactly k-m anchor slots with
     bounded-height integer vectors; m is then a lower-bound certificate
-    for the witness agreement between anchor and beta.  The anchor's
-    kept slots are contracted once per set of replaced slots; a
-    candidate's point is the primitive of that integer map's image, as
-    the dropped scales are positive.
+    for the witness agreement between anchor and beta.
+
+    Membership: per set of replaced slots, the anchor's kept slots are
+    contracted once into an integer map ``sub`` on the replaced slots, and
+    H's functionals into F, F[key] = (f·sub[key] for f in h.functionals).
+    Each f∘sub is multilinear, so contracting F with the replacement
+    vectors u gives the pairings f·sub(u).  The functionals span H's
+    annihilator (``in_span``), so all vanish exactly when sub(u) lies in
+    H, a zero image included.  So the candidates and their order are
+    those of testing every sub(u) with ``in_span``, but only an outside
+    one builds sub(u) and its primitive.
+
+    Scale: img = sub(u) and s = d*prod(d_s over the kept slots s), d the
+    basis images' common denominator and d_s slot s's.  That is
+    integer_image(kmap, beta.witness): the replaced slots are integer
+    vectors (d_s = 1), the kept ones are scaled as there, and contracting
+    the kept slots first sums the same integer products.
     """
     k = kmap.k
-    _, images = kmap.integer_images
+    d, images = kmap.integer_images
+    dens = [lcm(*(c.denominator for c in v)) for v in anchor.witness]
     _, anchor_ints = _integer_slots(anchor.witness)
+    funcs = h.functionals
     for m in range(k - 1, -1, -1):
-        d = k - m
-        contracted = {subset: _sparse(_contract(images, kmap.target_dim, anchor_ints, subset))
-                      for subset in itertools.combinations(range(k), d)}
+        contracted = []
+        for subset in itertools.combinations(range(k), k - m):
+            sub = _sparse(_contract(images, kmap.target_dim, anchor_ints, subset))
+            pairings = {key: [sum(f[j] * a for j, a in img) for f in funcs] for key, img in sub.items()}
+            scale = d * prod(ds for slot, ds in enumerate(dens) if slot not in subset)
+            contracted.append((subset, sub, _sparse(pairings), scale))
         for height in range(1, budget.max_height + 1):
             pools = [list(candidate_vectors(kmap.n, hh, rng)) for hh in range(1, height + 1)]
-            for subset, sub in contracted.items():
-                for heights in itertools.product(range(height), repeat=d):
+            for subset, sub, pairings, scale in contracted:
+                for heights in itertools.product(range(height), repeat=k - m):
                     if max(heights) != height - 1:
                         continue  # only new combinations at this height
                     for repl in itertools.product(*(pools[hh] for hh in heights)):
-                        img = _contract(sub, kmap.target_dim, repl).get(())
-                        if img is None or not any(img):
+                        if not any(_contract(pairings, len(funcs), repl).get((), ())):
                             continue
-                        pt = primitive(img)
-                        if h.contains_point(pt):
-                            continue
+                        img = _contract(sub, kmap.target_dim, repl)[()]
                         witness = list(anchor.witness)
                         for slot, vec in zip(subset, repl):
                             witness[slot] = tuple(Fraction(c) for c in vec)
-                        yield m, WitnessedPoint(pt, tuple(witness))
-
-
-def find_outside(
-    kmap: KLinearMap,
-    h: ProjSubspaceQ,
-    anchor: WitnessedPoint,
-    budget: OutsideSearchBudget,
-    rng: random.Random | None = None,
-) -> WitnessedPoint:
-    """A point of the image outside H maximizing witness slot agreement."""
-    if not h.contains_point(anchor.point):
-        return anchor
-    for _, beta in outside_candidates(kmap, h, anchor, budget, rng):
-        return beta
-    raise BudgetExhausted(
-        f"no image point outside the subspace within height {budget.max_height}"
-    )
+                        yield m, WitnessedPoint(primitive(img), tuple(witness)), (scale, img)
 
 
 @dataclass(frozen=True)
@@ -331,13 +326,13 @@ class LineCertificate:
     beta_prime: tuple | None  # evaluate(beta.witness with slot <- x slot), None if zero
 
 
-def line_witness(cert: LineCertificate, x: WitnessedPoint, z: WitnessedPoint, b) -> tuple[RatVec, ...]:
-    """Witness for the line point b*x.rep + z.rep."""
-    lam = Fraction(b) / cert.anchor_scale
-    mu = 1 / cert.z_scale
-    xs = x.witness[cert.slot]
-    ys = z.witness[cert.slot]
-    return replace_slot(x.witness, cert.slot, tuple(lam * a + mu * c for a, c in zip(xs, ys)))
+def line_witness(x_witness: Sequence[Sequence], z_witness: Sequence[Sequence], slot: int,
+                 anchor_scale, z_scale, b) -> tuple[RatVec, ...]:
+    """Witness for b*x.rep + z.rep given a LineCertificate's slot and scales (rationals or their strings)."""
+    lam = Fraction(b) / Fraction(anchor_scale)
+    mu = 1 / Fraction(z_scale)
+    ys = z_witness[slot]
+    return replace_slot(x_witness, slot, tuple(lam * a + mu * c for a, c in zip(x_witness[slot], ys)))
 
 
 def line_step(
@@ -363,25 +358,21 @@ def line_step(
     best = None  # (area, order, z, cert)
     best_m = -1
     order = 0
-    for m, beta in outside_candidates(kmap, h, x, budget, rng):
+    for m, beta, beta_image in outside_candidates(kmap, h, x, budget, rng):
         # bootstrap: improve beta while a replaced slot yields an outside point
         improved = True
         while improved and m < k - 1:
             improved = False
             for t in _differing_slots(x, beta):
                 w2 = replace_slot(beta.witness, t, x.witness[t])
-                img2 = integer_image(kmap, w2)[1]
-                if not any(img2):
-                    continue
-                p2 = primitive(img2)
-                if not h.contains_point(p2):
-                    beta = WitnessedPoint(p2, w2)
+                image2 = integer_image(kmap, w2)
+                if any(image2[1]) and not h.contains(image2[1]):
+                    beta, beta_image = WitnessedPoint(primitive(image2[1]), w2), image2
                     m += 1
                     improved = True
                     break
         if m < best_m:
             continue
-        beta_image = integer_image(kmap, beta.witness)
         for t in _differing_slots(x, beta):
             w_z = replace_slot(x.witness, t, beta.witness[t])
             s_z, alpha_prime = beta_image if w_z == beta.witness else integer_image(kmap, w_z)
@@ -390,9 +381,10 @@ def line_step(
             z_pt = primitive(alpha_prime)
             if z_pt == x.point:
                 continue  # degenerate: proportional to x, retry next candidate
-            s_b, beta_prime = integer_image(kmap, replace_slot(beta.witness, t, x.witness[t]))
+            w_b = replace_slot(beta.witness, t, x.witness[t])
+            s_b, beta_prime = (s_x, img_x) if w_b == x.witness else integer_image(kmap, w_b)
             bp_zero = not any(beta_prime)
-            if not bp_zero and not h.contains_point(primitive(beta_prime)):
+            if not bp_zero and not h.contains(beta_prime):
                 continue  # cannot certify this slot; the bootstrap above already tried it
             area = wedge_sq(x.point.rep, z_pt.rep)
             if best is None or m > best_m or (m == best_m and area < best[0]):

@@ -14,7 +14,15 @@ on that logarithm; the one-sided fixed-point logarithms and the integer
 decay test must give the same values.
 
 ``fraction_functionals`` is ``exact_geometry.orthogonal_functionals`` as it
-built each functional from ``Fraction`` entries before ``primitive``.
+built each functional from ``Fraction`` entries before ``primitive``, and
+``fraction_subspace_span`` is ``exact_geometry.subspace_span`` as it
+reduced ``Fraction`` rows to the RREF; the integer elimination must give the
+same canonical basis.
+
+``outside_candidates_loop`` is ``multilinear.outside_candidates`` as it
+built every candidate's image and its ``primitive`` and tested the point
+with ``in_span``; the search through contracted functionals must yield the
+same (m, beta) sequence.
 
 ``exponent_report_v2`` and ``radius_sq_v2`` are the audit's exponent rows
 and limit radius as audit version 2 computed them: exact reduced
@@ -31,7 +39,10 @@ from fractions import Fraction
 from math import isqrt
 
 from maxsing.builder import ApproxFn
-from maxsing.exact_geometry import dot, ln_bounds, primitive, sqrt_bounds
+from maxsing.exact_geometry import (
+    DimensionMismatch, ProjPointQ, ProjSubspaceQ, dot, ln_bounds, primitive, sqrt_bounds,
+)
+from maxsing.multilinear import WitnessedPoint, _contract, _integer_slots, _sparse, candidate_vectors
 
 
 def box_scan_candidates(n: int, height: int, rng: random.Random | None = None) -> list:
@@ -84,6 +95,71 @@ def fraction_functionals(s) -> tuple:
             f[pc] = Fraction(-row[j], row[pc])
         funcs.append(primitive(f).rep)
     return tuple(funcs)
+
+
+def fraction_subspace_span(vectors, ambient_dim: int | None = None) -> ProjSubspaceQ:
+    vecs = [v.rep if isinstance(v, ProjPointQ) else v for v in vectors]
+    if ambient_dim is None:
+        if not vecs:
+            raise DimensionMismatch("empty span needs an explicit ambient_dim")
+        ambient_dim = len(vecs[0])
+    rows = [[Fraction(a) for a in v] for v in vecs if any(c != 0 for c in v)]
+    for r in rows:
+        if len(r) != ambient_dim:
+            raise DimensionMismatch("subspace_span: inconsistent dimensions")
+    rref = _rref(rows, ambient_dim)
+    return ProjSubspaceQ(tuple(primitive(r).rep for r in rref), ambient_dim)
+
+
+def _rref(rows: list, ncols: int) -> list:
+    rref: list = []
+    pivots: list = []
+    for row in rows:
+        r = row[:]
+        for prow, pc in zip(rref, pivots):
+            if r[pc] != 0:
+                c = r[pc]
+                r = [a - c * b for a, b in zip(r, prow)]
+        pc = next((j for j, a in enumerate(r) if a != 0), None)
+        if pc is None:
+            continue
+        inv = r[pc]
+        r = [a / inv for a in r]
+        for prow in rref:
+            if prow[pc] != 0:
+                c = prow[pc]
+                prow[:] = [a - c * b for a, b in zip(prow, r)]
+        rref.append(r)
+        pivots.append(pc)
+    order = sorted(range(len(rref)), key=lambda i: pivots[i])
+    return [rref[i] for i in order]
+
+
+def outside_candidates_loop(kmap, h, anchor, budget, rng: random.Random | None = None):
+    k = kmap.k
+    _, images = kmap.integer_images
+    _, anchor_ints = _integer_slots(anchor.witness)
+    for m in range(k - 1, -1, -1):
+        d = k - m
+        contracted = {subset: _sparse(_contract(images, kmap.target_dim, anchor_ints, subset))
+                      for subset in itertools.combinations(range(k), d)}
+        for height in range(1, budget.max_height + 1):
+            pools = [list(candidate_vectors(kmap.n, hh, rng)) for hh in range(1, height + 1)]
+            for subset, sub in contracted.items():
+                for heights in itertools.product(range(height), repeat=d):
+                    if max(heights) != height - 1:
+                        continue
+                    for repl in itertools.product(*(pools[hh] for hh in heights)):
+                        img = _contract(sub, kmap.target_dim, repl).get(())
+                        if img is None or not any(img):
+                            continue
+                        pt = primitive(img)
+                        if h.contains_point(pt):
+                            continue
+                        witness = list(anchor.witness)
+                        for slot, vec in zip(subset, repl):
+                            witness[slot] = tuple(Fraction(c) for c in vec)
+                        yield m, WitnessedPoint(pt, tuple(witness))
 
 
 def _sqrt_bounds_rel(r, precision_bits: int) -> tuple[Fraction, Fraction]:

@@ -93,7 +93,8 @@ def sampled_klinear_check(adapter, x, z, b, h, cert_doc, sample_range=20) -> lis
         if all(a == 0 for a in y):
             fails.append(f"line point at {bb} vanishes")
             continue
-        if ml.evaluate(kmap, ml.line_witness(cert, x_wp, z_wp, bb)) != tuple(Fraction(a) for a in y):
+        w = ml.line_witness(x.witness, z.witness, cert.slot, cert.anchor_scale, cert.z_scale, bb)
+        if ml.evaluate(kmap, w) != tuple(Fraction(a) for a in y):
             fails.append(f"line witness fails at multiplier {bb}")
         comp = companion_vector(kmap, cert, x_wp, z_wp, bb)
         if all(a == 0 for a in comp):

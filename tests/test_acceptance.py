@@ -99,7 +99,7 @@ def stopping_line(trace: SequenceTrace, budget: SearchBudget) -> tuple[IntVec, I
     for i, entry in enumerate(trace.entries, start=1):
         h = compute_hi(points[:i], adapter.ambient_dim)
         z_tp, cert = adapter.line_step(TracePoint(entry.x, entry.witness), h, budget, rng)
-        z_tp, _ = _reduce_line_generator(entry.x, entry.witness, z_tp, cert, adapter)
+        z_tp, _ = _reduce_line_generator(entry.x, entry.witness, z_tp, cert)
         if entry.step is not None:
             assert z_tp.point == entry.step.z, f"replayed line at point {i} differs from the trace"
     return points[-1].rep, z_tp.point.rep

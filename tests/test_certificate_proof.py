@@ -148,10 +148,10 @@ def klinear_steps(draw):
     x_tp = TracePoint(x.point, x.witness)
     try:
         z_tp, cert = adapter.line_step(x_tp, h, SearchBudget(max_height=1), None)
-    except (ml.BudgetExhausted, ml.DegenerateLine):
+    except ml.DegenerateLine:
         assume(False)
     if draw(st.booleans()):
-        z_tp, cert = _reduce_line_generator(x.point, x.witness, z_tp, cert, adapter)
+        z_tp, cert = _reduce_line_generator(x.point, x.witness, z_tp, cert)
     if draw(st.booleans()):
         # tampered generator: any vector in slot t keeps the line in the image but moves E_y
         t = cert["slot"]

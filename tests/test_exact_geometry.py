@@ -34,7 +34,9 @@ from maxsing.exact_geometry import (
 )
 from maxsing.exact_geometry import _rank_mod_p
 
-from kernel_oracles import fraction_functionals, ln_bounds_two_series, sqrt_bounds_two_roots
+from kernel_oracles import (
+    fraction_functionals, fraction_subspace_span, ln_bounds_two_series, sqrt_bounds_two_roots,
+)
 
 small_ints = st.integers(min_value=-50, max_value=50)
 
@@ -241,6 +243,63 @@ class TestRankSpan:
         if len(mixed) >= 2:
             mixed.append(tuple(a + 2 * b for a, b in zip(mixed[0], mixed[1])))
         assert subspace_span(mixed, 4) == s1
+
+
+# the scales a row may carry: negative leading entries, denominators 2, 3 and 6,
+# and 2^300, the size of split4 points
+ROW_SCALES = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6), 1 << 300, -(1 << 300),
+              Fraction(1 << 300, 3))
+
+
+@st.composite
+def rows_of_known_rank(draw):
+    """(n, r, rows): rows spanning a rank-r subspace of Q^n, n <= 10, every r from 0 to n.
+
+    Generator i has a 1 in column cols[i] and zeros in cols[:i], so the r
+    generators are independent; each is kept, in a combination with the later
+    ones, and zero, duplicate and mixed rows join them before every row is
+    scaled and the order shuffled.
+    """
+    n = draw(st.integers(1, 10))
+    r = draw(st.integers(0, n))
+    cols = draw(st.permutations(range(n)))
+    coeffs = st.integers(-3, 3)
+    gens = []
+    for i in range(r):
+        g = [0] * n
+        g[cols[i]] = 1
+        for c in cols[i + 1:]:
+            g[c] = draw(coeffs)
+        gens.append(g)
+    rows = []
+    for i in range(r):
+        cs = [draw(coeffs) for _ in gens[i + 1:]]
+        rows.append([a + sum(c * g[j] for c, g in zip(cs, gens[i + 1:])) for j, a in enumerate(gens[i])])
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["zero", "duplicate", "combination"]))
+        if kind == "zero" or not rows:
+            rows.append([0] * n)
+        elif kind == "duplicate":
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            cs = [draw(coeffs) for _ in gens]
+            rows.append([sum(c * g[j] for c, g in zip(cs, gens)) for j in range(n)])
+    scales = st.sampled_from(ROW_SCALES)
+    rows = [[c * a for a in row] for row, c in zip(rows, [draw(scales) for _ in rows])]
+    return n, r, draw(st.permutations(rows))
+
+
+class TestIntegerSpan:
+    """subspace_span's integer elimination against the Fraction RREF it replaced."""
+
+    @given(rows_of_known_rank())
+    @example((3, 2, [(0, -2, 4), (Fraction(1, 2), Fraction(1, 3), 0), (0, 0, 0), (0, -2, 4), (3, 2, 0)]))
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    def test_matches_the_fraction_oracle(self, case):
+        n, r, rows = case
+        s = subspace_span(rows, n)
+        assert s == fraction_subspace_span(rows, n)
+        assert s.rank == r
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from maxsing.exact_geometry import primitive, subspace_span, wedge_k
 from maxsing.multilinear import (
-    BudgetExhausted,
     DegenerateLine,
     InvalidParameters,
     KLinearMap,
@@ -17,12 +16,14 @@ from maxsing.multilinear import (
     WitnessedPoint,
     candidate_vectors,
     evaluate,
-    find_outside,
     grassmann_map,
+    integer_image,
     line_step,
     line_witness,
     load_map,
+    outside_candidates,
     prodforms_map,
+    replace_slot,
     save_map,
     shared_count,
     witnessed_point,
@@ -32,8 +33,9 @@ from maxsing.multilinear import (
     _sparse,
 )
 
-from kernel_oracles import box_scan_candidates, fraction_evaluate
+from kernel_oracles import box_scan_candidates, fraction_evaluate, outside_candidates_loop
 from sampling_oracle import companion_vector
+from test_trace_identity import rational_prodforms_map
 
 
 def e(n, i):
@@ -202,6 +204,43 @@ def assert_certificate_recomputes(kmap, x, h, budget, rng):
     return cert
 
 
+SEARCH_MAPS = [grassmann_map(4, 2), grassmann_map(5, 2), prodforms_map(2, 3), rational_prodforms_map()]
+
+
+class TestOutsideCandidates:
+    """The search through contracted functionals against the loop that built and tested every point."""
+
+    @given(st.sampled_from(SEARCH_MAPS), st.data())
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    def test_matches_the_membership_loop(self, kmap, data):
+        witness = [data.draw(slots(kmap.n).filter(any)) for _ in range(kmap.k)]
+        assume(any(evaluate(kmap, witness)))
+        anchor = witnessed_point(kmap, witness)
+        dim = kmap.target_dim
+        gens = []
+        if data.draw(st.booleans()):
+            # H holds the anchor's tangent: no one-slot replacement escapes, so the search goes down in m
+            gens = [evaluate(kmap, replace_slot(anchor.witness, t, e(kmap.n, i)))
+                    for t in range(kmap.k) for i in range(kmap.n)]
+        room = dim - 1 - subspace_span(gens, dim).rank
+        assume(room >= 0)
+        gens += [data.draw(st.tuples(*[st.integers(-2, 2)] * dim))
+                 for _ in range(data.draw(st.integers(0 if gens else 1, room)))]
+        h = subspace_span(gens, dim)
+        assume(h.rank > 0)
+        seed = data.draw(st.one_of(st.none(), st.integers(0, 99)))
+        budget = OutsideSearchBudget(data.draw(st.integers(1, 2)))
+
+        def first(search):
+            rng = None if seed is None else random.Random(seed)
+            return list(itertools.islice(search(kmap, h, anchor, budget, rng), 25))
+
+        found = first(outside_candidates)
+        assert [(m, beta) for m, beta, _ in found] == first(outside_candidates_loop)
+        for _, beta, image in found:
+            assert image == integer_image(kmap, beta.witness)
+
+
 class TestSharedCount:
     def test_identical(self):
         w = ((1, 0), (0, 1))
@@ -212,6 +251,19 @@ class TestSharedCount:
 
     def test_disjoint(self):
         assert shared_count(((1, 0), (0, 1)), ((1, 1), (1, -1))) == 0
+
+
+class BudgetExhausted(RuntimeError):
+    pass
+
+
+def find_outside(kmap, h, anchor, budget, rng=None) -> WitnessedPoint:
+    """A point of the image outside H maximizing witness slot agreement: the search's first."""
+    if not h.contains_point(anchor.point):
+        return anchor
+    for _, beta, _ in outside_candidates(kmap, h, anchor, budget, rng):
+        return beta
+    raise BudgetExhausted(f"no image point outside the subspace within height {budget.max_height}")
 
 
 class TestFindOutside:
@@ -298,7 +350,7 @@ class TestLineStep:
         # every line point b*x + z escapes H: its first Plücker coordinate is fixed
         for b in range(-20, 21):
             y = tuple(b * a + c for a, c in zip(x.point.rep, z.point.rep))
-            w = line_witness(cert, x, z, b)
+            w = line_witness(x.witness, z.witness, cert.slot, cert.anchor_scale, cert.z_scale, b)
             assert evaluate(kmap, w) == tuple(Fraction(a) for a in y)
             comp = companion_vector(kmap, cert, x, z, b)
             assert any(a != 0 for a in comp)
@@ -312,7 +364,7 @@ class TestLineStep:
         z, cert = line_step(kmap, x, h, OutsideSearchBudget(2))
         for b in (-3, 1, 5):
             y = tuple(b * a + c for a, c in zip(x.point.rep, z.point.rep))
-            w = line_witness(cert, x, z, b)
+            w = line_witness(x.witness, z.witness, cert.slot, cert.anchor_scale, cert.z_scale, b)
             assert primitive(evaluate(kmap, w)) == primitive(y)
 
     def test_beta_prime_certificate_shape(self):

@@ -117,11 +117,13 @@ def test_trace_digest(tmp_path, args, seed, exit_code, digest, stored):
     assert stored_values_digest(json.loads(data)) == stored
 
 
-# the audits of the split4-pow-seed7 trace and of the partial split4-log3x-seed7
-# trace, whose exponent rows and decay tests take the logarithms; CI checks
-# that the oldest supported Python writes the same bytes
+# the audits of the split4-pow-seed7 trace, of the partial split4-log3x-seed7
+# trace, whose exponent rows and decay tests take the logarithms, and of the
+# grassmann52-pow-seed7 trace, whose subspaces come from k-linear steps; CI
+# checks that the oldest supported Python writes the same bytes
 SPLIT4_POW_SEED7_AUDIT = "aaab40ee2771cf428ac87ac3c491277264a26dfa2294813af625eb0d022d2b68"
 SPLIT4_LOG3X_SEED7_AUDIT = "6853cd2d0142cb0ee10f138b8833c3592a4ed6d4585264f64f87fb8c6bbe700b"
+GRASSMANN52_POW_SEED7_AUDIT = "db04394144bc294fbfd33c04996046d99495ea2e42e80b9999f0559405cb60b5"
 
 
 def audit_digest(tmp_path, args, exit_code) -> str:
@@ -139,6 +141,10 @@ def test_audit_digest(tmp_path):
 
 def test_log3x_audit_digest(tmp_path):
     assert audit_digest(tmp_path, SPLIT4_LOG3X, EXIT_BUDGET) == SPLIT4_LOG3X_SEED7_AUDIT
+
+
+def test_klinear_audit_digest(tmp_path):
+    assert audit_digest(tmp_path, GRASSMANN52_POW, EXIT_OK) == GRASSMANN52_POW_SEED7_AUDIT
 
 
 class TestVersion1Fixture:
