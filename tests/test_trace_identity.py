@@ -147,6 +147,26 @@ def test_klinear_audit_digest(tmp_path):
     assert audit_digest(tmp_path, GRASSMANN52_POW, EXIT_OK) == GRASSMANN52_POW_SEED7_AUDIT
 
 
+# the brute-force rows of the partial split4-log3x-seed7 trace, as
+# ``bruteforce --json`` prints them and as ``verify --bruteforce-xmax`` writes
+# them into the audit; CI checks these on the oldest supported Python too
+SPLIT4_LOG3X_SEED7_BRUTEFORCE_JSON = "98d3d27fcec62d5701d49a7197fe44c4e65252b1f59360a7c51e893cb50b9c88"
+SPLIT4_LOG3X_SEED7_BRUTEFORCE_AUDIT = "436984ca283251fef7830cd86ba4973c9aa1c90c1de084de246b545b2c24d40f"
+
+
+def test_bruteforce_digests(tmp_path, capsys):
+    code, out = gen(tmp_path, SPLIT4_LOG3X, 7)
+    assert code == EXIT_BUDGET
+    capsys.readouterr()
+    assert main(["bruteforce", str(out), "--xmax", "20", "--precision", "64", "--json"]) == EXIT_OK
+    printed = capsys.readouterr().out.encode()
+    assert hashlib.sha256(printed).hexdigest() == SPLIT4_LOG3X_SEED7_BRUTEFORCE_JSON
+    audit = tmp_path / "audit.json"
+    argv = ["verify", str(out), "--precision", "64", "--bruteforce-xmax", "20", "--out", str(audit)]
+    assert main(argv) == EXIT_OK
+    assert hashlib.sha256(audit.read_bytes()).hexdigest() == SPLIT4_LOG3X_SEED7_BRUTEFORCE_AUDIT
+
+
 class TestVersion1Fixture:
     """A version 1 trace, written before the format changed, still reads and audits the same.
 
