@@ -5,6 +5,10 @@ k-linear-map images whose limits are approximated by rationals at a
 prescribed decay rate, then re-verifies every inequality of the
 construction exactly and measures the best-approximation function
 against the certified limit ball.
+
+The package root exports the family constructors and ``primitive``; every
+other name is imported from its module (``maxsing.builder``,
+``maxsing.verifier``, ``maxsing.cli``, ...).
 """
 
 import sys as _sys
@@ -16,66 +20,8 @@ import sys as _sys
 if hasattr(_sys, "set_int_max_str_digits"):
     _sys.set_int_max_str_digits(0)
 
-from .builder import (
-    ApproxFn,
-    BudgetExceeded,
-    CertifiedLimit,
-    SequenceTrace,
-    limit_point,
-    load_trace,
-    run,
-    save_trace,
-)
-from .exact_geometry import (
-    ProjPointQ,
-    ProjSubspaceQ,
-    dist_sq,
-    in_span,
-    ln_bounds,
-    primitive,
-    rank,
-    sqrt_bounds,
-    subspace_span,
-    wedge_k,
-)
-from .families import (
-    SearchBudget,
-    TracePoint,
-    adapter_from_descriptor,
-    grassmann_adapter,
-    prodforms_adapter,
-    quadric_adapter,
-)
-from .multilinear import (
-    KLinearMap,
-    OutsideSearchBudget,
-    WitnessedPoint,
-    evaluate,
-    grassmann_map,
-    line_step,
-    prodforms_map,
-    shared_count,
-)
-from .quadric import (
-    HyperbolicWitness,
-    QuadraticFormQ,
-    isotropic_in_subspace_outside,
-    line_in_quadric_through,
-    on_quadric,
-    orth_complement,
-    s_h_quadric,
-    split4,
-    validate_witness,
-)
-from .verifier import (
-    DXiInterval,
-    audit_report,
-    brute_force_curve,
-    brute_force_dmin,
-    check_conditions,
-    d_xi,
-    exponent_report,
-    spanning_check,
-)
+from .exact_geometry import primitive
+from .families import grassmann_adapter, prodforms_adapter, quadric_adapter
+from .quadric import split4
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = ["grassmann_adapter", "prodforms_adapter", "primitive", "quadric_adapter", "split4"]

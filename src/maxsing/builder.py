@@ -139,9 +139,10 @@ class ApproxFn:
 
     Two variants: ``log3x`` is min(1, log(3X)/X); ``pow`` is X^(-p/q) with
     exponent p/q in (0, 1).  Both provide certified rational bounds
-    phi_lo <= phi <= phi_hi with gap at most 2^-precision_bits, and the
-    power law additionally decides comparisons against phi^2 exactly by
-    cross-multiplied integer powers, with no rounding at all.
+    phi_lo <= phi <= phi_hi (``_phi_bounds``) with gap at most
+    2^-precision_bits, and the power law additionally decides comparisons
+    against phi^2 exactly by cross-multiplied integer powers, with no
+    rounding at all.
     """
 
     variant: str
@@ -169,9 +170,6 @@ class ApproxFn:
     def from_descriptor(d: dict) -> "ApproxFn":
         exponent = Fraction(d["exponent"]) if d.get("exponent") is not None else None
         return ApproxFn(d["variant"], exponent, int(d.get("precision_bits", 64)))
-
-    def phi_lo(self, x: Fraction) -> Fraction:
-        return self._phi_bounds(x)[0]
 
     def phi_hi(self, x: Fraction) -> Fraction:
         return self._phi_bounds(x)[1]
@@ -271,9 +269,6 @@ class SequenceTrace:
 
     def points(self) -> list[ProjPointQ]:
         return [e.x for e in self.entries]
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 @dataclass(frozen=True)
@@ -380,7 +375,7 @@ def _select_multiplier(
     """A multiplier b >= 1 meeting the step conditions, found by search.
 
     Returns (b, x_next, (w2, n2x n2y)): the second pair is the squared
-    distance dist_sq(x_next, x) = w2 / (n2x n2y), unreduced, with
+    distance dist(x_next, x)^2 = w2 / (n2x n2y), unreduced, with
     w2 = |x ^ z|^2, n2x = |x|^2 and n2y = |z + b x|^2.  dsq_prev is the
     previous step's distance in the same form.  The search scans the
     region where |z + b*x| may still shrink, then 64 values from an
@@ -398,7 +393,7 @@ def _select_multiplier(
       c = gcd(G, y_0, ..., y_{n-1}), and |primitive(y)|^2 = n2y / c^2
       with n2y = |y|^2 in closed form.
     - One distance.  For the same reason |y ^ x| = |z ^ x|, and the
-      content cancels: dist_sq(x_next, x) = w2 / (n2x n2y).
+      content cancels: dist(x_next, x)^2 = w2 / (n2x n2y).
     - No second gcd.  ``accept`` divides y by the c that ``attempt``
       found, which is y's content.  The first nonzero entries of x and z
       are positive and b >= 1, so the first nonzero entry of y is too, and
@@ -573,7 +568,6 @@ def run(
     steps: int,
     seed: int = 0,
     budget: SearchBudget | None = None,
-    start: TracePoint | None = None,
 ) -> SequenceTrace:
     """Construct a trace with the given number of points.
 
@@ -584,7 +578,7 @@ def run(
         raise InvalidSteps("a run needs at least 2 points")
     budget = budget or SearchBudget()
     rng = random.Random(seed) if seed else None
-    tp = start or adapter.start()
+    tp = adapter.start()
     if not adapter.member(tp):
         raise ValueError("start point is not a certified member of the family")
     trace = SequenceTrace(
@@ -613,7 +607,7 @@ def run(
     return trace
 
 
-def limit_point(trace: SequenceTrace, precision_bits: int = 64) -> CertifiedLimit:
+def limit_point(trace: SequenceTrace) -> CertifiedLimit:
     """Ball around the last point containing the limit of any valid continuation.
 
     The telescoping condition bounds the remaining travel by a geometric
@@ -643,9 +637,7 @@ def _hex_vec(v) -> list[str]:
 
 
 def _witness_doc(w):
-    if w is None:
-        return None
-    return [[str(Fraction(c)) for c in vec] for vec in w]
+    return None if w is None else ml.witness_to_doc(w)
 
 
 def trace_to_doc(trace: SequenceTrace) -> dict:

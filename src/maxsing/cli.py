@@ -137,9 +137,6 @@ def cmd_gen(args) -> int:
         print(f"partial trace with {len(exc.partial.entries)} points written to {args.out}",
               file=sys.stderr)
         return EXIT_BUDGET
-    except builder.InvalidSteps as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     builder.save_trace(trace, args.out)
     print(f"trace with {len(trace.entries)} points written to {args.out}")
     return EXIT_OK
@@ -206,20 +203,12 @@ def cmd_bruteforce(args) -> int:
     if trace is None:
         return EXIT_USAGE
     try:
-        lim = builder.limit_point(trace, args.precision)
-        rows = verifier.brute_force_curve(lim, args.xmax, args.precision)
+        rows = verifier.brute_force_curve(builder.limit_point(trace), args.xmax, args.precision)
     except (builder.TraceTooShort, verifier.TooLarge, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.json:
-        print(json.dumps(
-            [
-                {"X": r["X"], "lo": str(r["lo"]), "hi": str(r["hi"]),
-                 "hi_dec": dec_str(r["hi"], 12), "argmin": [str(a) for a in r["argmin"]]}
-                for r in rows
-            ],
-            indent=2,
-        ))
+        print(json.dumps([verifier.bruteforce_row_doc(r) for r in rows], indent=2))
         return EXIT_OK
     print(f"{'X':>5}  {'Dmin hi':>18}  argmin")
     for r in rows:

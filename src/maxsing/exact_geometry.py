@@ -17,8 +17,6 @@ from math import gcd, isqrt, lcm
 from operator import index
 from typing import Iterable, Sequence
 
-Rat = Fraction
-
 IntVec = tuple[int, ...]
 RatVec = tuple[Fraction, ...]
 
@@ -79,10 +77,6 @@ class ProjPointQ:
 
     rep: IntVec
 
-    @property
-    def dim(self) -> int:
-        return len(self.rep)
-
     def norm_sq(self) -> int:
         return norm_sq(self.rep)
 
@@ -142,89 +136,8 @@ def _clear_denominators(v: Sequence) -> list[int]:
     return [int(a * m) for a in v]
 
 
-def dist_sq(x: Sequence, y: Sequence) -> Fraction:
-    """Squared projective distance |x ∧ y|^2 / (|x|^2 |y|^2), in [0, 1]."""
-    nx, ny = norm_sq(x), norm_sq(y)
-    if nx == 0 or ny == 0:
-        raise ZeroVector("projective distance needs nonzero vectors")
-    d = dot(x, y)
-    return Fraction(nx * ny - d * d, nx * ny)
-
-
 # ---------------------------------------------------------------------------
-# determinants, rank, wedge products
-
-
-def det(rows: Sequence[Sequence]) -> Fraction | int:
-    """Exact determinant of a square matrix over Q.
-
-    Integer matrices go through fraction-free Bareiss elimination;
-    rational ones are scaled row-wise to integers first.
-    """
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise DimensionMismatch("det needs a square matrix")
-    scale = Fraction(1)
-    int_rows: list[list[int]] = []
-    for r in rows:
-        if any(isinstance(a, Fraction) for a in r):
-            m = 1
-            for a in r:
-                d = a.denominator if isinstance(a, Fraction) else 1
-                m = m * d // gcd(m, d)
-            scale /= m
-            int_rows.append([int(a * m) for a in r])
-        else:
-            int_rows.append([int(a) for a in r])
-    d = _det_bareiss(int_rows)
-    out = scale * d
-    return int(out) if out.denominator == 1 and scale != 1 else (d if scale == 1 else out)
-
-
-def _det_bareiss(m: list[list[int]]) -> int:
-    n = len(m)
-    if n == 0:
-        return 1
-    m = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def wedge_k(vectors: Sequence[Sequence], n: int | None = None) -> tuple:
-    """Wedge product of k vectors of dim n as the C(n,k) minors.
-
-    Coordinates are the k x k minors indexed by k-subsets of columns in
-    lexicographic order.  Multilinear and alternating; zero iff the
-    vectors are linearly dependent.
-    """
-    k = len(vectors)
-    if k == 0:
-        raise DimensionMismatch("need at least one vector")
-    if n is None:
-        n = len(vectors[0])
-    if any(len(v) != n for v in vectors):
-        raise DimensionMismatch("wedge_k: inconsistent dimensions")
-    if not 1 <= k <= n:
-        raise DimensionMismatch(f"wedge_k needs 1 <= k <= n, got k={k}, n={n}")
-    coords = []
-    for subset in itertools.combinations(range(n), k):
-        coords.append(det([[v[j] for j in subset] for v in vectors]))
-    return tuple(coords)
+# rank
 
 
 RANK_PRIME = (1 << 61) - 1

@@ -112,23 +112,17 @@ class QuadricAdapter:
 
 
 class KLinearAdapter:
-    def __init__(self, kmap: ml.KLinearMap, kind: str, params: dict | None = None,
-                 start_witness: Sequence[Sequence] | None = None):
+    def __init__(self, kmap: ml.KLinearMap, kind: str):
         self.kmap = kmap
         self.kind = kind
-        self.params = dict(params or {})
         self.ambient_dim = kmap.target_dim
-        self._start_witness = start_witness
 
     def descriptor(self) -> dict:
         if self.kind in ("grassmann", "prodforms"):
-            return {"kind": self.kind, "n": self.params["n"], "k": self.params["k"]}
+            return {"kind": self.kind, "n": self.kmap.n, "k": self.kmap.k}
         return {"kind": "klinear", **ml.map_to_doc(self.kmap)}
 
     def start(self) -> TracePoint:
-        if self._start_witness is not None:
-            wp = ml.witnessed_point(self.kmap, self._start_witness)
-            return TracePoint(wp.point, wp.witness)
         if self.kind == "grassmann":
             witness = tuple(_unit(self.kmap.n, i) for i in range(self.kmap.k))
         elif self.kind == "prodforms":
@@ -153,7 +147,7 @@ class KLinearAdapter:
         self, tp: TracePoint, h: ProjSubspaceQ, budget: SearchBudget, rng: random.Random | None
     ) -> tuple[TracePoint, dict]:
         wp = ml.WitnessedPoint(tp.point, tp.witness)
-        z, cert = ml.line_step(self.kmap, wp, h, ml.OutsideSearchBudget(budget.max_height), rng)
+        z, cert = ml.line_step(self.kmap, wp, h, budget.max_height, rng)
         cert_doc = {
             "kind": "klinear",
             "slot": cert.slot,
@@ -161,7 +155,7 @@ class KLinearAdapter:
             "anchor_scale": str(cert.anchor_scale),
             "z_scale": str(cert.z_scale),
             "beta_point": [str(a) for a in cert.beta.point.rep],
-            "beta_witness": [[str(c) for c in v] for v in cert.beta.witness],
+            "beta_witness": ml.witness_to_doc(cert.beta.witness),
             "beta_prime": None if cert.beta_prime is None else [str(a) for a in cert.beta_prime],
         }
         return TracePoint(z.point, z.witness), cert_doc
@@ -180,7 +174,6 @@ class KLinearAdapter:
             anchor_scale=_rational(cert["anchor_scale"], "anchor_scale"),
             z_scale=_rational(cert["z_scale"], "z_scale"),
             beta=beta,
-            beta_image=ml.evaluate(self.kmap, beta_witness),
             beta_prime=None if beta_prime is None else tuple(
                 _rational(a, "beta_prime") for a in _list(cert, "beta_prime")),
         )
@@ -215,6 +208,7 @@ class KLinearAdapter:
             return [f"certificate kind {cert_doc.get('kind')!r:.40} is not 'klinear'"]
         kmap = self.kmap
         cert = self._cert_from_doc(cert_doc)
+        beta_image = ml.evaluate(kmap, cert.beta.witness)
         t = cert.slot
         if not 0 <= t < kmap.k:
             return [f"certificate slot {t} outside 0..{kmap.k - 1}"]
@@ -224,7 +218,7 @@ class KLinearAdapter:
             return ["z_witness is missing"]
         fails: list[str] = []
         beta = cert.beta
-        if primitive(cert.beta_image) != beta.point:
+        if primitive(beta_image) != beta.point:
             fails.append("beta witness does not certify beta")
         if h.contains_point(beta.point):
             fails.append("beta lies inside the subspace")
@@ -284,11 +278,11 @@ def _unit(n: int, i: int) -> tuple[int, ...]:
 
 
 def grassmann_adapter(n: int, k: int) -> KLinearAdapter:
-    return KLinearAdapter(ml.grassmann_map(n, k), "grassmann", {"n": n, "k": k})
+    return KLinearAdapter(ml.grassmann_map(n, k), "grassmann")
 
 
 def prodforms_adapter(n: int, k: int) -> KLinearAdapter:
-    return KLinearAdapter(ml.prodforms_map(n, k), "prodforms", {"n": n, "k": k})
+    return KLinearAdapter(ml.prodforms_map(n, k), "prodforms")
 
 
 def quadric_adapter(form: qd.QuadraticFormQ, witness: qd.HyperbolicWitness) -> QuadricAdapter:

@@ -189,6 +189,11 @@ def witnessed_point(kmap: KLinearMap, witness: Sequence[Sequence]) -> WitnessedP
     return WitnessedPoint(primitive(img), tuple(tuple(Fraction(c) for c in v) for v in witness))
 
 
+def witness_to_doc(witness: Sequence[Sequence]) -> list[list[str]]:
+    """A witness as its JSON list of lists of rational strings (witness_from_doc reads it)."""
+    return [[str(c) for c in v] for v in witness]
+
+
 def witness_from_doc(doc, field: str) -> tuple[RatVec, ...]:
     """A witness from its JSON list of lists; a ValueError names ``field`` if it is malformed.
 
@@ -217,13 +222,6 @@ def shared_count(w1: Sequence[Sequence], w2: Sequence[Sequence]) -> int:
     return sum(1 for a, b in zip(w1, w2) if tuple(a) == tuple(b))
 
 
-@dataclass(frozen=True)
-class OutsideSearchBudget:
-    """Bounds for the deterministic search for image points outside a subspace."""
-
-    max_height: int = 6
-
-
 def _coord_value(idx: int) -> int:
     # 0, 1, -1, 2, -2, ...
     if idx == 0:
@@ -249,14 +247,14 @@ def outside_candidates(
     kmap: KLinearMap,
     h: ProjSubspaceQ,
     anchor: WitnessedPoint,
-    budget: OutsideSearchBudget,
+    max_height: int,
     rng: random.Random | None = None,
 ) -> Iterator[tuple[int, WitnessedPoint, tuple[int, list[int]]]]:
     """Yield (m, beta, (s, img)) with [beta] outside H, best witness agreement first.
 
     For m from k-1 down to 0, replaces exactly k-m anchor slots with
-    bounded-height integer vectors; m is then a lower-bound certificate
-    for the witness agreement between anchor and beta.
+    integer vectors of max-norm up to max_height; m is then a lower-bound
+    certificate for the witness agreement between anchor and beta.
 
     Membership: per set of replaced slots, the anchor's kept slots are
     contracted once into an integer map ``sub`` on the replaced slots, and
@@ -286,7 +284,7 @@ def outside_candidates(
             pairings = {key: [sum(f[j] * a for j, a in img) for f in funcs] for key, img in sub.items()}
             scale = d * prod(ds for slot, ds in enumerate(dens) if slot not in subset)
             contracted.append((subset, sub, _sparse(pairings), scale))
-        for height in range(1, budget.max_height + 1):
+        for height in range(1, max_height + 1):
             pools = [list(candidate_vectors(kmap.n, hh, rng)) for hh in range(1, height + 1)]
             for subset, sub, pairings, scale in contracted:
                 for heights in itertools.product(range(height), repeat=k - m):
@@ -314,7 +312,8 @@ class LineCertificate:
     E_y being beta's witness with slot t set to ys.  beta' lies in H (or
     is 0) and E_y outside it, so the companion stays outside H for every
     b.  That pins the witness-agreement drop along the line.
-    ``families.KLinearAdapter.check_certificate`` proves it once per step.
+    ``families.KLinearAdapter.check_certificate`` proves it once per step,
+    evaluating beta's witness itself.
     """
 
     slot: int
@@ -322,7 +321,6 @@ class LineCertificate:
     anchor_scale: Fraction   # evaluate(x.witness) == anchor_scale * x.rep
     z_scale: Fraction        # evaluate(z.witness) == z_scale * z.rep
     beta: WitnessedPoint
-    beta_image: tuple        # evaluate(beta.witness)
     beta_prime: tuple | None  # evaluate(beta.witness with slot <- x slot), None if zero
 
 
@@ -339,7 +337,7 @@ def line_step(
     kmap: KLinearMap,
     x: WitnessedPoint,
     h: ProjSubspaceQ,
-    budget: OutsideSearchBudget,
+    max_height: int,
     rng: random.Random | None = None,
 ) -> tuple[WitnessedPoint, LineCertificate]:
     """One line construction through x inside the image.
@@ -348,17 +346,18 @@ def line_step(
     the image (witnesses exhibited), z is not proportional to x, and the
     certificate's companion family certifies the witness-agreement drop.
     Among valid candidates the one minimizing |x ∧ z|^2 is kept, which
-    controls coordinate growth of the whole construction.
+    controls coordinate growth of the whole construction; the search keeps
+    the integer images (s, img) of the best one so far and builds its
+    certificate once, at the end.
     """
     if not h.contains_point(x.point):
         raise StepPreconditionError("line_step needs a point inside the subspace")
     k = kmap.k
     s_x, img_x = integer_image(kmap, x.witness)
-    anchor_scale = _scale_of(img_x, x.point, s_x)
-    best = None  # (area, order, z, cert)
+    best = None  # (area, t, m, beta, w_z, z, (s_z, alpha_prime), (s_b, beta_prime) or None)
     best_m = -1
     order = 0
-    for m, beta, beta_image in outside_candidates(kmap, h, x, budget, rng):
+    for m, beta, beta_image in outside_candidates(kmap, h, x, max_height, rng):
         # bootstrap: improve beta while a replaced slot yields an outside point
         improved = True
         while improved and m < k - 1:
@@ -388,16 +387,7 @@ def line_step(
                 continue  # cannot certify this slot; the bootstrap above already tried it
             area = wedge_sq(x.point.rep, z_pt.rep)
             if best is None or m > best_m or (m == best_m and area < best[0]):
-                cert = LineCertificate(
-                    slot=t,
-                    m=m,
-                    anchor_scale=anchor_scale,
-                    z_scale=_scale_of(alpha_prime, z_pt, s_z),  # z's witness is w_z
-                    beta=beta,
-                    beta_image=_rational(*beta_image),
-                    beta_prime=None if bp_zero else _rational(s_b, beta_prime),
-                )
-                best = (area, order, WitnessedPoint(z_pt, w_z), cert)
+                best = (area, t, m, beta, w_z, z_pt, (s_z, alpha_prime), None if bp_zero else (s_b, beta_prime))
                 best_m = m
             order += 1
         if best is not None and best_m == k - 1 and (m < k - 1 or order > 8):
@@ -406,7 +396,16 @@ def line_step(
         raise DegenerateLine(
             "no non-degenerate certified line found within the search budget"
         )
-    return best[2], best[3]
+    _, t, m, beta, w_z, z_pt, (s_z, alpha_prime), b_prime = best
+    cert = LineCertificate(
+        slot=t,
+        m=m,
+        anchor_scale=_scale_of(img_x, x.point, s_x),
+        z_scale=_scale_of(alpha_prime, z_pt, s_z),  # z's witness is w_z
+        beta=beta,
+        beta_prime=None if b_prime is None else _rational(*b_prime),
+    )
+    return WitnessedPoint(z_pt, w_z), cert
 
 
 def _differing_slots(x: WitnessedPoint, beta: WitnessedPoint) -> list[int]:

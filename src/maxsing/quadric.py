@@ -220,19 +220,18 @@ def isotropic_in_subspace_outside(
     s: ProjSubspaceQ,
     h: ProjSubspaceQ,
     height: int,
+    anchor: ProjPointQ,
     seeds: Sequence[Sequence] = (),
     rng: random.Random | None = None,
-    prefer_small_area_to: ProjPointQ | None = None,
 ) -> ProjPointQ:
-    """A zero of the form inside S but outside H, by exhaustive enumeration.
+    """A zero of the form inside S but outside H of least wedge area with ``anchor``, by exhaustive enumeration.
 
     Seeds are tried first; then primitive coefficient vectors over S's
     canonical basis up to the given max-norm height, shell by shell, each
-    shell in a fixed order that a seeded rng shuffles.  When
-    ``prefer_small_area_to`` is set, all valid candidates in the search
-    range are collected and the one minimizing |anchor ∧ candidate|^2 wins
-    (ties: earliest found), which keeps the construction's coordinate
-    growth down.
+    shell in a fixed order that a seeded rng shuffles.  All valid
+    candidates in the search range are collected and the one minimizing
+    |anchor ∧ candidate|^2 wins (ties: earliest found), which keeps the
+    construction's coordinate growth down.
 
     The per-candidate tests run in coefficient space: d*q on S is the sum
     of weights w_ij c_i c_j, w_ij the entries of d*A restricted to S
@@ -245,23 +244,12 @@ def isotropic_in_subspace_outside(
     """
     if all(h.contains(b) for b in s.basis):
         raise StepPreconditionError("search subspace is contained in the excluded one")
-    candidates = []
-
-    def consider(vec) -> ProjPointQ | None:
-        if all(a == 0 for a in vec):
-            return None
-        if form.q(vec) != 0:
-            return None
-        pt = primitive(vec)
-        if h.contains_point(pt):
-            return None
-        return pt
-
+    found: dict[ProjPointQ, None] = {}  # the candidates, in the order found
     for seed in seeds:
-        pt = consider(tuple(seed))
-        if pt is not None and s.contains_point(pt):
-            candidates.append(pt)
-    order_seen = {pt: i for i, pt in enumerate(candidates)}
+        if any(seed) and form.q(seed) == 0:
+            pt = primitive(seed)
+            if not h.contains_point(pt) and s.contains_point(pt):
+                found.setdefault(pt)
 
     r = s.rank
     images = [form.apply(b) for b in s.basis]
@@ -287,18 +275,10 @@ def isotropic_in_subspace_outside(
                 if c:
                     for j, a in enumerate(bas):
                         vec[j] += c * a
-            pt = primitive(vec)
-            if pt not in order_seen:
-                order_seen[pt] = len(order_seen)
-                candidates.append(pt)
-            if candidates and prefer_small_area_to is None:
-                return candidates[0]
-    if not candidates:
+            found.setdefault(primitive(vec))
+    if not found:
         raise HeightExhausted(f"no isotropic point in S outside H up to height {height}")
-    if prefer_small_area_to is None:
-        return candidates[0]
-    anchor = prefer_small_area_to.rep
-    return min(candidates, key=lambda p: (wedge_sq(anchor, p.rep), order_seen[p]))
+    return min(found, key=lambda p: wedge_sq(anchor.rep, p.rep))
 
 
 def line_in_quadric_through(
@@ -330,9 +310,7 @@ def line_in_quadric_through(
         seeds.append(tuple(x + y for x, y in zip(a, b)))
         seeds.append(tuple(x - y for x, y in zip(a, b)))
     excluded = h if s == 1 else subspace_span([alpha.rep], form.dim)
-    return isotropic_in_subspace_outside(
-        form, perp, excluded, height, seeds=seeds, rng=rng, prefer_small_area_to=alpha
-    )
+    return isotropic_in_subspace_outside(form, perp, excluded, height, alpha, seeds=seeds, rng=rng)
 
 
 # ---------------------------------------------------------------------------

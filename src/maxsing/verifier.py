@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .builder import (
     ApproxFn,
@@ -27,10 +27,8 @@ from .builder import (
 )
 from .exact_geometry import (
     IntVec,
-    ProjPointQ,
     ZeroVector,
     dec_str,
-    dist_sq,
     dot,
     dyadic_bounds,
     dyadic_str,
@@ -41,7 +39,6 @@ from .exact_geometry import (
     primitive,
     rank,
     sci_str,
-    sqrt_bounds,
     vec_add,
     vec_scale,
     wedge_sq,
@@ -55,16 +52,6 @@ class TooLarge(ValueError):
 
 class IndexOutOfRange(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class DXiInterval:
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self):
-        if not 0 <= self.lo <= self.hi:
-            raise ValueError("invalid interval")
 
 
 # ---------------------------------------------------------------------------
@@ -178,24 +165,6 @@ def check_conditions(trace: SequenceTrace, geometry: TraceGeometry | None = None
 
 # ---------------------------------------------------------------------------
 # certified approximation measurements
-
-
-def d_xi(limit: CertifiedLimit, x: Sequence, precision_bits: int = 64) -> DXiInterval:
-    """Certified interval for the norm-weighted distance from x to the limit.
-
-    Works against the certified ball: D(x) = |x| * dist(limit, [x]) lies in
-    |x| * [max(0, d - r), d + r] with d the distance to the center and r
-    the ball radius, all square roots outward-rounded.
-    """
-    if all(a == 0 for a in x):
-        raise ZeroVector("zero vector has no projective class")
-    dsq = dist_sq(x, limit.representative)
-    d_lo, d_hi = sqrt_bounds(dsq, precision_bits + 4)
-    r_lo, r_hi = sqrt_bounds(limit.radius_sq, precision_bits + 4)
-    n_lo, n_hi = sqrt_bounds(norm_sq(x), precision_bits + 4)
-    lo = n_lo * max(Fraction(0), d_lo - r_hi)
-    hi = n_hi * (d_hi + r_hi)
-    return DXiInterval(lo, hi)
 
 
 def _primitive_points_in_ball(
@@ -350,20 +319,10 @@ def brute_force_curve(
     return rows
 
 
-def brute_force_dmin(
-    limit: CertifiedLimit,
-    x_max: int,
-    precision_bits: int = 64,
-    cost_guard: int = 10 ** 8,
-) -> tuple[DXiInterval, ProjPointQ]:
-    """Certified interval for min D over primitive points of norm <= x_max."""
-    rows = brute_force_curve(limit, x_max, precision_bits, cost_guard)
-    if not rows:
-        raise ValueError("no primitive points within the given norm bound")
-    last = rows[-1]
-    arg = ProjPointQ(tuple(last["argmin"]))
-    exact = d_xi(limit, arg.rep, precision_bits)
-    return DXiInterval(min(last["lo"], exact.lo), min(last["hi"], exact.hi)), arg
+def bruteforce_row_doc(row: dict) -> dict:
+    """A brute_force_curve row as JSON: X, the exact bounds, hi to 12 digits, and the argmin."""
+    return {"X": row["X"], "lo": str(row["lo"]), "hi": str(row["hi"]),
+            "hi_dec": dec_str(row["hi"], 12), "argmin": [str(a) for a in row["argmin"]]}
 
 
 # ---------------------------------------------------------------------------
@@ -478,30 +437,16 @@ def audit_report(
     if bruteforce_xmax is not None and n >= 3:
         phi = ApproxFn.from_descriptor(trace.phi)
         rows = brute_force_curve(limit_point(trace), bruteforce_xmax, precision_bits)
-        x2_norm_sq = geo.norms[1]
         out_rows = []
-        all_dominated = True
         for row in rows:
-            x = row["X"]
-            applicable = x * x >= x2_norm_sq
-            dominated = None
-            phi_hi = None
-            if applicable:
-                phi_hi = phi.phi_hi(Fraction(x))
-                dominated = row["hi"] <= phi_hi
-                if not dominated:
-                    all_dominated = False
-            out_rows.append(
-                {
-                    "X": x,
-                    "lo": str(row["lo"]),
-                    "hi": str(row["hi"]),
-                    "hi_dec": dec_str(row["hi"], 12),
-                    "argmin": [str(a) for a in row["argmin"]],
-                    "phi_hi": None if phi_hi is None else str(phi_hi),
-                    "dominated": dominated,
-                }
-            )
+            # domination is judged only at scales X with X^2 >= |x_2|^2
+            phi_hi = phi.phi_hi(Fraction(row["X"])) if row["X"] ** 2 >= geo.norms[1] else None
+            out_rows.append({
+                **bruteforce_row_doc(row),
+                "phi_hi": None if phi_hi is None else str(phi_hi),
+                "dominated": None if phi_hi is None else row["hi"] <= phi_hi,
+            })
+        all_dominated = all(r["dominated"] is not False for r in out_rows)
         report["bruteforce"] = {
             "xmax": bruteforce_xmax,
             "rows": out_rows,

@@ -29,6 +29,12 @@ and limit radius as audit version 2 computed them: exact reduced
 ``Fraction``s of full size and roots of absolute width 2^-64.  Audit
 version 3's working-precision values must bracket the exact quantities
 they bound and stay within relative 2^-(precision + 3) of them.
+
+``dist_sq``, ``wedge_k`` (through the ``Fraction`` determinant ``det``) and
+``d_xi`` are reference quantities that the exact kernels never compute:
+the projective distance as a reduced ``Fraction``, the wedge product as its
+k x k minors, and the norm-weighted distance to a certified limit ball as
+an interval.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from math import isqrt
 
 from maxsing.builder import ApproxFn
 from maxsing.exact_geometry import (
-    DimensionMismatch, ProjPointQ, ProjSubspaceQ, dot, ln_bounds, primitive, sqrt_bounds,
+    DimensionMismatch, ProjPointQ, ProjSubspaceQ, ZeroVector, dot, ln_bounds, primitive, sqrt_bounds,
 )
 from maxsing.multilinear import WitnessedPoint, _contract, _integer_slots, _sparse, candidate_vectors
 
@@ -135,7 +141,7 @@ def _rref(rows: list, ncols: int) -> list:
     return [rref[i] for i in order]
 
 
-def outside_candidates_loop(kmap, h, anchor, budget, rng: random.Random | None = None):
+def outside_candidates_loop(kmap, h, anchor, max_height: int, rng: random.Random | None = None):
     k = kmap.k
     _, images = kmap.integer_images
     _, anchor_ints = _integer_slots(anchor.witness)
@@ -143,7 +149,7 @@ def outside_candidates_loop(kmap, h, anchor, budget, rng: random.Random | None =
         d = k - m
         contracted = {subset: _sparse(_contract(images, kmap.target_dim, anchor_ints, subset))
                       for subset in itertools.combinations(range(k), d)}
-        for height in range(1, budget.max_height + 1):
+        for height in range(1, max_height + 1):
             pools = [list(candidate_vectors(kmap.n, hh, rng)) for hh in range(1, height + 1)]
             for subset, sub in contracted.items():
                 for heights in itertools.product(range(height), repeat=d):
@@ -320,3 +326,54 @@ def le_phi_sq_log3x_fraction(u: int, v: int, norm_sq: int, precision_bits: int) 
     lo = le(0)
     return lo, lo or le(1)
 
+
+
+def dist_sq(x, y) -> Fraction:
+    """Squared projective distance |x ∧ y|^2 / (|x|^2 |y|^2), in [0, 1]."""
+    nx, ny = dot(x, x), dot(y, y)
+    if nx == 0 or ny == 0:
+        raise ZeroVector("projective distance needs nonzero vectors")
+    d = dot(x, y)
+    return Fraction(nx * ny - d * d, nx * ny)
+
+
+def det(rows) -> Fraction:
+    """Determinant of a square rational matrix by Gaussian elimination in Fractions."""
+    m = [[Fraction(a) for a in r] for r in rows]
+    if any(len(r) != len(m) for r in m):
+        raise DimensionMismatch("det needs a square matrix")
+    out = Fraction(1)
+    for k in range(len(m)):
+        piv = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            out = -out
+        out *= m[k][k]
+        for i in range(k + 1, len(m)):
+            c = m[i][k] / m[k][k]
+            m[i] = [a - c * b for a, b in zip(m[i], m[k])]
+    return out
+
+
+def wedge_k(vectors) -> tuple:
+    """Wedge product of k vectors of dim n as the C(n, k) minors, k-subsets of columns in lex order."""
+    n = len(vectors[0])
+    if any(len(v) != n for v in vectors) or not 1 <= len(vectors) <= n:
+        raise DimensionMismatch("wedge_k needs k <= n vectors of one dimension n")
+    return tuple(det([[v[j] for j in cols] for v in vectors])
+                 for cols in itertools.combinations(range(n), len(vectors)))
+
+
+def d_xi(limit, x, precision_bits: int = 64) -> tuple[Fraction, Fraction]:
+    """(lo, hi) bracketing D(x) = |x| dist(limit, [x]) for every point of the certified ball.
+
+    With d the distance to the ball's center and r its radius, D(x) lies
+    in |x| [max(0, d - r), d + r]; every square root is rounded outward.
+    """
+    prec = precision_bits + 4
+    d_lo, d_hi = sqrt_bounds(dist_sq(x, limit.representative), prec)
+    r_hi = sqrt_bounds(limit.radius_sq, prec)[1]
+    n_lo, n_hi = sqrt_bounds(dot(x, x), prec)
+    return n_lo * max(Fraction(0), d_lo - r_hi), n_hi * (d_hi + r_hi)

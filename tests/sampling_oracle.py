@@ -66,7 +66,7 @@ def sampled_klinear_check(adapter, x, z, b, h, cert_doc, sample_range=20) -> lis
     kmap = adapter.kmap
     cert = adapter._cert_from_doc(cert_doc)
     beta = cert.beta
-    if primitive(cert.beta_image) != beta.point:
+    if primitive(ml.evaluate(kmap, beta.witness)) != beta.point:
         fails.append("beta witness does not certify beta")
     if h.contains_point(beta.point):
         fails.append("beta lies inside the subspace")

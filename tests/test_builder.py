@@ -22,13 +22,10 @@ from maxsing.builder import (
     load_trace,
     run,
     save_trace,
-    trace_from_doc,
     trace_to_doc,
 )
 from maxsing.cli import EXIT_BUDGET, main
 from maxsing.exact_geometry import (
-    dist_sq,
-    ln_bounds,
     norm_sq,
     primitive,
     sqrt_bounds,
@@ -38,7 +35,7 @@ from maxsing.exact_geometry import (
 from maxsing.families import SearchBudget, grassmann_adapter, prodforms_adapter, quadric_adapter
 from maxsing.quadric import split4
 
-from kernel_oracles import le_phi_sq_log3x_fraction, ln_bounds_two_series, sqrt_bounds_two_roots
+from kernel_oracles import dist_sq, le_phi_sq_log3x_fraction, ln_bounds_two_series, sqrt_bounds_two_roots
 
 
 def e(i, n=4):
@@ -237,7 +234,7 @@ def _decay_passes(x, z, b: int, phi: ApproxFn) -> bool:
     ln_hi = (3 * math.ceil(m)).bit_length() * Fraction(6932, 10000)
     if 9 * w2 * m * m > 4 * n2y * ln_hi * ln_hi:
         return False
-    lo = phi.phi_lo(m)
+    lo = phi._phi_bounds(m)[0]
     return 9 * w2 <= 4 * n2y * lo * lo
 
 
@@ -446,7 +443,7 @@ class TestMultiplierKernels:
                 p, q = phi.exponent.numerator, phi.exponent.denominator
                 assert t ** q * n2p ** p <= 1
             else:
-                assert t <= phi.phi_lo(max(norm_lo, Fraction(1))) ** 2
+                assert t <= phi._phi_bounds(max(norm_lo, Fraction(1)))[0] ** 2
 
 
 class TestLimit:

@@ -10,9 +10,7 @@ from maxsing.exact_geometry import (
     RANK_PRIME,
     DimensionMismatch,
     NegativeInput,
-    ProjPointQ,
     ZeroVector,
-    dist_sq,
     dyadic_bounds,
     dyadic_str,
     in_span,
@@ -29,13 +27,13 @@ from maxsing.exact_geometry import (
     sqrt_bounds,
     subspace_span,
     vec_scale,
-    wedge_k,
     wedge_sq,
 )
 from maxsing.exact_geometry import _rank_mod_p
 
 from kernel_oracles import (
-    fraction_functionals, fraction_subspace_span, ln_bounds_two_series, sqrt_bounds_two_roots,
+    det, dist_sq, fraction_functionals, fraction_subspace_span, ln_bounds_two_series,
+    sqrt_bounds_two_roots, wedge_k,
 )
 
 small_ints = st.integers(min_value=-50, max_value=50)
@@ -214,8 +212,6 @@ class TestRankSpan:
     @settings(max_examples=300, derandomize=True)
     def test_rank_against_minor_oracle(self, vecs):
         # independent oracle: rank = size of the largest nonzero minor
-        from maxsing.exact_geometry import det
-
         rows = [v for v in vecs if any(a != 0 for a in v)]
         oracle = 0
         for size in range(1, min(len(rows), 4) + 1):

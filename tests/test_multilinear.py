@@ -6,12 +6,11 @@ from math import prod
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from maxsing.exact_geometry import primitive, subspace_span, wedge_k
+from maxsing.exact_geometry import primitive, subspace_span
 from maxsing.multilinear import (
     DegenerateLine,
     InvalidParameters,
     KLinearMap,
-    OutsideSearchBudget,
     StepPreconditionError,
     WitnessedPoint,
     candidate_vectors,
@@ -33,7 +32,7 @@ from maxsing.multilinear import (
     _sparse,
 )
 
-from kernel_oracles import box_scan_candidates, fraction_evaluate, outside_candidates_loop
+from kernel_oracles import box_scan_candidates, fraction_evaluate, outside_candidates_loop, wedge_k
 from sampling_oracle import companion_vector
 from test_trace_identity import rational_prodforms_map
 
@@ -173,7 +172,7 @@ class TestIntegerKernel:
            st.data())
     @settings(max_examples=60, derandomize=True, deadline=None)
     def test_line_step_certificate_recomputes(self, kmap, data):
-        """The scales and beta's image, each computed once per step, match a fresh evaluation."""
+        """The scales, each computed once per step, match a fresh evaluation."""
         witness = [data.draw(slots(kmap.n)) for _ in range(kmap.k)]
         assume(any(evaluate(kmap, witness)))
         x = witnessed_point(kmap, witness)
@@ -182,7 +181,7 @@ class TestIntegerKernel:
         h = subspace_span([x.point.rep, *extra], dim)
         rng = random.Random(data.draw(st.integers(0, 99)))
         try:
-            assert_certificate_recomputes(kmap, x, h, OutsideSearchBudget(2), rng)
+            assert_certificate_recomputes(kmap, x, h, 2, rng)
         except DegenerateLine:
             assume(False)
 
@@ -191,16 +190,16 @@ class TestIntegerKernel:
         kmap = grassmann_map(4, 2)
         x = witnessed_point(kmap, [e(4, 0), e(4, 1)])
         h = subspace_span([e(6, i) for i in range(5)], 6)  # {p34 = 0}: one slot cannot escape
-        cert = assert_certificate_recomputes(kmap, x, h, OutsideSearchBudget(1), None)
+        cert = assert_certificate_recomputes(kmap, x, h, 1, None)
         assert shared_count(x.witness, cert.beta.witness) == 0
 
 
-def assert_certificate_recomputes(kmap, x, h, budget, rng):
-    """line_step's scales and beta's image equal a fresh evaluation; returns the certificate."""
-    z, cert = line_step(kmap, x, h, budget, rng)
+def assert_certificate_recomputes(kmap, x, h, max_height, rng):
+    """line_step's scales equal a fresh evaluation, and beta's witness certifies beta; returns the certificate."""
+    z, cert = line_step(kmap, x, h, max_height, rng)
     assert cert.anchor_scale == _scale_of(evaluate(kmap, x.witness), x.point)
     assert cert.z_scale == _scale_of(evaluate(kmap, z.witness), z.point)
-    assert cert.beta_image == evaluate(kmap, cert.beta.witness)
+    assert primitive(evaluate(kmap, cert.beta.witness)) == cert.beta.point
     return cert
 
 
@@ -229,11 +228,11 @@ class TestOutsideCandidates:
         h = subspace_span(gens, dim)
         assume(h.rank > 0)
         seed = data.draw(st.one_of(st.none(), st.integers(0, 99)))
-        budget = OutsideSearchBudget(data.draw(st.integers(1, 2)))
+        max_height = data.draw(st.integers(1, 2))
 
         def first(search):
             rng = None if seed is None else random.Random(seed)
-            return list(itertools.islice(search(kmap, h, anchor, budget, rng), 25))
+            return list(itertools.islice(search(kmap, h, anchor, max_height, rng), 25))
 
         found = first(outside_candidates)
         assert [(m, beta) for m, beta, _ in found] == first(outside_candidates_loop)
@@ -257,13 +256,13 @@ class BudgetExhausted(RuntimeError):
     pass
 
 
-def find_outside(kmap, h, anchor, budget, rng=None) -> WitnessedPoint:
+def find_outside(kmap, h, anchor, max_height, rng=None) -> WitnessedPoint:
     """A point of the image outside H maximizing witness slot agreement: the search's first."""
     if not h.contains_point(anchor.point):
         return anchor
-    for _, beta, _ in outside_candidates(kmap, h, anchor, budget, rng):
+    for _, beta, _ in outside_candidates(kmap, h, anchor, max_height, rng):
         return beta
-    raise BudgetExhausted(f"no image point outside the subspace within height {budget.max_height}")
+    raise BudgetExhausted(f"no image point outside the subspace within height {max_height}")
 
 
 class TestFindOutside:
@@ -272,7 +271,7 @@ class TestFindOutside:
         anchor = witnessed_point(kmap, [e(4, 0), e(4, 1)])
         h = subspace_span([v for v in itertools.product([0, 1], repeat=6)
                            if sum(v) == 1 and v[0] != 1], 6)
-        beta = find_outside(kmap, h, anchor, OutsideSearchBudget(2))
+        beta = find_outside(kmap, h, anchor, 2)
         assert beta is anchor
 
     def test_single_slot_replacement_example(self):
@@ -281,7 +280,7 @@ class TestFindOutside:
         # H = {first Plücker coordinate = 0}
         h = subspace_span([e(6, i) for i in range(1, 6)], 6)
         assert h.contains_point(anchor.point)
-        beta = find_outside(kmap, h, anchor, OutsideSearchBudget(2))
+        beta = find_outside(kmap, h, anchor, 2)
         assert beta.witness == (e(4, 0), e(4, 1))  # (e1, e2)
         assert shared_count(anchor.witness, beta.witness) == 1
         assert not h.contains_point(beta.point)
@@ -292,7 +291,7 @@ class TestFindOutside:
         whole = subspace_span([e(6, i) for i in range(6)], 6)
         # improper subspace contains everything; nothing can be outside
         with pytest.raises(BudgetExhausted):
-            find_outside(kmap, whole, anchor, OutsideSearchBudget(1))
+            find_outside(kmap, whole, anchor, 1)
 
     def test_multi_slot_escape(self):
         # single-slot replacements of (e1, e2) keep the last Plücker
@@ -301,7 +300,7 @@ class TestFindOutside:
         anchor = witnessed_point(kmap, [e(4, 0), e(4, 1)])
         h = subspace_span([e(6, i) for i in range(5)], 6)
         assert h.contains_point(anchor.point)
-        beta = find_outside(kmap, h, anchor, OutsideSearchBudget(2))
+        beta = find_outside(kmap, h, anchor, 2)
         assert shared_count(anchor.witness, beta.witness) == 0
         assert beta.point.rep[5] != 0
         # oracle: no single-slot replacement can escape
@@ -318,7 +317,7 @@ class TestFindOutside:
         kmap = prodforms_map(2, 2)
         anchor = witnessed_point(kmap, [(1, 0), (1, 0)])  # x1^2
         h = subspace_span([(1, 0, 0), (0, 1, 0)], 3)
-        beta = find_outside(kmap, h, anchor, OutsideSearchBudget(2))
+        beta = find_outside(kmap, h, anchor, 2)
         m_found = shared_count(anchor.witness, beta.witness)
         best = -1
         coords = range(-2, 3)
@@ -338,13 +337,13 @@ class TestLineStep:
         h = subspace_span([e(6, i) for i in range(1, 6)], 6)
         assert not h.contains_point(x.point)
         with pytest.raises(StepPreconditionError):
-            line_step(kmap, x, h, OutsideSearchBudget(2))
+            line_step(kmap, x, h, 2)
 
     def test_grassmann_pencil_example(self):
         kmap = grassmann_map(4, 2)
         x = witnessed_point(kmap, [e(4, 0), e(4, 2)])  # [e1 ^ e3]
         h = subspace_span([e(6, i) for i in range(1, 6)], 6)  # {p12 = 0}
-        z, cert = line_step(kmap, x, h, OutsideSearchBudget(2))
+        z, cert = line_step(kmap, x, h, 2)
         assert cert.m == 1
         assert z.point != x.point
         # every line point b*x + z escapes H: its first Plücker coordinate is fixed
@@ -361,7 +360,7 @@ class TestLineStep:
         x = witnessed_point(kmap, [(1, 0), (1, 0), (1, 0)])
         h = subspace_span([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)], 4)
         assert h.contains_point(x.point)
-        z, cert = line_step(kmap, x, h, OutsideSearchBudget(2))
+        z, cert = line_step(kmap, x, h, 2)
         for b in (-3, 1, 5):
             y = tuple(b * a + c for a, c in zip(x.point.rep, z.point.rep))
             w = line_witness(x.witness, z.witness, cert.slot, cert.anchor_scale, cert.z_scale, b)
@@ -371,7 +370,7 @@ class TestLineStep:
         kmap = grassmann_map(4, 2)
         x = witnessed_point(kmap, [e(4, 0), e(4, 2)])
         h = subspace_span([e(6, i) for i in range(1, 6)], 6)
-        z, cert = line_step(kmap, x, h, OutsideSearchBudget(2))
+        z, cert = line_step(kmap, x, h, 2)
         # companion base is inside H (or zero): this is what makes the
         # companion family stay outside for every multiplier
         if cert.beta_prime is not None:

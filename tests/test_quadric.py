@@ -265,25 +265,25 @@ class TestIntegerKernel:
 class TestIsotropicSearch:
     def test_perp_outside_hyperplane(self, form):
         s = orth_complement(form, primitive(e(0)))
-        z = isotropic_in_subspace_outside(form, s, hyperplane(2), 3)
+        z = isotropic_in_subspace_outside(form, s, hyperplane(2), 3, primitive(e(0)))
         assert z == primitive(e(2))
 
     def test_perp_outside_plane(self, form):
         s = orth_complement(form, primitive(e(0)))
         h = subspace_span([e(0), e(2)], 4)
-        z = isotropic_in_subspace_outside(form, s, h, 3)
+        z = isotropic_in_subspace_outside(form, s, h, 3, primitive(e(0)))
         assert z == primitive(e(3))
 
     def test_totally_isotropic_line_subspace(self, form):
         s = subspace_span([e(0), e(2)], 4)  # q vanishes on it
         h = subspace_span([e(2)], 4)
-        z = isotropic_in_subspace_outside(form, s, h, 3)
+        z = isotropic_in_subspace_outside(form, s, h, 3, primitive(e(0)))
         assert z == primitive(e(0))
 
     def test_contained_subspace_rejected(self, form):
         s = subspace_span([e(0)], 4)
         with pytest.raises(StepPreconditionError):
-            isotropic_in_subspace_outside(form, s, subspace_span([e(0), e(1)], 4), 3)
+            isotropic_in_subspace_outside(form, s, subspace_span([e(0), e(1)], 4), 3, primitive(e(0)))
 
     def test_zero_mod_p_is_not_a_zero(self):
         # q = p*x0^2 + x1^2 has no nontrivial rational zero, but q(1, 0) = p
@@ -293,7 +293,7 @@ class TestIsotropicSearch:
         assert f.q((1, 0)) % p == 0 and f.q((1, 0)) != 0
         s = subspace_span([e(0, 2), e(1, 2)], 2)
         with pytest.raises(HeightExhausted):
-            isotropic_in_subspace_outside(f, s, subspace_span([e(1, 2)], 2), 3)
+            isotropic_in_subspace_outside(f, s, subspace_span([e(1, 2)], 2), 3, primitive(e(0, 2)))
 
     def test_height_exhausted(self):
         # x0*x1 + x2^2 + x3^2: only trivial zeros in the searched subspace
@@ -302,7 +302,7 @@ class TestIsotropicSearch:
         f = QuadraticFormQ(gram)
         s = subspace_span([e(2), e(3)], 4)  # q positive definite there
         with pytest.raises(HeightExhausted):
-            isotropic_in_subspace_outside(f, s, subspace_span([e(1)], 4), 4)
+            isotropic_in_subspace_outside(f, s, subspace_span([e(1)], 4), 4, primitive(e(0)))
 
 
 class TestLineConstruction:

@@ -16,27 +16,24 @@ from maxsing.builder import (
     trace_from_doc,
     trace_to_doc,
 )
-from maxsing.exact_geometry import dist_sq, dot, ln_bounds, norm_sq, primitive
+from maxsing.exact_geometry import dot, ln_bounds, norm_sq, primitive
 from maxsing.families import SearchBudget, grassmann_adapter, prodforms_adapter, quadric_adapter
 from maxsing.quadric import split4
 from maxsing.verifier import (
-    DXiInterval,
     ExponentRow,
     IndexOutOfRange,
     MalformedTrace,
     TooLarge,
     audit_report,
     brute_force_curve,
-    brute_force_dmin,
     check_conditions,
-    d_xi,
     exponent_report,
     exponent_row,
     spanning_check,
     trace_geometry,
 )
 
-from kernel_oracles import exponent_report_v2, exponent_row_v2, ln_bounds_two_series, radius_sq_v2
+from kernel_oracles import d_xi, dist_sq, exponent_report_v2, exponent_row_v2, ln_bounds_two_series, radius_sq_v2
 
 
 def tamper(trace, mutate):
@@ -158,30 +155,29 @@ class TestCheckConditions:
 class TestDXi:
     def test_center_of_ball(self, split4_pow_trace):
         lim = limit_point(split4_pow_trace)
-        iv = d_xi(lim, lim.representative)
-        assert iv.lo == 0
-        assert iv.hi > 0
+        lo, hi = d_xi(lim, lim.representative)
+        assert lo == 0
+        assert hi > 0
 
     def test_rational_limit_exact(self):
         lim = CertifiedLimit(representative=(1, 2, 3), radius_sq=Fraction(0))
-        iv = d_xi(lim, (1, 2, 3))
-        assert iv.lo == iv.hi == 0
+        assert d_xi(lim, (1, 2, 3)) == (0, 0)
 
     def test_unit_direction_value(self):
         # distance from e1 to [(1,1,1,1)] is sqrt(3)/2, weighted by |e1| = 1
         lim = CertifiedLimit(representative=(1, 1, 1, 1), radius_sq=Fraction(0))
-        iv = d_xi(lim, (1, 0, 0, 0), precision_bits=64)
+        lo, hi = d_xi(lim, (1, 0, 0, 0), precision_bits=64)
         ref = Fraction(8660254037844386, 10 ** 16)  # sqrt(3)/2 bracket
-        assert iv.lo <= ref + Fraction(1, 10 ** 15)
-        assert iv.hi >= ref - Fraction(1, 10 ** 15)
-        assert iv.hi - iv.lo <= Fraction(1, 2 ** 64)
+        assert lo <= ref + Fraction(1, 10 ** 15)
+        assert hi >= ref - Fraction(1, 10 ** 15)
+        assert hi - lo <= Fraction(1, 2 ** 64)
 
     def test_scale_consistency(self):
         lim = CertifiedLimit(representative=(3, 1, 4, 1), radius_sq=Fraction(1, 10 ** 8))
-        a = d_xi(lim, (1, 2, 0, -1))
-        b = d_xi(lim, (3, 6, 0, -3))
+        a_lo, a_hi = d_xi(lim, (1, 2, 0, -1))
+        b_lo, b_hi = d_xi(lim, (3, 6, 0, -3))
         # same true value scaled by 3: intervals must overlap after scaling
-        assert max(3 * a.lo, b.lo) <= min(3 * a.hi, b.hi)
+        assert max(3 * a_lo, b_lo) <= min(3 * a_hi, b_hi)
 
     @given(st.tuples(*[st.integers(-20, 20)] * 4).filter(lambda v: any(v)),
            st.integers(min_value=1, max_value=9))
@@ -189,33 +185,33 @@ class TestDXi:
     def test_primitive_filter_justification(self, v, lam):
         # D(lam * x) = lam * D(x): non-primitive points never win
         lim = CertifiedLimit(representative=(7, -2, 5, 1), radius_sq=Fraction(1, 10 ** 10))
-        a = d_xi(lim, v)
-        b = d_xi(lim, tuple(lam * c for c in v))
-        assert max(lam * a.lo, b.lo) <= min(lam * a.hi, b.hi)
+        a_lo, a_hi = d_xi(lim, v)
+        b_lo, b_hi = d_xi(lim, tuple(lam * c for c in v))
+        assert max(lam * a_lo, b_lo) <= min(lam * a_hi, b_hi)
         assert dist_sq(v, lim.representative) == dist_sq(tuple(lam * c for c in v), lim.representative)
 
     def test_refinement_soundness(self, split4_pow_trace):
         lim = limit_point(split4_pow_trace)
         x = (1, 2, 3, 4)
-        coarse = d_xi(lim, x, precision_bits=16)
-        fine = d_xi(lim, x, precision_bits=96)
-        assert coarse.lo <= fine.lo and fine.hi <= coarse.hi
+        coarse_lo, coarse_hi = d_xi(lim, x, precision_bits=16)
+        fine_lo, fine_hi = d_xi(lim, x, precision_bits=96)
+        assert coarse_lo <= fine_lo and fine_hi <= coarse_hi
 
 
 class TestBruteForce:
     def test_rational_limit_found_exactly(self):
         lim = CertifiedLimit(representative=(1, 2, 1), radius_sq=Fraction(0))
-        iv, arg = brute_force_dmin(lim, 3)
-        assert iv.lo == iv.hi == 0
-        assert arg.rep == (1, 2, 1)
+        last = brute_force_curve(lim, 3)[-1]
+        assert last["lo"] == 0
+        assert last["argmin"] == (1, 2, 1)
+        assert d_xi(lim, last["argmin"]) == (0, 0)
 
     def test_unit_ball_minimum(self):
         # over the four signed unit directions the minimum is sqrt(3)/2
         lim = CertifiedLimit(representative=(1, 1, 1, 1), radius_sq=Fraction(0))
-        iv, arg = brute_force_dmin(lim, 1)
-        ref_sq = Fraction(3, 4)
-        assert iv.lo * iv.lo <= ref_sq <= iv.hi * iv.hi
-        assert sorted(abs(a) for a in arg.rep) == [0, 0, 0, 1]
+        last = brute_force_curve(lim, 1)[-1]
+        assert last["lo"] ** 2 <= Fraction(3, 4) <= last["hi"] ** 2
+        assert sorted(abs(a) for a in last["argmin"]) == [0, 0, 0, 1]
 
     def test_constructed_point_never_beaten_upward(self, split4_log3x_trace):
         lim = limit_point(split4_log3x_trace)
@@ -223,8 +219,7 @@ class TestBruteForce:
         n = 1
         while n * n < x2.norm_sq():
             n += 1
-        iv, _ = brute_force_dmin(lim, n)
-        assert iv.hi <= d_xi(lim, x2.rep).hi
+        assert brute_force_curve(lim, n)[-1]["hi"] <= d_xi(lim, x2.rep)[1]
 
     def test_cost_guard(self):
         lim = CertifiedLimit(representative=(1,) * 8, radius_sq=Fraction(0))
@@ -362,7 +357,7 @@ class TestExponent:
             # the bound it certifies: Dmin(X) <= D(x_index) <= D_hi <= X^(-lambda)
             assert r.d_hi > 0
             x = split4_log3x_trace.entries[r.index - 1].x
-            assert d_xi(lim, x.rep).hi <= r.d_hi + Fraction(1, 2 ** 40)
+            assert d_xi(lim, x.rep)[1] <= r.d_hi + Fraction(1, 2 ** 40)
 
     def test_exact_reciprocal_gives_exponent_one(self):
         # D = X^-1 pins lambda at 1: test the certified-ratio arithmetic
