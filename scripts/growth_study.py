@@ -14,7 +14,8 @@ import argparse
 import sys
 from fractions import Fraction
 
-from maxsing.builder import ApproxFn, BudgetExceeded, run
+from maxsing.builder import ApproxFn, run
+from maxsing.errors import SearchExhausted
 from maxsing.exact_geometry import wedge_sq
 from maxsing.families import SearchBudget, quadric_adapter
 from maxsing.quadric import split4
@@ -26,7 +27,7 @@ def study(phi: ApproxFn, steps: int, cap_bits: int) -> None:
         trace = run(quadric_adapter(form, wit), phi, steps,
                     budget=SearchBudget(multiplier_bits=cap_bits))
         note = ""
-    except BudgetExceeded as exc:
+    except SearchExhausted as exc:
         trace = exc.partial
         note = f"  [stopped: {exc}]"
     print(f"{'i':>3} {'coord bits':>11} {'wedge area bits':>16} {'b bits':>8}")

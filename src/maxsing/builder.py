@@ -22,10 +22,11 @@ from math import gcd, isqrt
 from typing import Sequence
 
 from . import multilinear as ml
+from .errors import GeometryError, InputError, SearchExhausted, reading
 from .exact_geometry import (
-    IntVec,
     ProjPointQ,
     ProjSubspaceQ,
+    TracePoint,
     dot,
     int_from_doc,
     inth_root,
@@ -41,47 +42,7 @@ from .exact_geometry import (
     vec_add,
     vec_scale,
 )
-from .families import SearchBudget, TracePoint
-from .quadric import HeightExhausted
-
-
-class InvalidSteps(ValueError):
-    pass
-
-
-class MalformedTrace(ValueError):
-    pass
-
-
-class TraceTooShort(ValueError):
-    pass
-
-
-class NoValidMultiplier(RuntimeError):
-    """No multiplier up to 2^cap passes the step conditions.
-
-    When the log3x forced-stop certificate decided the stop, needed_bits
-    is a certified lower bound on log2 of the norm the decay condition
-    needs on the chosen line and cap_bits is the bit length of the largest
-    norm the cap allows; both stay None when the search decided it.
-    """
-
-    def __init__(self, cap: int, w2: int, needed_bits: int | None = None,
-                 cap_bits: int | None = None):
-        super().__init__(
-            "no multiplier up to 2^%d satisfies the step conditions "
-            "(squared wedge area %s forces norm growth beyond the cap)" % (cap, w2)
-        )
-        self.needed_bits = needed_bits
-        self.cap_bits = cap_bits
-
-
-class BudgetExceeded(RuntimeError):
-    """Raised when a run cannot continue; carries the partial trace."""
-
-    def __init__(self, message: str, partial: "SequenceTrace"):
-        super().__init__(message)
-        self.partial = partial
+from .families import SearchBudget
 
 
 # ---------------------------------------------------------------------------
@@ -151,14 +112,14 @@ class ApproxFn:
 
     def __post_init__(self):
         if self.variant not in ("log3x", "pow"):
-            raise ValueError(f"unknown decay variant {self.variant!r}")
+            raise InputError(f"unknown decay variant {self.variant!r}")
         if self.variant == "pow":
             if self.exponent is None or not 0 < self.exponent < 1:
-                raise ValueError("power-law exponent must lie strictly between 0 and 1")
+                raise InputError("power-law exponent must lie strictly between 0 and 1")
         elif self.exponent is not None:
-            raise ValueError("log3x takes no exponent")
+            raise InputError("log3x takes no exponent")
         if not 0 <= self.precision_bits <= MAX_PRECISION_BITS:
-            raise ValueError(f"precision_bits {self.precision_bits} is outside 0..{MAX_PRECISION_BITS}")
+            raise InputError(f"precision_bits {self.precision_bits} is outside 0..{MAX_PRECISION_BITS}")
 
     def descriptor(self) -> dict:
         d = {"variant": self.variant, "precision_bits": self.precision_bits}
@@ -177,7 +138,7 @@ class ApproxFn:
     def _phi_bounds(self, x: Fraction) -> tuple[Fraction, Fraction]:
         x = Fraction(x)
         if x < 1:
-            raise ValueError("decay target is only defined for X >= 1")
+            raise GeometryError("decay target is only defined for X >= 1")
         if self.variant == "log3x":
             lo, hi = (Fraction(*self._log3x_phi(x.numerator, x.denominator, up)) for up in (False, True))
             return (lo, hi)
@@ -271,14 +232,6 @@ class SequenceTrace:
         return [e.x for e in self.entries]
 
 
-@dataclass(frozen=True)
-class CertifiedLimit:
-    """Ball certified to contain the limit of every valid continuation."""
-
-    representative: IntVec
-    radius_sq: Fraction
-
-
 # ---------------------------------------------------------------------------
 # construction steps
 
@@ -299,7 +252,7 @@ def compute_hi(points: Sequence[ProjPointQ], ambient_dim: int) -> ProjSubspaceQ:
         return rank(reps[j - 1:]) < ambient_dim
 
     if ambient_dim < 2:
-        raise ValueError("ambient dimension must be at least 2")
+        raise GeometryError("ambient dimension must be at least 2")
     if proper(1):
         j = 1
     else:
@@ -365,6 +318,14 @@ def _log3x_stop_bits(n2x: int, n2z: int, w2: int, g: int, cap: int, prec: int) -
     return need.numerator // need.denominator, norm_cap.bit_length()
 
 
+def _no_multiplier(cap: int, w2: int, needed_bits: int | None = None,
+                   cap_bits: int | None = None) -> SearchExhausted:
+    """The stop of a multiplier search that found no b up to 2^cap; the bits are SearchExhausted's."""
+    return SearchExhausted(
+        f"no multiplier up to 2^{cap} satisfies the step conditions "
+        f"(squared wedge area {w2} forces norm growth beyond the cap)", needed_bits, cap_bits)
+
+
 def _select_multiplier(
     x: ProjPointQ,
     z: ProjPointQ,
@@ -421,7 +382,7 @@ def _select_multiplier(
       cut, hi = lo is the product itself, and one of the two tests holds:
       the comparison is made exactly, multiplied out only then.
 
-    Raises NoValidMultiplier when no probed b passes.  Under log3x from the
+    Raises SearchExhausted when no probed b passes.  Under log3x from the
     second step on, the covolume certificate (_log3x_stop_forced) is
     checked before any probe: when it holds, no b the search could probe
     passes, and the same exception is raised at once, carrying the bits of
@@ -482,7 +443,7 @@ def _select_multiplier(
         # every b probed below is at most b_max
         b_max = max(scan_end, b_hint + 63, 1 << budget.multiplier_bits)
         if _log3x_stop_forced(n2x, n2z, w2, g, b_max, prec):
-            raise NoValidMultiplier(budget.multiplier_bits, w2, *_log3x_stop_bits(
+            raise _no_multiplier(budget.multiplier_bits, w2, *_log3x_stop_bits(
                 n2x, n2z, w2, g, budget.multiplier_bits, prec))
 
     for b in itertools.chain(range(1, scan_end + 1), range(b_hint, b_hint + 64)):
@@ -501,7 +462,7 @@ def _select_multiplier(
         lo = b
         b *= 2
     else:
-        raise NoValidMultiplier(budget.multiplier_bits, w2)
+        raise _no_multiplier(budget.multiplier_bits, w2)
     while lo + 1 < hi:
         mid = (lo + hi) // 2
         r = attempt(mid)
@@ -571,16 +532,16 @@ def run(
 ) -> SequenceTrace:
     """Construct a trace with the given number of points.
 
-    A budget failure raises BudgetExceeded carrying the partial trace
-    built so far, flagged as partial.
+    A search that finds nothing raises SearchExhausted, its ``partial`` set
+    to the trace built so far, flagged as partial.
     """
     if steps < 2:
-        raise InvalidSteps("a run needs at least 2 points")
+        raise InputError("a run needs at least 2 points")
     budget = budget or SearchBudget()
     rng = random.Random(seed) if seed else None
     tp = adapter.start()
     if not adapter.member(tp):
-        raise ValueError("start point is not a certified member of the family")
+        raise InputError("start point is not a certified member of the family")
     trace = SequenceTrace(
         family=adapter.descriptor(),
         phi=phi.descriptor(),
@@ -594,11 +555,12 @@ def run(
     for i in range(1, steps):
         try:
             nxt, step, dsq_prev = next_point(points, witnesses, adapter, phi, dsq_prev, budget, rng)
-        except (NoValidMultiplier, HeightExhausted, ml.DegenerateLine) as exc:
+        except SearchExhausted as exc:
             trace.entries = entries + [TraceEntry(i, points[-1], witnesses[-1], None)]
             trace.partial = True
             trace.budget_note = f"stopped at point {i}: {exc}"
-            raise BudgetExceeded(str(exc), trace) from exc
+            exc.partial = trace
+            raise
         entries.append(TraceEntry(i, points[-1], witnesses[-1], step))
         points.append(nxt.point)
         witnesses.append(nxt.witness)
@@ -607,8 +569,8 @@ def run(
     return trace
 
 
-def limit_point(trace: SequenceTrace) -> CertifiedLimit:
-    """Ball around the last point containing the limit of any valid continuation.
+def limit_radius_sq(trace: SequenceTrace) -> Fraction:
+    """The squared radius of a ball around the last point containing the limit of any valid continuation.
 
     The telescoping condition bounds the remaining travel by a geometric
     series with ratio 1/3, so (3/2) * dist(x_last, x_prev) is a certified
@@ -617,10 +579,10 @@ def limit_point(trace: SequenceTrace) -> CertifiedLimit:
     instead and needs this exact value only for the brute-force search.
     """
     if len(trace.entries) < 3:
-        raise TraceTooShort("limit extraction needs at least 3 points")
+        raise InputError("limit extraction needs at least 3 points")
     prev, last = trace.entries[-2].x.rep, trace.entries[-1].x.rep
     nn = norm_sq(prev) * norm_sq(last)
-    return CertifiedLimit(representative=last, radius_sq=Fraction(9 * (nn - dot(prev, last) ** 2), 4 * nn))
+    return Fraction(9 * (nn - dot(prev, last) ** 2), 4 * nn)
 
 
 # ---------------------------------------------------------------------------
@@ -667,19 +629,12 @@ def trace_to_doc(trace: SequenceTrace) -> dict:
     }
 
 
-def _parse_int(value, where: str) -> int:
-    try:
-        return int_from_doc(value, where)
-    except ValueError as exc:
-        raise MalformedTrace(str(exc)) from None
-
-
 def _parse_point(doc, dim: int, where: str) -> ProjPointQ:
     if not isinstance(doc, list) or len(doc) != dim:
-        raise MalformedTrace(f"{where}: expected a list of {dim} integers")
-    rep = tuple(_parse_int(a, where) for a in doc)
+        raise InputError(f"{where}: expected a list of {dim} integers")
+    rep = tuple(int_from_doc(a, where) for a in doc)
     if not any(rep):
-        raise MalformedTrace(f"{where}: the zero vector is not a projective point")
+        raise InputError(f"{where}: the zero vector is not a projective point")
     return ProjPointQ(rep)
 
 
@@ -690,22 +645,19 @@ def _parse_witness(doc, where: str, shape: tuple[int, int] | None = None):
         isinstance(doc, list) and len(doc) == shape[0]
         and all(isinstance(v, list) and len(v) == shape[1] for v in doc)
     ):
-        raise MalformedTrace(f"{where}: expected {shape[0]} slots of {shape[1]} coordinates")
-    try:
-        return ml.witness_from_doc(doc, where)
-    except ValueError as exc:
-        raise MalformedTrace(str(exc)) from None
+        raise InputError(f"{where}: expected {shape[0]} slots of {shape[1]} coordinates")
+    return ml.witness_from_doc(doc, where)
 
 
 def _parse_step(doc, dim: int, shape, where: str) -> StepData:
     if not isinstance(doc, dict):
-        raise MalformedTrace(f"{where}: expected an object")
+        raise InputError(f"{where}: expected an object")
     if not isinstance(doc.get("certificate"), dict):
-        raise MalformedTrace(f"{where}.certificate: expected an object")
+        raise InputError(f"{where}.certificate: expected an object")
     return StepData(
         z=_parse_point(doc.get("z"), dim, f"{where}.z"),
         z_witness=_parse_witness(doc.get("z_witness"), f"{where}.z_witness", shape),
-        b=_parse_int(doc.get("b"), f"{where}.b"),
+        b=int_from_doc(doc.get("b"), f"{where}.b"),
         certificate=doc["certificate"],
     )
 
@@ -719,48 +671,46 @@ def trace_from_doc(doc) -> SequenceTrace:
     it; a point's witness is judged by the audit's membership test.  The
     family's n and k, and for grassmann and prodforms the map's D and
     basis-image count, are checked against the caps before any entry is
-    read.  A defect raises MalformedTrace naming the entry and the field.
+    read.  A defect raises an InputError naming the entry and the field.
     """
     if not isinstance(doc, dict):
-        raise MalformedTrace("a trace is a JSON object")
+        raise InputError("a trace is a JSON object")
     version = doc.get("version")
     if version not in (1, 2):
-        raise MalformedTrace(f"unsupported trace version {version!r:.40}")
+        raise InputError(f"unsupported trace version {version!r:.40}")
     family, phi, entries = doc.get("family"), doc.get("phi"), doc.get("entries")
     if not isinstance(family, dict) or not isinstance(phi, dict):
-        raise MalformedTrace("family and phi must be objects")
-    try:
+        raise InputError("family and phi must be objects")
+    with reading("phi"):
         ApproxFn.from_descriptor(phi)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise MalformedTrace(f"phi: {exc}") from None
     if not isinstance(entries, list):
-        raise MalformedTrace("entries: expected a list")
-    dim = _parse_int(doc.get("ambient_dim"), "ambient_dim")
+        raise InputError("entries: expected a list")
+    partial = doc.get("partial", False)
+    if not isinstance(partial, bool):
+        raise InputError(f"partial: expected true or false, got {partial!r:.40}")
+    dim = int_from_doc(doc.get("ambient_dim"), "ambient_dim")
     k, n = family.get("k"), family.get("n")
     shape = (k, n) if isinstance(k, int) and isinstance(n, int) else None
     if shape is not None:
-        try:
-            ml.check_caps("family", n=n, k=k)
-            kind = family.get("kind")
-            if kind in ("grassmann", "prodforms") and n >= 1 and k >= 1:
-                ml.check_caps(f"{kind}({n}, {k})", **ml.map_sizes(kind, n, k))
-        except ml.InvalidParameters as exc:
-            raise MalformedTrace(str(exc)) from None
+        ml.check_caps("family", n=n, k=k)
+        kind = family.get("kind")
+        if kind in ("grassmann", "prodforms") and n >= 1 and k >= 1:
+            ml.check_caps(f"{kind}({n}, {k})", **ml.map_sizes(kind, n, k))
     trace = SequenceTrace(
         family=family,
         phi=phi,
         ambient_dim=dim,
-        seed=_parse_int(doc.get("seed", 0), "seed"),
-        partial=bool(doc.get("partial", False)),
+        seed=int_from_doc(doc.get("seed", 0), "seed"),
+        partial=partial,
         budget_note=doc.get("budget_note"),
     )
     for i, e in enumerate(entries):
         where = f"entries[{i}]"
         if not isinstance(e, dict):
-            raise MalformedTrace(f"{where}: expected an object")
+            raise InputError(f"{where}: expected an object")
         s = e.get("step")
         trace.entries.append(TraceEntry(
-            index=_parse_int(e.get("index"), f"{where}.index"),
+            index=int_from_doc(e.get("index"), f"{where}.index"),
             x=_parse_point(e.get("x"), dim, f"{where}.x"),
             witness=_parse_witness(e.get("witness"), f"{where}.witness"),
             step=None if s is None else _parse_step(s, dim, shape, f"{where}.step"),
@@ -775,5 +725,5 @@ def save_trace(trace: SequenceTrace, path: str) -> None:
 
 
 def load_trace(path: str) -> SequenceTrace:
-    with open(path) as fh:
+    with open(path) as fh, reading(f"cannot load trace {path}"):
         return trace_from_doc(json.load(fh))

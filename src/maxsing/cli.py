@@ -13,10 +13,11 @@ import sys
 from fractions import Fraction
 
 from . import builder, families, verifier
-from .builder import MAX_PRECISION_BITS, ApproxFn, BudgetExceeded, SequenceTrace
+from .builder import MAX_PRECISION_BITS, ApproxFn
+from .errors import InputError, SearchExhausted, reading
 from .exact_geometry import dec_str
-from .multilinear import InvalidParameters, load_map
-from .quadric import InvalidWitness, load_form, split4
+from .multilinear import load_map
+from .quadric import load_form, split4
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -24,13 +25,23 @@ EXIT_BUDGET = 2
 EXIT_AUDIT = 3
 
 
-def _precision(text: str) -> int:
+def _precision_value(text: str) -> int | None:
+    """The integer ``text`` names if it lies in 1..MAX_PRECISION_BITS, else None."""
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if not 1 <= value <= MAX_PRECISION_BITS:
-        raise argparse.ArgumentTypeError(f"expected an integer from 1 to {MAX_PRECISION_BITS}, got {text!r}")
+        return None
+    return value if 1 <= value <= MAX_PRECISION_BITS else None
+
+
+def _precision_message(text: str) -> str:
+    return f"expected an integer from 1 to {MAX_PRECISION_BITS}, got {text!r}"
+
+
+def _precision(text: str) -> int:
+    value = _precision_value(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(_precision_message(text))
     return value
 
 
@@ -39,10 +50,10 @@ def _default_precision() -> int:
     env = os.environ.get("MAXSING_PRECISION_BITS")
     if not env:
         return 64
-    try:
-        return _precision(env)
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"MAXSING_PRECISION_BITS: {exc}") from None
+    value = _precision_value(env)
+    if value is None:
+        raise InputError(f"MAXSING_PRECISION_BITS: {_precision_message(env)}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -85,55 +96,51 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_phi(spec: list[str], precision: int) -> ApproxFn:
-    if spec[0] == "log3x":
-        if len(spec) != 1:
-            raise ValueError("log3x takes no parameter")
-        return ApproxFn("log3x", precision_bits=precision)
-    if spec[0] == "pow":
-        if len(spec) != 2:
-            raise ValueError("pow needs one exponent parameter p/q")
-        exponent = Fraction(spec[1])
-        if not 0 < exponent < 1:
-            raise ValueError("power-law exponent must lie strictly between 0 and 1 "
-                             "(the decay target maps into (0, 1])")
-        return ApproxFn("pow", exponent, precision_bits=precision)
-    raise ValueError(f"unknown decay target {spec[0]!r}")
+    with reading("--phi " + " ".join(spec)):
+        if spec[0] == "log3x":
+            if len(spec) != 1:
+                raise InputError("log3x takes no parameter")
+            return ApproxFn("log3x", precision_bits=precision)
+        if spec[0] == "pow":
+            if len(spec) != 2:
+                raise InputError("pow needs one exponent parameter p/q")
+            exponent = Fraction(spec[1])
+            if not 0 < exponent < 1:
+                raise InputError("power-law exponent must lie strictly between 0 and 1 "
+                                 "(the decay target maps into (0, 1])")
+            return ApproxFn("pow", exponent, precision_bits=precision)
+        raise InputError(f"unknown decay target {spec[0]!r}")
 
 
 def _make_adapter(args):
     if args.family in ("grassmann", "prodforms"):
         if args.n is None or args.k is None:
-            raise ValueError(f"{args.family} needs --n and --k")
+            raise InputError(f"{args.family} needs --n and --k")
         maker = families.grassmann_adapter if args.family == "grassmann" else families.prodforms_adapter
         return maker(args.n, args.k)
     if args.family == "quadric":
         form, wit = load_form(args.quadric_file) if args.quadric_file else split4()
         return families.quadric_adapter(form, wit)
     if args.klinear_file is None:
-        raise ValueError("klinear needs --klinear-file")
+        raise InputError("klinear needs --klinear-file")
     return families.KLinearAdapter(load_map(args.klinear_file), "klinear")
 
 
 def cmd_gen(args) -> int:
-    try:
-        phi = _parse_phi(args.phi, args.precision_bits)
-        adapter = _make_adapter(args)
-        if args.steps < 2:
-            raise ValueError("--steps must be at least 2")
-    except (ValueError, InvalidParameters, InvalidWitness, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    phi = _parse_phi(args.phi, args.precision_bits)
+    adapter = _make_adapter(args)
+    if args.steps < 2:
+        raise InputError("--steps must be at least 2")
     budget = families.SearchBudget(max_height=args.max_height,
                                    multiplier_bits=args.max_multiplier_bits)
     try:
         trace = builder.run(adapter, phi, args.steps, seed=args.seed, budget=budget)
-    except BudgetExceeded as exc:
+    except SearchExhausted as exc:
         builder.save_trace(exc.partial, args.out)
         print(f"budget exhausted: {exc}", file=sys.stderr)
-        cause = exc.__cause__
-        if isinstance(cause, builder.NoValidMultiplier) and cause.needed_bits is not None:
-            print(f"the chosen line needs at least {cause.needed_bits} bits of norm; "
-                  f"the cap allows about {cause.cap_bits}", file=sys.stderr)
+        if exc.needed_bits is not None:
+            print(f"the chosen line needs at least {exc.needed_bits} bits of norm; "
+                  f"the cap allows about {exc.cap_bits}", file=sys.stderr)
         print(f"partial trace with {len(exc.partial.entries)} points written to {args.out}",
               file=sys.stderr)
         return EXIT_BUDGET
@@ -142,27 +149,13 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _load_trace_or_exit(path: str) -> SequenceTrace | None:
-    try:
-        return builder.load_trace(path)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: cannot load trace {path}: {exc}", file=sys.stderr)
-        return None
-
-
 def cmd_verify(args) -> int:
-    trace = _load_trace_or_exit(args.trace)
-    if trace is None:
-        return EXIT_USAGE
-    try:
-        report = verifier.audit_report(
-            trace,
-            precision_bits=args.precision,
-            bruteforce_xmax=args.bruteforce_xmax,
-        )
-    except (verifier.MalformedTrace, verifier.TooLarge) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    trace = builder.load_trace(args.trace)
+    report = verifier.audit_report(
+        trace,
+        precision_bits=args.precision,
+        bruteforce_xmax=args.bruteforce_xmax,
+    )
     text = json.dumps(report, indent=2)
     if args.out:
         with open(args.out, "w") as fh:
@@ -180,14 +173,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_exponent(args) -> int:
-    trace = _load_trace_or_exit(args.trace)
-    if trace is None:
-        return EXIT_USAGE
-    try:
-        rows = verifier.exponent_report(trace, args.precision)
-    except builder.TraceTooShort as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    rows = verifier.exponent_report(builder.load_trace(args.trace), args.precision)
     docs = [r.to_doc() for r in rows]
     if args.json:
         print(json.dumps(docs, indent=2))
@@ -199,14 +185,9 @@ def cmd_exponent(args) -> int:
 
 
 def cmd_bruteforce(args) -> int:
-    trace = _load_trace_or_exit(args.trace)
-    if trace is None:
-        return EXIT_USAGE
-    try:
-        rows = verifier.brute_force_curve(builder.limit_point(trace), args.xmax, args.precision)
-    except (builder.TraceTooShort, verifier.TooLarge, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    trace = builder.load_trace(args.trace)
+    radius_sq = builder.limit_radius_sq(trace)
+    rows = verifier.brute_force_curve(trace.entries[-1].x.rep, radius_sq, args.xmax, args.precision)
     if args.json:
         print(json.dumps([verifier.bruteforce_row_doc(r) for r in rows], indent=2))
         return EXIT_OK
@@ -218,25 +199,26 @@ def cmd_bruteforce(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; the only place an exception becomes an exit code (errors.py has the table)."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    flag = "precision_bits" if args.command == "gen" else "precision"
-    if getattr(args, flag) is None:
-        try:
-            setattr(args, flag, _default_precision())
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
     handlers = {
         "gen": cmd_gen,
         "verify": cmd_verify,
         "exponent": cmd_exponent,
         "bruteforce": cmd_bruteforce,
     }
-    return handlers[args.command](args)
+    flag = "precision_bits" if args.command == "gen" else "precision"
+    try:
+        if getattr(args, flag) is None:
+            setattr(args, flag, _default_precision())
+        return handlers[args.command](args)
+    except (InputError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -17,24 +17,10 @@ from math import gcd, isqrt, lcm
 from operator import index
 from typing import Iterable, Sequence
 
+from .errors import GeometryError, InputError
+
 IntVec = tuple[int, ...]
 RatVec = tuple[Fraction, ...]
-
-
-class GeometryError(ValueError):
-    """Base class for exact-geometry failures."""
-
-
-class ZeroVector(GeometryError):
-    pass
-
-
-class DimensionMismatch(GeometryError):
-    pass
-
-
-class NegativeInput(GeometryError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +29,7 @@ class NegativeInput(GeometryError):
 
 def dot(x: Sequence, y: Sequence):
     if len(x) != len(y):
-        raise DimensionMismatch(f"dot: {len(x)} vs {len(y)}")
+        raise GeometryError(f"dot: {len(x)} vs {len(y)}")
     return sum(a * b for a, b in zip(x, y))
 
 
@@ -53,7 +39,7 @@ def norm_sq(x: Sequence):
 
 def vec_add(x: Sequence, y: Sequence) -> tuple:
     if len(x) != len(y):
-        raise DimensionMismatch(f"add: {len(x)} vs {len(y)}")
+        raise GeometryError(f"add: {len(x)} vs {len(y)}")
     return tuple(a + b for a, b in zip(x, y))
 
 
@@ -84,6 +70,14 @@ class ProjPointQ:
         return "[" + ":".join(str(c) for c in self.rep) + "]"
 
 
+@dataclass(frozen=True)
+class TracePoint:
+    """A point of a family, with the preimage tuple certifying it for k-linear images (else None)."""
+
+    point: ProjPointQ
+    witness: tuple[RatVec, ...] | None = None
+
+
 def primitive(v: Sequence, content_multiple: int = 0) -> ProjPointQ:
     """Canonical representative of the projective class of ``v``.
 
@@ -95,7 +89,7 @@ def primitive(v: Sequence, content_multiple: int = 0) -> ProjPointQ:
     so no gcd of two full-size entries is taken.
     """
     if len(v) == 0 or all(a == 0 for a in v):
-        raise ZeroVector("cannot projectivize the zero vector")
+        raise GeometryError("cannot projectivize the zero vector")
     ints = _clear_denominators(v)
     g = content_multiple
     for a in ints:
@@ -162,7 +156,7 @@ def rank(vectors: Iterable[Sequence]) -> int:
         return 0
     ncols = len(rows[0])
     if any(len(r) != ncols for r in rows):
-        raise DimensionMismatch("rank: inconsistent dimensions")
+        raise GeometryError("rank: inconsistent dimensions")
     bound = min(len(rows), ncols)
     if _rank_mod_p(rows, ncols, RANK_PRIME) == bound:
         return bound
@@ -272,7 +266,7 @@ def subspace_span(vectors: Sequence[Sequence], ambient_dim: int | None = None) -
     vecs = [v.rep if isinstance(v, ProjPointQ) else v for v in vectors]
     if ambient_dim is None:
         if not vecs:
-            raise DimensionMismatch("empty span needs an explicit ambient_dim")
+            raise GeometryError("empty span needs an explicit ambient_dim")
         ambient_dim = len(vecs[0])
     rows: list[IntVec] = []
     pivots: list[int] = []
@@ -280,7 +274,7 @@ def subspace_span(vectors: Sequence[Sequence], ambient_dim: int | None = None) -
         if not any(v):
             continue
         if len(v) != ambient_dim:
-            raise DimensionMismatch("subspace_span: inconsistent dimensions")
+            raise GeometryError("subspace_span: inconsistent dimensions")
         r = _clear_denominators(v)
         for row, pc in zip(rows, pivots):
             if r[pc]:
@@ -317,7 +311,7 @@ def in_span(v: Sequence, s: ProjSubspaceQ) -> bool:
     """
     v = v.rep if isinstance(v, ProjPointQ) else v
     if len(v) != s.ambient_dim:
-        raise DimensionMismatch("in_span: wrong ambient dimension")
+        raise GeometryError("in_span: wrong ambient dimension")
     v = _clear_denominators(v)
     return all(dot(f, v) == 0 for f in s.functionals)
 
@@ -353,7 +347,7 @@ def orthogonal_functionals(s: ProjSubspaceQ) -> tuple[IntVec, ...]:
 def inth_root(x: int, n: int) -> int:
     """floor(x**(1/n)) for x >= 0, n >= 1, by Newton iteration."""
     if x < 0:
-        raise NegativeInput("integer root of a negative number")
+        raise GeometryError("integer root of a negative number")
     if n == 1 or x in (0, 1):
         return x
     if n == 2:
@@ -380,7 +374,7 @@ def sqrt_bounds(r, precision_bits: int = 64) -> tuple[Fraction, Fraction]:
     """
     r = Fraction(r)
     if r < 0:
-        raise NegativeInput("sqrt of a negative rational")
+        raise GeometryError("sqrt of a negative rational")
     p, q = r.numerator, r.denominator
     b = precision_bits
     m = isqrt((p << (2 * b)) // q)
@@ -419,9 +413,9 @@ def dyadic_bounds(p: int, q: int, precision_bits: int, root: int = 1) -> tuple[F
       <= 2^(1-2b) + 2^(1/2-b) <= 2^(1-b).  Both are at most 2^-precision_bits.
     """
     if p < 0 or q < 1:
-        raise NegativeInput("dyadic bounds need p >= 0 and q >= 1")
+        raise GeometryError("dyadic bounds need p >= 0 and q >= 1")
     if root not in (1, 2):
-        raise ValueError("dyadic bounds take root 1 or 2")
+        raise GeometryError("dyadic bounds take root 1 or 2")
     if p == 0:
         return (Fraction(0), Fraction(0))
     b = precision_bits + 2
@@ -443,7 +437,7 @@ def nth_root_bounds(r, n: int, precision_bits: int = 64) -> tuple[Fraction, Frac
     """Certified interval around r**(1/n) for r >= 0, width <= 2^-precision_bits."""
     r = Fraction(r)
     if r < 0:
-        raise NegativeInput("nth root of a negative rational")
+        raise GeometryError("nth root of a negative rational")
     p, q = r.numerator, r.denominator
     rp, rq = inth_root(p, n), inth_root(q, n)
     if rp ** n == p and rq ** n == q:
@@ -484,7 +478,7 @@ def _atanh_series_scaled(t_scaled: int, scale_bits: int, terms: int, round_up: b
         next_power = (power * t2 + mul_pad) >> scale_bits
         denom = (2 * j + 1) * (one - t2)
         if denom <= 0:
-            raise NegativeInput("atanh series needs t < 1")
+            raise GeometryError("atanh series needs t < 1")
         total += (next_power * one + denom - 1) // denom + 1
     return total
 
@@ -512,7 +506,7 @@ def _ln_fixed(p: int, q: int, precision_bits: int, round_up: bool) -> tuple[int,
     with w // 3 + 3 terms and every rounding directed outward.
     """
     if p < 1 or q < 1:
-        raise NegativeInput("log of a non-positive rational")
+        raise GeometryError("log of a non-positive rational")
     if p < q:
         a, w = _ln_fixed(q, p, precision_bits, not round_up)
         return -a, w
@@ -560,7 +554,7 @@ def ln_bounds(y, precision_bits: int = 64) -> tuple[Fraction, Fraction]:
     """
     y = Fraction(y)
     if y <= 0:
-        raise NegativeInput("log of a non-positive rational")
+        raise GeometryError("log of a non-positive rational")
     p, q = y.numerator, y.denominator
     a_lo, w = ln_lo_fixed(p, q, precision_bits)
     a_hi, _ = ln_hi_fixed(p, q, precision_bits)
@@ -592,7 +586,7 @@ def dyadic_str(x) -> str:
     x = Fraction(x)
     p, q = x.numerator, x.denominator
     if q & (q - 1):
-        raise ValueError(f"{x} is not a dyadic rational")
+        raise GeometryError(f"{x} is not a dyadic rational")
     e = 1 - q.bit_length()
     if p and q == 1:
         e = (p & -p).bit_length() - 1
@@ -629,7 +623,7 @@ def sci_str(x, digits: int = 12) -> str:
 def int_from_doc(value, field: str) -> int:
     """An integer from JSON: an int, a 0x hex string or a decimal string.
 
-    Anything else, a "1/2" or a bool included, raises a ValueError naming
+    Anything else, a "1/2" or a bool included, raises an InputError naming
     ``field``.
     """
     if isinstance(value, int) and not isinstance(value, bool):
@@ -639,4 +633,4 @@ def int_from_doc(value, field: str) -> int:
             return int(value, 16) if value.lstrip("+-")[:2].lower() == "0x" else int(value)
         except ValueError:
             pass
-    raise ValueError(f"{field}: {value!r:.40} is not an integer")
+    raise InputError(f"{field}: {value!r:.40} is not an integer")

@@ -15,20 +15,15 @@ from typing import Sequence
 
 from . import multilinear as ml
 from . import quadric as qd
+from .errors import GeometryError, InputError, reading
 from .exact_geometry import (
     ProjPointQ,
     ProjSubspaceQ,
-    RatVec,
+    TracePoint,
     int_from_doc,
     primitive,
     rank,
 )
-
-
-@dataclass(frozen=True)
-class TracePoint:
-    point: ProjPointQ
-    witness: tuple[RatVec, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -42,7 +37,7 @@ class QuadricAdapter:
 
     def __init__(self, form: qd.QuadraticFormQ, witness: qd.HyperbolicWitness):
         if not qd.validate_witness(form, witness):
-            raise qd.InvalidWitness("witness does not certify two hyperbolic planes")
+            raise InputError("witness does not certify two hyperbolic planes")
         self.form = form
         self.hyp_witness = witness
         self.ambient_dim = form.dim
@@ -61,7 +56,7 @@ class QuadricAdapter:
     ) -> tuple[TracePoint, dict]:
         s = qd.s_h_quadric(self.form, h, tp.point)
         if s == 0:
-            raise ml.StepPreconditionError("line step needs the point inside the subspace")
+            raise GeometryError("line step needs the point inside the subspace")
         z = qd.line_in_quadric_through(
             self.form, self.hyp_witness, tp.point, h, s, height=budget.max_height, rng=rng
         )
@@ -82,7 +77,7 @@ class QuadricAdapter:
           z ∉ H; otherwise every y has score at least 1.
         - s = 2: H = x^⊥, and b(x, z) = 0 puts z and so every y in H.  y
           keeps score 2 iff A·y is a nonzero multiple of A·x, and its
-          score is undefined (DegenerateDirection) iff A·y = 0.  A·y =
+          score is undefined (a GeometryError) iff A·y = 0.  A·y =
           λA·x + A·z meets span(A·x) for some λ iff A·z ∈ span(A·x), and
           then for every λ.  A·x ≠ 0, so every y has score at most 1 iff
           rank(A·x, A·z) = 2, that is z ∉ span(x) + rad(q).
@@ -146,8 +141,7 @@ class KLinearAdapter:
     def line_step(
         self, tp: TracePoint, h: ProjSubspaceQ, budget: SearchBudget, rng: random.Random | None
     ) -> tuple[TracePoint, dict]:
-        wp = ml.WitnessedPoint(tp.point, tp.witness)
-        z, cert = ml.line_step(self.kmap, wp, h, budget.max_height, rng)
+        z, cert = ml.line_step(self.kmap, tp, h, budget.max_height, rng)
         cert_doc = {
             "kind": "klinear",
             "slot": cert.slot,
@@ -158,24 +152,25 @@ class KLinearAdapter:
             "beta_witness": ml.witness_to_doc(cert.beta.witness),
             "beta_prime": None if cert.beta_prime is None else [str(a) for a in cert.beta_prime],
         }
-        return TracePoint(z.point, z.witness), cert_doc
+        return z, cert_doc
 
     def _cert_from_doc(self, cert: dict) -> ml.LineCertificate:
-        """The certificate from its document; a ValueError names a malformed field."""
-        beta_witness = ml.witness_from_doc(cert["beta_witness"], "certificate beta_witness")
-        beta = ml.WitnessedPoint(
-            ProjPointQ(tuple(int_from_doc(a, "certificate beta_point") for a in _list(cert, "beta_point"))),
-            beta_witness,
-        )
-        beta_prime = cert.get("beta_prime")
+        """The certificate from its document; an InputError names a malformed field."""
+
+        def field(name: str, parse):
+            with reading(f"certificate {name}"):
+                return parse(cert[name])
+
+        beta_point = tuple(int_from_doc(a, "certificate beta_point") for a in field("beta_point", _list))
         return ml.LineCertificate(
             slot=int_from_doc(cert.get("slot"), "certificate slot"),
             m=int_from_doc(cert.get("m"), "certificate m"),
-            anchor_scale=_rational(cert["anchor_scale"], "anchor_scale"),
-            z_scale=_rational(cert["z_scale"], "z_scale"),
-            beta=beta,
-            beta_prime=None if beta_prime is None else tuple(
-                _rational(a, "beta_prime") for a in _list(cert, "beta_prime")),
+            anchor_scale=field("anchor_scale", Fraction),
+            z_scale=field("z_scale", Fraction),
+            beta=TracePoint(ProjPointQ(beta_point),
+                            ml.witness_from_doc(cert.get("beta_witness"), "certificate beta_witness")),
+            beta_prime=None if cert.get("beta_prime") is None else field(
+                "beta_prime", lambda v: tuple(map(Fraction, _list(v)))),
         )
 
     def check_certificate(
@@ -255,17 +250,10 @@ class KLinearAdapter:
         return fails
 
 
-def _rational(value, field: str) -> Fraction:
-    try:
-        return Fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"certificate {field} {value!r:.40} is not a rational: {exc}") from None
-
-
-def _list(cert: dict, field: str) -> list:
-    value = cert.get(field)
+def _list(value) -> list:
+    """``value`` if it is a list: a string would be read character by character."""
     if not isinstance(value, list):
-        raise ValueError(f"certificate {field}: {value!r:.40} is not a list")
+        raise TypeError(f"{value!r:.40} is not a list")
     return value
 
 
@@ -290,13 +278,14 @@ def quadric_adapter(form: qd.QuadraticFormQ, witness: qd.HyperbolicWitness) -> Q
 
 
 def adapter_from_descriptor(d: dict):
-    kind = d.get("kind")
-    if kind == "grassmann":
-        return grassmann_adapter(int(d["n"]), int(d["k"]))
-    if kind == "prodforms":
-        return prodforms_adapter(int(d["n"]), int(d["k"]))
-    if kind == "quadric":
-        return QuadricAdapter(*qd.form_from_doc(d))
-    if kind == "klinear":
-        return KLinearAdapter(ml.map_from_doc(d), "klinear")
-    raise ValueError(f"unknown family kind {kind!r}")
+    """The adapter a trace's family descriptor names; any defect raises an InputError naming the field."""
+    with reading("family"):
+        kind = d.get("kind")
+        if kind in ("grassmann", "prodforms"):
+            maker = grassmann_adapter if kind == "grassmann" else prodforms_adapter
+            return maker(int_from_doc(d["n"], "n"), int_from_doc(d["k"], "k"))
+        if kind == "quadric":
+            return QuadricAdapter(*qd.form_from_doc(d))
+        if kind == "klinear":
+            return KLinearAdapter(ml.map_from_doc(d), "klinear")
+        raise InputError(f"unknown kind {kind!r:.40}")

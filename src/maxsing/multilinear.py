@@ -23,28 +23,17 @@ from functools import cached_property
 from math import comb, lcm, perm, prod
 from typing import Iterator, Sequence
 
+from .errors import GeometryError, InputError, SearchExhausted, reading
 from .exact_geometry import (
-    DimensionMismatch,
     ProjPointQ,
     ProjSubspaceQ,
     RatVec,
-    ZeroVector,
+    TracePoint,
+    int_from_doc,
     primitive,
     rank,
     wedge_sq,
 )
-
-
-class InvalidParameters(ValueError):
-    pass
-
-
-class DegenerateLine(RuntimeError):
-    pass
-
-
-class StepPreconditionError(ValueError):
-    pass
 
 
 # Caps on the size of a k-linear map, checked before any map is built, so that a
@@ -59,11 +48,11 @@ MAX_BASIS_IMAGES = 4096
 
 
 def check_caps(where: str, **fields: int) -> None:
-    """Raise InvalidParameters naming the first of the fields n, k, D, basis_images above its cap."""
+    """Raise an InputError naming the first of the fields n, k, D, basis_images above its cap."""
     caps = {"n": MAX_SOURCE_DIM, "k": MAX_ARITY, "D": MAX_TARGET_DIM, "basis_images": MAX_BASIS_IMAGES}
     for name, value in fields.items():
         if value > caps[name]:
-            raise InvalidParameters(f"{where}: {name} = {value} exceeds the cap {caps[name]}")
+            raise InputError(f"{where}: {name} = {value} exceeds the cap {caps[name]}")
 
 
 def map_sizes(kind: str, n: int, k: int) -> dict[str, int]:
@@ -92,16 +81,16 @@ class KLinearMap:
 
     def __post_init__(self):
         if self.k < 1 or self.n < 1:
-            raise InvalidParameters("k and n must be positive")
+            raise InputError("k and n must be positive")
         if self.target_dim < 3:
-            raise InvalidParameters("target dimension must be at least 3")
+            raise InputError("target dimension must be at least 3")
         for idx, img in self.basis_images.items():
             if len(idx) != self.k or any(not 0 <= i < self.n for i in idx):
-                raise InvalidParameters(f"bad basis index {idx}")
+                raise InputError(f"bad basis index {idx}")
             if len(img) != self.target_dim:
-                raise DimensionMismatch(f"image of {idx} has dim {len(img)}")
+                raise GeometryError(f"image of {idx} has dim {len(img)}")
         if rank(self.basis_images.values()) != self.target_dim:
-            raise InvalidParameters("basis images do not span the target space")
+            raise InputError("basis images do not span the target space")
 
     def __hash__(self):
         return hash((self.k, self.n, self.target_dim))
@@ -159,7 +148,7 @@ def integer_image(kmap: KLinearMap, vectors: Sequence[Sequence]) -> tuple[int, l
     s > 0, so primitive(N(u)) is the image's point.
     """
     if len(vectors) != kmap.k or any(len(v) != kmap.n for v in vectors):
-        raise DimensionMismatch(f"need {kmap.k} source vectors of dim {kmap.n}")
+        raise GeometryError(f"need {kmap.k} source vectors of dim {kmap.n}")
     d, images = kmap.integer_images
     scale, ints = _integer_slots(vectors)
     return d * scale, _contract(images, kmap.target_dim, ints).get((), [0] * kmap.target_dim)
@@ -174,19 +163,11 @@ def _rational(s: int, img: Sequence[int]) -> tuple:
     return tuple(Fraction(a, s) for a in img)
 
 
-@dataclass(frozen=True)
-class WitnessedPoint:
-    """An image point together with a preimage tuple certifying it."""
-
-    point: ProjPointQ
-    witness: tuple[RatVec, ...]
-
-
-def witnessed_point(kmap: KLinearMap, witness: Sequence[Sequence]) -> WitnessedPoint:
+def witnessed_point(kmap: KLinearMap, witness: Sequence[Sequence]) -> TracePoint:
     img = integer_image(kmap, witness)[1]
     if not any(img):
-        raise ZeroVector("witness maps to zero")
-    return WitnessedPoint(primitive(img), tuple(tuple(Fraction(c) for c in v) for v in witness))
+        raise GeometryError("witness maps to zero")
+    return TracePoint(primitive(img), tuple(tuple(Fraction(c) for c in v) for v in witness))
 
 
 def witness_to_doc(witness: Sequence[Sequence]) -> list[list[str]]:
@@ -195,17 +176,15 @@ def witness_to_doc(witness: Sequence[Sequence]) -> list[list[str]]:
 
 
 def witness_from_doc(doc, field: str) -> tuple[RatVec, ...]:
-    """A witness from its JSON list of lists; a ValueError names ``field`` if it is malformed.
+    """A witness from its JSON list of lists; an InputError names ``field`` if it is malformed.
 
     Each slot must be a list: a string slot such as "1000" would otherwise
     be read digit by digit as a vector.
     """
     if not isinstance(doc, list) or not all(isinstance(v, list) for v in doc):
-        raise ValueError(f"{field} {doc!r:.80} is not a witness: expected a list of lists")
-    try:
+        raise InputError(f"{field} {doc!r:.80} is not a witness: expected a list of lists")
+    with reading(field):
         return tuple(tuple(Fraction(c) for c in v) for v in doc)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"{field} {doc!r} is not a witness: {exc}") from None
 
 
 def replace_slot(witness: Sequence[Sequence], slot: int, vec: Sequence) -> tuple:
@@ -218,7 +197,7 @@ def replace_slot(witness: Sequence[Sequence], slot: int, vec: Sequence) -> tuple
 def shared_count(w1: Sequence[Sequence], w2: Sequence[Sequence]) -> int:
     """Number of slots where the two witness tuples are exactly equal."""
     if len(w1) != len(w2):
-        raise DimensionMismatch("witness tuples of different length")
+        raise GeometryError("witness tuples of different length")
     return sum(1 for a, b in zip(w1, w2) if tuple(a) == tuple(b))
 
 
@@ -246,10 +225,10 @@ def candidate_vectors(n: int, height: int, rng: random.Random | None = None) -> 
 def outside_candidates(
     kmap: KLinearMap,
     h: ProjSubspaceQ,
-    anchor: WitnessedPoint,
+    anchor: TracePoint,
     max_height: int,
     rng: random.Random | None = None,
-) -> Iterator[tuple[int, WitnessedPoint, tuple[int, list[int]]]]:
+) -> Iterator[tuple[int, TracePoint, tuple[int, list[int]]]]:
     """Yield (m, beta, (s, img)) with [beta] outside H, best witness agreement first.
 
     For m from k-1 down to 0, replaces exactly k-m anchor slots with
@@ -297,7 +276,7 @@ def outside_candidates(
                         witness = list(anchor.witness)
                         for slot, vec in zip(subset, repl):
                             witness[slot] = tuple(Fraction(c) for c in vec)
-                        yield m, WitnessedPoint(primitive(img), tuple(witness)), (scale, img)
+                        yield m, TracePoint(primitive(img), tuple(witness)), (scale, img)
 
 
 @dataclass(frozen=True)
@@ -320,7 +299,7 @@ class LineCertificate:
     m: int
     anchor_scale: Fraction   # evaluate(x.witness) == anchor_scale * x.rep
     z_scale: Fraction        # evaluate(z.witness) == z_scale * z.rep
-    beta: WitnessedPoint
+    beta: TracePoint
     beta_prime: tuple | None  # evaluate(beta.witness with slot <- x slot), None if zero
 
 
@@ -335,11 +314,11 @@ def line_witness(x_witness: Sequence[Sequence], z_witness: Sequence[Sequence], s
 
 def line_step(
     kmap: KLinearMap,
-    x: WitnessedPoint,
+    x: TracePoint,
     h: ProjSubspaceQ,
     max_height: int,
     rng: random.Random | None = None,
-) -> tuple[WitnessedPoint, LineCertificate]:
+) -> tuple[TracePoint, LineCertificate]:
     """One line construction through x inside the image.
 
     Requires [x] in H.  Returns z such that the line {b*x + z} stays in
@@ -351,7 +330,7 @@ def line_step(
     certificate once, at the end.
     """
     if not h.contains_point(x.point):
-        raise StepPreconditionError("line_step needs a point inside the subspace")
+        raise GeometryError("line_step needs a point inside the subspace")
     k = kmap.k
     s_x, img_x = integer_image(kmap, x.witness)
     best = None  # (area, t, m, beta, w_z, z, (s_z, alpha_prime), (s_b, beta_prime) or None)
@@ -366,7 +345,7 @@ def line_step(
                 w2 = replace_slot(beta.witness, t, x.witness[t])
                 image2 = integer_image(kmap, w2)
                 if any(image2[1]) and not h.contains(image2[1]):
-                    beta, beta_image = WitnessedPoint(primitive(image2[1]), w2), image2
+                    beta, beta_image = TracePoint(primitive(image2[1]), w2), image2
                     m += 1
                     improved = True
                     break
@@ -393,9 +372,7 @@ def line_step(
         if best is not None and best_m == k - 1 and (m < k - 1 or order > 8):
             break  # nothing can beat a maximal-agreement candidate
     if best is None:
-        raise DegenerateLine(
-            "no non-degenerate certified line found within the search budget"
-        )
+        raise SearchExhausted("no non-degenerate certified line found within the search budget")
     _, t, m, beta, w_z, z_pt, (s_z, alpha_prime), b_prime = best
     cert = LineCertificate(
         slot=t,
@@ -405,10 +382,10 @@ def line_step(
         beta=beta,
         beta_prime=None if b_prime is None else _rational(*b_prime),
     )
-    return WitnessedPoint(z_pt, w_z), cert
+    return TracePoint(z_pt, w_z), cert
 
 
-def _differing_slots(x: WitnessedPoint, beta: WitnessedPoint) -> list[int]:
+def _differing_slots(x: TracePoint, beta: TracePoint) -> list[int]:
     return [t for t in range(len(x.witness)) if x.witness[t] != beta.witness[t]]
 
 
@@ -426,7 +403,7 @@ def grassmann_map(n: int, k: int) -> KLinearMap:
     """The wedge map (Q^n)^k -> Q^C(n,k), Plücker coordinates in lex order."""
     check_caps("grassmann", n=n, k=k)
     if not (1 <= k < n) or n < 3 or comb(n, k) < 3:
-        raise InvalidParameters(f"grassmann map needs 1 <= k < n, n >= 3, C(n,k) >= 3; got n={n}, k={k}")
+        raise InputError(f"grassmann map needs 1 <= k < n, n >= 3, C(n,k) >= 3; got n={n}, k={k}")
     check_caps(f"grassmann({n}, {k})", **map_sizes("grassmann", n, k))
     d = comb(n, k)
     subsets = {s: i for i, s in enumerate(itertools.combinations(range(n), k))}
@@ -457,7 +434,7 @@ def prodforms_map(n: int, k: int) -> KLinearMap:
     """
     check_caps("prodforms", n=n, k=k)
     if n < 2 or k < 1 or n + k < 4:
-        raise InvalidParameters(f"product-of-forms map needs n >= 2, k >= 1 and n + k >= 4; got n={n}, k={k}")
+        raise InputError(f"product-of-forms map needs n >= 2, k >= 1 and n + k >= 4; got n={n}, k={k}")
     check_caps(f"prodforms({n}, {k})", **map_sizes("prodforms", n, k))
     monomials = sorted(_exponent_vectors(n, k), reverse=True)
     index = {m: i for i, m in enumerate(monomials)}
@@ -496,12 +473,12 @@ def map_to_doc(kmap: KLinearMap) -> dict:
 
 
 def map_from_doc(doc: dict) -> KLinearMap:
-    k, n, dim = int(doc["k"]), int(doc["n"]), int(doc["D"])
+    """The map a document describes; its callers read a defect as an InputError (errors.reading)."""
+    k, n, dim = (int_from_doc(doc[name], name) for name in ("k", "n", "D"))
     check_caps("k-linear map", k=k, n=n, D=dim, basis_images=len(doc["basis_images"]))
-    images = {
-        tuple(int(i) for i in entry["index"]): tuple(Fraction(s) for s in entry["image"])
-        for entry in doc["basis_images"]
-    }
+    with reading("basis_images"):
+        images = {tuple(int_from_doc(i, "index") for i in e["index"]): tuple(Fraction(s) for s in e["image"])
+                  for e in doc["basis_images"]}
     return KLinearMap(k=k, n=n, target_dim=dim, basis_images=images)
 
 
@@ -512,5 +489,5 @@ def save_map(kmap: KLinearMap, path: str) -> None:
 
 
 def load_map(path: str) -> KLinearMap:
-    with open(path) as fh:
+    with open(path) as fh, reading(f"cannot load map {path}"):
         return map_from_doc(json.load(fh))

@@ -19,33 +19,18 @@ from math import gcd
 from operator import mul
 from typing import Sequence
 
+from .errors import GeometryError, InputError, SearchExhausted, reading
 from .exact_geometry import (
     RANK_PRIME,
-    DimensionMismatch,
     ProjPointQ,
     ProjSubspaceQ,
     dot,
+    int_from_doc,
     primitive,
     subspace_span,
     wedge_sq,
 )
-from .multilinear import StepPreconditionError, candidate_vectors
-
-
-class DegenerateDirection(ValueError):
-    pass
-
-
-class NotOnQuadric(ValueError):
-    pass
-
-
-class HeightExhausted(RuntimeError):
-    pass
-
-
-class InvalidWitness(ValueError):
-    pass
+from .multilinear import candidate_vectors
 
 
 @dataclass(frozen=True)
@@ -70,13 +55,13 @@ class QuadraticFormQ:
         n = len(self.gram)
         for row in self.gram:
             if len(row) != n:
-                raise DimensionMismatch("gram matrix must be square")
+                raise GeometryError("gram matrix must be square")
         for i in range(n):
             for j in range(n):
                 if self.gram[i][j] != self.gram[j][i]:
-                    raise InvalidWitness("gram matrix must be symmetric")
+                    raise InputError("gram matrix must be symmetric")
         if all(a == 0 for row in self.gram for a in row):
-            raise InvalidWitness("quadratic form must not vanish identically")
+            raise InputError("quadratic form must not vanish identically")
         d = 1
         for row in self.gram:
             for a in row:
@@ -100,19 +85,19 @@ class QuadraticFormQ:
     def apply(self, y: Sequence) -> tuple:
         """d*A*y, so that d*b(x, y) = dot(x, d*A*y)."""
         if len(y) != self.dim:
-            raise DimensionMismatch("bilinear form: wrong vector dimension")
+            raise GeometryError("bilinear form: wrong vector dimension")
         return tuple(sum(a * y[j] for j, a in row) for row in self._int_rows)
 
     def bilinear(self, x: Sequence, y: Sequence):
         """d*b(x, y): an integer for integer x and y."""
         if len(x) != self.dim:
-            raise DimensionMismatch("bilinear form: wrong vector dimension")
+            raise GeometryError("bilinear form: wrong vector dimension")
         return dot(x, self.apply(y))
 
     def q(self, x: Sequence):
         """d*q(x): an integer for integer x."""
         if len(x) != self.dim:
-            raise DimensionMismatch("bilinear form: wrong vector dimension")
+            raise GeometryError("bilinear form: wrong vector dimension")
         return sum(c * x[i] * x[j] for i, j, c in self._q_terms)
 
 
@@ -133,7 +118,7 @@ def validate_witness(form: QuadraticFormQ, w: HyperbolicWitness) -> bool:
     """True iff the witness certifies two orthogonal hyperbolic planes."""
     for v in w.vectors():
         if len(v) != form.dim:
-            raise DimensionMismatch("witness vector of wrong dimension")
+            raise GeometryError("witness vector of wrong dimension")
     if any(form.q(v) != 0 for v in w.vectors()):
         return False
     if form.bilinear(w.u1, w.v1) == 0 or form.bilinear(w.u2, w.v2) == 0:
@@ -151,10 +136,10 @@ def on_quadric(form: QuadraticFormQ, p: ProjPointQ | Sequence) -> bool:
 
 
 def _pairing_row(form: QuadraticFormQ, v: Sequence) -> tuple:
-    """d*A*v, the functional x -> d*b(v, x); DegenerateDirection if it vanishes."""
+    """d*A*v, the functional x -> d*b(v, x); a GeometryError if it vanishes (a radical direction)."""
     row = form.apply(v)
     if all(a == 0 for a in row):
-        raise DegenerateDirection("point pairs to zero with everything (radical direction)")
+        raise GeometryError("point pairs to zero with everything (radical direction)")
     return row
 
 
@@ -188,13 +173,13 @@ def s_h_quadric(form: QuadraticFormQ, h: ProjSubspaceQ, alpha: ProjPointQ) -> in
     different from H; 2 if inside and the complement equals H exactly.
 
     Certificate for the score 2 test: with alpha in H and A*alpha != 0
-    (otherwise DegenerateDirection), alpha^perp is the kernel of the
+    (otherwise a GeometryError), alpha^perp is the kernel of the
     nonzero functional x -> b(alpha, x), a hyperplane.  H equals it iff
     H lies in it and has the same dimension, that is iff rank H = n - 1
     and b(alpha, h) = 0 for every basis row h of H.
     """
     if not on_quadric(form, alpha):
-        raise NotOnQuadric(f"{alpha} is not a zero of the form")
+        raise GeometryError(f"{alpha} is not a zero of the form")
     if not h.contains_point(alpha):
         return 0
     row = _pairing_row(form, alpha.rep)
@@ -243,7 +228,7 @@ def isotropic_in_subspace_outside(
     order and the result are those of the exact test alone.
     """
     if all(h.contains(b) for b in s.basis):
-        raise StepPreconditionError("search subspace is contained in the excluded one")
+        raise GeometryError("search subspace is contained in the excluded one")
     found: dict[ProjPointQ, None] = {}  # the candidates, in the order found
     for seed in seeds:
         if any(seed) and form.q(seed) == 0:
@@ -277,7 +262,7 @@ def isotropic_in_subspace_outside(
                         vec[j] += c * a
             found.setdefault(primitive(vec))
     if not found:
-        raise HeightExhausted(f"no isotropic point in S outside H up to height {height}")
+        raise SearchExhausted(f"no isotropic point in S outside H up to height {height}")
     return min(found, key=lambda p: wedge_sq(anchor.rep, p.rep))
 
 
@@ -298,11 +283,11 @@ def line_in_quadric_through(
     the witness guarantees one exists.
     """
     if s not in (1, 2):
-        raise StepPreconditionError(f"line construction needs score 1 or 2, got {s}")
+        raise GeometryError(f"line construction needs score 1 or 2, got {s}")
     if not h.contains_point(alpha):
-        raise StepPreconditionError("alpha must lie in the subspace")
+        raise GeometryError("alpha must lie in the subspace")
     if not on_quadric(form, alpha):
-        raise NotOnQuadric(f"{alpha} is not on the quadric")
+        raise GeometryError(f"{alpha} is not on the quadric")
     perp = orth_complement(form, alpha)
     w = witness.vectors()
     seeds = list(w)
@@ -342,9 +327,13 @@ def form_to_doc(form: QuadraticFormQ, witness: HyperbolicWitness) -> dict:
 
 
 def form_from_doc(doc: dict) -> tuple[QuadraticFormQ, HyperbolicWitness]:
-    form = QuadraticFormQ(tuple(tuple(Fraction(a) for a in row) for row in doc["gram"]))
-    w = doc["witness"]
-    wit = HyperbolicWitness(*(tuple(int(a) for a in w[name]) for name in ("u1", "v1", "u2", "v2")))
+    """The form and witness a document describes; its callers read a defect as an InputError."""
+    with reading("gram"):
+        form = QuadraticFormQ(tuple(tuple(Fraction(a) for a in row) for row in doc["gram"]))
+    with reading("witness"):
+        w = doc["witness"]
+        wit = HyperbolicWitness(*(tuple(int_from_doc(a, name) for a in w[name])
+                                  for name in ("u1", "v1", "u2", "v2")))
     return form, wit
 
 
@@ -355,8 +344,8 @@ def save_form(form: QuadraticFormQ, witness: HyperbolicWitness, path: str) -> No
 
 
 def load_form(path: str) -> tuple[QuadraticFormQ, HyperbolicWitness]:
-    with open(path) as fh:
+    with open(path) as fh, reading(f"cannot load form {path}"):
         form, wit = form_from_doc(json.load(fh))
-    if not validate_witness(form, wit):
-        raise InvalidWitness(f"witness in {path} does not certify two hyperbolic planes")
+        if not validate_witness(form, wit):
+            raise InputError("witness does not certify two hyperbolic planes")
     return form, wit

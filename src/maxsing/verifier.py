@@ -15,19 +15,11 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterator
 
-from .builder import (
-    ApproxFn,
-    CertifiedLimit,
-    MalformedTrace,
-    SequenceTrace,
-    TraceTooShort,
-    _product_gt,
-    compute_hi,
-    limit_point,
-)
+from .builder import ApproxFn, SequenceTrace, _product_gt, compute_hi, limit_radius_sq
+from .errors import DOCUMENT_ERRORS, GeometryError, InputError, reading
 from .exact_geometry import (
     IntVec,
-    ZeroVector,
+    TracePoint,
     dec_str,
     dot,
     dyadic_bounds,
@@ -43,15 +35,7 @@ from .exact_geometry import (
     vec_scale,
     wedge_sq,
 )
-from .families import TracePoint, adapter_from_descriptor
-
-
-class TooLarge(ValueError):
-    pass
-
-
-class IndexOutOfRange(ValueError):
-    pass
+from .families import adapter_from_descriptor
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +61,7 @@ def trace_geometry(trace: SequenceTrace) -> TraceGeometry:
     reps = [p.rep for p in trace.points()]
     norms = tuple(norm_sq(r) for r in reps)
     if not all(norms):
-        raise ZeroVector("projective distance needs nonzero vectors")
+        raise GeometryError("projective distance needs nonzero vectors")
     products = tuple(a * b for a, b in zip(norms, norms[1:]))
     wedges = tuple(nn - dot(x, y) ** 2 for nn, x, y in zip(products, reps, reps[1:]))
     return TraceGeometry(norms, products, wedges)
@@ -92,16 +76,14 @@ def check_conditions(trace: SequenceTrace, geometry: TraceGeometry | None = None
     computed here when not given.
     """
     if not trace.entries:
-        raise MalformedTrace("empty trace")
+        raise InputError("empty trace")
     if len(trace.entries) < 2 and not trace.partial:
-        raise MalformedTrace("a complete trace needs at least 2 points")
-    try:
+        raise InputError("a complete trace needs at least 2 points")
+    with reading("bad family or decay descriptor"):
         adapter = adapter_from_descriptor(trace.family)
         phi = ApproxFn.from_descriptor(trace.phi)
-    except (KeyError, ValueError) as exc:
-        raise MalformedTrace(f"bad family or decay descriptor: {exc}") from exc
     if adapter.ambient_dim != trace.ambient_dim:
-        raise MalformedTrace("ambient dimension does not match the family")
+        raise InputError("ambient dimension does not match the family")
     points = trace.points()
     geo = geometry or trace_geometry(trace)
     n2, w = geo.norms, geo.wedges
@@ -144,7 +126,7 @@ def check_conditions(trace: SequenceTrace, geometry: TraceGeometry | None = None
                 TracePoint(x, entry.witness), TracePoint(step.z, step.z_witness), h, step.certificate
             )
             fails.extend(f"(c) {m}" for m in cert_fails)
-        except (ValueError, RuntimeError, KeyError) as exc:
+        except (*DOCUMENT_ERRORS, RuntimeError) as exc:
             fails.append(f"(c) certificate does not re-verify: {exc}")
         # (d) for i >= 2, plus the distance-decay consequence
         if i >= 2:
@@ -219,7 +201,8 @@ def _primitive_points_in_ball(
 
 
 def brute_force_curve(
-    limit: CertifiedLimit,
+    center: IntVec,
+    radius_sq: Fraction,
     x_max: int,
     precision_bits: int = 64,
     cost_guard: int = 10 ** 8,
@@ -230,7 +213,9 @@ def brute_force_curve(
     norm <= X: lo = min of candidate lower bounds, hi = min of candidate
     upper bounds, and argmin the candidate attaining hi, ties going to the
     smaller bucket ceil(|x|), then to the lexicographically smaller
-    sign-canonical tuple.  The rows are those of scoring every point of
+    sign-canonical tuple.  The limit ball has center ``center``, the
+    trace's last point, and squared radius ``radius_sq``
+    (builder.limit_radius_sq).  The rows are those of scoring every point of
     the ball, but only the points that can change a row are scored.
 
     With S = 2^(precision_bits + 8), r_s = ceil(S r) for the ball radius
@@ -255,20 +240,19 @@ def brute_force_curve(
     the line through the limit center.  The first band, with no run_hi,
     takes B = X_b, which D(x) <= |x| makes exhaustive.
     """
-    dim = len(limit.representative)
+    dim = len(center)
     if x_max < 1:
-        raise ValueError("x_max must be at least 1")
+        raise InputError("x_max must be at least 1")
     est = (2 * x_max + 1) ** dim
     if est > cost_guard:
-        raise TooLarge(
+        raise InputError(
             f"xmax {x_max} refused: the whole-ball bound (2*xmax+1)^{dim} = "
             f"{2 * x_max + 1}^{dim} = {est} exceeds the cost guard {cost_guard}"
         )
-    rep = limit.representative
-    r2 = norm_sq(rep)
+    r2 = norm_sq(center)
     shift = precision_bits + 8
     scale = 1 << shift
-    rnum, rden = limit.radius_sq.numerator, limit.radius_sq.denominator
+    rnum, rden = radius_sq.numerator, radius_sq.denominator
     # r_hi scaled: ceil(sqrt(radius_sq) * 2^shift)
     r_hi_s = isqrt((rnum * scale * scale) // rden) + 1
     rows = []
@@ -280,8 +264,8 @@ def brute_force_curve(
         if run_hi is not None:
             bn = min(bn, run_hi + scale * (x_hi * (1 + r_hi_s) + 1))
         best: dict[int, list] = {}
-        for vec, n2 in _primitive_points_in_ball(rep, x_lo, x_hi, bn, shift):
-            dv = dot(vec, rep)
+        for vec, n2 in _primitive_points_in_ball(center, x_lo, x_hi, bn, shift):
+            dv = dot(vec, center)
             wnum = n2 * r2 - dv * dv  # dist^2 = wnum / (n2 * r2)
             dden = n2 * r2
             d_lo_s = isqrt((wnum * scale * scale) // dden)
@@ -385,7 +369,7 @@ def exponent_report(
     ``geometry`` is trace_geometry(trace), computed here when not given.
     """
     if len(trace.entries) < 3:
-        raise TraceTooShort("exponent estimates need at least 3 points")
+        raise InputError("exponent estimates need at least 3 points")
     geo = geometry or trace_geometry(trace)
     rows = []
     for i in range(2, len(trace.entries)):
@@ -401,7 +385,7 @@ def spanning_check(trace: SequenceTrace, i0: int) -> bool:
     """True iff the points from index i0 on span the ambient space."""
     n = len(trace.entries)
     if not 2 <= i0 <= n:
-        raise IndexOutOfRange(f"i0 must lie in [2, {n}]")
+        raise InputError(f"i0 must lie in [2, {n}]")
     return rank([p.rep for p in trace.points()[i0 - 1:]]) == trace.ambient_dim
 
 
@@ -427,7 +411,7 @@ def audit_report(
     report["spanning_required_ok"] = span_ok
     if n >= 3:
         # the ball around the trace's last point, which the report does not
-        # repeat: radius^2 = 9 w / (4 |x_prev|^2 |x_last|^2) (limit_point)
+        # repeat: radius^2 = 9 w / (4 |x_prev|^2 |x_last|^2) (limit_radius_sq)
         r2_hi = dyadic_bounds(9 * geo.wedges[-1], 4 * geo.products[-1], precision_bits + 3)[1]
         report["limit"] = {"radius_sq_hi": dyadic_str(r2_hi), "radius_sq_hi_dec": sci_str(r2_hi, 12)}
         report["exponents"] = [r.to_doc() for r in exponent_report(trace, precision_bits, geo)]
@@ -436,7 +420,8 @@ def audit_report(
         report["exponents"] = []
     if bruteforce_xmax is not None and n >= 3:
         phi = ApproxFn.from_descriptor(trace.phi)
-        rows = brute_force_curve(limit_point(trace), bruteforce_xmax, precision_bits)
+        radius_sq = limit_radius_sq(trace)
+        rows = brute_force_curve(trace.entries[-1].x.rep, radius_sq, bruteforce_xmax, precision_bits)
         out_rows = []
         for row in rows:
             # domination is judged only at scales X with X^2 >= |x_2|^2

@@ -1,7 +1,8 @@
 import pytest
 from fractions import Fraction
 
-from maxsing.builder import ApproxFn, BudgetExceeded, run
+from maxsing.builder import ApproxFn, run
+from maxsing.errors import SearchExhausted
 from maxsing.families import (
     SearchBudget,
     grassmann_adapter,
@@ -15,7 +16,7 @@ def _partial(adapter, phi, steps, **kw):
     budget = SearchBudget(max_height=kw.pop("max_height", 6), multiplier_bits=4096)
     try:
         return run(adapter, phi, steps, budget=budget, **kw)
-    except BudgetExceeded as exc:
+    except SearchExhausted as exc:
         return exc.partial
 
 

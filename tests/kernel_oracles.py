@@ -44,11 +44,12 @@ import random
 from fractions import Fraction
 from math import isqrt
 
-from maxsing.builder import ApproxFn
+from maxsing.builder import ApproxFn, limit_radius_sq
+from maxsing.errors import GeometryError
 from maxsing.exact_geometry import (
-    DimensionMismatch, ProjPointQ, ProjSubspaceQ, ZeroVector, dot, ln_bounds, primitive, sqrt_bounds,
+    ProjPointQ, ProjSubspaceQ, TracePoint, dot, ln_bounds, primitive, sqrt_bounds,
 )
-from maxsing.multilinear import WitnessedPoint, _contract, _integer_slots, _sparse, candidate_vectors
+from maxsing.multilinear import _contract, _integer_slots, _sparse, candidate_vectors
 
 
 def box_scan_candidates(n: int, height: int, rng: random.Random | None = None) -> list:
@@ -107,12 +108,12 @@ def fraction_subspace_span(vectors, ambient_dim: int | None = None) -> ProjSubsp
     vecs = [v.rep if isinstance(v, ProjPointQ) else v for v in vectors]
     if ambient_dim is None:
         if not vecs:
-            raise DimensionMismatch("empty span needs an explicit ambient_dim")
+            raise GeometryError("empty span needs an explicit ambient_dim")
         ambient_dim = len(vecs[0])
     rows = [[Fraction(a) for a in v] for v in vecs if any(c != 0 for c in v)]
     for r in rows:
         if len(r) != ambient_dim:
-            raise DimensionMismatch("subspace_span: inconsistent dimensions")
+            raise GeometryError("subspace_span: inconsistent dimensions")
     rref = _rref(rows, ambient_dim)
     return ProjSubspaceQ(tuple(primitive(r).rep for r in rref), ambient_dim)
 
@@ -165,7 +166,7 @@ def outside_candidates_loop(kmap, h, anchor, max_height: int, rng: random.Random
                         witness = list(anchor.witness)
                         for slot, vec in zip(subset, repl):
                             witness[slot] = tuple(Fraction(c) for c in vec)
-                        yield m, WitnessedPoint(pt, tuple(witness))
+                        yield m, TracePoint(pt, tuple(witness))
 
 
 def _sqrt_bounds_rel(r, precision_bits: int) -> tuple[Fraction, Fraction]:
@@ -332,7 +333,7 @@ def dist_sq(x, y) -> Fraction:
     """Squared projective distance |x ∧ y|^2 / (|x|^2 |y|^2), in [0, 1]."""
     nx, ny = dot(x, x), dot(y, y)
     if nx == 0 or ny == 0:
-        raise ZeroVector("projective distance needs nonzero vectors")
+        raise GeometryError("projective distance needs nonzero vectors")
     d = dot(x, y)
     return Fraction(nx * ny - d * d, nx * ny)
 
@@ -341,7 +342,7 @@ def det(rows) -> Fraction:
     """Determinant of a square rational matrix by Gaussian elimination in Fractions."""
     m = [[Fraction(a) for a in r] for r in rows]
     if any(len(r) != len(m) for r in m):
-        raise DimensionMismatch("det needs a square matrix")
+        raise GeometryError("det needs a square matrix")
     out = Fraction(1)
     for k in range(len(m)):
         piv = next((i for i in range(k, len(m)) if m[i][k]), None)
@@ -361,19 +362,26 @@ def wedge_k(vectors) -> tuple:
     """Wedge product of k vectors of dim n as the C(n, k) minors, k-subsets of columns in lex order."""
     n = len(vectors[0])
     if any(len(v) != n for v in vectors) or not 1 <= len(vectors) <= n:
-        raise DimensionMismatch("wedge_k needs k <= n vectors of one dimension n")
+        raise GeometryError("wedge_k needs k <= n vectors of one dimension n")
     return tuple(det([[v[j] for j in cols] for v in vectors])
                  for cols in itertools.combinations(range(n), len(vectors)))
+
+
+def trace_limit(trace) -> tuple:
+    """(center, radius_sq): the certified ball around the trace's last point (builder.limit_radius_sq)."""
+    return trace.entries[-1].x.rep, limit_radius_sq(trace)
 
 
 def d_xi(limit, x, precision_bits: int = 64) -> tuple[Fraction, Fraction]:
     """(lo, hi) bracketing D(x) = |x| dist(limit, [x]) for every point of the certified ball.
 
-    With d the distance to the ball's center and r its radius, D(x) lies
-    in |x| [max(0, d - r), d + r]; every square root is rounded outward.
+    ``limit`` is the ball's (center, radius_sq).  With d the distance to
+    the center and r the radius, D(x) lies in |x| [max(0, d - r), d + r];
+    every square root is rounded outward.
     """
+    center, radius_sq = limit
     prec = precision_bits + 4
-    d_lo, d_hi = sqrt_bounds(dist_sq(x, limit.representative), prec)
-    r_hi = sqrt_bounds(limit.radius_sq, prec)[1]
+    d_lo, d_hi = sqrt_bounds(dist_sq(x, center), prec)
+    r_hi = sqrt_bounds(radius_sq, prec)[1]
     n_lo, n_hi = sqrt_bounds(dot(x, x), prec)
     return n_lo * max(Fraction(0), d_lo - r_hi), n_hi * (d_hi + r_hi)

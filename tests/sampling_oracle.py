@@ -82,8 +82,6 @@ def sampled_klinear_check(adapter, x, z, b, h, cert_doc, sample_range=20) -> lis
             fails.append("recorded companion base does not match the witnesses")
     if z.point == x.point:
         fails.append("degenerate line: z proportional to x")
-    x_wp = ml.WitnessedPoint(x.point, x.witness)
-    z_wp = ml.WitnessedPoint(z.point, z.witness)
     if ml.evaluate(kmap, x.witness) != tuple(cert.anchor_scale * a for a in x.point.rep):
         fails.append("anchor scale does not match the anchor witness")
     if ml.evaluate(kmap, z.witness) != tuple(cert.z_scale * a for a in z.point.rep):
@@ -96,7 +94,7 @@ def sampled_klinear_check(adapter, x, z, b, h, cert_doc, sample_range=20) -> lis
         w = ml.line_witness(x.witness, z.witness, cert.slot, cert.anchor_scale, cert.z_scale, bb)
         if ml.evaluate(kmap, w) != tuple(Fraction(a) for a in y):
             fails.append(f"line witness fails at multiplier {bb}")
-        comp = companion_vector(kmap, cert, x_wp, z_wp, bb)
+        comp = companion_vector(kmap, cert, x, z, bb)
         if all(a == 0 for a in comp):
             fails.append(f"companion vanishes at multiplier {bb}")
         elif h.contains_point(primitive(comp)):

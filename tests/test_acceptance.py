@@ -46,30 +46,30 @@ from maxsing.builder import (
     SequenceTrace,
     _reduce_line_generator,
     compute_hi,
-    limit_point,
+    limit_radius_sq,
     load_trace,
 )
 from maxsing.cli import EXIT_BUDGET, EXIT_OK, main
 from maxsing.exact_geometry import (
     IntVec,
+    TracePoint,
     ln_bounds,
     primitive,
     sqrt_bounds,
     subspace_span,
     wedge_sq,
 )
-from maxsing.families import SearchBudget, TracePoint, adapter_from_descriptor
+from maxsing.families import SearchBudget, adapter_from_descriptor
 from maxsing.multilinear import evaluate, grassmann_map
 from maxsing.quadric import s_h_quadric, split4
 from maxsing.verifier import (
-    CertifiedLimit,
     brute_force_curve,
     check_conditions,
     exponent_report,
     spanning_check,
 )
 
-from kernel_oracles import d_xi, dist_sq, wedge_k
+from kernel_oracles import d_xi, dist_sq, trace_limit, wedge_k
 
 
 def report(criterion: int, ok: bool, detail: str = "") -> bool:
@@ -182,9 +182,9 @@ def test_criterion_3_brute_force_domination(split4_log3x_trace):
     """Exhaustive minima up to norm 25 stay under the decay upper bound."""
     t0 = time.monotonic()
     trace = split4_log3x_trace
-    lim = limit_point(trace)
+    lim = trace_limit(trace)
     phi = ApproxFn.from_descriptor(trace.phi)
-    rows = brute_force_curve(lim, 25)
+    rows = brute_force_curve(*lim, 25)
     x_start = ceil_sqrt(trace.entries[1].x.norm_sq())
     checked = 0
     dominated = True
@@ -234,7 +234,7 @@ def test_criterion_5_telescoping_and_limit(split4_log3x_trace, split4_pow_trace,
         for prev, cur in zip(dsqs, dsqs[1:]):
             if 9 * cur > prev:
                 ok = False
-        if limit_point(trace).radius_sq != Fraction(9, 4) * dsqs[-1]:
+        if limit_radius_sq(trace) != Fraction(9, 4) * dsqs[-1]:
             ok = False
     assert report(5, ok, f"{len(traces)} traces, exact")
 
@@ -340,9 +340,9 @@ def test_criterion_8d_interval_refinement_soundness(r, bits):
 @given(_nonzero4, st.integers(min_value=1, max_value=9))
 @settings(max_examples=CASES, derandomize=True, deadline=None)
 def test_criterion_8e_primitive_filter_justification(v, lam):
-    lim = CertifiedLimit(representative=(7, -2, 5, 1), radius_sq=Fraction(1, 10 ** 10))
+    lim = ((7, -2, 5, 1), Fraction(1, 10 ** 10))
     scaled = tuple(lam * c for c in v)
-    assert dist_sq(v, lim.representative) == dist_sq(scaled, lim.representative)
+    assert dist_sq(v, lim[0]) == dist_sq(scaled, lim[0])
     (a_lo, a_hi), (b_lo, b_hi) = d_xi(lim, v), d_xi(lim, scaled)
     assert max(lam * a_lo, b_lo) <= min(lam * a_hi, b_hi)
 

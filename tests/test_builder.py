@@ -12,19 +12,16 @@ from hypothesis import assume, example, given, settings, strategies as st
 from maxsing import builder
 from maxsing.builder import (
     ApproxFn,
-    BudgetExceeded,
-    InvalidSteps,
-    NoValidMultiplier,
     SequenceTrace,
-    TraceTooShort,
     compute_hi,
-    limit_point,
+    limit_radius_sq,
     load_trace,
     run,
     save_trace,
     trace_to_doc,
 )
 from maxsing.cli import EXIT_BUDGET, main
+from maxsing.errors import InputError, SearchExhausted
 from maxsing.exact_geometry import (
     norm_sq,
     primitive,
@@ -144,7 +141,7 @@ class TestComputeHi:
 class TestRun:
     def test_steps_validated(self, split4_form):
         form, wit = split4_form
-        with pytest.raises(InvalidSteps):
+        with pytest.raises(InputError, match="a run needs at least 2 points"):
             run(quadric_adapter(form, wit), ApproxFn("log3x"), 1)
 
     def test_first_step_example(self, split4_form):
@@ -210,7 +207,7 @@ class TestRun:
 
 def _log3x_stop(adapter, max_height: int) -> SequenceTrace:
     """The partial trace of a seed-7 log3x run, which stops at 4 points."""
-    with pytest.raises(BudgetExceeded) as info:
+    with pytest.raises(SearchExhausted, match=r"no multiplier up to 2\^4096 satisfies") as info:
         run(adapter, ApproxFn("log3x"), 12, seed=7, budget=SearchBudget(max_height=max_height))
     return info.value.partial
 
@@ -425,7 +422,7 @@ class TestMultiplierKernels:
         try:
             b, x_next, (w2, n2xy) = builder._select_multiplier(
                 x, z, phi, as_pair(dsq_prev), SearchBudget(multiplier_bits=12))
-        except NoValidMultiplier:
+        except SearchExhausted:
             return
         y = tuple(c + b * a for a, c in zip(x.rep, z.rep))
         assert x_next == primitive(y)
@@ -449,15 +446,13 @@ class TestMultiplierKernels:
 class TestLimit:
     def test_radius_formula(self, split4_pow_trace):
         tr = split4_pow_trace
-        lim = limit_point(tr)
-        assert lim.representative == tr.entries[-1].x.rep
-        assert lim.radius_sq == Fraction(9, 4) * dist_sq(tr.entries[-2].x.rep, tr.entries[-1].x.rep)
+        assert limit_radius_sq(tr) == Fraction(9, 4) * dist_sq(tr.entries[-2].x.rep, tr.entries[-1].x.rep)
 
     def test_short_trace_rejected(self, split4_form):
         form, wit = split4_form
         tr = run(quadric_adapter(form, wit), ApproxFn("log3x"), 2)
-        with pytest.raises(TraceTooShort):
-            limit_point(tr)
+        with pytest.raises(InputError, match="limit extraction needs at least 3 points"):
+            limit_radius_sq(tr)
 
     def test_prefix_radii_shrink(self, split4_pow_trace):
         tr = split4_pow_trace
@@ -465,7 +460,7 @@ class TestLimit:
         for n in range(3, len(tr.entries) + 1):
             prefix = SequenceTrace(tr.family, tr.phi, tr.ambient_dim, tr.seed,
                                    tr.entries[:n])
-            radii.append(limit_point(prefix).radius_sq)
+            radii.append(limit_radius_sq(prefix))
         for a, b in zip(radii, radii[1:]):
             assert b < a
 

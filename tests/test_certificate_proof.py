@@ -16,14 +16,9 @@ from hypothesis import assume, given, settings, strategies as st
 from maxsing import multilinear as ml
 from maxsing import quadric as qd
 from maxsing.builder import _reduce_line_generator
-from maxsing.exact_geometry import primitive, subspace_span
-from maxsing.families import (
-    QuadricAdapter,
-    SearchBudget,
-    TracePoint,
-    grassmann_adapter,
-    prodforms_adapter,
-)
+from maxsing.errors import SearchExhausted
+from maxsing.exact_geometry import TracePoint, primitive, subspace_span
+from maxsing.families import QuadricAdapter, SearchBudget, grassmann_adapter, prodforms_adapter
 
 from sampling_oracle import sampled_klinear_check, sampled_quadric_check, verdict
 
@@ -148,7 +143,7 @@ def klinear_steps(draw):
     x_tp = TracePoint(x.point, x.witness)
     try:
         z_tp, cert = adapter.line_step(x_tp, h, SearchBudget(max_height=1), None)
-    except ml.DegenerateLine:
+    except SearchExhausted:
         assume(False)
     if draw(st.booleans()):
         z_tp, cert = _reduce_line_generator(x.point, x.witness, z_tp, cert)

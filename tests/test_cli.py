@@ -277,8 +277,9 @@ class TestMalformedTrace:
         (lambda d: d["entries"][2]["step"]["z_witness"].pop(), "entries[2].step.z_witness"),
         (lambda d: d["entries"][2].__setitem__("witness", ["".join(v) for v in d["entries"][2]["witness"]]),
          "entries[2].witness"),
+        (lambda d: d.__setitem__("partial", "no"), "partial"),
     ], ids=["half-coordinate", "zero-point", "short-vector", "entries-not-a-list", "short-witness",
-            "string-slot"])
+            "string-slot", "partial-not-a-bool"])
     def test_rejected_on_load(self, docs, tmp_path, capsys, version, mutate, field):
         doc = copy.deepcopy(docs[version])
         assert doc["version"] == version
@@ -289,6 +290,96 @@ class TestMalformedTrace:
         err = capsys.readouterr().err
         assert f"error: cannot load trace {bad}: {field}" in err
         assert "Traceback" not in err
+
+
+_GEN = ["gen", "--phi", "pow", "1/2", "--steps", "3", "--out", "{out}"]
+_QUADRIC_FILE = [*_GEN, "--family", "quadric", "--quadric-file", "{file}"]
+_KLINEAR_FILE = [*_GEN, "--family", "klinear", "--klinear-file", "{file}"]
+
+
+def _without(doc: dict, key: str) -> dict:
+    return {k: v for k, v in doc.items() if k != key}
+
+
+class TestNoTraceback:
+    """Bad input of any kind exits 1 with one ``error:`` line on stderr, never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def traces(self, tmp_path_factory):
+        """Three small traces, keyed by family: grassmann(4,2), split4 and a k-linear map file."""
+        from maxsing.multilinear import prodforms_map, save_map
+
+        d = tmp_path_factory.mktemp("notraceback")
+        save_map(prodforms_map(2, 3), str(d / "map.json"))
+        runs = {
+            "grassmann": ["--family", "grassmann", "--n", "4", "--k", "2", "--steps", "5"],
+            "split4": ["--family", "quadric", "--steps", "5"],
+            "klinear": ["--family", "klinear", "--klinear-file", str(d / "map.json"), "--steps", "4",
+                        "--max-height", "3"],
+        }
+        for name, argv in runs.items():
+            assert main(["gen", *argv, "--phi", "pow", "1/2", "--out", str(d / f"{name}.json")]) == EXIT_OK
+        return d
+
+    @pytest.mark.parametrize("argv, file_doc", [
+        (["verify", "{trace}", "--bruteforce-xmax", "0"], None),
+        (["verify", "{trace}", "--bruteforce-xmax", "-5"], None),
+        (["verify", "{trace}", "--out", "{missing}"], None),
+        (["gen", "--family", "quadric", "--phi", "pow", "1/2", "--steps", "3", "--out", "{missing}"], None),
+        (["gen", "--family", "quadric", "--phi", "pow", "2/0", "--steps", "3", "--out", "{out}"], None),
+        (_QUADRIC_FILE, lambda form, trace: _without(form, "gram")),
+        (_QUADRIC_FILE, lambda form, trace: {**form, "witness": _without(form["witness"], "v1")}),
+        (_QUADRIC_FILE, lambda form, trace: {**form, "gram": 5}),
+        (_KLINEAR_FILE, lambda form, trace: trace),
+        (_KLINEAR_FILE, lambda form, trace: [1, 2]),
+    ], ids=["bruteforce-xmax-0", "bruteforce-xmax-negative", "verify-out-missing-dir", "gen-out-missing-dir",
+            "phi-zero-denominator", "quadric-file-no-gram", "quadric-file-no-v1", "quadric-file-gram-int",
+            "klinear-file-is-a-trace", "klinear-file-is-a-list"])
+    def test_exit_1_with_one_line(self, traces, tmp_path, capsys, argv, file_doc):
+        from maxsing.quadric import form_to_doc, split4
+
+        if file_doc is not None:
+            trace = json.loads((traces / "klinear.json").read_text())
+            (tmp_path / "input.json").write_text(json.dumps(file_doc(form_to_doc(*split4()), trace)))
+        paths = {"{trace}": traces / "split4.json", "{missing}": tmp_path / "missing" / "out.json",
+                 "{out}": tmp_path / "t.json", "{file}": tmp_path / "input.json"}
+        assert main([str(paths.get(a, a)) for a in argv]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "Traceback" not in err, err
+
+    @pytest.mark.parametrize("family", ["grassmann", "split4", "klinear"])
+    def test_family_field_sweep(self, traces, tmp_path, capsys, family):
+        """Every field under ``family``, at every depth, set to each of ten values: exit 0, 1 or 3."""
+        doc = json.loads((traces / f"{family}.json").read_text())
+
+        def paths(node, prefix=()):
+            items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+            for key, child in items:
+                yield prefix + (key,)
+                yield from paths(child, prefix + (key,))
+
+        bad, cases = [], 0
+        for path in paths(doc["family"]):
+            for value in (None, True, 1.5, -1, 0, "x", [], [1], {}, "1/0"):
+                mutated = copy.deepcopy(doc)
+                node = mutated["family"]
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = value
+                trace = tmp_path / "t.json"
+                trace.write_text(json.dumps(mutated))
+                cases += 1
+                try:
+                    code = main(["verify", str(trace), "--out", str(tmp_path / "audit.json")])
+                except Exception as exc:  # what the command line shows as a traceback
+                    bad.append((path, value, repr(exc)))
+                    continue
+                err = capsys.readouterr().err
+                one_line = len(err.splitlines()) == 1 and err.startswith("error: ")
+                if code not in (EXIT_OK, EXIT_USAGE, EXIT_AUDIT) or (code == EXIT_USAGE and not one_line):
+                    bad.append((path, value, code, err))
+        assert cases >= 30
+        assert not bad, f"{len(bad)} of {cases} cases: {bad[:5]}"
 
 
 class TestExponent:

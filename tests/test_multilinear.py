@@ -6,13 +6,10 @@ from math import prod
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from maxsing.exact_geometry import primitive, subspace_span
+from maxsing.errors import GeometryError, InputError, SearchExhausted
+from maxsing.exact_geometry import TracePoint, primitive, subspace_span
 from maxsing.multilinear import (
-    DegenerateLine,
-    InvalidParameters,
     KLinearMap,
-    StepPreconditionError,
-    WitnessedPoint,
     candidate_vectors,
     evaluate,
     grassmann_map,
@@ -53,11 +50,11 @@ class TestMaps:
         grassmann_map(3, 2)
 
     def test_invalid_parameters(self):
-        with pytest.raises(InvalidParameters):
+        with pytest.raises(InputError, match=r"grassmann map needs .*; got n=2, k=1"):
             grassmann_map(2, 1)  # C(2,1) = 2 < 3
-        with pytest.raises(InvalidParameters):
+        with pytest.raises(InputError, match=r"product-of-forms map needs .*; got n=1, k=2"):
             prodforms_map(1, 2)  # n must be >= 2
-        with pytest.raises(InvalidParameters):
+        with pytest.raises(InputError, match=r"product-of-forms map needs .*; got n=2, k=1"):
             prodforms_map(2, 1)  # n + k must be >= 4
 
     def test_map_roundtrip(self, tmp_path):
@@ -70,7 +67,7 @@ class TestMaps:
 
     def test_non_spanning_rejected(self):
         images = {(0, 0): (1, 0, 0), (0, 1): (0, 1, 0), (1, 0): (0, 1, 0), (1, 1): (1, 0, 0)}
-        with pytest.raises(InvalidParameters):
+        with pytest.raises(InputError, match="basis images do not span the target space"):
             KLinearMap(k=2, n=2, target_dim=3, basis_images=images)
 
 
@@ -128,7 +125,7 @@ def rational_maps(draw):
               for idx in itertools.product(range(n), repeat=k) if draw(st.integers(0, 3))}
     try:
         return KLinearMap(k=k, n=n, target_dim=dim, basis_images=images)
-    except InvalidParameters:
+    except InputError:
         assume(False)
 
 
@@ -182,7 +179,7 @@ class TestIntegerKernel:
         rng = random.Random(data.draw(st.integers(0, 99)))
         try:
             assert_certificate_recomputes(kmap, x, h, 2, rng)
-        except DegenerateLine:
+        except SearchExhausted:
             assume(False)
 
     def test_line_step_certificate_recomputes_after_multi_slot_escape(self):
@@ -256,7 +253,7 @@ class BudgetExhausted(RuntimeError):
     pass
 
 
-def find_outside(kmap, h, anchor, max_height, rng=None) -> WitnessedPoint:
+def find_outside(kmap, h, anchor, max_height, rng=None) -> TracePoint:
     """A point of the image outside H maximizing witness slot agreement: the search's first."""
     if not h.contains_point(anchor.point):
         return anchor
@@ -336,7 +333,7 @@ class TestLineStep:
         x = witnessed_point(kmap, [e(4, 0), e(4, 1)])
         h = subspace_span([e(6, i) for i in range(1, 6)], 6)
         assert not h.contains_point(x.point)
-        with pytest.raises(StepPreconditionError):
+        with pytest.raises(GeometryError, match="line_step needs a point inside the subspace"):
             line_step(kmap, x, h, 2)
 
     def test_grassmann_pencil_example(self):

@@ -4,14 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from maxsing.errors import GeometryError, InputError, SearchExhausted
 from maxsing.exact_geometry import RANK_PRIME, in_span, primitive, subspace_span
-from maxsing.multilinear import StepPreconditionError
 from maxsing.quadric import (
-    DegenerateDirection,
-    HeightExhausted,
     HyperbolicWitness,
-    InvalidWitness,
-    NotOnQuadric,
     QuadraticFormQ,
     isotropic_in_subspace_outside,
     line_in_quadric_through,
@@ -63,7 +59,7 @@ class TestWitness:
         assert validate_witness(f, w)
 
     def test_asymmetric_rejected(self):
-        with pytest.raises(InvalidWitness):
+        with pytest.raises(InputError, match="gram matrix must be symmetric"):
             QuadraticFormQ(((Fraction(0), Fraction(1)), (Fraction(0), Fraction(0))))
 
 
@@ -85,7 +81,7 @@ class TestOrthComplement:
         # degenerate form x0*x1 on Q^3: e2 pairs to zero with everything
         z, h = Fraction(0), Fraction(1, 2)
         f = QuadraticFormQ(((z, h, z), (h, z, z), (z, z, z)))
-        with pytest.raises(DegenerateDirection):
+        with pytest.raises(GeometryError, match="radical direction"):
             orth_complement(f, primitive((0, 0, 1)))
 
     @given(st.integers(2, 5).flatmap(lambda n: st.tuples(
@@ -112,8 +108,8 @@ class TestOrthComplement:
         form = QuadraticFormQ(gram)
         try:
             expected = _orth_complement_fraction(form, v)
-        except DegenerateDirection:
-            with pytest.raises(DegenerateDirection):
+        except GeometryError:
+            with pytest.raises(GeometryError, match="radical direction"):
                 orth_complement(form, v)
             return
         assert orth_complement(form, v) == expected
@@ -121,7 +117,7 @@ class TestOrthComplement:
 
 class TestScore:
     def test_not_on_quadric(self, form):
-        with pytest.raises(NotOnQuadric):
+        with pytest.raises(GeometryError, match="is not a zero of the form"):
             s_h_quadric(form, hyperplane(0), primitive((1, 1, 0, 0)))
 
     def test_nine_case_matrix(self, form):
@@ -157,7 +153,7 @@ def _bilinear_fraction(form, x, y):
 def _orth_complement_fraction(form, v):
     row = [sum(form.gram[i][j] * v[i] for i in range(form.dim)) for j in range(form.dim)]
     if all(a == 0 for a in row):
-        raise DegenerateDirection("radical direction")
+        raise GeometryError("radical direction")
     j0 = next(j for j, a in enumerate(row) if a != 0)
     basis = []
     for j in range(form.dim):
@@ -171,7 +167,7 @@ def _orth_complement_fraction(form, v):
 def _s_h_by_rref(form, h, alpha):
     """The score with H = alpha^perp decided by comparing canonical bases."""
     if _bilinear_fraction(form, alpha.rep, alpha.rep) != 0:
-        raise NotOnQuadric(str(alpha))
+        raise GeometryError(f"{alpha} is not a zero of the form")
     if not in_span(alpha.rep, h):
         return 0
     return 2 if _orth_complement_fraction(form, alpha.rep) == h else 1
@@ -247,8 +243,8 @@ class TestIntegerKernel:
         pt = primitive(alpha)
         try:
             expected = _s_h_by_rref(form, h, pt)
-        except DegenerateDirection:
-            with pytest.raises(DegenerateDirection):
+        except GeometryError:
+            with pytest.raises(GeometryError, match="radical direction"):
                 s_h_quadric(form, h, pt)
             return
         assert s_h_quadric(form, h, pt) == expected
@@ -257,7 +253,7 @@ class TestIntegerKernel:
         z, h = Fraction(0), Fraction(1, 2)
         f = QuadraticFormQ(((z, h, z), (h, z, z), (z, z, z)))
         radical = primitive((0, 0, 1))
-        with pytest.raises(DegenerateDirection):
+        with pytest.raises(GeometryError, match="radical direction"):
             s_h_quadric(f, subspace_span([(0, 0, 1), (1, 0, 0)], 3), radical)
         assert s_h_quadric(f, subspace_span([(1, 0, 0)], 3), radical) == 0
 
@@ -282,7 +278,7 @@ class TestIsotropicSearch:
 
     def test_contained_subspace_rejected(self, form):
         s = subspace_span([e(0)], 4)
-        with pytest.raises(StepPreconditionError):
+        with pytest.raises(GeometryError, match="search subspace is contained in the excluded one"):
             isotropic_in_subspace_outside(form, s, subspace_span([e(0), e(1)], 4), 3, primitive(e(0)))
 
     def test_zero_mod_p_is_not_a_zero(self):
@@ -292,7 +288,7 @@ class TestIsotropicSearch:
         f = QuadraticFormQ(((Fraction(p), Fraction(0)), (Fraction(0), Fraction(1))))
         assert f.q((1, 0)) % p == 0 and f.q((1, 0)) != 0
         s = subspace_span([e(0, 2), e(1, 2)], 2)
-        with pytest.raises(HeightExhausted):
+        with pytest.raises(SearchExhausted, match="no isotropic point in S outside H up to height 3"):
             isotropic_in_subspace_outside(f, s, subspace_span([e(1, 2)], 2), 3, primitive(e(0, 2)))
 
     def test_height_exhausted(self):
@@ -301,7 +297,7 @@ class TestIsotropicSearch:
         gram = ((z, half, z, z), (half, z, z, z), (z, z, Fraction(1), z), (z, z, z, Fraction(1)))
         f = QuadraticFormQ(gram)
         s = subspace_span([e(2), e(3)], 4)  # q positive definite there
-        with pytest.raises(HeightExhausted):
+        with pytest.raises(SearchExhausted, match="no isotropic point in S outside H up to height 4"):
             isotropic_in_subspace_outside(f, s, subspace_span([e(1)], 4), 4, primitive(e(0)))
 
 
@@ -328,7 +324,7 @@ class TestLineConstruction:
             assert s_h_quadric(form, h, primitive(y)) == 0
 
     def test_score_zero_rejected(self, form, witness):
-        with pytest.raises(StepPreconditionError):
+        with pytest.raises(GeometryError, match="line construction needs score 1 or 2, got 0"):
             line_in_quadric_through(form, witness, primitive(e(0)), hyperplane(0), 0)
 
     def test_line_totally_isotropic(self, form, witness):
@@ -366,5 +362,5 @@ class TestFormIO:
         path = tmp_path / "bad.json"
         bad = HyperbolicWitness(e(0), e(2), e(1), e(3))
         save_form(form, bad, str(path))
-        with pytest.raises(InvalidWitness):
+        with pytest.raises(InputError, match="witness does not certify two hyperbolic planes"):
             load_form(str(path))

@@ -7,23 +7,13 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from maxsing.builder import (
-    ApproxFn,
-    BudgetExceeded,
-    CertifiedLimit,
-    limit_point,
-    run,
-    trace_from_doc,
-    trace_to_doc,
-)
+from maxsing.builder import ApproxFn, limit_radius_sq, run, trace_from_doc, trace_to_doc
+from maxsing.errors import InputError, SearchExhausted
 from maxsing.exact_geometry import dot, ln_bounds, norm_sq, primitive
 from maxsing.families import SearchBudget, grassmann_adapter, prodforms_adapter, quadric_adapter
 from maxsing.quadric import split4
 from maxsing.verifier import (
     ExponentRow,
-    IndexOutOfRange,
-    MalformedTrace,
-    TooLarge,
     audit_report,
     brute_force_curve,
     check_conditions,
@@ -33,7 +23,15 @@ from maxsing.verifier import (
     trace_geometry,
 )
 
-from kernel_oracles import d_xi, dist_sq, exponent_report_v2, exponent_row_v2, ln_bounds_two_series, radius_sq_v2
+from kernel_oracles import (
+    d_xi,
+    dist_sq,
+    exponent_report_v2,
+    exponent_row_v2,
+    ln_bounds_two_series,
+    radius_sq_v2,
+    trace_limit,
+)
 
 
 def tamper(trace, mutate):
@@ -124,7 +122,7 @@ class TestCheckConditions:
     def test_malformed_trace_rejected(self, split4_pow_trace):
         doc = copy.deepcopy(trace_to_doc(split4_pow_trace))
         doc["family"] = {"kind": "nonsense"}
-        with pytest.raises(MalformedTrace):
+        with pytest.raises(InputError, match="bad family or decay descriptor: family: unknown kind 'nonsense'"):
             check_conditions(trace_from_doc(doc))
 
     def test_undersized_multiplier_names_condition_d(self, split4_pow_trace):
@@ -154,18 +152,18 @@ class TestCheckConditions:
 
 class TestDXi:
     def test_center_of_ball(self, split4_pow_trace):
-        lim = limit_point(split4_pow_trace)
-        lo, hi = d_xi(lim, lim.representative)
+        lim = trace_limit(split4_pow_trace)
+        lo, hi = d_xi(lim, lim[0])
         assert lo == 0
         assert hi > 0
 
     def test_rational_limit_exact(self):
-        lim = CertifiedLimit(representative=(1, 2, 3), radius_sq=Fraction(0))
+        lim = ((1, 2, 3), Fraction(0))
         assert d_xi(lim, (1, 2, 3)) == (0, 0)
 
     def test_unit_direction_value(self):
         # distance from e1 to [(1,1,1,1)] is sqrt(3)/2, weighted by |e1| = 1
-        lim = CertifiedLimit(representative=(1, 1, 1, 1), radius_sq=Fraction(0))
+        lim = ((1, 1, 1, 1), Fraction(0))
         lo, hi = d_xi(lim, (1, 0, 0, 0), precision_bits=64)
         ref = Fraction(8660254037844386, 10 ** 16)  # sqrt(3)/2 bracket
         assert lo <= ref + Fraction(1, 10 ** 15)
@@ -173,7 +171,7 @@ class TestDXi:
         assert hi - lo <= Fraction(1, 2 ** 64)
 
     def test_scale_consistency(self):
-        lim = CertifiedLimit(representative=(3, 1, 4, 1), radius_sq=Fraction(1, 10 ** 8))
+        lim = ((3, 1, 4, 1), Fraction(1, 10 ** 8))
         a_lo, a_hi = d_xi(lim, (1, 2, 0, -1))
         b_lo, b_hi = d_xi(lim, (3, 6, 0, -3))
         # same true value scaled by 3: intervals must overlap after scaling
@@ -184,14 +182,14 @@ class TestDXi:
     @settings(max_examples=500, derandomize=True)
     def test_primitive_filter_justification(self, v, lam):
         # D(lam * x) = lam * D(x): non-primitive points never win
-        lim = CertifiedLimit(representative=(7, -2, 5, 1), radius_sq=Fraction(1, 10 ** 10))
+        lim = ((7, -2, 5, 1), Fraction(1, 10 ** 10))
         a_lo, a_hi = d_xi(lim, v)
         b_lo, b_hi = d_xi(lim, tuple(lam * c for c in v))
         assert max(lam * a_lo, b_lo) <= min(lam * a_hi, b_hi)
-        assert dist_sq(v, lim.representative) == dist_sq(tuple(lam * c for c in v), lim.representative)
+        assert dist_sq(v, lim[0]) == dist_sq(tuple(lam * c for c in v), lim[0])
 
     def test_refinement_soundness(self, split4_pow_trace):
-        lim = limit_point(split4_pow_trace)
+        lim = trace_limit(split4_pow_trace)
         x = (1, 2, 3, 4)
         coarse_lo, coarse_hi = d_xi(lim, x, precision_bits=16)
         fine_lo, fine_hi = d_xi(lim, x, precision_bits=96)
@@ -200,40 +198,40 @@ class TestDXi:
 
 class TestBruteForce:
     def test_rational_limit_found_exactly(self):
-        lim = CertifiedLimit(representative=(1, 2, 1), radius_sq=Fraction(0))
-        last = brute_force_curve(lim, 3)[-1]
+        lim = ((1, 2, 1), Fraction(0))
+        last = brute_force_curve(*lim, 3)[-1]
         assert last["lo"] == 0
         assert last["argmin"] == (1, 2, 1)
         assert d_xi(lim, last["argmin"]) == (0, 0)
 
     def test_unit_ball_minimum(self):
         # over the four signed unit directions the minimum is sqrt(3)/2
-        lim = CertifiedLimit(representative=(1, 1, 1, 1), radius_sq=Fraction(0))
-        last = brute_force_curve(lim, 1)[-1]
+        lim = ((1, 1, 1, 1), Fraction(0))
+        last = brute_force_curve(*lim, 1)[-1]
         assert last["lo"] ** 2 <= Fraction(3, 4) <= last["hi"] ** 2
         assert sorted(abs(a) for a in last["argmin"]) == [0, 0, 0, 1]
 
     def test_constructed_point_never_beaten_upward(self, split4_log3x_trace):
-        lim = limit_point(split4_log3x_trace)
+        lim = trace_limit(split4_log3x_trace)
         x2 = split4_log3x_trace.entries[1].x
         n = 1
         while n * n < x2.norm_sq():
             n += 1
-        assert brute_force_curve(lim, n)[-1]["hi"] <= d_xi(lim, x2.rep)[1]
+        assert brute_force_curve(*lim, n)[-1]["hi"] <= d_xi(lim, x2.rep)[1]
 
     def test_cost_guard(self):
-        lim = CertifiedLimit(representative=(1,) * 8, radius_sq=Fraction(0))
-        with pytest.raises(TooLarge):
-            brute_force_curve(lim, 100)
+        lim = ((1,) * 8, Fraction(0))
+        with pytest.raises(InputError, match="xmax 100 refused"):
+            brute_force_curve(*lim, 100)
 
     def test_cost_guard_message_names_the_bound(self):
-        lim = CertifiedLimit(representative=(1,) * 8, radius_sq=Fraction(0))
-        with pytest.raises(TooLarge, match=r"\(2\*xmax\+1\)\^8 = 201\^8 = .* cost guard 100000000"):
-            brute_force_curve(lim, 100)
+        lim = ((1,) * 8, Fraction(0))
+        with pytest.raises(InputError, match=r"\(2\*xmax\+1\)\^8 = 201\^8 = .* cost guard 100000000"):
+            brute_force_curve(*lim, 100)
 
     def test_curve_monotone(self, split4_log3x_trace):
-        lim = limit_point(split4_log3x_trace)
-        rows = brute_force_curve(lim, 8)
+        lim = trace_limit(split4_log3x_trace)
+        rows = brute_force_curve(*lim, 8)
         for a, b in zip(rows, rows[1:]):
             assert b["hi"] <= a["hi"]
 
@@ -264,10 +262,10 @@ def _whole_ball_points(dim, x_max):
 
 def whole_ball_curve(limit, x_max, precision_bits=64):
     """The oracle: score every point of the ball, the first attaining hi wins."""
-    rep = limit.representative
+    rep, radius_sq = limit
     r2 = norm_sq(rep)
     scale = 1 << (precision_bits + 8)
-    rnum, rden = limit.radius_sq.numerator, limit.radius_sq.denominator
+    rnum, rden = radius_sq.numerator, radius_sq.denominator
     r_hi_s = isqrt((rnum * scale * scale) // rden) + 1
     best = {}
     for vec, n2 in _whole_ball_points(len(rep), x_max):
@@ -309,7 +307,7 @@ def limits_and_scales(draw):
     ))
     precision = draw(st.sampled_from([0, 8, 64]))
     x_max = draw(st.integers(1, ORACLE_XMAX[dim]))
-    return CertifiedLimit(tuple(rep), radius_sq), x_max, precision
+    return (tuple(rep), radius_sq), x_max, precision
 
 
 def _log3x_limit(family, seed):
@@ -322,9 +320,9 @@ def _log3x_limit(family, seed):
     try:
         trace = run(adapter, ApproxFn("log3x"), 8, seed=seed,
                     budget=SearchBudget(max_height=height))
-    except BudgetExceeded as exc:
+    except SearchExhausted as exc:
         trace = exc.partial
-    return limit_point(trace)
+    return trace_limit(trace)
 
 
 class TestCylinderMatchesWholeBall:
@@ -332,27 +330,27 @@ class TestCylinderMatchesWholeBall:
     @settings(max_examples=200, derandomize=True, deadline=None)
     def test_random_limits(self, case):
         lim, x_max, precision = case
-        assert brute_force_curve(lim, x_max, precision) == whole_ball_curve(lim, x_max, precision)
+        assert brute_force_curve(*lim, x_max, precision) == whole_ball_curve(lim, x_max, precision)
 
     @pytest.mark.parametrize("seed", [0, 3, 7])
     @pytest.mark.parametrize("family", ["split4", "grassmann42", "prodforms23"])
     def test_log3x_limits(self, family, seed):
         lim = _log3x_limit(family, seed)
-        x_max = {4: 25, 6: 6}[len(lim.representative)]
-        assert brute_force_curve(lim, x_max) == whole_ball_curve(lim, x_max)
+        x_max = {4: 25, 6: 6}[len(lim[0])]
+        assert brute_force_curve(*lim, x_max) == whole_ball_curve(lim, x_max)
 
     def test_ties_go_to_the_lexicographically_smaller_tuple(self):
         # the three unit vectors score alike on the diagonal, as do
         # (0, 1, 1), (1, 0, 1) and (1, 1, 0); (1, 1, 1) lies on it
-        lim = CertifiedLimit(representative=(1, 1, 1), radius_sq=Fraction(0))
-        rows = brute_force_curve(lim, 2)
+        lim = ((1, 1, 1), Fraction(0))
+        rows = brute_force_curve(*lim, 2)
         assert [r["argmin"] for r in rows] == [(0, 0, 1), (1, 1, 1)]
 
 
 class TestExponent:
     def test_certified_lower_bound_semantics(self, split4_log3x_trace):
         rows = exponent_report(split4_log3x_trace)
-        lim = limit_point(split4_log3x_trace)
+        lim = trace_limit(split4_log3x_trace)
         for r in rows:
             # the bound it certifies: Dmin(X) <= D(x_index) <= D_hi <= X^(-lambda)
             assert r.d_hi > 0
@@ -387,12 +385,12 @@ class TestExponent:
         assert row.lambda_lb == expected
 
     def test_short_trace_rejected(self, split4_form):
-        from maxsing.builder import ApproxFn, TraceTooShort, run
+        from maxsing.builder import ApproxFn, run
         from maxsing.families import quadric_adapter
 
         form, wit = split4_form
         tr = run(quadric_adapter(form, wit), ApproxFn("log3x"), 2)
-        with pytest.raises(TraceTooShort):
+        with pytest.raises(InputError, match="exponent estimates need at least 3 points"):
             exponent_report(tr)
 
     def test_log3x_trend(self, split4_log3x_trace):
@@ -415,9 +413,9 @@ class TestSpanning:
         assert not spanning_check(split4_log3x_trace, 3)
 
     def test_index_range(self, split4_pow_trace):
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(InputError, match=r"i0 must lie in \[2, 10\]"):
             spanning_check(split4_pow_trace, 1)
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(InputError, match=r"i0 must lie in \[2, 10\]"):
             spanning_check(split4_pow_trace, len(split4_pow_trace.entries) + 1)
 
 
@@ -488,7 +486,7 @@ class TestAuditV3Bounds:
             if precision == 64:
                 assert abs(row.lambda_lb - lam_v2) <= Fraction(1, 2 ** 50)
         r2 = radius_sq_v2(trace)
-        assert limit_point(trace).radius_sq == r2
+        assert limit_radius_sq(trace) == r2
         r2_hi = _dyadic(audit_report(trace, precision)["limit"]["radius_sq_hi"])
         assert r2 <= r2_hi <= (1 + Fraction(1, 2 ** (precision + 3))) * r2
 
