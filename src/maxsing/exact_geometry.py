@@ -154,13 +154,22 @@ def rank(vectors: Iterable[Sequence]) -> int:
     rows = [_clear_denominators(v) for v in vectors if any(a != 0 for a in v)]
     if not rows:
         return 0
-    ncols = len(rows[0])
-    if any(len(r) != ncols for r in rows):
+    if any(len(r) != len(rows[0]) for r in rows):
         raise GeometryError("rank: inconsistent dimensions")
+    return rank_from_residues(rows, [[a % RANK_PRIME for a in r] for r in rows])
+
+
+def rank_from_residues(rows: Sequence[Sequence[int]], residues: Sequence[Sequence[int]]) -> int:
+    """rank(rows) for nonzero integer rows of one length, given their residues mod RANK_PRIME.
+
+    The certificate and the exact fallback are rank's; a caller ranking
+    several sets of the same rows reduces each row once.
+    """
+    ncols = len(rows[0])
     bound = min(len(rows), ncols)
-    if _rank_mod_p(rows, ncols, RANK_PRIME) == bound:
+    if _rank_mod_p(residues, ncols, RANK_PRIME) == bound:
         return bound
-    return _rank_exact(rows, ncols)
+    return _rank_exact([list(r) for r in rows], ncols)
 
 
 def _rank_mod_p(rows: list[list[int]], ncols: int, p: int) -> int:
@@ -594,6 +603,24 @@ def dyadic_str(x) -> str:
     return f"{p:#x}p{e:+d}"
 
 
+def _pow10_bounds(n: int, k: int) -> tuple[int, int, int]:
+    """(lo, hi, t) with lo 2^t <= 10^n <= hi 2^t, by square-and-multiply cut to k bits.
+
+    After each step the sh bits below hi's top k are cut: lo rounds down
+    and hi up, so the bracket holds.  A power that fits in k bits is never
+    cut, so lo = hi = 10^n once 10^n has at most k bits.
+    """
+    lo = hi = 1
+    t = 0
+    for bit in bin(n)[2:]:
+        lo, hi, t = lo * lo, hi * hi, 2 * t
+        if bit == "1":
+            lo, hi = 10 * lo, 10 * hi
+        sh = max(0, hi.bit_length() - k)
+        lo, hi, t = lo >> sh, -(-hi >> sh), t + sh
+    return lo, hi, t
+
+
 def sci_str(x, digits: int = 12) -> str:
     """d.ddd...e±N with ``digits`` significant digits truncated toward zero; "0" for zero.
 
@@ -601,10 +628,18 @@ def sci_str(x, digits: int = 12) -> str:
     m * 10^(N-digits+1) <= |x| < (m+1) * 10^(N-digits+1) and
     10^(digits-1) <= m < 10^digits.  Bit lengths give |x| > 2^e, so
     L = floor(e * c) <= N for c = 0.3010299956 (0.3010299957 when e < 0)
-    on the right side of log10(2); |x| < 2^(e+1) keeps N - L <= 1 for
-    |e| < 10^9.  So floor(|x| * 10^(digits-1-L)) takes one power of ten
-    and one division, and dropping its extra low digits gives m, since
+    on the right side of log10(2); |x| < 2^(e+2) keeps N - L <= 1 for
+    |e| < 10^9.  So
+    M = floor(|x| * 10^s), s = digits-1-L, has at least ``digits`` digits,
+    and dropping its extra low digits gives m, since
     floor(floor(y) / 10^k) = floor(y / 10^k).
+
+    M is read from top bits: with lo 2^t <= 10^|s| <= hi 2^t
+    (_pow10_bounds, K bits, K = 128 first), M lies between
+    floor(p lo 2^t / q) and floor(p hi 2^t / q) for |x| = p/q and s >= 0,
+    and between floor(p / (q hi 2^t)) and floor(p / (q lo 2^t)) for
+    s < 0.  When the two ends agree they are M.  Otherwise K doubles,
+    and once 10^|s| fits in K bits the ends are the exact formula.
     """
     x = Fraction(x)
     if x == 0:
@@ -613,7 +648,16 @@ def sci_str(x, digits: int = 12) -> str:
     e = p.bit_length() - q.bit_length() - 1
     low = e * (3010299956 if e >= 0 else 3010299957) // 10 ** 10
     s = digits - 1 - low
-    m = p * 10 ** s // q if s >= 0 else p // (q * 10 ** -s)
+    k = 128
+    while True:
+        lo, hi, t = _pow10_bounds(abs(s), k)
+        if s >= 0:
+            m, m_hi = (p * lo << t) // q, (p * hi << t) // q
+        else:
+            m, m_hi = p // (q * hi << t), p // (q * lo << t)
+        if m == m_hi:
+            break
+        k *= 2
     extra = len(str(m)) - digits
     mantissa = str(m // 10 ** extra)
     sign = "-" if x < 0 else ""

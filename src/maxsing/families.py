@@ -34,6 +34,9 @@ class SearchBudget:
 
 class QuadricAdapter:
     kind = "quadric"
+    # a clean check_certificate and the step check put x_next on the quadric
+    # (verifier.check_conditions), so the audit does not evaluate q(x_next)
+    certificate_proves_next_member = True
 
     def __init__(self, form: qd.QuadraticFormQ, witness: qd.HyperbolicWitness):
         if not qd.validate_witness(form, witness):
@@ -107,6 +110,9 @@ class QuadricAdapter:
 
 
 class KLinearAdapter:
+    # x_next's witness is a separate stored field, which the audit checks
+    certificate_proves_next_member = False
+
     def __init__(self, kmap: ml.KLinearMap, kind: str):
         self.kmap = kmap
         self.kind = kind

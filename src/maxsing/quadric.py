@@ -327,9 +327,14 @@ def form_to_doc(form: QuadraticFormQ, witness: HyperbolicWitness) -> dict:
 
 
 def form_from_doc(doc: dict) -> tuple[QuadraticFormQ, HyperbolicWitness]:
-    """The form and witness a document describes; its callers read a defect as an InputError."""
+    """The form and witness a document describes; its callers read a defect as an InputError.
+
+    A ``dim`` that is present must be an integer equal to the Gram matrix's size.
+    """
     with reading("gram"):
         form = QuadraticFormQ(tuple(tuple(Fraction(a) for a in row) for row in doc["gram"]))
+    if "dim" in doc and int_from_doc(doc["dim"], "dim") != form.dim:
+        raise InputError(f"dim: {doc['dim']!r:.40} is not the gram matrix's size {form.dim}")
     with reading("witness"):
         w = doc["witness"]
         wit = HyperbolicWitness(*(tuple(int_from_doc(a, name) for a in w[name])

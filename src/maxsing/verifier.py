@@ -18,6 +18,7 @@ from typing import Iterator
 from .builder import ApproxFn, SequenceTrace, _product_gt, compute_hi, limit_radius_sq
 from .errors import DOCUMENT_ERRORS, GeometryError, InputError, reading
 from .exact_geometry import (
+    RANK_PRIME,
     IntVec,
     TracePoint,
     dec_str,
@@ -28,8 +29,8 @@ from .exact_geometry import (
     ln_lo_fixed,
     minors_gcd,
     norm_sq,
-    primitive,
     rank,
+    rank_from_residues,
     sci_str,
     vec_add,
     vec_scale,
@@ -44,27 +45,59 @@ from .families import adapter_from_descriptor
 
 @dataclass(frozen=True)
 class TraceGeometry:
-    """The full-size products an audit needs, each computed once from the points.
+    """The full-size quantities an audit needs, each computed once.
 
-    For the trace's points x_0, x_1, ...: norms[j] = |x_j|^2,
-    products[j] = |x_j|^2 |x_{j+1}|^2 and wedges[j] = |x_j ^ x_{j+1}|^2 =
-    products[j] - (x_j . x_{j+1})^2, so that
-    dist(x_j, x_{j+1})^2 = wedges[j] / products[j].
+    For the trace's points x_0, x_1, ...: norms[j] = |x_j|^2 and
+    wedges[j] = |x_j ^ x_{j+1}|^2, so that
+    dist(x_j, x_{j+1})^2 = wedges[j] / (norms[j] norms[j+1]).  step_ok[j]
+    is the verdict of the step check x_{j+1} == primitive(z_j + b_j x_j),
+    False when entry j has no step record.
     """
 
     norms: tuple[int, ...]
-    products: tuple[int, ...]
     wedges: tuple[int, ...]
+    step_ok: tuple[bool, ...]
 
 
 def trace_geometry(trace: SequenceTrace) -> TraceGeometry:
-    reps = [p.rep for p in trace.points()]
-    norms = tuple(norm_sq(r) for r in reps)
+    """The step checks, and every norm and wedge, from each step's small operands where it can.
+
+    Step j has x = x_j, z = z_j, b = b_j and y = z + b x.  Its content c
+    is taken through G = minors_gcd(x, z) (proof there), and c = 0 iff
+    y = 0.  The check passes iff y != 0 and x_{j+1} = y/c or -y/c, the
+    one whose first nonzero entry is positive: primitive(y).  Then
+    x ^ x_{j+1} = +-(x ^ z)/c, as x ^ x = 0, and by the Lagrange identity
+
+        |x_{j+1}|^2 = (|z|^2 + b (2 x.z + b |x|^2)) / c^2,
+        wedges[j] = (|x|^2 |z|^2 - (x.z)^2) / c^2,
+
+    both exact divisions.  Each step multiplies the bit size by about 3.6
+    on split4, so the only products near x_{j+1}'s size are the two with
+    b.  When the check fails, both come from the stored points.
+    """
+    reps = [e.x.rep for e in trace.entries]
+    norms = [norm_sq(reps[0])]
+    wedges, step_ok = [], []
+    for entry, x, x_next in zip(trace.entries, reps, reps[1:]):
+        n2x, ok = norms[-1], False
+        if entry.step is not None:
+            z, b = entry.step.z.rep, entry.step.b
+            y = vec_add(z, vec_scale(b, x))
+            c = gcd(minors_gcd(x, z), *y)
+            if c:
+                c = c if next(a for a in y if a) > 0 else -c
+                ok = tuple(a // c for a in y) == x_next
+        if ok:
+            n2z, xz, cc = norm_sq(z), dot(x, z), c * c
+            norms.append((n2z + b * (2 * xz + b * n2x)) // cc)
+            wedges.append((n2x * n2z - xz * xz) // cc)
+        else:
+            norms.append(norm_sq(x_next))
+            wedges.append(n2x * norms[-1] - dot(x, x_next) ** 2)
+        step_ok.append(ok)
     if not all(norms):
         raise GeometryError("projective distance needs nonzero vectors")
-    products = tuple(a * b for a, b in zip(norms, norms[1:]))
-    wedges = tuple(nn - dot(x, y) ** 2 for nn, x, y in zip(products, reps, reps[1:]))
-    return TraceGeometry(norms, products, wedges)
+    return TraceGeometry(tuple(norms), tuple(wedges), tuple(step_ok))
 
 
 def check_conditions(trace: SequenceTrace, geometry: TraceGeometry | None = None) -> dict:
@@ -73,7 +106,16 @@ def check_conditions(trace: SequenceTrace, geometry: TraceGeometry | None = None
     Returns a report dict with one record per step index; ``all_pass``
     aggregates them.  Failures name the condition and print bit lengths,
     never a full-size decimal.  ``geometry`` is trace_geometry(trace),
-    computed here when not given.
+    computed here when not given; it holds each step check's verdict.
+
+    (a) for a later point is implied, and not evaluated, when the adapter's
+    ``certificate_proves_next_member`` holds, (c) passes cleanly (no
+    failure, no exception) and the step check passes.  For a quadric:
+    check_certificate's s_h_quadric raises unless q(x) = 0, and it checks
+    q(z) = 0 and b(x, z) = 0, so q(z + b x) = b^2 q(x) + 2b b(x, z) + q(z)
+    = 0, and x_next = +-(z + b x)/c gives q(x_next) = 0.  A k-linear
+    point's witness is a separate stored field, so (a) checks it.
+    Otherwise (a) is evaluated, and its message comes first.
     """
     if not trace.entries:
         raise InputError("empty trace")
@@ -104,30 +146,29 @@ def check_conditions(trace: SequenceTrace, geometry: TraceGeometry | None = None
             records.append(rec)
             all_pass = False
             break
-        x, x_next = points[i - 1], points[i]
-        # (a) membership with witness
-        nxt_entry = trace.entries[i]
-        if not adapter.member(TracePoint(nxt_entry.x, nxt_entry.witness)):
-            fails.append("(a) next point is not a certified member")
+        x = points[i - 1]
         h = compute_hi(points[:i], trace.ambient_dim)
-        # step consistency: x_next == primitive(z + b*x), the content taken
-        # through G = minors_gcd(x, z), or in full when x is parallel to z
-        y = vec_add(step.z.rep, vec_scale(step.b, x.rep))
-        if all(a == 0 for a in y) or primitive(y, minors_gcd(x.rep, step.z.rep)) != x_next:
-            fails.append("next point is not primitive(z + b*x)")
-        # (b) strict norm growth
-        if not n2[i] > n2[i - 1]:
-            fails.append(f"(b) norm fails to grow: |x_next|^2 <= |x|^2 "
-                         f"({n2[i].bit_length()} and {n2[i - 1].bit_length()} bits)")
         # (c) certified score decrease along the line, for every step; corrupt
         # inputs make the exact re-derivations raise, which is itself a failure
         try:
             cert_fails = adapter.check_certificate(
                 TracePoint(x, entry.witness), TracePoint(step.z, step.z_witness), h, step.certificate
             )
-            fails.extend(f"(c) {m}" for m in cert_fails)
         except (*DOCUMENT_ERRORS, RuntimeError) as exc:
-            fails.append(f"(c) certificate does not re-verify: {exc}")
+            cert_fails = [f"certificate does not re-verify: {exc}"]
+        # (a) membership with witness, unless (c) and the step check prove it
+        proven = adapter.certificate_proves_next_member and geo.step_ok[i - 1] and not cert_fails
+        nxt_entry = trace.entries[i]
+        if not proven and not adapter.member(TracePoint(nxt_entry.x, nxt_entry.witness)):
+            fails.append("(a) next point is not a certified member")
+        # step consistency: x_next == primitive(z + b*x), checked in trace_geometry
+        if not geo.step_ok[i - 1]:
+            fails.append("next point is not primitive(z + b*x)")
+        # (b) strict norm growth
+        if not n2[i] > n2[i - 1]:
+            fails.append(f"(b) norm fails to grow: |x_next|^2 <= |x|^2 "
+                         f"({n2[i].bit_length()} and {n2[i - 1].bit_length()} bits)")
+        fails.extend(f"(c) {m}" for m in cert_fails)
         # (d) for i >= 2, plus the distance-decay consequence
         if i >= 2:
             # 9 w[i-1] / (n2[i-1] n2[i]) > w[i-2] / (n2[i-2] n2[i-1]), times n2[i-2] n2[i-1] n2[i]
@@ -402,7 +443,11 @@ def audit_report(
     geo = trace_geometry(trace)
     report = {"version": 3, **check_conditions(trace, geo)}
     n = len(trace.entries)
-    spanning = {str(i0): spanning_check(trace, i0) for i0 in range(2, n + 1)}
+    # spanning_check(trace, i0) for every i0, each point reduced mod RANK_PRIME once
+    reps = [p.rep for p in trace.points()]
+    residues = [[a % RANK_PRIME for a in r] for r in reps]
+    spanning = {str(i0): rank_from_residues(reps[i0 - 1:], residues[i0 - 1:]) == trace.ambient_dim
+                for i0 in range(2, n + 1)}
     report["spanning"] = spanning
     span_required = range(2, n - trace.ambient_dim + 1)
     span_ok = all(spanning[str(i0)] for i0 in span_required)
@@ -412,7 +457,7 @@ def audit_report(
     if n >= 3:
         # the ball around the trace's last point, which the report does not
         # repeat: radius^2 = 9 w / (4 |x_prev|^2 |x_last|^2) (limit_radius_sq)
-        r2_hi = dyadic_bounds(9 * geo.wedges[-1], 4 * geo.products[-1], precision_bits + 3)[1]
+        r2_hi = dyadic_bounds(9 * geo.wedges[-1], 4 * geo.norms[-2] * geo.norms[-1], precision_bits + 3)[1]
         report["limit"] = {"radius_sq_hi": dyadic_str(r2_hi), "radius_sq_hi_dec": sci_str(r2_hi, 12)}
         report["exponents"] = [r.to_doc() for r in exponent_report(trace, precision_bits, geo)]
     else:

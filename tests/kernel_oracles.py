@@ -24,6 +24,9 @@ built every candidate's image and its ``primitive`` and tested the point
 with ``in_span``; the search through contracted functionals must yield the
 same (m, beta) sequence.
 
+``sci_str_exact`` is ``exact_geometry.sci_str`` as it multiplied out the
+full power of ten; the bracketed top-bit reading must give the same string.
+
 ``exponent_report_v2`` and ``radius_sq_v2`` are the audit's exponent rows
 and limit radius as audit version 2 computed them: exact reduced
 ``Fraction``s of full size and roots of absolute width 2^-64.  Audit
@@ -385,3 +388,19 @@ def d_xi(limit, x, precision_bits: int = 64) -> tuple[Fraction, Fraction]:
     r_hi = sqrt_bounds(radius_sq, prec)[1]
     n_lo, n_hi = sqrt_bounds(dot(x, x), prec)
     return n_lo * max(Fraction(0), d_lo - r_hi), n_hi * (d_hi + r_hi)
+
+
+def sci_str_exact(x, digits: int = 12) -> str:
+    """sci_str with floor(|x| 10^(digits-1-L)) taken from the full power of ten."""
+    x = Fraction(x)
+    if x == 0:
+        return "0"
+    p, q = abs(x.numerator), x.denominator
+    e = p.bit_length() - q.bit_length() - 1
+    low = e * (3010299956 if e >= 0 else 3010299957) // 10 ** 10
+    s = digits - 1 - low
+    m = p * 10 ** s // q if s >= 0 else p // (q * 10 ** -s)
+    extra = len(str(m)) - digits
+    mantissa = str(m // 10 ** extra)
+    sign = "-" if x < 0 else ""
+    return f"{sign}{mantissa[0]}.{mantissa[1:]}e{low + extra:+d}"

@@ -347,6 +347,27 @@ class TestNoTraceback:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ") and "Traceback" not in err, err
 
+    @pytest.mark.parametrize("dim", ["x", 5, 3, None, 4.5, True, [4]])
+    def test_quadric_dim_must_match_the_gram_matrix(self, traces, tmp_path, capsys, dim):
+        doc = json.loads((traces / "split4.json").read_text())
+        doc["family"]["dim"] = dim
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["verify", str(bad), "--out", str(tmp_path / "audit.json")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: bad family or decay descriptor: family: dim: ")
+
+    @pytest.mark.parametrize("dim", [4, "4", "missing"])
+    def test_quadric_dim_matching_or_missing_is_accepted(self, traces, tmp_path, dim):
+        doc = json.loads((traces / "split4.json").read_text())
+        if dim == "missing":
+            del doc["family"]["dim"]
+        else:
+            doc["family"]["dim"] = dim
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(doc))
+        assert main(["verify", str(good), "--out", str(tmp_path / "audit.json")]) == EXIT_OK
+
     @pytest.mark.parametrize("family", ["grassmann", "split4", "klinear"])
     def test_family_field_sweep(self, traces, tmp_path, capsys, family):
         """Every field under ``family``, at every depth, set to each of ten values: exit 0, 1 or 3."""

@@ -21,17 +21,19 @@ from maxsing.exact_geometry import (
     orthogonal_functionals,
     primitive,
     rank,
+    rank_from_residues,
     sci_str,
     sqrt_bounds,
     subspace_span,
     vec_scale,
     wedge_sq,
 )
+from maxsing import exact_geometry
 from maxsing.exact_geometry import _rank_mod_p
 
 from kernel_oracles import (
     det, dist_sq, fraction_functionals, fraction_subspace_span, ln_bounds_two_series,
-    sqrt_bounds_two_roots, wedge_k,
+    sci_str_exact, sqrt_bounds_two_roots, wedge_k,
 )
 
 small_ints = st.integers(min_value=-50, max_value=50)
@@ -361,6 +363,15 @@ class TestCertifiedKernel:
         assert _rank_mod_p([list(r) for r in rows3], 3, RANK_PRIME) == 2
         assert rank(rows3) == 3
 
+    @given(matrices(st.one_of(near_prime_multiples, huge_ints), 4))
+    @settings(max_examples=200, derandomize=True)
+    def test_rank_from_residues_of_every_suffix(self, rows):
+        # the audit's spanning table: each row reduced once, every suffix ranked
+        rows = [r for r in rows if any(r)]
+        residues = [[a % RANK_PRIME for a in r] for r in rows]
+        for i in range(len(rows)):
+            assert rank_from_residues(rows[i:], residues[i:]) == rank(rows[i:])
+
     def test_rational_rows_with_prime_denominator(self):
         rows = [(Fraction(1, RANK_PRIME), 1), (0, 1)]
         assert rank(rows) == 2
@@ -636,3 +647,52 @@ class TestRenderers:
         assert 10 ** 11 <= m < 10 ** 12
         unit = Fraction(10) ** (n - 11)
         assert m * unit <= abs(x) < (m + 1) * unit
+
+
+# dyadics m 2^e with |e| up to 2*10^5, rationals with large denominators, and
+# values within a relative 10^-15 of a power of ten
+exact_render_values = st.one_of(
+    st.builds(lambda m, e: Fraction(m) * Fraction(2) ** e,
+              st.integers(min_value=-2 ** 128, max_value=2 ** 128).filter(bool),
+              st.integers(min_value=-200_000, max_value=200_000)),
+    st.builds(lambda a, d, neg: Fraction(-a if neg else a, d), big_ints, small_dens, st.booleans()),
+    st.builds(lambda a, d: Fraction(a, d), st.integers(min_value=1, max_value=2 ** 64), big_ints),
+    st.builds(lambda k, d: Fraction(10) ** k * (1 + Fraction(d, 10 ** 21)),
+              st.integers(min_value=-400, max_value=400), st.integers(min_value=-10 ** 6, max_value=10 ** 6)),
+)
+
+
+class TestSciStrTopBits:
+    """sci_str reads floor(|x| 10^s) from K-bit brackets of 10^|s| and gives the exact formula's string."""
+
+    @given(exact_render_values)
+    @example(Fraction(10) ** 400)
+    @example(Fraction(1, 10 ** 30000))
+    @example(Fraction(1 << 200_000, 3))
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_matches_the_exact_formula(self, x):
+        assert sci_str(x, 12) == sci_str_exact(x, 12)
+
+    def test_exact_power_of_ten_reaches_the_exact_fallback(self, monkeypatch):
+        # |x| 10^s is the integer 10^11, so the upper end of every cut
+        # bracket floors one below it; only the uncut power agrees
+        widths = []
+        bounds = exact_geometry._pow10_bounds
+
+        def recording(n, k):
+            widths.append(k)
+            return bounds(n, k)
+
+        monkeypatch.setattr(exact_geometry, "_pow10_bounds", recording)
+        x = Fraction(10) ** 400
+        assert sci_str(x, 12) == sci_str_exact(x, 12) == "1.00000000000e+400"
+        assert widths[0] == 128 and len(widths) > 1
+        lo, hi, t = bounds(388, widths[-1])  # s = 11 - 399
+        assert lo == hi and lo << t == 10 ** 388
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 389, 12345])
+    @pytest.mark.parametrize("k", [128, 256])
+    def test_pow10_bounds_bracket(self, n, k):
+        lo, hi, t = exact_geometry._pow10_bounds(n, k)
+        assert lo << t <= 10 ** n <= hi << t
+        assert hi.bit_length() <= k

@@ -18,6 +18,7 @@ import pytest
 from maxsing.builder import trace_from_doc
 from maxsing.cli import EXIT_BUDGET, EXIT_OK, main
 from maxsing.multilinear import KLinearMap, prodforms_map, save_map
+from tamper_cases import PHIS, split4_seed7_doc, tamper_cases
 
 V1_FIXTURE = Path(__file__).with_name("data") / "grassmann42_pow_seed7_v1.json"
 
@@ -147,6 +148,19 @@ def test_klinear_audit_digest(tmp_path):
     assert audit_digest(tmp_path, GRASSMANN52_POW, EXIT_OK) == GRASSMANN52_POW_SEED7_AUDIT
 
 
+# `exponent --json` on the split4-pow-seed7 trace, which reads the audit's
+# geometry pass; CI checks it on the oldest supported Python too
+SPLIT4_POW_SEED7_EXPONENT_JSON = "aa063f16e61b7443bbb616cbdb2440ba012e4e73500eb98a58ec323fbc6d8d91"
+
+
+def test_exponent_json_digest(tmp_path, capsys):
+    code, out = gen(tmp_path, SPLIT4_POW, 7)
+    assert code == EXIT_OK
+    capsys.readouterr()
+    assert main(["exponent", str(out), "--precision", "64", "--json"]) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SPLIT4_POW_SEED7_EXPONENT_JSON
+
+
 # the brute-force rows of the partial split4-log3x-seed7 trace, as
 # ``bruteforce --json`` prints them and as ``verify --bruteforce-xmax`` writes
 # them into the audit; CI checks these on the oldest supported Python too
@@ -194,3 +208,29 @@ class TestVersion1Fixture:
         assert v2["version"] == 2
         assert stored_values_digest(v1) == stored_values_digest(v2)
         assert trace_from_doc(v1) == trace_from_doc(v2)
+
+
+# every one-place tamper of the 6-point split4 seed-7 traces (tamper_cases.py):
+# the exit code, stdout, stderr and audit of `verify` on each, paths removed
+SPLIT4_SEED7_TAMPERED_AUDITS = "4ca5173e2b8f41fd881d124d42b3c6fbfb29e8418f8accb1b5ad24787d9afbfb"
+
+
+def tampered_audits_digest(tmp_path, capsys) -> tuple[int, str]:
+    """(number of cases, sha256 over every tampered case's verify outcome)."""
+    records = []
+    for phi in PHIS:
+        doc = split4_seed7_doc(tmp_path, phi)
+        for label, bad in tamper_cases(doc):
+            trace, audit = tmp_path / "bad.json", tmp_path / "audit.json"
+            trace.write_text(json.dumps(bad))
+            audit.unlink(missing_ok=True)
+            capsys.readouterr()
+            code = main(["verify", str(trace), "--precision", "64", "--out", str(audit)])
+            out, err = capsys.readouterr()
+            text = audit.read_text() if audit.exists() else None
+            records.append([phi[0], label, code, *(s and s.replace(str(tmp_path), "<tmp>") for s in (out, err, text))])
+    return len(records), hashlib.sha256(json.dumps(records).encode()).hexdigest()
+
+
+def test_tampered_audits_digest(tmp_path, capsys):
+    assert tampered_audits_digest(tmp_path, capsys) == (176, SPLIT4_SEED7_TAMPERED_AUDITS)

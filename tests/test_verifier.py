@@ -10,7 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from maxsing.builder import ApproxFn, limit_radius_sq, run, trace_from_doc, trace_to_doc
 from maxsing.errors import InputError, SearchExhausted
 from maxsing.exact_geometry import dot, ln_bounds, norm_sq, primitive
-from maxsing.families import SearchBudget, grassmann_adapter, prodforms_adapter, quadric_adapter
+from maxsing.families import KLinearAdapter, SearchBudget, grassmann_adapter, prodforms_adapter, quadric_adapter
+from maxsing.multilinear import prodforms_map
 from maxsing.quadric import split4
 from maxsing.verifier import (
     ExponentRow,
@@ -32,6 +33,7 @@ from kernel_oracles import (
     radius_sq_v2,
     trace_limit,
 )
+from tamper_cases import PHIS, split4_seed7_doc, tamper_cases
 
 
 def tamper(trace, mutate):
@@ -65,6 +67,22 @@ class TestCheckConditions:
         report = check_conditions(tamper(split4_pow_trace, corrupt))
         bad = [r for r in report["conditions"] if r["failures"]]
         assert any("(a)" in msg for r in bad for msg in r["failures"])
+
+    def test_membership_is_checked_when_the_certificate_fails(self, split4_pow_trace):
+        # z moved off the quadric, and the next point rewritten to primitive(z + b x):
+        # the step check passes but (c) does not, so nothing proves q(x_next) = 0
+        # and (a) must be evaluated, and fail, ahead of (c)
+        def corrupt(doc):
+            entry = doc["entries"][2]
+            z = entry["step"]["z"]
+            z[0] = hex(int(z[0], 0) + 1)
+            y = [int(c, 0) + int(entry["step"]["b"], 0) * int(a, 0) for a, c in zip(entry["x"], z)]
+            doc["entries"][3]["x"] = [hex(a) for a in primitive(y).rep]
+
+        failures = check_conditions(tamper(split4_pow_trace, corrupt))["conditions"][3]["failures"]
+        assert failures[0] == "(a) next point is not a certified member"
+        assert "(c) line generator not on the quadric" in failures
+        assert "next point is not primitive(z + b*x)" not in failures
 
     def test_tampered_distance_detected(self, split4_pow_trace):
         # the distance is derived from the points, so tamper a stored
@@ -419,7 +437,84 @@ class TestSpanning:
             spanning_check(split4_pow_trace, len(split4_pow_trace.entries) + 1)
 
 
+def assert_geometry_of_stored_points(trace):
+    """trace_geometry's values are norm_sq and the Lagrange identity on the stored points,
+    and its step verdicts are x_next == primitive(z + b*x); returns the geometry."""
+    geo = trace_geometry(trace)
+    reps = [p.rep for p in trace.points()]
+    assert geo.norms == tuple(norm_sq(r) for r in reps)
+    assert geo.wedges == tuple(norm_sq(x) * norm_sq(y) - dot(x, y) ** 2 for x, y in zip(reps, reps[1:]))
+    steps = []
+    for entry, x_next in zip(trace.entries, trace.points()[1:]):
+        s = entry.step
+        y = None if s is None else tuple(c + s.b * a for a, c in zip(entry.x.rep, s.z.rep))
+        steps.append(y is not None and any(y) and primitive(y) == x_next)
+    assert geo.step_ok == tuple(steps)
+    return geo
+
+
+class TestDerivedGeometry:
+    """Norms and wedges taken from each step's operands equal those of the stored points."""
+
+    @pytest.mark.parametrize("name", ["split4_pow_trace", "split4_log3x_trace", "grassmann_pow_trace",
+                                      "prodforms_pow_trace", "grassmann_log3x_trace"])
+    def test_builder_traces(self, request, name):
+        assert all(assert_geometry_of_stored_points(request.getfixturevalue(name)).step_ok)
+
+    def test_klinear_map_trace(self):
+        trace = run(KLinearAdapter(prodforms_map(2, 3), "klinear"), ApproxFn("pow", Fraction(1, 2)), 5,
+                    budget=SearchBudget(max_height=3))
+        assert trace.family["kind"] == "klinear"
+        assert all(assert_geometry_of_stored_points(trace).step_ok)
+
+    @pytest.fixture(scope="class")
+    def tampered(self, tmp_path_factory):
+        """The tamper_cases traces that load; four tampers zero the start point and do not."""
+        d = tmp_path_factory.mktemp("tampered")
+        traces = []
+        for phi in PHIS:
+            for _, doc in tamper_cases(split4_seed7_doc(d, phi)):
+                try:
+                    traces.append(trace_from_doc(doc))
+                except InputError:
+                    pass
+        return traces
+
+    def test_tamper_cases(self, tampered):
+        assert len(tampered) == 172
+        verdicts = [assert_geometry_of_stored_points(t).step_ok for t in tampered]
+        assert sum(not all(v) for v in verdicts) > 100
+
+    @given(st.data())
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_random_tampers(self, split4_pow_trace, data):
+        doc = trace_to_doc(split4_pow_trace)
+        for _ in range(data.draw(st.integers(1, 3))):
+            i = data.draw(st.integers(0, len(doc["entries"]) - 2))
+            field = data.draw(st.sampled_from(["x", "z", "b"]))
+            entry = doc["entries"][i]
+            vec = entry["x"] if field == "x" else entry["step"]["z"] if field == "z" else None
+            d = data.draw(st.integers(-3, 3).filter(bool))
+            if vec is None:
+                entry["step"]["b"] = hex(int(entry["step"]["b"], 0) + d)
+            else:
+                j = data.draw(st.integers(0, len(vec) - 1))
+                vec[j] = hex(int(vec[j], 0) + d)
+        try:
+            trace = trace_from_doc(doc)
+        except InputError:
+            return
+        assert_geometry_of_stored_points(trace)
+
+
 class TestAuditReport:
+    @pytest.mark.parametrize("name", ["split4_pow_trace", "split4_log3x_trace", "grassmann_pow_trace",
+                                      "prodforms_log3x_trace"])
+    def test_spanning_table_is_spanning_check(self, request, name):
+        trace = request.getfixturevalue(name)
+        table = audit_report(trace)["spanning"]
+        assert table == {str(i0): spanning_check(trace, i0) for i0 in range(2, len(trace.entries) + 1)}
+
     def test_full_report_structure(self, split4_log3x_trace):
         report = audit_report(split4_log3x_trace, bruteforce_xmax=6)
         assert report["all_pass"]
