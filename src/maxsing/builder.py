@@ -37,6 +37,7 @@ from .exact_geometry import (
     nth_root_bounds,
     primitive,
     rank,
+    spans_from_residues,
     sqrt_bounds,
     subspace_span,
     vec_add,
@@ -130,7 +131,7 @@ class ApproxFn:
     @staticmethod
     def from_descriptor(d: dict) -> "ApproxFn":
         exponent = Fraction(d["exponent"]) if d.get("exponent") is not None else None
-        return ApproxFn(d["variant"], exponent, int(d.get("precision_bits", 64)))
+        return ApproxFn(d["variant"], exponent, int_from_doc(d.get("precision_bits", 64), "precision_bits"))
 
     def phi_hi(self, x: Fraction) -> Fraction:
         return self._phi_bounds(x)[1]
@@ -236,7 +237,8 @@ class SequenceTrace:
 # construction steps
 
 
-def compute_hi(points: Sequence[ProjPointQ], ambient_dim: int) -> ProjSubspaceQ:
+def compute_hi(points: Sequence[ProjPointQ], ambient_dim: int,
+               residues: Sequence[Sequence[int]] | None = None) -> ProjSubspaceQ:
     """Largest proper subspace spanned by a suffix of the points.
 
     Returns H, the span of points[j-1:] for the smallest 1-based index j
@@ -244,12 +246,22 @@ def compute_hi(points: Sequence[ProjPointQ], ambient_dim: int) -> ProjSubspaceQ:
     dimension >= 2 since a single point spans one dimension.  Suffix
     ranks are nonincreasing in j, so the smallest proper suffix is found
     by binary search over integer rank computations.
+
+    ``residues``, when given, holds points[i].rep mod RANK_PRIME at index
+    i, one entry per point; the audit, which takes H for every prefix of
+    a trace, passes the prefix's slice of the residues it reduced once.
+    Then a suffix is proper iff it does not span (spans_from_residues,
+    which raises GeometryError when the lengths differ), and one of fewer
+    than ambient_dim rows is proper without a rank.  Without them, as in
+    gen, each probe is one rank call.
     """
     n = len(points)
     reps = [p.rep for p in points]
 
     def proper(j: int) -> bool:
-        return rank(reps[j - 1:]) < ambient_dim
+        if residues is None:
+            return rank(reps[j - 1:]) < ambient_dim
+        return not spans_from_residues(reps[j - 1:], residues[j - 1:])
 
     if ambient_dim < 2:
         raise GeometryError("ambient dimension must be at least 2")
@@ -324,6 +336,29 @@ def _no_multiplier(cap: int, w2: int, needed_bits: int | None = None,
     return SearchExhausted(
         f"no multiplier up to 2^{cap} satisfies the step conditions "
         f"(squared wedge area {w2} forces norm growth beyond the cap)", needed_bits, cap_bits)
+
+
+def _hint_floor(dzx: int, disc: int, n2x: int) -> int:
+    """floor((-dzx + sqrt(disc)) / n2x) for disc >= 0 and n2x >= 1, from the top bits of disc.
+
+    -dzx and n2x are integers, so flooring sqrt(disc) first changes no
+    floor: the value is (-dzx + isqrt(disc)) // n2x, which is taken as it
+    stands when n2x has at most 64 bits.  Otherwise let
+    sh = bl(n2x) - 64 >= 1, bl the bit length, and r = isqrt(disc >> 2sh).
+    Then r^2 <= disc >> 2sh < (r + 1)^2, so (r 2^sh)^2 <= disc
+    < ((r + 1) 2^sh)^2, and sqrt(disc) lies in [r 2^sh, (r + 1) 2^sh).
+    With b = (-dzx + r 2^sh) // n2x, the quotient (-dzx + sqrt(disc)) / n2x
+    lies in [b, b + 1 + 2^sh / n2x), and n2x >= 2^(sh + 63) makes
+    2^sh / n2x < 1: its floor is b or b + 1.  It is b + 1 iff
+    sqrt(disc) >= t = (b + 1) n2x + dzx.  As b is a floor,
+    t > r 2^sh >= 0, so that holds iff t^2 <= disc.
+    """
+    sh = n2x.bit_length() - 64
+    if sh <= 0:
+        return (-dzx + isqrt(disc)) // n2x
+    b = (-dzx + (isqrt(disc >> (2 * sh)) << sh)) // n2x
+    t = (b + 1) * n2x + dzx
+    return b + 1 if t * t <= disc else b
 
 
 def _select_multiplier(
@@ -435,7 +470,7 @@ def _select_multiplier(
             theta = max(theta, tel_l // tel_r + 1)
     if theta > n2z:
         disc = dzx * dzx + n2x * (theta - n2z)
-        b_hint = max(scan_end + 1, (-dzx + inth_root(disc, 2)) // n2x)
+        b_hint = max(scan_end + 1, _hint_floor(dzx, disc, n2x))
     else:
         b_hint = scan_end + 1
 

@@ -163,13 +163,27 @@ def rank_from_residues(rows: Sequence[Sequence[int]], residues: Sequence[Sequenc
     """rank(rows) for nonzero integer rows of one length, given their residues mod RANK_PRIME.
 
     The certificate and the exact fallback are rank's; a caller ranking
-    several sets of the same rows reduces each row once.
+    several sets of the same rows reduces each row once.  residues[i] must
+    be rows[i] mod RANK_PRIME, so the two must have one length.
     """
+    if len(residues) != len(rows):
+        raise GeometryError("rank: residues do not match the rows")
     ncols = len(rows[0])
     bound = min(len(rows), ncols)
     if _rank_mod_p(residues, ncols, RANK_PRIME) == bound:
         return bound
     return _rank_exact([list(r) for r in rows], ncols)
+
+
+def spans_from_residues(rows: Sequence[Sequence[int]], residues: Sequence[Sequence[int]]) -> bool:
+    """rank(rows) == len(rows[0]), the rows spanning their ambient space (rank_from_residues).
+
+    Fewer rows than columns cannot span, so no rank is taken for them.
+    """
+    if len(residues) != len(rows):
+        raise GeometryError("rank: residues do not match the rows")
+    ncols = len(rows[0])
+    return len(rows) >= ncols and rank_from_residues(rows, residues) == ncols
 
 
 def _rank_mod_p(rows: list[list[int]], ncols: int, p: int) -> int:

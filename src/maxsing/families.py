@@ -176,7 +176,7 @@ class KLinearAdapter:
             beta=TracePoint(ProjPointQ(beta_point),
                             ml.witness_from_doc(cert.get("beta_witness"), "certificate beta_witness")),
             beta_prime=None if cert.get("beta_prime") is None else field(
-                "beta_prime", lambda v: tuple(map(Fraction, _list(v)))),
+                "beta_prime", lambda v: tuple(map(ml.rational_from_doc, _list(v)))),
         )
 
     def check_certificate(
@@ -186,30 +186,40 @@ class KLinearAdapter:
 
         Proves, for every rational multiplier b at once, that the line
         point b·x + z lies in the image and that its companion stays
-        outside H.  Let t be the certificate slot, xs = x.witness[t],
-        ys = z.witness[t], λ = b/anchor_scale and μ = 1/z_scale (the
-        scales are checked nonzero).  The line point's witness w_b is x's
-        witness with slot t set to λ·xs + μ·ys (``ml.line_witness``), and
-        its companion c_b is β's witness with the same slot.
+        outside H.  Let M be the map, t the certificate slot,
+        xs = x.witness[t], ys = z.witness[t], λ = b/anchor_scale and
+        μ = 1/z_scale (the scales are checked nonzero).  The line point's
+        witness w_b is x's witness with slot t set to λ·xs + μ·ys
+        (``ml.line_witness``), and its companion c_b is β's witness with
+        the same slot.
 
-        - w_b evaluates to b·x + z.  The map is linear in slot t, so
-          evaluate(w_b) = λ·evaluate(x.witness) + μ·evaluate(x.witness
-          with slot t set to ys).  z's witness equals x's outside slot t,
-          so the second witness is z's, and the scale checks turn the sum
-          into λ·anchor_scale·x + μ·z_scale·z = b·x + z.
-        - c_b evaluates to λ·E′ + μ·E_y, E′ and E_y being β's witness
+        - w_b maps to b·x + z.  M is linear in slot t, so
+          M(w_b) = λ·M(x.witness) + μ·M(x.witness with slot t set to ys).
+          z's witness equals x's outside slot t, so the second witness is
+          z's, and the scale checks turn the sum into
+          λ·anchor_scale·x + μ·z_scale·z = b·x + z.
+        - c_b maps to λ·E′ + μ·E_y, E′ and E_y being M at β's witness
           with slot t set to xs and to ys.  E′ is 0 or in H and E_y is
           outside H.  Were λ·E′ + μ·E_y in H, then so would be E_y, as
           μ ≠ 0; so it is outside H, and in particular nonzero.
 
         The recorded beta_prime must be null iff E′ = 0, and otherwise
         proportional to E′.
+
+        Every image is decided on integers: ``ml.integer_image`` gives
+        (s, img) with M(w) = img/s and s > 0.  Dividing by s > 0 keeps a
+        vector zero or nonzero, keeps its point (``primitive``), its
+        membership in H (``in_span``) and its proportionality to any
+        other vector, so those tests read img in place of img/s.  A scale
+        check M(w) = (num/den)·rep, den > 0, is img_j/s = num·rep_j/den for
+        every j, that is img_j·den = num·s·rep_j once both sides are
+        multiplied by s·den > 0.  Only the two scales are Fractions.
         """
         if cert_doc.get("kind") != "klinear":
             return [f"certificate kind {cert_doc.get('kind')!r:.40} is not 'klinear'"]
         kmap = self.kmap
         cert = self._cert_from_doc(cert_doc)
-        beta_image = ml.evaluate(kmap, cert.beta.witness)
+        beta_image = ml.integer_image(kmap, cert.beta.witness)[1]
         t = cert.slot
         if not 0 <= t < kmap.k:
             return [f"certificate slot {t} outside 0..{kmap.k - 1}"]
@@ -234,11 +244,11 @@ class KLinearAdapter:
             fails.append("anchor scale is zero")
         if cert.z_scale == 0:
             fails.append("z scale is zero")
-        if ml.evaluate(kmap, x.witness) != tuple(cert.anchor_scale * a for a in x.point.rep):
+        if not _maps_to(ml.integer_image(kmap, x.witness), cert.anchor_scale, x.point.rep):
             fails.append("anchor scale does not match the anchor witness")
-        if ml.evaluate(kmap, z.witness) != tuple(cert.z_scale * a for a in z.point.rep):
+        if not _maps_to(ml.integer_image(kmap, z.witness), cert.z_scale, z.point.rep):
             fails.append("z scale does not match the z witness")
-        e_prime = ml.evaluate(kmap, ml.replace_slot(beta.witness, t, x.witness[t]))
+        e_prime = ml.integer_image(kmap, ml.replace_slot(beta.witness, t, x.witness[t]))[1]
         if any(e_prime):
             if cert.beta_prime is None:
                 fails.append("companion base recorded as zero but the witnesses give a nonzero one")
@@ -248,7 +258,7 @@ class KLinearAdapter:
                 fails.append("companion base point escapes the subspace")
         elif cert.beta_prime is not None:
             fails.append("recorded companion base is nonzero but the witnesses give zero")
-        e_y = ml.evaluate(kmap, ml.replace_slot(beta.witness, t, z.witness[t]))
+        e_y = ml.integer_image(kmap, ml.replace_slot(beta.witness, t, z.witness[t]))[1]
         if not any(e_y):
             fails.append("companion vanishes along the line")
         elif h.contains(e_y):
@@ -265,6 +275,14 @@ def _list(value) -> list:
 
 def _proportional(u: Sequence, v: Sequence) -> bool:
     return primitive(u) == primitive(v)
+
+
+def _maps_to(image: tuple[int, list[int]], scale: Fraction, rep: Sequence[int]) -> bool:
+    """img/s == scale·rep for image = (s, img), s > 0: img_j·den == num·s·rep_j for every j."""
+    s, img = image
+    num, den = scale.numerator, scale.denominator
+    ns = num * s
+    return len(img) == len(rep) and all(a * den == ns * r for a, r in zip(img, rep))
 
 
 def _unit(n: int, i: int) -> tuple[int, ...]:

@@ -6,10 +6,10 @@ witness slot agreement is what certifies the line constructions: two
 image points whose witnesses agree in many slots lie on checkable
 rational lines inside the image.
 
-Evaluation runs on integers: ``evaluate`` contracts an integer map with
-every slot fixed, and the outside-candidate search contracts the anchor's
-kept slots and H's functionals once per set of replaced slots, so testing a
-candidate is a small integer contraction.
+Evaluation runs on integers: ``integer_image`` contracts an integer map
+with every slot fixed, and the outside-candidate search contracts the
+anchor's kept slots and H's functionals once per set of replaced slots, so
+testing a candidate is a small integer contraction.
 """
 
 from __future__ import annotations
@@ -97,9 +97,13 @@ class KLinearMap:
 
     @cached_property
     def integer_images(self) -> tuple[int, dict[tuple[int, ...], list[tuple[int, int]]]]:
-        """(d, N): d the basis images' common denominator, N[idx] the pairs (j, d*a_j) with a_j != 0."""
-        d = lcm(*(Fraction(a).denominator for img in self.basis_images.values() for a in img))
-        return d, {idx: [(j, int(Fraction(a) * d)) for j, a in enumerate(img) if a]
+        """(d, N): d the basis images' common denominator, N[idx] the pairs (j, d*a_j) with a_j != 0.
+
+        Each image entry is an int or a Fraction, both of which carry
+        ``numerator`` and ``denominator``.
+        """
+        d = lcm(*(a.denominator for img in self.basis_images.values() for a in img))
+        return d, {idx: [(j, a.numerator * (d // a.denominator)) for j, a in enumerate(img) if a]
                    for idx, img in self.basis_images.items()}
 
 
@@ -138,7 +142,7 @@ def _sparse(images: dict) -> dict:
 
 
 def integer_image(kmap: KLinearMap, vectors: Sequence[Sequence]) -> tuple[int, list[int]]:
-    """(s, N(u)) with evaluate(kmap, vectors) = N(u) / s, s > 0.
+    """(s, N(u)) with M(vectors) = N(u) / s, s > 0, for M the map and rational vectors.
 
     With d the basis images' common denominator, N = d*M has integer
     images; with d_s slot s's common denominator, u_s = d_s*v_s is an
@@ -152,11 +156,6 @@ def integer_image(kmap: KLinearMap, vectors: Sequence[Sequence]) -> tuple[int, l
     d, images = kmap.integer_images
     scale, ints = _integer_slots(vectors)
     return d * scale, _contract(images, kmap.target_dim, ints).get((), [0] * kmap.target_dim)
-
-
-def evaluate(kmap: KLinearMap, vectors: Sequence[Sequence]) -> tuple:
-    """Evaluate the map on a k-tuple of rational vectors, exactly (see integer_image)."""
-    return _rational(*integer_image(kmap, vectors))
 
 
 def _rational(s: int, img: Sequence[int]) -> tuple:
@@ -175,16 +174,32 @@ def witness_to_doc(witness: Sequence[Sequence]) -> list[list[str]]:
     return [[str(c) for c in v] for v in witness]
 
 
+def rational_from_doc(value):
+    """Fraction(value), as the int of the same value when value is a string of the form -?[0-9]+.
+
+    Such a string is what witness_to_doc writes for an integer entry;
+    Fraction would parse it with the same int() and then reduce by a gcd.
+    Every other value goes to Fraction, which accepts or rejects it with
+    its own message.
+    """
+    if isinstance(value, str):
+        digits = value[1:] if value[:1] == "-" else value
+        if digits.isascii() and digits.isdigit():
+            return int(value)
+    return Fraction(value)
+
+
 def witness_from_doc(doc, field: str) -> tuple[RatVec, ...]:
     """A witness from its JSON list of lists; an InputError names ``field`` if it is malformed.
 
     Each slot must be a list: a string slot such as "1000" would otherwise
-    be read digit by digit as a vector.
+    be read digit by digit as a vector.  Entries are read by
+    rational_from_doc, so integer entries are ints.
     """
     if not isinstance(doc, list) or not all(isinstance(v, list) for v in doc):
         raise InputError(f"{field} {doc!r:.80} is not a witness: expected a list of lists")
     with reading(field):
-        return tuple(tuple(Fraction(c) for c in v) for v in doc)
+        return tuple(tuple(rational_from_doc(c) for c in v) for v in doc)
 
 
 def replace_slot(witness: Sequence[Sequence], slot: int, vec: Sequence) -> tuple:
@@ -292,15 +307,15 @@ class LineCertificate:
     is 0) and E_y outside it, so the companion stays outside H for every
     b.  That pins the witness-agreement drop along the line.
     ``families.KLinearAdapter.check_certificate`` proves it once per step,
-    evaluating beta's witness itself.
+    taking beta's integer image itself.
     """
 
     slot: int
     m: int
-    anchor_scale: Fraction   # evaluate(x.witness) == anchor_scale * x.rep
-    z_scale: Fraction        # evaluate(z.witness) == z_scale * z.rep
+    anchor_scale: Fraction   # the map at x.witness is anchor_scale * x.rep
+    z_scale: Fraction        # the map at z.witness is z_scale * z.rep
     beta: TracePoint
-    beta_prime: tuple | None  # evaluate(beta.witness with slot <- x slot), None if zero
+    beta_prime: tuple | None  # the map at beta.witness with slot <- x slot, None if zero
 
 
 def line_witness(x_witness: Sequence[Sequence], z_witness: Sequence[Sequence], slot: int,

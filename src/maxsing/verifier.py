@@ -30,8 +30,8 @@ from .exact_geometry import (
     minors_gcd,
     norm_sq,
     rank,
-    rank_from_residues,
     sci_str,
+    spans_from_residues,
     vec_add,
     vec_scale,
     wedge_sq,
@@ -129,6 +129,8 @@ def check_conditions(trace: SequenceTrace, geometry: TraceGeometry | None = None
     points = trace.points()
     geo = geometry or trace_geometry(trace)
     n2, w = geo.norms, geo.wedges
+    # each point reduced mod RANK_PRIME once; step i's compute_hi reads its prefix's residues only
+    residues = [[a % RANK_PRIME for a in p.rep] for p in points]
     records = []
     all_pass = True
     first = trace.entries[0]
@@ -147,7 +149,7 @@ def check_conditions(trace: SequenceTrace, geometry: TraceGeometry | None = None
             all_pass = False
             break
         x = points[i - 1]
-        h = compute_hi(points[:i], trace.ambient_dim)
+        h = compute_hi(points[:i], trace.ambient_dim, residues[:i])
         # (c) certified score decrease along the line, for every step; corrupt
         # inputs make the exact re-derivations raise, which is itself a failure
         try:
@@ -446,8 +448,7 @@ def audit_report(
     # spanning_check(trace, i0) for every i0, each point reduced mod RANK_PRIME once
     reps = [p.rep for p in trace.points()]
     residues = [[a % RANK_PRIME for a in r] for r in reps]
-    spanning = {str(i0): rank_from_residues(reps[i0 - 1:], residues[i0 - 1:]) == trace.ambient_dim
-                for i0 in range(2, n + 1)}
+    spanning = {str(i0): spans_from_residues(reps[i0 - 1:], residues[i0 - 1:]) for i0 in range(2, n + 1)}
     report["spanning"] = spanning
     span_required = range(2, n - trace.ambient_dim + 1)
     span_ok = all(spanning[str(i0)] for i0 in span_required)

@@ -3,8 +3,10 @@
 ``box_scan_candidates`` is ``multilinear.candidate_vectors`` as a scan of
 the whole box [-h, h]^n; ``sqrt_bounds_two_roots`` is
 ``exact_geometry.sqrt_bounds`` with a separate root for the perfect-square
-test; ``fraction_evaluate`` is ``multilinear.evaluate`` in ``Fraction``
-arithmetic over the product of the slots' supports.  The faster kernels
+test; ``evaluate`` is the map's value as ``Fraction``s,
+``multilinear.integer_image`` divided out, which ``verify`` no longer
+forms; ``fraction_evaluate`` is ``evaluate`` in ``Fraction`` arithmetic
+over the product of the slots' supports.  The faster kernels
 must return exactly what these return.
 
 ``ln_bounds_two_series`` is ``exact_geometry.ln_bounds`` as it summed both
@@ -52,7 +54,7 @@ from maxsing.errors import GeometryError
 from maxsing.exact_geometry import (
     ProjPointQ, ProjSubspaceQ, TracePoint, dot, ln_bounds, primitive, sqrt_bounds,
 )
-from maxsing.multilinear import _contract, _integer_slots, _sparse, candidate_vectors
+from maxsing.multilinear import _contract, _integer_slots, _sparse, candidate_vectors, integer_image
 
 
 def box_scan_candidates(n: int, height: int, rng: random.Random | None = None) -> list:
@@ -75,6 +77,11 @@ def sqrt_bounds_two_roots(r, precision_bits: int) -> tuple[Fraction, Fraction]:
     b = precision_bits
     m = isqrt((p << (2 * b)) // q)
     return (Fraction(m, 1 << b), Fraction(m + 1, 1 << b))
+
+
+def evaluate(kmap, vectors) -> tuple:
+    s, img = integer_image(kmap, vectors)
+    return tuple(Fraction(a, s) for a in img)
 
 
 def fraction_evaluate(kmap, vectors) -> tuple:

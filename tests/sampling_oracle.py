@@ -15,6 +15,8 @@ from maxsing import multilinear as ml
 from maxsing import quadric as qd
 from maxsing.exact_geometry import primitive, subspace_span, vec_add, vec_scale
 
+from kernel_oracles import evaluate
+
 
 def companion_vector(kmap, cert: ml.LineCertificate, x, z, b) -> tuple:
     """Image of beta's witness with the same slot combination as the line point b*x + z."""
@@ -24,7 +26,7 @@ def companion_vector(kmap, cert: ml.LineCertificate, x, z, b) -> tuple:
     ys = z.witness[cert.slot]
     w = list(cert.beta.witness)
     w[cert.slot] = tuple(lam * a + mu * c for a, c in zip(xs, ys))
-    return ml.evaluate(kmap, w)
+    return evaluate(kmap, w)
 
 
 def sampled_quadric_check(adapter, x, z, b, h, cert, sample_range=20) -> list[str]:
@@ -66,7 +68,7 @@ def sampled_klinear_check(adapter, x, z, b, h, cert_doc, sample_range=20) -> lis
     kmap = adapter.kmap
     cert = adapter._cert_from_doc(cert_doc)
     beta = cert.beta
-    if primitive(ml.evaluate(kmap, beta.witness)) != beta.point:
+    if primitive(evaluate(kmap, beta.witness)) != beta.point:
         fails.append("beta witness does not certify beta")
     if h.contains_point(beta.point):
         fails.append("beta lies inside the subspace")
@@ -78,13 +80,13 @@ def sampled_klinear_check(adapter, x, z, b, h, cert_doc, sample_range=20) -> lis
             fails.append("companion base point escapes the subspace")
         w = list(beta.witness)
         w[cert.slot] = x.witness[cert.slot]
-        if primitive(ml.evaluate(kmap, w)) != primitive(cert.beta_prime):
+        if primitive(evaluate(kmap, w)) != primitive(cert.beta_prime):
             fails.append("recorded companion base does not match the witnesses")
     if z.point == x.point:
         fails.append("degenerate line: z proportional to x")
-    if ml.evaluate(kmap, x.witness) != tuple(cert.anchor_scale * a for a in x.point.rep):
+    if evaluate(kmap, x.witness) != tuple(cert.anchor_scale * a for a in x.point.rep):
         fails.append("anchor scale does not match the anchor witness")
-    if ml.evaluate(kmap, z.witness) != tuple(cert.z_scale * a for a in z.point.rep):
+    if evaluate(kmap, z.witness) != tuple(cert.z_scale * a for a in z.point.rep):
         fails.append("z scale does not match the z witness")
     for bb in sorted(set(range(-sample_range, sample_range + 1)) | {b}):
         y = vec_add(vec_scale(bb, x.point.rep), z.point.rep)
@@ -92,7 +94,7 @@ def sampled_klinear_check(adapter, x, z, b, h, cert_doc, sample_range=20) -> lis
             fails.append(f"line point at {bb} vanishes")
             continue
         w = ml.line_witness(x.witness, z.witness, cert.slot, cert.anchor_scale, cert.z_scale, bb)
-        if ml.evaluate(kmap, w) != tuple(Fraction(a) for a in y):
+        if evaluate(kmap, w) != tuple(Fraction(a) for a in y):
             fails.append(f"line witness fails at multiplier {bb}")
         comp = companion_vector(kmap, cert, x, z, bb)
         if all(a == 0 for a in comp):

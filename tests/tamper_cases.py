@@ -1,7 +1,10 @@
-"""One-place tampers of the 6-point split4 seed-7 traces, under ``pow 1/2`` and ``log3x``.
+"""One-place tampers of 6-point seed-7 traces: split4 and two k-linear families.
 
-Shared by the audit pin in test_trace_identity.py and the geometry
-properties in test_verifier.py.  Each case changes one stored value:
+Shared by the audit pins in test_trace_identity.py and the geometry
+properties in test_verifier.py.
+
+``tamper_cases`` takes the split4 traces under ``pow 1/2`` and ``log3x``
+and changes one stored value per case:
 
 - each coordinate of every stored x and z by +1 and -1;
 - every multiplier b by +1, -1 and +2;
@@ -9,6 +12,12 @@ properties in test_verifier.py.  Each case changes one stored value:
 
 The log3x run stops at 4 points, so the two traces give 108 + 68 = 176
 cases.
+
+``leaf_tampers`` takes the ``pow 1/2`` traces of grassmann(4,2) and
+prodforms(2,3) at ``--max-height 4`` and sets one string leaf under
+``entries`` (coordinates, witnesses, multipliers and every certificate
+field) to each of ``LEAF_VALUES``, the leaf with a digit appended among
+them.
 """
 
 import copy
@@ -17,6 +26,8 @@ import json
 from maxsing.cli import EXIT_BUDGET, EXIT_OK, main
 
 PHIS = (("pow", "1/2"), ("log3x",))
+KLINEAR_FAMILIES = (("grassmann", "4", "2"), ("prodforms", "2", "3"))
+LEAF_VALUES = ("1/2", "0", "-1", "append 7", "x", None, 3)
 
 
 def split4_seed7_doc(tmp_dir, phi: tuple[str, ...]) -> dict:
@@ -26,6 +37,41 @@ def split4_seed7_doc(tmp_dir, phi: tuple[str, ...]) -> dict:
                  "--precision-bits", "64", "--out", str(out)])
     assert code in (EXIT_OK, EXIT_BUDGET)
     return json.loads(out.read_text())
+
+
+def klinear_seed7_doc(tmp_dir, family: tuple[str, str, str]) -> dict:
+    """The trace document of `gen` on a k-linear family at seed 7, pow 1/2, 6 steps, height 4."""
+    kind, n, k = family
+    out = tmp_dir / f"{kind}{n}{k}.json"
+    code = main(["gen", "--family", kind, "--n", n, "--k", k, "--phi", "pow", "1/2", "--steps", "6",
+                 "--max-height", "4", "--seed", "7", "--precision-bits", "64", "--out", str(out)])
+    assert code == EXIT_OK
+    return json.loads(out.read_text())
+
+
+def _string_leaves(node, path=()):
+    """(path, value) for every string under node, in document order."""
+    if isinstance(node, str):
+        yield path, node
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            yield from _string_leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _string_leaves(value, path + (i,))
+
+
+def leaf_tampers(doc: dict):
+    """(label, tampered copy of doc) for every string leaf under entries and every LEAF_VALUES value."""
+    for path, old in _string_leaves(doc["entries"], ("entries",)):
+        label = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+        for value in LEAF_VALUES:
+            new = copy.deepcopy(doc)
+            parent = new
+            for p in path[:-1]:
+                parent = parent[p]
+            parent[path[-1]] = old + "7" if value == "append 7" else value
+            yield f"{label}={value!r}", new
 
 
 def _shifted(value: str, d: int) -> str:

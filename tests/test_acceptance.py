@@ -60,7 +60,7 @@ from maxsing.exact_geometry import (
     wedge_sq,
 )
 from maxsing.families import SearchBudget, adapter_from_descriptor
-from maxsing.multilinear import evaluate, grassmann_map
+from maxsing.multilinear import grassmann_map
 from maxsing.quadric import s_h_quadric, split4
 from maxsing.verifier import (
     brute_force_curve,
@@ -69,7 +69,7 @@ from maxsing.verifier import (
     spanning_check,
 )
 
-from kernel_oracles import d_xi, dist_sq, trace_limit, wedge_k
+from kernel_oracles import d_xi, dist_sq, evaluate, trace_limit, wedge_k
 
 
 def report(criterion: int, ok: bool, detail: str = "") -> bool:

@@ -21,8 +21,9 @@ from maxsing.builder import (
     trace_to_doc,
 )
 from maxsing.cli import EXIT_BUDGET, main
-from maxsing.errors import InputError, SearchExhausted
+from maxsing.errors import GeometryError, InputError, SearchExhausted
 from maxsing.exact_geometry import (
+    RANK_PRIME,
     norm_sq,
     primitive,
     sqrt_bounds,
@@ -136,6 +137,22 @@ class TestComputeHi:
         pts = [primitive((1, 0, 0, 0)), primitive((2, 0, 0, 0))]
         h = compute_hi(pts, 4)
         assert h.rank == 1
+
+    def test_residues_of_a_degenerate_prefix(self):
+        # x1..x4 span a hyperplane, x2..x4 only a plane, and x5 completes the
+        # span: with each prefix's residues, H is the hyperplane, as without
+        pts = [primitive(v) for v in (e(0), e(1), e(2), (0, 1, 1, 0), e(3))]
+        residues = [[a % RANK_PRIME for a in p.rep] for p in pts]
+        for i in range(1, len(pts) + 1):
+            assert compute_hi(pts[:i], 4, residues[:i]) == compute_hi(pts[:i], 4)
+        assert compute_hi(pts[:4], 4, residues[:4]) == subspace_span([e(0), e(1), e(2)], 4)
+
+    def test_residues_must_match_the_points(self):
+        # residues of later points would let a mod-p rank reach 4 on a prefix of rank 3
+        pts = [primitive(v) for v in (e(0), e(1), e(2), (0, 1, 1, 0), e(3))]
+        residues = [[a % RANK_PRIME for a in p.rep] for p in pts]
+        with pytest.raises(GeometryError, match="residues do not match"):
+            compute_hi(pts[:4], 4, residues)
 
 
 class TestRun:
@@ -363,6 +380,30 @@ class TestMultiplierKernels:
         p = primitive(y).rep
         assert tuple(a // c for a in y) in (p, tuple(-a for a in p))
         assert norm_sq(p) == norm_sq(y) // (c * c)
+
+    @given(st.integers(1, 400), st.integers(0, 2 ** 32), st.integers(-3, 3), st.sampled_from(["any", "square", "edge"]))
+    @example(64, 0, 0, "edge")
+    @example(65, 0, -1, "edge")
+    @example(65, 0, 1, "square")
+    @settings(max_examples=400, derandomize=True)
+    def test_hint_floor_matches_the_exact_root(self, n2x_bits, seed, offset, kind):
+        """floor((-dzx + sqrt(disc)) / n2x) on both sides of 64 bits of n2x.
+
+        "square" makes disc a perfect square plus offset; "edge" puts
+        sqrt(disc) at (b + 1) n2x + dzx plus a small offset, where the top-bit
+        quotient and the exact one can differ by one.
+        """
+        rng = random.Random(seed)
+        n2x = rng.getrandbits(n2x_bits) | 1 << (n2x_bits - 1)
+        dzx = rng.randrange(-n2x, n2x) * rng.choice([1, 1 << rng.randrange(80)])
+        if kind == "any":
+            disc = rng.getrandbits(rng.randrange(1, 1200))
+        else:
+            root = rng.getrandbits(rng.randrange(1, 600))
+            if kind == "edge":
+                root = (root // n2x + 1) * n2x + dzx
+            disc = max(0, root * root + offset) if root >= 0 else rng.getrandbits(64)
+        assert builder._hint_floor(dzx, disc, n2x) == (-dzx + math.isqrt(disc)) // n2x
 
     @given(_factors, _factors)
     @example([(2 ** 64, 1)], [(2 ** 64 - 1, 1)])

@@ -20,6 +20,7 @@ from maxsing.errors import SearchExhausted
 from maxsing.exact_geometry import TracePoint, primitive, subspace_span
 from maxsing.families import QuadricAdapter, SearchBudget, grassmann_adapter, prodforms_adapter
 
+from kernel_oracles import evaluate
 from sampling_oracle import sampled_klinear_check, sampled_quadric_check, verdict
 
 
@@ -123,7 +124,7 @@ def klinear_steps(draw):
         witness = (tuple(draw(small) for _ in range(n)),) * k
     else:
         witness = tuple(tuple(draw(small) for _ in range(n)) for _ in range(k))
-    assume(any(ml.evaluate(kmap, witness)))
+    assume(any(evaluate(kmap, witness)))
     x = ml.witnessed_point(kmap, witness)
 
     def subspace(*through, extra=True):
@@ -136,7 +137,7 @@ def klinear_steps(draw):
         return tuple(w[:t]) + (vec,) + tuple(w[t + 1:])
 
     if tangent:
-        h = subspace(*(ml.evaluate(kmap, with_slot(x.witness, t, e(n, i)))
+        h = subspace(*(evaluate(kmap, with_slot(x.witness, t, e(n, i)))
                        for t in range(k) for i in range(n)), extra=False)
     else:
         h = subspace()
@@ -158,8 +159,8 @@ def klinear_steps(draw):
             # only where they do not, so compare where they do not
             z_witness = tuple(tuple(Fraction(draw(small)) for _ in range(n)) if i != t else ys
                               for i in range(k))
-            assume(ml.evaluate(kmap, z_witness) != ml.evaluate(kmap, with_slot(x.witness, t, ys)))
-        img = ml.evaluate(kmap, z_witness)
+            assume(evaluate(kmap, z_witness) != evaluate(kmap, with_slot(x.witness, t, ys)))
+        img = evaluate(kmap, z_witness)
         assume(any(img))
         z_pt = primitive(img)
         assume(z_pt != x.point)
@@ -171,7 +172,7 @@ def klinear_steps(draw):
         h = subspace()
     elif recheck == "through E_y":
         beta_witness = adapter._cert_from_doc(cert).beta.witness
-        h = subspace(ml.evaluate(kmap, with_slot(beta_witness, cert["slot"], z_tp.witness[cert["slot"]])))
+        h = subspace(evaluate(kmap, with_slot(beta_witness, cert["slot"], z_tp.witness[cert["slot"]])))
     return adapter, x_tp, z_tp, draw(st.integers(1, 60)), h, cert
 
 

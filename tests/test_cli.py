@@ -368,6 +368,24 @@ class TestNoTraceback:
         good.write_text(json.dumps(doc))
         assert main(["verify", str(good), "--out", str(tmp_path / "audit.json")]) == EXIT_OK
 
+    @pytest.mark.parametrize("bits", [1.5, True, "x", "1/2", None, [64]])
+    def test_precision_bits_must_be_an_integer(self, traces, tmp_path, capsys, bits):
+        doc = json.loads((traces / "split4.json").read_text())
+        doc["phi"]["precision_bits"] = bits
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["verify", str(bad), "--out", str(tmp_path / "audit.json")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and ": phi: precision_bits: " in err, err
+
+    @pytest.mark.parametrize("bits", [64, "64", "0x40"])
+    def test_precision_bits_as_any_integer_is_accepted(self, traces, tmp_path, bits):
+        doc = json.loads((traces / "split4.json").read_text())
+        doc["phi"]["precision_bits"] = bits
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(doc))
+        assert main(["verify", str(good), "--out", str(tmp_path / "audit.json")]) == EXIT_OK
+
     @pytest.mark.parametrize("family", ["grassmann", "split4", "klinear"])
     def test_family_field_sweep(self, traces, tmp_path, capsys, family):
         """Every field under ``family``, at every depth, set to each of ten values: exit 0, 1 or 3."""

@@ -23,6 +23,7 @@ from maxsing.exact_geometry import (
     rank,
     rank_from_residues,
     sci_str,
+    spans_from_residues,
     sqrt_bounds,
     subspace_span,
     vec_scale,
@@ -371,6 +372,15 @@ class TestCertifiedKernel:
         residues = [[a % RANK_PRIME for a in r] for r in rows]
         for i in range(len(rows)):
             assert rank_from_residues(rows[i:], residues[i:]) == rank(rows[i:])
+            assert spans_from_residues(rows[i:], residues[i:]) == (rank(rows[i:]) == len(rows[0]))
+
+    def test_residues_must_match_the_rows(self):
+        rows = [(1, 0), (0, 1), (1, 1)]
+        residues = [list(r) for r in rows]
+        with pytest.raises(GeometryError, match="residues do not match"):
+            rank_from_residues(rows[:1], residues)
+        with pytest.raises(GeometryError, match="residues do not match"):
+            spans_from_residues(rows[:2], residues)
 
     def test_rational_rows_with_prime_denominator(self):
         rows = [(Fraction(1, RANK_PRIME), 1), (0, 1)]

@@ -1,17 +1,17 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from maxsing.errors import GeometryError, InputError, SearchExhausted
+from maxsing.errors import GeometryError, InputError, SearchExhausted, reading
 from maxsing.exact_geometry import TracePoint, primitive, subspace_span
 from maxsing.multilinear import (
     KLinearMap,
     candidate_vectors,
-    evaluate,
     grassmann_map,
     integer_image,
     line_step,
@@ -22,6 +22,7 @@ from maxsing.multilinear import (
     replace_slot,
     save_map,
     shared_count,
+    witness_from_doc,
     witnessed_point,
     _contract,
     _integer_slots,
@@ -29,7 +30,7 @@ from maxsing.multilinear import (
     _sparse,
 )
 
-from kernel_oracles import box_scan_candidates, fraction_evaluate, outside_candidates_loop, wedge_k
+from kernel_oracles import box_scan_candidates, evaluate, fraction_evaluate, outside_candidates_loop, wedge_k
 from sampling_oracle import companion_vector
 from test_trace_identity import rational_prodforms_map
 
@@ -395,3 +396,43 @@ class TestCandidateVectors:
             return None if seed is None else random.Random(seed)
 
         assert candidate_vectors(n, height, rng()) == box_scan_candidates(n, height, rng())
+
+
+_ENTRY_TEXT = st.one_of(
+    st.from_regex(r"\s{0,2}[-+]{0,2}[0-9_]{0,6}(/[-+]?[0-9_]{0,4})?\s{0,2}", fullmatch=True),
+    st.from_regex(r"[-+]?[0-9]{0,3}\.?[0-9]{0,3}([eE][-+]?[0-9]{1,3})?", fullmatch=True),
+    st.text(alphabet="0123456789-+/._ eE\u0663\u06f5\u0967\u00b2\uff11\n", max_size=8),
+    st.integers().map(str),
+    st.integers(4299, 4301).map(lambda n: "7" * n),
+    st.integers(4299, 4301).map(lambda n: "-" + "7" * n),
+)
+
+
+class TestWitnessEntryParse:
+    """witness_from_doc reads an entry as Fraction(entry) did, integer strings as ints."""
+
+    @staticmethod
+    def fraction_reading(value):
+        with reading("w"):
+            return Fraction(value)
+
+    @given(st.one_of(_ENTRY_TEXT, st.sampled_from([None, 3, -7, 1.5, True, [], {}, "", "-", "0x10", "1/0"])))
+    @example("007")
+    @example("-0")
+    @example("\u0663")
+    @example(" 5")
+    @example("1_000")
+    @settings(max_examples=500, derandomize=True)
+    def test_same_value_or_same_message(self, value):
+        try:
+            expect = self.fraction_reading(value)
+        except InputError as exc:
+            with pytest.raises(InputError) as got:
+                witness_from_doc([[value]], "w")
+            assert str(got.value) == str(exc)
+            return
+        (got,), = witness_from_doc([[value]], "w")
+        assert got == expect
+        plain = isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value) is not None
+        assert type(got) is (int if plain else Fraction)
+

@@ -18,7 +18,14 @@ import pytest
 from maxsing.builder import trace_from_doc
 from maxsing.cli import EXIT_BUDGET, EXIT_OK, main
 from maxsing.multilinear import KLinearMap, prodforms_map, save_map
-from tamper_cases import PHIS, split4_seed7_doc, tamper_cases
+from tamper_cases import (
+    KLINEAR_FAMILIES,
+    PHIS,
+    klinear_seed7_doc,
+    leaf_tampers,
+    split4_seed7_doc,
+    tamper_cases,
+)
 
 V1_FIXTURE = Path(__file__).with_name("data") / "grassmann42_pow_seed7_v1.json"
 
@@ -119,12 +126,14 @@ def test_trace_digest(tmp_path, args, seed, exit_code, digest, stored):
 
 
 # the audits of the split4-pow-seed7 trace, of the partial split4-log3x-seed7
-# trace, whose exponent rows and decay tests take the logarithms, and of the
-# grassmann52-pow-seed7 trace, whose subspaces come from k-linear steps; CI
+# trace, whose exponent rows and decay tests take the logarithms, of the
+# grassmann52-pow-seed7 trace, whose subspaces come from k-linear steps, and
+# of the prodforms23-pow-seed7 trace, whose map has repeated-index images; CI
 # checks that the oldest supported Python writes the same bytes
 SPLIT4_POW_SEED7_AUDIT = "aaab40ee2771cf428ac87ac3c491277264a26dfa2294813af625eb0d022d2b68"
 SPLIT4_LOG3X_SEED7_AUDIT = "6853cd2d0142cb0ee10f138b8833c3592a4ed6d4585264f64f87fb8c6bbe700b"
 GRASSMANN52_POW_SEED7_AUDIT = "db04394144bc294fbfd33c04996046d99495ea2e42e80b9999f0559405cb60b5"
+PRODFORMS23_POW_SEED7_AUDIT = "8ae1eb44e6ba5ce767a8f66b6758011008af43bead17b54e916c91b98ea34c02"
 
 
 def audit_digest(tmp_path, args, exit_code) -> str:
@@ -146,6 +155,10 @@ def test_log3x_audit_digest(tmp_path):
 
 def test_klinear_audit_digest(tmp_path):
     assert audit_digest(tmp_path, GRASSMANN52_POW, EXIT_OK) == GRASSMANN52_POW_SEED7_AUDIT
+
+
+def test_prodforms_audit_digest(tmp_path):
+    assert audit_digest(tmp_path, PRODFORMS23_POW, EXIT_OK) == PRODFORMS23_POW_SEED7_AUDIT
 
 
 # `exponent --json` on the split4-pow-seed7 trace, which reads the audit's
@@ -215,22 +228,32 @@ class TestVersion1Fixture:
 SPLIT4_SEED7_TAMPERED_AUDITS = "4ca5173e2b8f41fd881d124d42b3c6fbfb29e8418f8accb1b5ad24787d9afbfb"
 
 
-def tampered_audits_digest(tmp_path, capsys) -> tuple[int, str]:
-    """(number of cases, sha256 over every tampered case's verify outcome)."""
+def verify_outcomes_digest(tmp_path, capsys, cases) -> tuple[int, str]:
+    """(number of cases, sha256 over the verify outcome of every (tag, label, document) case)."""
     records = []
-    for phi in PHIS:
-        doc = split4_seed7_doc(tmp_path, phi)
-        for label, bad in tamper_cases(doc):
-            trace, audit = tmp_path / "bad.json", tmp_path / "audit.json"
-            trace.write_text(json.dumps(bad))
-            audit.unlink(missing_ok=True)
-            capsys.readouterr()
-            code = main(["verify", str(trace), "--precision", "64", "--out", str(audit)])
-            out, err = capsys.readouterr()
-            text = audit.read_text() if audit.exists() else None
-            records.append([phi[0], label, code, *(s and s.replace(str(tmp_path), "<tmp>") for s in (out, err, text))])
+    trace, audit = tmp_path / "bad.json", tmp_path / "audit.json"
+    for tag, label, bad in cases:
+        trace.write_text(json.dumps(bad))
+        audit.unlink(missing_ok=True)
+        capsys.readouterr()
+        code = main(["verify", str(trace), "--precision", "64", "--out", str(audit)])
+        out, err = capsys.readouterr()
+        text = audit.read_text() if audit.exists() else None
+        records.append([tag, label, code, *(s and s.replace(str(tmp_path), "<tmp>") for s in (out, err, text))])
     return len(records), hashlib.sha256(json.dumps(records).encode()).hexdigest()
 
 
 def test_tampered_audits_digest(tmp_path, capsys):
-    assert tampered_audits_digest(tmp_path, capsys) == (176, SPLIT4_SEED7_TAMPERED_AUDITS)
+    cases = ((phi[0], label, bad) for phi in PHIS for label, bad in tamper_cases(split4_seed7_doc(tmp_path, phi)))
+    assert verify_outcomes_digest(tmp_path, capsys, cases) == (176, SPLIT4_SEED7_TAMPERED_AUDITS)
+
+
+# every string-leaf tamper of the 6-point grassmann(4,2) and prodforms(2,3)
+# pow 1/2 seed-7 traces (tamper_cases.leaf_tampers), pinned as above
+KLINEAR_SEED7_TAMPERED_AUDITS = "10ac129f1f195e36c76be423e7de3a377b907009b95e8e029683314229e8f1dd"
+
+
+def test_klinear_tampered_audits_digest(tmp_path, capsys):
+    cases = ((family[0], label, bad) for family in KLINEAR_FAMILIES
+             for label, bad in leaf_tampers(klinear_seed7_doc(tmp_path, family)))
+    assert verify_outcomes_digest(tmp_path, capsys, cases) == (3318, KLINEAR_SEED7_TAMPERED_AUDITS)

@@ -1,4 +1,6 @@
 import copy
+import hashlib
+import json
 import random
 import re
 from fractions import Fraction
@@ -123,6 +125,21 @@ class TestCheckConditions:
 
         failures = check_conditions(tamper(split4_pow_trace, parallel))["conditions"][3]["failures"]
         assert ("next point is not primitive(z + b*x)" in failures) != same_next
+
+    def test_degenerate_prefix_takes_the_hyperplane(self, split4_pow_trace):
+        # x4 := x2 puts x1..x4 in a hyperplane that x5 leaves: step 4's H is
+        # span(x1, x2, x3), not the plane of x2..x4, even though the mod-p
+        # rank of every point's residues reaches 4 on the first four rows
+        def repeat(doc):
+            doc["entries"][3]["x"] = list(doc["entries"][1]["x"])
+
+        trace = tamper(split4_pow_trace, repeat)
+        failures = check_conditions(trace)["conditions"][4]["failures"]
+        assert "(c) recorded score 1 but recomputed 2" in failures
+        # pinned from the audit that ranks each prefix afresh, with no shared residues
+        blob = json.dumps(audit_report(trace), sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == (
+            "2988aa93e449869d76a8fcc0d9e45bc3c493f70e5e9f912b52d3a43078b3faed")
 
     def test_stricter_decay_target_fails_d(self, split4_pow_trace):
         # the points meet X^(-1/2) with the first multiplier found; relabelled
