@@ -13,10 +13,10 @@ other name is imported from its module (``maxsing.builder``,
 
 import sys as _sys
 
-# traces and the audit report write big integers in hex, and failure
-# messages print bit lengths, but version 1 traces store them as decimal
-# strings, which routinely exceed the default 4300-digit guard on
-# int <-> decimal-string conversion
+# points are written in hex, but version 1 traces store integers in decimal,
+# and k-linear traces still write witnesses, line scales and the full-size
+# beta_point in decimal: both routinely exceed the default 4300-digit guard
+# on int <-> decimal-string conversion
 if hasattr(_sys, "set_int_max_str_digits"):
     _sys.set_int_max_str_digits(0)
 

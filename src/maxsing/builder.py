@@ -34,11 +34,9 @@ from .exact_geometry import (
     ln_lo_fixed,
     minors_gcd,
     norm_sq,
-    nth_root_bounds,
     primitive,
     rank,
     spans_from_residues,
-    sqrt_bounds,
     subspace_span,
     vec_add,
     vec_scale,
@@ -100,11 +98,11 @@ class ApproxFn:
     """Monotonically decreasing decay target on [1, oo) with values in (0, 1].
 
     Two variants: ``log3x`` is min(1, log(3X)/X); ``pow`` is X^(-p/q) with
-    exponent p/q in (0, 1).  Both provide certified rational bounds
-    phi_lo <= phi <= phi_hi (``_phi_bounds``) with gap at most
-    2^-precision_bits, and the power law additionally decides comparisons
-    against phi^2 exactly by cross-multiplied integer powers, with no
-    rounding at all.
+    exponent p/q in (0, 1).  ``le_phi_sq`` decides u/v <= phi(X)^2 at a
+    certified lower (or upper) end of phi, and ``phi_hi`` gives a certified
+    upper bound at integer scales, within 2^-(precision_bits + 2) of phi.
+    The power law decides comparisons against phi^2 exactly by
+    cross-multiplied integer powers, with no rounding at all.
     """
 
     variant: str
@@ -133,60 +131,39 @@ class ApproxFn:
         exponent = Fraction(d["exponent"]) if d.get("exponent") is not None else None
         return ApproxFn(d["variant"], exponent, int_from_doc(d.get("precision_bits", 64), "precision_bits"))
 
-    def phi_hi(self, x: Fraction) -> Fraction:
-        return self._phi_bounds(x)[1]
+    def phi_hi(self, x: int) -> Fraction:
+        """A certified upper bound of phi(X) at the integer X >= 1.
 
-    def _phi_bounds(self, x: Fraction) -> tuple[Fraction, Fraction]:
-        x = Fraction(x)
+        Under ``pow`` it is 2^b / m, b = precision_bits + 2 and
+        m = floor(2^b X^(p/q)) >= 2^b (exact when X^p is a q-th power), so
+        0 <= 2^b/m - X^(-p/q) < 2^b/m - 2^b/(m + 1) <= 2^-b.
+        """
         if x < 1:
             raise GeometryError("decay target is only defined for X >= 1")
         if self.variant == "log3x":
-            lo, hi = (Fraction(*self._log3x_phi(x.numerator, x.denominator, up)) for up in (False, True))
-            return (lo, hi)
+            return Fraction(*self._log3x_phi(x, 1, True))
         p, q = self.exponent.numerator, self.exponent.denominator
-        r = x ** p
-        lo_r, hi_r = nth_root_bounds(r, q, self.precision_bits + 2)
-        return (1 / hi_r, 1 / lo_r)
+        b = self.precision_bits + 2
+        return Fraction(1 << b, inth_root(x ** p << (q * b), q))
 
     def _log3x_phi(self, p: int, q: int, upper: bool) -> tuple[int, int]:
         """(num, den) with num/den = min(1, L/X) at X = p/q >= 1, unreduced.
 
-        L/2^w is the lower (upper) end of ln_bounds(3X, precision_bits + 2),
-        so L/X = L q / (p 2^w), and the clamp is one integer comparison.
+        L/2^w is ln_lo_fixed (ln_hi_fixed) of 3X at precision_bits + 2, so
+        L/X = L q / (p 2^w), and the clamp is one integer comparison.
         """
         a, w = (ln_hi_fixed if upper else ln_lo_fixed)(3 * p, q, self.precision_bits + 2)
         num, den = a * q, p << w
         return (1, 1) if num >= den else (num, den)
 
-    def le_phi_sq_lo(self, u: int, v: int, norm_sq_next: int) -> bool:
-        """Decide t = u/v <= phi(X)^2 conservatively, v > 0, X = sqrt(norm_sq_next).
+    def le_phi_sq(self, u: int, v: int, norm_sq: int, upper: bool = False) -> bool:
+        """u/v <= phi(X)^2, v > 0, X = sqrt(norm_sq), at the lower (upper) end of phi, in integers.
 
-        t comes as an unreduced pair, so no gcd is spent on it.  The power
-        law compares exactly in integers: t <= norm_sq^(-p/q) iff
-        u^q * norm_sq^p <= v^q.  log3x compares against the certified lower
-        bound at the certified lower bound of the norm, computed from
-        norm_sq_next.
-        """
-        return self._le_phi_sq(u, v, norm_sq_next, False)
-
-    def le_phi_sq_lo_hi(self, u: int, v: int, norm_sq_next: int) -> tuple[bool, bool]:
-        """Decide u/v <= phi_lo(X)^2, then u/v <= phi_hi(X)^2 (the auditable upper-bound flavour).
-
-        phi_lo <= phi_hi, so the first implies the second, and the power law
-        decides both by the same exact comparison, which is made once.
-        """
-        lo = self.le_phi_sq_lo(u, v, norm_sq_next)
-        if lo or self.variant == "pow":
-            return lo, lo
-        return lo, self._le_phi_sq(u, v, norm_sq_next, True)
-
-    def _le_phi_sq(self, u: int, v: int, norm_sq: int, upper: bool) -> bool:
-        """u/v <= phi(X)^2 at the lower (upper) end of phi, all in integers.
-
+        The power law decides exactly at either end: u^q norm_sq^p <= v^q.
         Under log3x, X = max(m / 2^b, 1) with b = precision_bits and
-        m = isqrt(norm_sq 4^b), the lower end of sqrt_bounds(norm_sq, b)
-        (exact for perfect squares too), and phi = num/den from _log3x_phi,
-        so the test is u den^2 <= v num^2, with no Fraction and no gcd.
+        m = isqrt(norm_sq 4^b), the lower bound of the norm (exact for
+        perfect squares), and phi = num/den from _log3x_phi, so the test is
+        u den^2 <= v num^2, with no Fraction and no gcd.
         """
         if u < 0:
             return True
@@ -292,11 +269,11 @@ def _log3x_stop_forced(n2x: int, n2z: int, w2: int, g: int, b_max: int, prec: in
 
     With x, z the line's generators (n2x = |x|^2, n2z = |z|^2,
     w2 = |x ^ z|^2), G = g the gcd of the 2x2 minors of (x, z), and L the
-    upper end of ln_bounds(3 (ceil|z| + b_max ceil|x|)), the stop is
-    forced when 9 w2 > 4 G^2 L^2 (1 + 2^-prec)^2.  Proof, for
+    upper end of ln(3 (ceil|z| + b_max ceil|x|)) (ln_hi_fixed), the stop
+    is forced when 9 w2 > 4 G^2 L^2 (1 + 2^-prec)^2.  Proof, for
     y = z + b x with 1 <= b <= b_max, p = primitive(y), n2y = |y|^2,
-    n2p = |p|^2 and m = max(norm_lo, 1), norm_lo the lower end of
-    sqrt_bounds(n2p, prec):
+    n2p = |p|^2 and m = max(norm_lo, 1), norm_lo = floor(2^prec |p|) / 2^prec
+    the lower bound of |p| that ApproxFn.le_phi_sq takes:
 
     - the content c of y divides y's entries, hence every 2x2 minor of
       (x, y), and those equal the minors of (x, z); so c | G and
@@ -325,7 +302,7 @@ def _log3x_stop_bits(n2x: int, n2z: int, w2: int, g: int, cap: int, prec: int) -
     ceil|z| + 2^cap ceil|x|.
     """
     ln3_hi, ln2_hi = (Fraction(a, 1 << w) for a, w in (ln_hi_fixed(3, 1, prec), ln_hi_fixed(2, 1, prec)))
-    need = (Fraction(3, 2) * sqrt_bounds(w2, prec)[0] / g - ln3_hi) / ln2_hi
+    need = (Fraction(3, 2) * Fraction(isqrt(w2 << (2 * prec)), 1 << prec) / g - ln3_hi) / ln2_hi
     norm_cap = _ceil_root(n2z, 1, 2) + (1 << cap) * _ceil_root(n2x, 1, 2)
     return need.numerator // need.denominator, norm_cap.bit_length()
 
@@ -448,7 +425,7 @@ def _select_multiplier(
         n2p = n2y // (c * c)
         if n2p <= n2x:
             return None
-        if dsq_prev is not None and not phi.le_phi_sq_lo(w9, 4 * n2y, n2p):
+        if dsq_prev is not None and not phi.le_phi_sq(w9, 4 * n2y, n2p):
             return None
         return b, y, n2y, c
 

@@ -25,24 +25,26 @@ EXIT_BUDGET = 2
 EXIT_AUDIT = 3
 
 
-def _precision_value(text: str) -> int | None:
-    """The integer ``text`` names if it lies in 1..MAX_PRECISION_BITS, else None."""
-    try:
-        value = int(text)
-    except ValueError:
-        return None
-    return value if 1 <= value <= MAX_PRECISION_BITS else None
+# the largest --max-multiplier-bits: the search's cap 2^65536 is an 8 KB integer
+MAX_MULTIPLIER_BITS = 65536
 
 
-def _precision_message(text: str) -> str:
-    return f"expected an integer from 1 to {MAX_PRECISION_BITS}, got {text!r}"
+def _int_range(lo: int, hi: int | None = None):
+    """An argparse type taking the integers lo..hi (hi None: no upper end); others are refused naming the range."""
+    span = f"of at least {lo}" if hi is None else f"from {lo} to {hi}"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < lo or (hi is not None and value > hi):
+            raise argparse.ArgumentTypeError(f"expected an integer {span}, got {text!r}")
+        return value
+    return parse
 
 
-def _precision(text: str) -> int:
-    value = _precision_value(text)
-    if value is None:
-        raise argparse.ArgumentTypeError(_precision_message(text))
-    return value
+_precision = _int_range(1, MAX_PRECISION_BITS)
 
 
 def _default_precision() -> int:
@@ -50,10 +52,10 @@ def _default_precision() -> int:
     env = os.environ.get("MAXSING_PRECISION_BITS")
     if not env:
         return 64
-    value = _precision_value(env)
-    if value is None:
-        raise InputError(f"MAXSING_PRECISION_BITS: {_precision_message(env)}")
-    return value
+    try:
+        return _precision(env)
+    except argparse.ArgumentTypeError as exc:
+        raise InputError(f"MAXSING_PRECISION_BITS: {exc}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -72,8 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int, default=0, help="tie-breaking seed (0: natural order)")
     g.add_argument("--out", required=True, help="output trace path")
     g.add_argument("--precision-bits", type=_precision, default=None)
-    g.add_argument("--max-height", type=int, default=6, help="candidate search height cap")
-    g.add_argument("--max-multiplier-bits", type=int, default=4096,
+    g.add_argument("--max-height", type=_int_range(0), default=6, help="candidate search height cap")
+    g.add_argument("--max-multiplier-bits", type=_int_range(0, MAX_MULTIPLIER_BITS), default=4096,
                    help="bit cap for the step multiplier search")
 
     v = sub.add_parser("verify", help="audit a trace")

@@ -78,20 +78,17 @@ class TracePoint:
     witness: tuple[RatVec, ...] | None = None
 
 
-def primitive(v: Sequence, content_multiple: int = 0) -> ProjPointQ:
+def primitive(v: Sequence) -> ProjPointQ:
     """Canonical representative of the projective class of ``v``.
 
     Accepts integer or rational coordinates; clears denominators, divides
     by the content and flips sign so the first nonzero coordinate is
     positive.  primitive(c*v) == primitive(v) for every nonzero rational c.
-    A nonzero ``content_multiple``, a multiple of the content of the
-    integer row (minors_gcd(x, z) for v = z + b*x), starts the gcd chain,
-    so no gcd of two full-size entries is taken.
     """
     if len(v) == 0 or all(a == 0 for a in v):
         raise GeometryError("cannot projectivize the zero vector")
     ints = _clear_denominators(v)
-    g = content_multiple
+    g = 0
     for a in ints:
         g = gcd(g, a)
     ints = [a // g for a in ints]
@@ -266,9 +263,6 @@ class ProjSubspaceQ:
     def contains(self, v: Sequence) -> bool:
         return in_span(v, self)
 
-    def contains_point(self, p: ProjPointQ) -> bool:
-        return in_span(p.rep, self)
-
 
 def subspace_span(vectors: Sequence[Sequence], ambient_dim: int | None = None) -> ProjSubspaceQ:
     """Span of the given vectors as a canonical ProjSubspaceQ.
@@ -386,28 +380,6 @@ def inth_root(x: int, n: int) -> int:
     return r
 
 
-def sqrt_bounds(r, precision_bits: int = 64) -> tuple[Fraction, Fraction]:
-    """Certified rational interval around sqrt(r).
-
-    Returns (lo, hi) with lo <= sqrt(r) <= hi and hi - lo <= 2^-precision_bits,
-    by integer square roots of the scaled numerator with directed rounding.
-    Perfect squares come back exact with lo == hi.  An integer r takes one
-    root, m = isqrt(r 4^b): if r = s^2 then m = s 2^b, so r is a perfect
-    square iff m's low b bits are zero and (m >> b)^2 = r.
-    """
-    r = Fraction(r)
-    if r < 0:
-        raise GeometryError("sqrt of a negative rational")
-    p, q = r.numerator, r.denominator
-    b = precision_bits
-    m = isqrt((p << (2 * b)) // q)
-    sp, sq = (m >> b, 1) if q == 1 else (isqrt(p), isqrt(q))
-    if (q > 1 or not m & ((1 << b) - 1)) and sp * sp == p and sq * sq == q:
-        e = Fraction(sp, sq)
-        return (e, e)
-    return (Fraction(m, 1 << b), Fraction(m + 1, 1 << b))
-
-
 def dyadic_bounds(p: int, q: int, precision_bits: int, root: int = 1) -> tuple[Fraction, Fraction]:
     """Dyadic lo <= (p/q)^(1/root) <= hi with hi - lo <= 2^-precision_bits (p/q)^(1/root).
 
@@ -454,21 +426,6 @@ def dyadic_bounds(p: int, q: int, precision_bits: int, root: int = 1) -> tuple[F
     if e >= 0:
         return (Fraction(lo << e), Fraction(hi << e))
     return (Fraction(lo, 1 << -e), Fraction(hi, 1 << -e))
-
-
-def nth_root_bounds(r, n: int, precision_bits: int = 64) -> tuple[Fraction, Fraction]:
-    """Certified interval around r**(1/n) for r >= 0, width <= 2^-precision_bits."""
-    r = Fraction(r)
-    if r < 0:
-        raise GeometryError("nth root of a negative rational")
-    p, q = r.numerator, r.denominator
-    rp, rq = inth_root(p, n), inth_root(q, n)
-    if rp ** n == p and rq ** n == q:
-        e = Fraction(rp, rq)
-        return (e, e)
-    b = precision_bits
-    m = inth_root((p << (n * b)) // q, n)
-    return (Fraction(m, 1 << b), Fraction(m + 1, 1 << b))
 
 
 def _atanh_series_scaled(t_scaled: int, scale_bits: int, terms: int, round_up: bool) -> int:
@@ -527,6 +484,15 @@ def _ln_fixed(p: int, q: int, precision_bits: int, round_up: bool) -> tuple[int,
     t = (m - 1)/(m + 1) = tn / td, tn = p - q 2^e, td = p + q 2^e.  The
     series runs on t_s = floor(2^w tn / td) (lower) or t_s + 1 (upper),
     with w // 3 + 3 terms and every rounding directed outward.
+
+    The ends are at most 2^-precision_bits apart, and each is, bit for bit,
+    the end of ``ln_bounds_two_series`` (tests/kernel_oracles.py), which
+    sums both series in Fraction ends: e, w, the term count and t_s depend
+    on p/q only (scaling p and q scales tn and td); ln 2 is cached per
+    (w, end), so the sum is made over the one denominator 2^w that the
+    Fraction sum reduced; the oracle swapped and negated the ends of ln(q/p)
+    for p/q < 1; and a ceiling is the floor of the padded numerator
+    (_atanh_series_scaled), the same integer.
     """
     if p < 1 or q < 1:
         raise GeometryError("log of a non-positive rational")
@@ -550,40 +516,13 @@ def _ln_fixed(p: int, q: int, precision_bits: int, round_up: bool) -> tuple[int,
 
 
 def ln_lo_fixed(p: int, q: int, precision_bits: int = 64) -> tuple[int, int]:
-    """(A, w) with A / 2^w <= ln(p/q), the lower end of ln_bounds(p/q, precision_bits)."""
+    """(A, w) with A / 2^w <= ln(p/q), the lower end of _ln_fixed."""
     return _ln_fixed(p, q, precision_bits, False)
 
 
 def ln_hi_fixed(p: int, q: int, precision_bits: int = 64) -> tuple[int, int]:
-    """(A, w) with A / 2^w >= ln(p/q), the upper end of ln_bounds(p/q, precision_bits)."""
+    """(A, w) with A / 2^w >= ln(p/q), the upper end of _ln_fixed."""
     return _ln_fixed(p, q, precision_bits, True)
-
-
-def ln_bounds(y, precision_bits: int = 64) -> tuple[Fraction, Fraction]:
-    """Certified rational interval around ln(y), width <= 2^-precision_bits.
-
-    The pair (ln_lo_fixed, ln_hi_fixed) of y = p/q in lowest terms.  Each
-    end is the value the two-sided evaluation gave, bit for bit:
-
-    - e, w and the number of terms depend on p/q only, and so does
-      t_s = floor(2^w tn / td): scaling p and q by c scales tn and td by c.
-    - Both ends share e and w, and ln 2 is cached per (w, end), so the
-      sum e ln 2 + 2 atanh(t) is made over the one denominator 2^w that
-      the Fraction sum reduced; A / 2^w is the same rational.
-    - y < 1 went through 1/y and swapped and negated the ends; each
-      function now takes the other end of ln(q/p) and negates it.
-    - A ceiling is the floor of the padded numerator
-      (_atanh_series_scaled), which is the same integer.
-    """
-    y = Fraction(y)
-    if y <= 0:
-        raise GeometryError("log of a non-positive rational")
-    p, q = y.numerator, y.denominator
-    a_lo, w = ln_lo_fixed(p, q, precision_bits)
-    a_hi, _ = ln_hi_fixed(p, q, precision_bits)
-    lo, hi = Fraction(a_lo, 1 << w), Fraction(a_hi, 1 << w)
-    assert hi - lo <= Fraction(1, 1 << precision_bits)
-    return (lo, hi)
 
 
 def dec_str(x, digits: int = 12) -> str:

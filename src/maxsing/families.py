@@ -231,7 +231,7 @@ class KLinearAdapter:
         beta = cert.beta
         if primitive(beta_image) != beta.point:
             fails.append("beta witness does not certify beta")
-        if h.contains_point(beta.point):
+        if h.contains(beta.point):
             fails.append("beta lies inside the subspace")
         m = ml.shared_count(x.witness, beta.witness)
         if m != cert.m:

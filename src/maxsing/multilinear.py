@@ -344,7 +344,7 @@ def line_step(
     the integer images (s, img) of the best one so far and builds its
     certificate once, at the end.
     """
-    if not h.contains_point(x.point):
+    if not h.contains(x.point):
         raise GeometryError("line_step needs a point inside the subspace")
     k = kmap.k
     s_x, img_x = integer_image(kmap, x.witness)
@@ -495,12 +495,6 @@ def map_from_doc(doc: dict) -> KLinearMap:
         images = {tuple(int_from_doc(i, "index") for i in e["index"]): tuple(Fraction(s) for s in e["image"])
                   for e in doc["basis_images"]}
     return KLinearMap(k=k, n=n, target_dim=dim, basis_images=images)
-
-
-def save_map(kmap: KLinearMap, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(map_to_doc(kmap), fh, indent=2)
-        fh.write("\n")
 
 
 def load_map(path: str) -> KLinearMap:

@@ -180,7 +180,7 @@ def s_h_quadric(form: QuadraticFormQ, h: ProjSubspaceQ, alpha: ProjPointQ) -> in
     """
     if not on_quadric(form, alpha):
         raise GeometryError(f"{alpha} is not a zero of the form")
-    if not h.contains_point(alpha):
+    if not h.contains(alpha):
         return 0
     row = _pairing_row(form, alpha.rep)
     if h.rank != form.dim - 1:
@@ -233,7 +233,7 @@ def isotropic_in_subspace_outside(
     for seed in seeds:
         if any(seed) and form.q(seed) == 0:
             pt = primitive(seed)
-            if not h.contains_point(pt) and s.contains_point(pt):
+            if not h.contains(pt) and s.contains(pt):
                 found.setdefault(pt)
 
     r = s.rank
@@ -284,7 +284,7 @@ def line_in_quadric_through(
     """
     if s not in (1, 2):
         raise GeometryError(f"line construction needs score 1 or 2, got {s}")
-    if not h.contains_point(alpha):
+    if not h.contains(alpha):
         raise GeometryError("alpha must lie in the subspace")
     if not on_quadric(form, alpha):
         raise GeometryError(f"{alpha} is not on the quadric")
@@ -340,12 +340,6 @@ def form_from_doc(doc: dict) -> tuple[QuadraticFormQ, HyperbolicWitness]:
         wit = HyperbolicWitness(*(tuple(int_from_doc(a, name) for a in w[name])
                                   for name in ("u1", "v1", "u2", "v2")))
     return form, wit
-
-
-def save_form(form: QuadraticFormQ, witness: HyperbolicWitness, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(form_to_doc(form, witness), fh, indent=2)
-        fh.write("\n")
 
 
 def load_form(path: str) -> tuple[QuadraticFormQ, HyperbolicWitness]:

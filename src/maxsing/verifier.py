@@ -29,7 +29,6 @@ from .exact_geometry import (
     ln_lo_fixed,
     minors_gcd,
     norm_sq,
-    rank,
     sci_str,
     spans_from_residues,
     vec_add,
@@ -177,7 +176,8 @@ def check_conditions(trace: SequenceTrace, geometry: TraceGeometry | None = None
             if _product_gt(((9 * w[i - 1], 1), (n2[i - 2], 1)), ((w[i - 2], 1), (n2[i], 1))):
                 fails.append("(d) telescoping fails: 9 dist(x, x_next)^2 > dist(x_prev, x)^2")
             # t = (9/4) dsq |x|^2 as an unreduced pair u/v; |x|^2 cancels
-            lo_ok, hi_ok = phi.le_phi_sq_lo_hi(9 * w[i - 1], 4 * n2[i], n2[i])
+            lo_ok = phi.le_phi_sq(9 * w[i - 1], 4 * n2[i], n2[i])
+            hi_ok = lo_ok or phi.le_phi_sq(9 * w[i - 1], 4 * n2[i], n2[i], upper=True)  # phi_lo <= phi_hi
             if not lo_ok:
                 fails.append("(d) decay target fails at the certified norm bound")
             if not hi_ok:
@@ -386,8 +386,9 @@ def exponent_row(index: int, n2x: int, n2n: int, w: int, precision_bits: int = 6
     2^-(precision_bits + 3) (exact_geometry.dyadic_bounds).  When
     X_i^2 < n2x, X_i is the upper bound of |x_i| instead.  Either way
     |x_i| <= X_i, so x_i is feasible at the scale X_i and
-    Dmin(X_i) <= D(x_i) <= D_hi.  With ln_bounds' directed rounding,
-    lambda_lb <= -ln(D_hi) / ln(X_i), so Dmin(X_i) <= X_i^(-lambda_lb).
+    Dmin(X_i) <= D(x_i) <= D_hi.  With the directed rounding of
+    ln_lo_fixed and ln_hi_fixed, lambda_lb <= -ln(D_hi) / ln(X_i), so
+    Dmin(X_i) <= X_i^(-lambda_lb).
     None when X_i <= 1 or D_hi = 0, where no exponent is certified.
     """
     prec = precision_bits + 3
@@ -424,14 +425,6 @@ def exponent_report(
     return rows
 
 
-def spanning_check(trace: SequenceTrace, i0: int) -> bool:
-    """True iff the points from index i0 on span the ambient space."""
-    n = len(trace.entries)
-    if not 2 <= i0 <= n:
-        raise InputError(f"i0 must lie in [2, {n}]")
-    return rank([p.rep for p in trace.points()[i0 - 1:]]) == trace.ambient_dim
-
-
 # ---------------------------------------------------------------------------
 # the full audit
 
@@ -445,7 +438,7 @@ def audit_report(
     geo = trace_geometry(trace)
     report = {"version": 3, **check_conditions(trace, geo)}
     n = len(trace.entries)
-    # spanning_check(trace, i0) for every i0, each point reduced mod RANK_PRIME once
+    # whether the points from i0 on span the ambient space, for every i0, each point reduced mod RANK_PRIME once
     reps = [p.rep for p in trace.points()]
     residues = [[a % RANK_PRIME for a in r] for r in reps]
     spanning = {str(i0): spans_from_residues(reps[i0 - 1:], residues[i0 - 1:]) for i0 in range(2, n + 1)}
@@ -471,7 +464,7 @@ def audit_report(
         out_rows = []
         for row in rows:
             # domination is judged only at scales X with X^2 >= |x_2|^2
-            phi_hi = phi.phi_hi(Fraction(row["X"])) if row["X"] ** 2 >= geo.norms[1] else None
+            phi_hi = phi.phi_hi(row["X"]) if row["X"] ** 2 >= geo.norms[1] else None
             out_rows.append({
                 **bruteforce_row_doc(row),
                 "phi_hi": None if phi_hi is None else str(phi_hi),

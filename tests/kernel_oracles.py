@@ -1,19 +1,21 @@
 """Earlier, plainer versions of exact kernels, kept as test oracles.
 
 ``box_scan_candidates`` is ``multilinear.candidate_vectors`` as a scan of
-the whole box [-h, h]^n; ``sqrt_bounds_two_roots`` is
-``exact_geometry.sqrt_bounds`` with a separate root for the perfect-square
-test; ``evaluate`` is the map's value as ``Fraction``s,
+the whole box [-h, h]^n; ``sqrt_bounds_two_roots`` is the certified
+interval around sqrt(r) of width 2^-precision_bits, exact for perfect
+squares, where the program takes only a lower end, as one ``isqrt``;
+``evaluate`` is the map's value as ``Fraction``s,
 ``multilinear.integer_image`` divided out, which ``verify`` no longer
 forms; ``fraction_evaluate`` is ``evaluate`` in ``Fraction`` arithmetic
 over the product of the slots' supports.  The faster kernels
 must return exactly what these return.
 
-``ln_bounds_two_series`` is ``exact_geometry.ln_bounds`` as it summed both
-series per call in ``Fraction`` ends, and ``le_phi_sq_log3x_fraction`` is
-``ApproxFn.le_phi_sq_lo_hi`` under ``log3x`` as it decided in ``Fraction``s
-on that logarithm; the one-sided fixed-point logarithms and the integer
-decay test must give the same values.
+``ln_bounds_two_series`` is the certified interval around ln(y) as it was
+summed with both series per call in ``Fraction`` ends, and
+``le_phi_sq_log3x_fraction`` is ``ApproxFn.le_phi_sq`` under ``log3x`` at
+both ends of phi as it decided in ``Fraction``s on that logarithm; the
+one-sided fixed-point logarithms and the integer decay test must give the
+same values.
 
 ``fraction_functionals`` is ``exact_geometry.orthogonal_functionals`` as it
 built each functional from ``Fraction`` entries before ``primitive``, and
@@ -35,25 +37,31 @@ and limit radius as audit version 2 computed them: exact reduced
 version 3's working-precision values must bracket the exact quantities
 they bound and stay within relative 2^-(precision + 3) of them.
 
+``spanning_check`` is the audit's spanning table entry for one i0 as a
+plain rank, which the table, built from residues, must match.
+
 ``dist_sq``, ``wedge_k`` (through the ``Fraction`` determinant ``det``) and
 ``d_xi`` are reference quantities that the exact kernels never compute:
 the projective distance as a reduced ``Fraction``, the wedge product as its
 k x k minors, and the norm-weighted distance to a certified limit ball as
 an interval.
+
+``write_json`` writes a form, map or other document as the program's
+readers (``load_form``, ``load_map``) expect it; the program itself only
+reads such files.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import isqrt
 
 from maxsing.builder import ApproxFn, limit_radius_sq
-from maxsing.errors import GeometryError
-from maxsing.exact_geometry import (
-    ProjPointQ, ProjSubspaceQ, TracePoint, dot, ln_bounds, primitive, sqrt_bounds,
-)
+from maxsing.errors import GeometryError, InputError
+from maxsing.exact_geometry import ProjPointQ, ProjSubspaceQ, TracePoint, dot, primitive, rank
 from maxsing.multilinear import _contract, _integer_slots, _sparse, candidate_vectors, integer_image
 
 
@@ -171,7 +179,7 @@ def outside_candidates_loop(kmap, h, anchor, max_height: int, rng: random.Random
                         if img is None or not any(img):
                             continue
                         pt = primitive(img)
-                        if h.contains_point(pt):
+                        if h.contains(pt):
                             continue
                         witness = list(anchor.witness)
                         for slot, vec in zip(subset, repl):
@@ -184,7 +192,7 @@ def _sqrt_bounds_rel(r, precision_bits: int) -> tuple[Fraction, Fraction]:
     if r == 0:
         return (Fraction(0), Fraction(0))
     e = r.numerator.bit_length() - r.denominator.bit_length()
-    return sqrt_bounds(r, precision_bits + max(0, -(e // 2)) + 2)
+    return sqrt_bounds_two_roots(r, precision_bits + max(0, -(e // 2)) + 2)
 
 
 def _decay_term(n2x: int, n2y: int, dxy: int) -> Fraction:
@@ -194,16 +202,16 @@ def _decay_term(n2x: int, n2y: int, dxy: int) -> Fraction:
 def exponent_row_v2(index: int, n2x: int, n2n: int, dxy: int, norm_prec: int, precision_bits: int):
     """(index, X, D_hi, lambda_lb) of one step, or None where no exponent is certified."""
     d_hi = _sqrt_bounds_rel(_decay_term(n2x, n2n, dxy), precision_bits + 4)[1]
-    x_scale = sqrt_bounds(n2n, norm_prec)[0]
+    x_scale = sqrt_bounds_two_roots(n2n, norm_prec)[0]
     if x_scale * x_scale < n2x:
-        x_scale = sqrt_bounds(n2x, precision_bits + 4)[1]
+        x_scale = sqrt_bounds_two_roots(n2x, precision_bits + 4)[1]
     if x_scale <= 1 or d_hi == 0:
         return None
-    ln_x_lo, ln_x_hi = ln_bounds(x_scale, precision_bits)
+    ln_x_lo, ln_x_hi = ln_bounds_two_series(x_scale, precision_bits)
     if d_hi < 1:
-        lam = ln_bounds(1 / d_hi, precision_bits)[0] / ln_x_hi
+        lam = ln_bounds_two_series(1 / d_hi, precision_bits)[0] / ln_x_hi
     else:
-        lam = -ln_bounds(d_hi, precision_bits)[1] / ln_x_lo
+        lam = -ln_bounds_two_series(d_hi, precision_bits)[1] / ln_x_lo
     return index, x_scale, d_hi, lam
 
 
@@ -339,6 +347,14 @@ def le_phi_sq_log3x_fraction(u: int, v: int, norm_sq: int, precision_bits: int) 
 
 
 
+def spanning_check(trace, i0: int) -> bool:
+    """True iff the points from index i0 on span the ambient space."""
+    n = len(trace.entries)
+    if not 2 <= i0 <= n:
+        raise InputError(f"i0 must lie in [2, {n}]")
+    return rank([p.rep for p in trace.points()[i0 - 1:]]) == trace.ambient_dim
+
+
 def dist_sq(x, y) -> Fraction:
     """Squared projective distance |x ∧ y|^2 / (|x|^2 |y|^2), in [0, 1]."""
     nx, ny = dot(x, x), dot(y, y)
@@ -391,9 +407,9 @@ def d_xi(limit, x, precision_bits: int = 64) -> tuple[Fraction, Fraction]:
     """
     center, radius_sq = limit
     prec = precision_bits + 4
-    d_lo, d_hi = sqrt_bounds(dist_sq(x, center), prec)
-    r_hi = sqrt_bounds(radius_sq, prec)[1]
-    n_lo, n_hi = sqrt_bounds(dot(x, x), prec)
+    d_lo, d_hi = sqrt_bounds_two_roots(dist_sq(x, center), prec)
+    r_hi = sqrt_bounds_two_roots(radius_sq, prec)[1]
+    n_lo, n_hi = sqrt_bounds_two_roots(dot(x, x), prec)
     return n_lo * max(Fraction(0), d_lo - r_hi), n_hi * (d_hi + r_hi)
 
 
@@ -411,3 +427,9 @@ def sci_str_exact(x, digits: int = 12) -> str:
     mantissa = str(m // 10 ** extra)
     sign = "-" if x < 0 else ""
     return f"{sign}{mantissa[0]}.{mantissa[1:]}e{low + extra:+d}"
+
+
+def write_json(doc, path) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")

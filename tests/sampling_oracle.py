@@ -70,13 +70,13 @@ def sampled_klinear_check(adapter, x, z, b, h, cert_doc, sample_range=20) -> lis
     beta = cert.beta
     if primitive(evaluate(kmap, beta.witness)) != beta.point:
         fails.append("beta witness does not certify beta")
-    if h.contains_point(beta.point):
+    if h.contains(beta.point):
         fails.append("beta lies inside the subspace")
     m = ml.shared_count(x.witness, beta.witness)
     if m != cert.m:
         fails.append(f"recorded slot agreement {cert.m} but witnesses share {m}")
     if cert.beta_prime is not None:
-        if not h.contains_point(primitive(cert.beta_prime)):
+        if not h.contains(primitive(cert.beta_prime)):
             fails.append("companion base point escapes the subspace")
         w = list(beta.witness)
         w[cert.slot] = x.witness[cert.slot]
@@ -99,7 +99,7 @@ def sampled_klinear_check(adapter, x, z, b, h, cert_doc, sample_range=20) -> lis
         comp = companion_vector(kmap, cert, x, z, bb)
         if all(a == 0 for a in comp):
             fails.append(f"companion vanishes at multiplier {bb}")
-        elif h.contains_point(primitive(comp)):
+        elif h.contains(primitive(comp)):
             fails.append(f"companion falls into the subspace at multiplier {bb}")
     return fails
 

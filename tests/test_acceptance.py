@@ -53,9 +53,9 @@ from maxsing.cli import EXIT_BUDGET, EXIT_OK, main
 from maxsing.exact_geometry import (
     IntVec,
     TracePoint,
-    ln_bounds,
+    ln_hi_fixed,
+    ln_lo_fixed,
     primitive,
-    sqrt_bounds,
     subspace_span,
     wedge_sq,
 )
@@ -66,10 +66,11 @@ from maxsing.verifier import (
     brute_force_curve,
     check_conditions,
     exponent_report,
-    spanning_check,
 )
 
-from kernel_oracles import d_xi, dist_sq, evaluate, trace_limit, wedge_k
+from kernel_oracles import (
+    d_xi, dist_sq, evaluate, ln_bounds_two_series, spanning_check, sqrt_bounds_two_roots, trace_limit, wedge_k,
+)
 
 
 def report(criterion: int, ok: bool, detail: str = "") -> bool:
@@ -119,7 +120,7 @@ def forced_stop_certificate(trace: SequenceTrace, max_height: int) -> tuple[int,
     g = gcd(*(x[a] * z[b] - x[b] * z[a] for a, b in itertools.combinations(range(len(x)), 2)))
     cap = 2 ** budget.multiplier_bits
     norm_hi = ceil_sqrt(sum(a * a for a in z)) + cap * ceil_sqrt(sum(a * a for a in x))
-    ln_hi = ln_bounds(3 * norm_hi, 64)[1]
+    ln_hi = ln_bounds_two_series(3 * norm_hi, 64)[1]
     return 9 * wedge_sq(x, z), 4 * g * g * ln_hi * ln_hi
 
 
@@ -192,7 +193,7 @@ def test_criterion_3_brute_force_domination(split4_log3x_trace):
         if row["X"] < x_start:
             continue
         checked += 1
-        if row["hi"] > phi.phi_hi(Fraction(row["X"])):
+        if row["hi"] > phi.phi_hi(row["X"]):
             dominated = False
     elapsed = time.monotonic() - t0
     ok = dominated and checked == 25 - x_start + 1 and elapsed < 600
@@ -210,9 +211,9 @@ def test_criterion_4_exponent_trend(split4_log3x_trace):
     # interval slack: a handful of 64-bit-certified terms enter the bound
     slack = Fraction(1, 2 ** 58)
     for r in big:
-        u_lo, u_hi = ln_bounds(3 * r.x_scale, 96)
-        v_hi = ln_bounds(u_hi, 96)[1]
-        w_lo = ln_bounds(r.x_scale, 96)[0]
+        u_lo, u_hi = ln_bounds_two_series(3 * r.x_scale, 96)
+        v_hi = ln_bounds_two_series(u_hi, 96)[1]
+        w_lo = ln_bounds_two_series(r.x_scale, 96)[0]
         bound_lo = 1 - v_hi / w_lo
         if r.lambda_lb + slack < bound_lo or r.lambda_lb < Fraction(4, 5):
             ok = False
@@ -328,12 +329,14 @@ def test_criterion_8c_witness_soundness(u, v):
        st.integers(min_value=10, max_value=40))
 @settings(max_examples=CASES, derandomize=True, deadline=None)
 def test_criterion_8d_interval_refinement_soundness(r, bits):
-    lo1, hi1 = sqrt_bounds(r, bits)
-    lo2, hi2 = sqrt_bounds(r, bits + 40)
+    lo1, hi1 = sqrt_bounds_two_roots(r, bits)
+    lo2, hi2 = sqrt_bounds_two_roots(r, bits + 40)
     assert lo1 <= lo2 <= hi2 <= hi1
     if r > 0:
-        llo1, lhi1 = ln_bounds(r, bits)
-        llo2, lhi2 = ln_bounds(r, bits + 40)
+        # the one-sided logarithms the program takes, each end as A / 2^w
+        (llo1, lhi1), (llo2, lhi2) = (
+            tuple(Fraction(a, 1 << w) for a, w in (f(r.numerator, r.denominator, b) for f in (ln_lo_fixed, ln_hi_fixed)))
+            for b in (bits, bits + 40))
         assert llo1 <= llo2 <= lhi2 <= lhi1
 
 

@@ -25,8 +25,8 @@ from maxsing.errors import GeometryError, InputError, SearchExhausted
 from maxsing.exact_geometry import (
     RANK_PRIME,
     norm_sq,
+    inth_root,
     primitive,
-    sqrt_bounds,
     subspace_span,
     wedge_sq,
 )
@@ -58,40 +58,56 @@ class TestApproxFn:
 
     def test_log3x_clamped_to_one(self):
         phi = ApproxFn("log3x")
-        lo, hi = phi._phi_bounds(Fraction(1))
-        assert lo == hi == 1  # log(3)/1 > 1 clamps
+        assert phi.phi_hi(1) == 1  # log(3)/1 > 1 clamps
+        assert phi._log3x_phi(1, 1, False) == (1, 1)
 
     def test_log3x_values(self):
         phi = ApproxFn("log3x")
         # phi(2) = ln(6)/2 = 0.8958797346140274... (12-digit bracket)
-        lo, hi = phi._phi_bounds(Fraction(2))
+        lo, hi = Fraction(*phi._log3x_phi(2, 1, False)), phi.phi_hi(2)
         assert lo <= Fraction(895879734615, 10 ** 12)
         assert hi >= Fraction(895879734614, 10 ** 12)
         assert hi - lo <= Fraction(1, 2 ** 64)
 
     def test_pow_exact_square(self):
         phi = ApproxFn("pow", Fraction(1, 2))
-        lo, hi = phi._phi_bounds(Fraction(4))
-        assert lo == hi == Fraction(1, 2)
+        assert phi.phi_hi(4) == Fraction(1, 2)
 
     def test_pow_cross_multiplied_decision(self):
         phi = ApproxFn("pow", Fraction(1, 2))
-        # t <= phi(X)^2 = 1/X at X = 3 decided with no rounding
-        assert phi.le_phi_sq_lo(1, 3, 9)
-        assert not phi.le_phi_sq_lo(10 ** 30 + 3, 3 * 10 ** 30, 9)
+        # t <= phi(X)^2 = 1/X at X = 3 decided with no rounding, the same at either end
+        for upper in (False, True):
+            assert phi.le_phi_sq(1, 3, 9, upper)
+            assert not phi.le_phi_sq(10 ** 30 + 3, 3 * 10 ** 30, 9, upper)
 
     def test_descriptor_roundtrip(self):
         for phi in (ApproxFn("log3x"), ApproxFn("pow", Fraction(2, 5), 80)):
             assert ApproxFn.from_descriptor(phi.descriptor()) == phi
 
-    @given(st.fractions(min_value=1, max_value=10 ** 9, max_denominator=10 ** 6),
-           st.fractions(min_value=Fraction(1, 10), max_value=Fraction(9, 10), max_denominator=12))
-    @settings(max_examples=200, derandomize=True)
-    def test_bounds_bracket(self, x, p):
-        for phi in (ApproxFn("log3x"), ApproxFn("pow", p)):
-            lo, hi = phi._phi_bounds(x)
-            assert 0 < lo <= hi <= 1
-            assert hi - lo <= Fraction(1, 2 ** 64)
+    @given(st.sampled_from([Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(4, 5), Fraction(1, 7)]).flatmap(
+               lambda e: st.tuples(st.one_of(st.integers(1, 2 ** 200),  # X, or a q-th power X = r^q
+                                             st.integers(1, 2 ** (200 // e.denominator)).map(
+                                                 lambda r: r ** e.denominator)), st.just(e))),
+           st.sampled_from([0, 1, 64, 96]))
+    @example((1, Fraction(1, 2)), 0)
+    @example((2 ** 200, Fraction(1, 7)), 96)
+    @example((3 ** 12, Fraction(2, 3)), 64)  # X^p a q-th power: phi_hi is exact
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_bounds_bracket(self, x_exponent, prec):
+        """phi_hi(X) >= X^(-p/q) within 2^-(prec + 2) under pow, and the two-series upper end under log3x."""
+        x, exponent = x_exponent
+        p, q = exponent.numerator, exponent.denominator
+        hi = ApproxFn("pow", exponent, prec).phi_hi(x)
+        assert 0 < hi <= 1
+        # hi^q X^p >= 1, and hi - 2^-(prec+2) <= X^(-p/q), that is (hi - 2^-(prec+2))^q X^p <= 1
+        assert hi.numerator ** q * x ** p >= hi.denominator ** q
+        below = hi - Fraction(1, 1 << (prec + 2))
+        assert below <= 0 or below.numerator ** q * x ** p <= below.denominator ** q
+        r = inth_root(x ** p, q)
+        if r ** q == x ** p:
+            assert hi == Fraction(1, r)
+        ln_hi = ln_bounds_two_series(3 * x, prec + 2)[1]
+        assert ApproxFn("log3x", precision_bits=prec).phi_hi(x) == min(ln_hi / x, Fraction(1))
 
 
 class TestLog3xDecayTest:
@@ -118,9 +134,9 @@ class TestLog3xDecayTest:
         u, v = t.numerator * 2 ** 20 + nudge, t.denominator * 2 ** 20
         phi = ApproxFn("log3x", precision_bits=prec)
         expected = le_phi_sq_log3x_fraction(u, v, n2, prec)
-        assert phi.le_phi_sq_lo_hi(u, v, n2) == expected
-        assert phi.le_phi_sq_lo(u, v, n2) == expected[0]
-        assert phi._phi_bounds(x) == (phi_lo, phi_hi)
+        assert (phi.le_phi_sq(u, v, n2), phi.le_phi_sq(u, v, n2, upper=True)) == expected
+        ends = tuple(Fraction(*phi._log3x_phi(x.numerator, x.denominator, up)) for up in (False, True))
+        assert ends == (phi_lo, phi_hi)
 
 
 class TestComputeHi:
@@ -242,13 +258,13 @@ def _decay_passes(x, z, b: int, phi: ApproxFn) -> bool:
     w2, n2y = wedge_sq(x, z), norm_sq(y)
     if 9 * w2 > 4 * n2y:  # phi <= 1
         return False
-    m = max(sqrt_bounds(primitive(y).norm_sq(), phi.precision_bits)[0], Fraction(1))
+    m = max(sqrt_bounds_two_roots(primitive(y).norm_sq(), phi.precision_bits)[0], Fraction(1))
     # phi_lo(m) <= ln(3m)/m < bit_length(3 ceil(m)) ln 2 / m: an exact screen that
     # spares most b the logarithm
     ln_hi = (3 * math.ceil(m)).bit_length() * Fraction(6932, 10000)
     if 9 * w2 * m * m > 4 * n2y * ln_hi * ln_hi:
         return False
-    lo = phi._phi_bounds(m)[0]
+    lo = Fraction(*phi._log3x_phi(m.numerator, m.denominator, False))
     return 9 * w2 <= 4 * n2y * lo * lo
 
 
@@ -471,7 +487,7 @@ class TestMultiplierKernels:
         assert n2xy == x.norm_sq() * norm_sq(y)
         dsq = Fraction(w2, n2xy)
         assert dsq == dist_sq(x_next.rep, x.rep)
-        norm_lo = sqrt_bounds(x_next.norm_sq(), phi.precision_bits)[0]
+        norm_lo = sqrt_bounds_two_roots(x_next.norm_sq(), phi.precision_bits)[0]
         n2p = x_next.norm_sq()
         assert n2p > x.norm_sq()
         if dsq_prev is not None:
@@ -481,7 +497,8 @@ class TestMultiplierKernels:
                 p, q = phi.exponent.numerator, phi.exponent.denominator
                 assert t ** q * n2p ** p <= 1
             else:
-                assert t <= phi._phi_bounds(max(norm_lo, Fraction(1)))[0] ** 2
+                m = max(norm_lo, Fraction(1))
+                assert t <= Fraction(*phi._log3x_phi(m.numerator, m.denominator, False)) ** 2
 
 
 class TestLimit:

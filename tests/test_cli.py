@@ -11,6 +11,8 @@ import pytest
 from maxsing.cli import EXIT_AUDIT, EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main
 from maxsing.exact_geometry import primitive
 
+from kernel_oracles import write_json
+
 V1_TRACE = Path(__file__).with_name("data") / "grassmann42_pow_seed7_v1.json"
 
 
@@ -307,10 +309,10 @@ class TestNoTraceback:
     @pytest.fixture(scope="class")
     def traces(self, tmp_path_factory):
         """Three small traces, keyed by family: grassmann(4,2), split4 and a k-linear map file."""
-        from maxsing.multilinear import prodforms_map, save_map
+        from maxsing.multilinear import map_to_doc, prodforms_map
 
         d = tmp_path_factory.mktemp("notraceback")
-        save_map(prodforms_map(2, 3), str(d / "map.json"))
+        write_json(map_to_doc(prodforms_map(2, 3)), d / "map.json")
         runs = {
             "grassmann": ["--family", "grassmann", "--n", "4", "--k", "2", "--steps", "5"],
             "split4": ["--family", "quadric", "--steps", "5"],
@@ -476,6 +478,32 @@ class TestPrecisionFlags:
         assert json.loads(out.read_text())["phi"]["precision_bits"] == 16
 
 
+class TestBudgetFlags:
+    """--max-multiplier-bits takes 0..65536 and --max-height 0 or more; anything else exits 1 naming the flag."""
+
+    @pytest.mark.parametrize("phi", [["log3x"], ["pow", "1/2"]])
+    @pytest.mark.parametrize("flag, value, span", [
+        ("--max-multiplier-bits", "-1", "from 0 to 65536"),
+        ("--max-multiplier-bits", "65537", "from 0 to 65536"),
+        ("--max-multiplier-bits", str(10 ** 11), "from 0 to 65536"),
+        ("--max-multiplier-bits", "x", "from 0 to 65536"),
+        ("--max-height", "-1", "of at least 0"),
+    ])
+    def test_out_of_range_exits_1(self, tmp_path, capsys, phi, flag, value, span):
+        t0 = time.perf_counter()
+        code, out = gen(tmp_path, "--family", "quadric", "--phi", *phi, "--steps", "5", flag, value)
+        assert code == EXIT_USAGE and time.perf_counter() - t0 < 1 and not out.exists()
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"maxsing gen: error: argument {flag}: expected an integer {span}, got {value!r}"]
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("phi", [["log3x"], ["pow", "1/2"]])
+    def test_zero_multiplier_bits_is_accepted(self, tmp_path, phi):
+        code, _ = gen(tmp_path, "--family", "quadric", "--phi", *phi, "--steps", "4", "--max-multiplier-bits", "0")
+        assert code in (EXIT_OK, EXIT_BUDGET)
+
+
 class TestPrecisionEnvironment:
     @pytest.mark.parametrize("value", ["0", "-3", "abc"])
     def test_gen_rejects_bad_value(self, tmp_path, capsys, monkeypatch, value):
@@ -592,10 +620,10 @@ class TestSizeCaps:
 
 class TestUserMap:
     def test_klinear_file_roundtrip(self, tmp_path):
-        from maxsing.multilinear import prodforms_map, save_map
+        from maxsing.multilinear import map_to_doc, prodforms_map
 
         mp = tmp_path / "map.json"
-        save_map(prodforms_map(2, 2), str(mp))
+        write_json(map_to_doc(prodforms_map(2, 2)), mp)
         out = tmp_path / "t.json"
         code = main(["gen", "--family", "klinear", "--klinear-file", str(mp),
                      "--phi", "pow", "1/2", "--steps", "6", "--out", str(out)])
@@ -610,11 +638,10 @@ class TestUserMap:
         assert code == EXIT_USAGE
 
     def test_quadric_file(self, tmp_path):
-        from maxsing.quadric import save_form, split4
+        from maxsing.quadric import form_to_doc, split4
 
-        form, wit = split4()
         qf = tmp_path / "form.json"
-        save_form(form, wit, str(qf))
+        write_json(form_to_doc(*split4()), qf)
         code, out = gen(tmp_path, "--family", "quadric", "--quadric-file", str(qf),
                         "--phi", "pow", "1/2", "--steps", "5")
         assert code == EXIT_OK

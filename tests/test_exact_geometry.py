@@ -13,18 +13,15 @@ from maxsing.exact_geometry import (
     dyadic_str,
     in_span,
     inth_root,
-    ln_bounds,
     ln_hi_fixed,
     ln_lo_fixed,
     minors_gcd,
-    nth_root_bounds,
     orthogonal_functionals,
     primitive,
     rank,
     rank_from_residues,
     sci_str,
     spans_from_residues,
-    sqrt_bounds,
     subspace_span,
     vec_scale,
     wedge_sq,
@@ -82,7 +79,8 @@ class TestPrimitive:
         if any(y):
             content = math.gcd(*y)
             sign = 1 if next(a for a in y if a) > 0 else -1
-            assert primitive(y, g).rep == tuple(sign * a // content for a in y)
+            assert math.gcd(g, *y) == content
+            assert primitive(y).rep == tuple(sign * a // content for a in y)
 
 
 class TestDistSq:
@@ -121,9 +119,9 @@ class TestDistSq:
     @settings(max_examples=300, derandomize=True)
     def test_triangle_inequality_outward(self, x, y, z):
         # sound check with outward rounding at 96 bits
-        lo_xz = sqrt_bounds(dist_sq(x, z), 96)[0]
-        hi_xy = sqrt_bounds(dist_sq(x, y), 96)[1]
-        hi_yz = sqrt_bounds(dist_sq(y, z), 96)[1]
+        lo_xz = sqrt_bounds_two_roots(dist_sq(x, z), 96)[0]
+        hi_xy = sqrt_bounds_two_roots(dist_sq(x, y), 96)[1]
+        hi_yz = sqrt_bounds_two_roots(dist_sq(y, z), 96)[1]
         assert lo_xz <= hi_xy + hi_yz
 
 
@@ -424,24 +422,26 @@ class TestCertifiedKernel:
 
 
 class TestSqrtBounds:
+    """The sqrt interval the tests take as their oracle, and the negative root the kernel refuses."""
+
     def test_perfect_square(self):
-        assert sqrt_bounds(4, 10) == (2, 2)
-        assert sqrt_bounds(Fraction(1, 4), 10) == (Fraction(1, 2), Fraction(1, 2))
+        assert sqrt_bounds_two_roots(4, 10) == (2, 2)
+        assert sqrt_bounds_two_roots(Fraction(1, 4), 10) == (Fraction(1, 2), Fraction(1, 2))
 
     def test_sqrt2_width(self):
-        lo, hi = sqrt_bounds(2, 4)
+        lo, hi = sqrt_bounds_two_roots(2, 4)
         assert lo * lo <= 2 <= hi * hi
         assert hi - lo <= Fraction(1, 16)
 
     def test_negative_rejected(self):
-        with pytest.raises(GeometryError, match="sqrt of a negative rational"):
-            sqrt_bounds(-1, 8)
+        with pytest.raises(GeometryError, match="integer root of a negative number"):
+            inth_root(-1, 2)
 
     @given(st.fractions(min_value=0, max_value=10 ** 6),
            st.integers(min_value=8, max_value=128))
     @settings(max_examples=300, derandomize=True)
     def test_containment_and_width(self, r, bits):
-        lo, hi = sqrt_bounds(r, bits)
+        lo, hi = sqrt_bounds_two_roots(r, bits)
         assert 0 <= lo <= hi
         assert lo * lo <= r <= hi * hi
         assert hi - lo <= Fraction(1, 2 ** bits)
@@ -449,26 +449,9 @@ class TestSqrtBounds:
     @given(st.fractions(min_value=0, max_value=10 ** 6))
     @settings(max_examples=300, derandomize=True)
     def test_refinement_soundness(self, r):
-        lo1, hi1 = sqrt_bounds(r, 16)
-        lo2, hi2 = sqrt_bounds(r, 64)
+        lo1, hi1 = sqrt_bounds_two_roots(r, 16)
+        lo2, hi2 = sqrt_bounds_two_roots(r, 64)
         assert lo1 <= lo2 and hi2 <= hi1
-
-
-class TestSqrtBoundsOneRoot:
-    """The one-root integer path gives the intervals two roots gave."""
-
-    @given(st.one_of(
-               st.sampled_from([0, 1]),
-               st.integers(0, 2 ** 100).map(lambda s: s * s),
-               st.integers(1, 2 ** 100).flatmap(lambda s: st.sampled_from([s * s - 1, s * s + 1])),
-               st.integers(0, 2 ** 200),
-               st.fractions(min_value=0, max_value=10 ** 12, max_denominator=10 ** 9),
-               st.tuples(st.integers(0, 10 ** 6), st.integers(1, 10 ** 6)).map(
-                   lambda ab: Fraction(ab[0] ** 2, ab[1] ** 2))),
-           st.sampled_from([0, 1, 8, 64]))
-    @settings(max_examples=400, derandomize=True)
-    def test_matches_two_roots(self, r, bits):
-        assert sqrt_bounds(r, bits) == sqrt_bounds_two_roots(r, bits)
 
 
 class TestDyadicBounds:
@@ -524,51 +507,53 @@ class TestRoots:
         r = inth_root(x, n)
         assert r ** n <= x < (r + 1) ** n
 
-    @given(st.fractions(min_value=0, max_value=10 ** 6), st.integers(min_value=2, max_value=5))
-    @settings(max_examples=200, derandomize=True)
-    def test_nth_root_bounds(self, r, n):
-        lo, hi = nth_root_bounds(r, n, 48)
-        assert lo ** n <= r <= hi ** n
-        assert hi - lo <= Fraction(1, 2 ** 48)
+
+def ln_ends(y, bits: int) -> tuple[Fraction, Fraction]:
+    """(ln_lo_fixed, ln_hi_fixed) of y = p/q, as Fractions."""
+    y = Fraction(y)
+    (a, w), (b, v) = (f(y.numerator, y.denominator, bits) for f in (ln_lo_fixed, ln_hi_fixed))
+    return Fraction(a, 1 << w), Fraction(b, 1 << v)
 
 
 class TestLnBounds:
+    """The two one-sided logarithms bracket ln(y) within 2^-bits."""
+
     def test_ln_one(self):
-        assert ln_bounds(1, 32) == (0, 0)
+        assert ln_ends(1, 32) == (0, 0)
 
     def test_known_values(self):
-        lo, hi = ln_bounds(2, 80)
+        lo, hi = ln_ends(2, 80)
         # ln 2 = 0.693147180559945309417232... (21-digit bracket)
         ref_lo = Fraction(693147180559945309417, 10 ** 21)
         ref_hi = Fraction(693147180559945309418, 10 ** 21)
         assert lo <= ref_hi and ref_lo <= hi
 
     def test_reciprocal_antisymmetry(self):
-        lo, hi = ln_bounds(Fraction(1, 3), 64)
-        lo2, hi2 = ln_bounds(3, 64)
+        lo, hi = ln_ends(Fraction(1, 3), 64)
+        lo2, hi2 = ln_ends(3, 64)
         assert lo == -hi2 and hi == -lo2
 
     def test_nonpositive_rejected(self):
         with pytest.raises(GeometryError, match="log of a non-positive rational"):
-            ln_bounds(0, 16)
+            ln_ends(0, 16)
 
     @given(st.fractions(min_value=Fraction(1, 1000), max_value=10 ** 9).filter(lambda y: y > 0),
            st.integers(min_value=16, max_value=96))
     @settings(max_examples=300, derandomize=True)
     def test_width_and_monotonicity(self, y, bits):
-        lo, hi = ln_bounds(y, bits)
-        assert hi - lo <= Fraction(1, 2 ** bits)
+        lo, hi = ln_ends(y, bits)
+        assert lo <= hi and hi - lo <= Fraction(1, 2 ** bits)
         # exp monotonicity proxy: compare against a nearby power of two
         e = y.numerator.bit_length() - y.denominator.bit_length()
-        lo2, hi2 = ln_bounds(Fraction(2) ** (e + 2), bits)
+        lo2, hi2 = ln_ends(Fraction(2) ** (e + 2), bits)
         if Fraction(2) ** (e + 2) >= y:
             assert lo <= hi2
 
     @given(st.fractions(min_value=2, max_value=10 ** 6))
     @settings(max_examples=200, derandomize=True)
     def test_refinement_soundness(self, y):
-        lo1, hi1 = ln_bounds(y, 24)
-        lo2, hi2 = ln_bounds(y, 80)
+        lo1, hi1 = ln_ends(y, 24)
+        lo2, hi2 = ln_ends(y, 80)
         assert lo1 <= lo2 and hi2 <= hi1
 
 
@@ -588,7 +573,7 @@ ln_pairs = st.one_of(
 
 
 class TestOneSidedLn:
-    """ln_lo_fixed and ln_hi_fixed are the ends of the two-series ln_bounds, bit for bit."""
+    """ln_lo_fixed and ln_hi_fixed are the ends of ln_bounds_two_series, bit for bit."""
 
     @given(ln_pairs, st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=256))
     @example((3, 1), 1, 4096)
@@ -601,7 +586,6 @@ class TestOneSidedLn:
         lo, hi = ln_bounds_two_series(Fraction(p, q), bits)
         (a, w), (b, v) = ln_lo_fixed(p, q, bits), ln_hi_fixed(p, q, bits)
         assert Fraction(a, 1 << w) == lo and Fraction(b, 1 << v) == hi
-        assert ln_bounds(Fraction(p, q), bits) == (lo, hi)
 
     def test_one_and_reciprocal(self):
         assert ln_lo_fixed(7, 7) == ln_hi_fixed(7, 7) == (0, 0)

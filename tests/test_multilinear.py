@@ -19,8 +19,8 @@ from maxsing.multilinear import (
     load_map,
     outside_candidates,
     prodforms_map,
+    map_to_doc,
     replace_slot,
-    save_map,
     shared_count,
     witness_from_doc,
     witnessed_point,
@@ -30,7 +30,9 @@ from maxsing.multilinear import (
     _sparse,
 )
 
-from kernel_oracles import box_scan_candidates, evaluate, fraction_evaluate, outside_candidates_loop, wedge_k
+from kernel_oracles import (
+    box_scan_candidates, evaluate, fraction_evaluate, outside_candidates_loop, wedge_k, write_json,
+)
 from sampling_oracle import companion_vector
 from test_trace_identity import rational_prodforms_map
 
@@ -61,7 +63,7 @@ class TestMaps:
     def test_map_roundtrip(self, tmp_path):
         kmap = prodforms_map(2, 2)
         path = tmp_path / "map.json"
-        save_map(kmap, str(path))
+        write_json(map_to_doc(kmap), path)
         loaded = load_map(str(path))
         assert loaded.basis_images == kmap.basis_images
         assert (loaded.k, loaded.n, loaded.target_dim) == (kmap.k, kmap.n, kmap.target_dim)
@@ -256,7 +258,7 @@ class BudgetExhausted(RuntimeError):
 
 def find_outside(kmap, h, anchor, max_height, rng=None) -> TracePoint:
     """A point of the image outside H maximizing witness slot agreement: the search's first."""
-    if not h.contains_point(anchor.point):
+    if not h.contains(anchor.point):
         return anchor
     for _, beta, _ in outside_candidates(kmap, h, anchor, max_height, rng):
         return beta
@@ -277,11 +279,11 @@ class TestFindOutside:
         anchor = witnessed_point(kmap, [e(4, 0), e(4, 2)])  # [e1 ^ e3]
         # H = {first Plücker coordinate = 0}
         h = subspace_span([e(6, i) for i in range(1, 6)], 6)
-        assert h.contains_point(anchor.point)
+        assert h.contains(anchor.point)
         beta = find_outside(kmap, h, anchor, 2)
         assert beta.witness == (e(4, 0), e(4, 1))  # (e1, e2)
         assert shared_count(anchor.witness, beta.witness) == 1
-        assert not h.contains_point(beta.point)
+        assert not h.contains(beta.point)
 
     def test_budget_exhausted(self):
         kmap = grassmann_map(4, 2)
@@ -297,7 +299,7 @@ class TestFindOutside:
         kmap = grassmann_map(4, 2)
         anchor = witnessed_point(kmap, [e(4, 0), e(4, 1)])
         h = subspace_span([e(6, i) for i in range(5)], 6)
-        assert h.contains_point(anchor.point)
+        assert h.contains(anchor.point)
         beta = find_outside(kmap, h, anchor, 2)
         assert shared_count(anchor.witness, beta.witness) == 0
         assert beta.point.rep[5] != 0
@@ -308,7 +310,7 @@ class TestFindOutside:
             for witness in ([w, e(4, 1)], [e(4, 0), w]):
                 img = evaluate(kmap, witness)
                 if any(a != 0 for a in img):
-                    assert h.contains_point(primitive(img))
+                    assert h.contains(primitive(img))
 
     def test_maximality_against_brute_force(self):
         # tiny instance: every witness pair with entries of height <= 2
@@ -322,7 +324,7 @@ class TestFindOutside:
         vecs = [v for v in itertools.product(coords, repeat=2) if v != (0, 0)]
         for w1, w2 in itertools.product(vecs, repeat=2):
             img = evaluate(kmap, [w1, w2])
-            if all(a == 0 for a in img) or h.contains_point(primitive(img)):
+            if all(a == 0 for a in img) or h.contains(primitive(img)):
                 continue
             best = max(best, shared_count(anchor.witness, (w1, w2)))
         assert m_found == best
@@ -333,7 +335,7 @@ class TestLineStep:
         kmap = grassmann_map(4, 2)
         x = witnessed_point(kmap, [e(4, 0), e(4, 1)])
         h = subspace_span([e(6, i) for i in range(1, 6)], 6)
-        assert not h.contains_point(x.point)
+        assert not h.contains(x.point)
         with pytest.raises(GeometryError, match="line_step needs a point inside the subspace"):
             line_step(kmap, x, h, 2)
 
@@ -351,13 +353,13 @@ class TestLineStep:
             assert evaluate(kmap, w) == tuple(Fraction(a) for a in y)
             comp = companion_vector(kmap, cert, x, z, b)
             assert any(a != 0 for a in comp)
-            assert not h.contains_point(primitive(comp))
+            assert not h.contains(primitive(comp))
 
     def test_witness_soundness_along_line(self):
         kmap = prodforms_map(2, 3)
         x = witnessed_point(kmap, [(1, 0), (1, 0), (1, 0)])
         h = subspace_span([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)], 4)
-        assert h.contains_point(x.point)
+        assert h.contains(x.point)
         z, cert = line_step(kmap, x, h, 2)
         for b in (-3, 1, 5):
             y = tuple(b * a + c for a, c in zip(x.point.rep, z.point.rep))
@@ -372,7 +374,7 @@ class TestLineStep:
         # companion base is inside H (or zero): this is what makes the
         # companion family stay outside for every multiplier
         if cert.beta_prime is not None:
-            assert h.contains_point(primitive(cert.beta_prime))
+            assert h.contains(primitive(cert.beta_prime))
 
 
 class TestWitnessedPoint:

@@ -17,7 +17,8 @@ import pytest
 
 from maxsing.builder import trace_from_doc
 from maxsing.cli import EXIT_BUDGET, EXIT_OK, main
-from maxsing.multilinear import KLinearMap, prodforms_map, save_map
+from maxsing.multilinear import KLinearMap, map_to_doc, prodforms_map
+from kernel_oracles import write_json
 from tamper_cases import (
     KLINEAR_FAMILIES,
     PHIS,
@@ -90,7 +91,7 @@ def audit_values_digest(doc: dict) -> str:
 def gen(tmp_path, args, seed) -> tuple[int, Path]:
     if args is RATIONAL_MAP_POW:
         map_path = tmp_path / "map.json"
-        save_map(rational_prodforms_map(), str(map_path))
+        write_json(map_to_doc(rational_prodforms_map()), map_path)
         args = tuple(str(map_path) if a == "{map}" else a for a in args)
     out = tmp_path / "t.json"
     code = main(["gen", *args, "--seed", str(seed), "--precision-bits", "64", "--out", str(out)])
@@ -136,12 +137,12 @@ GRASSMANN52_POW_SEED7_AUDIT = "db04394144bc294fbfd33c04996046d99495ea2e42e80b999
 PRODFORMS23_POW_SEED7_AUDIT = "8ae1eb44e6ba5ce767a8f66b6758011008af43bead17b54e916c91b98ea34c02"
 
 
-def audit_digest(tmp_path, args, exit_code) -> str:
-    """sha256 of the 64-bit audit of the seed-7 trace that gen writes for args."""
+def audit_digest(tmp_path, args, exit_code, *flags) -> str:
+    """sha256 of the 64-bit audit of the seed-7 trace that gen writes for args, verify given flags."""
     code, out = gen(tmp_path, args, 7)
     assert code == exit_code
     audit = tmp_path / "audit.json"
-    assert main(["verify", str(out), "--precision", "64", "--out", str(audit)]) == EXIT_OK
+    assert main(["verify", str(out), "--precision", "64", *flags, "--out", str(audit)]) == EXIT_OK
     return hashlib.sha256(audit.read_bytes()).hexdigest()
 
 
@@ -192,6 +193,21 @@ def test_bruteforce_digests(tmp_path, capsys):
     argv = ["verify", str(out), "--precision", "64", "--bruteforce-xmax", "20", "--out", str(audit)]
     assert main(argv) == EXIT_OK
     assert hashlib.sha256(audit.read_bytes()).hexdigest() == SPLIT4_LOG3X_SEED7_BRUTEFORCE_AUDIT
+
+
+# the brute-force audits of the split4-pow-seed7 and prodforms23-pow-seed7
+# traces, 19 of whose rows each state the power law's phi_hi; CI checks these
+# on the oldest supported Python too
+SPLIT4_POW_SEED7_BRUTEFORCE_AUDIT = "b6be69cbd785066af8fed71141df465e609ac386203ca3275c20e97aabb7eba2"
+PRODFORMS23_POW_SEED7_BRUTEFORCE_AUDIT = "b68f21a7466195e60e39d6f01401f4caaa232215223c8e9fcbec15f4ab5dd8f4"
+
+
+@pytest.mark.parametrize("args, digest", [
+    (SPLIT4_POW, SPLIT4_POW_SEED7_BRUTEFORCE_AUDIT),
+    (PRODFORMS23_POW, PRODFORMS23_POW_SEED7_BRUTEFORCE_AUDIT),
+], ids=["split4-pow-seed7", "prodforms23-pow-seed7"])
+def test_pow_bruteforce_audit_digest(tmp_path, args, digest):
+    assert audit_digest(tmp_path, args, EXIT_OK, "--bruteforce-xmax", "20") == digest
 
 
 class TestVersion1Fixture:

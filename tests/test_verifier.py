@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from maxsing.builder import ApproxFn, limit_radius_sq, run, trace_from_doc, trace_to_doc
 from maxsing.errors import InputError, SearchExhausted
-from maxsing.exact_geometry import dot, ln_bounds, norm_sq, primitive
+from maxsing.exact_geometry import dot, ln_hi_fixed, ln_lo_fixed, norm_sq, primitive
 from maxsing.families import KLinearAdapter, SearchBudget, grassmann_adapter, prodforms_adapter, quadric_adapter
 from maxsing.multilinear import prodforms_map
 from maxsing.quadric import split4
@@ -22,7 +22,6 @@ from maxsing.verifier import (
     check_conditions,
     exponent_report,
     exponent_row,
-    spanning_check,
     trace_geometry,
 )
 
@@ -33,6 +32,7 @@ from kernel_oracles import (
     exponent_row_v2,
     ln_bounds_two_series,
     radius_sq_v2,
+    spanning_check,
     trace_limit,
 )
 from tamper_cases import PHIS, split4_seed7_doc, tamper_cases
@@ -393,12 +393,9 @@ class TestExponent:
             assert d_xi(lim, x.rep)[1] <= r.d_hi + Fraction(1, 2 ** 40)
 
     def test_exact_reciprocal_gives_exponent_one(self):
-        # D = X^-1 pins lambda at 1: test the certified-ratio arithmetic
-        from maxsing.exact_geometry import ln_bounds
-
-        x = Fraction(10)
-        d = Fraction(1, 10)
-        lam = ln_bounds(1 / d, 64)[0] / ln_bounds(x, 64)[1]
+        # D = X^-1 at X = 10 pins lambda at 1: test the certified-ratio arithmetic
+        (a, w), (c, t) = ln_lo_fixed(10, 1, 64), ln_hi_fixed(10, 1, 64)
+        lam = Fraction(a << t, c << w)
         assert Fraction(1) - Fraction(1, 2 ** 50) <= lam <= 1
 
     @given(st.integers(2, 2 ** 300), st.integers(2, 2 ** 300), st.integers(1, 2 ** 600),
@@ -574,8 +571,8 @@ def _assert_row_brackets(row: ExponentRow, n2x: int, n2n: int, w: int, precision
     t = Fraction(9 * w, 4 * n2n)
     assert t <= d2 <= (1 + eps) ** 2 * t
     # a valid lower bound: lambda ln X <= -ln D_hi, at a finer precision
-    lx_lo, lx_hi = ln_bounds(row.x_scale, 128)
-    assert row.lambda_lb * (lx_hi if row.lambda_lb >= 0 else lx_lo) <= -ln_bounds(row.d_hi, 128)[1]
+    lx_lo, lx_hi = ln_bounds_two_series(row.x_scale, 128)
+    assert row.lambda_lb * (lx_hi if row.lambda_lb >= 0 else lx_lo) <= -ln_bounds_two_series(row.d_hi, 128)[1]
 
 
 class TestAuditV3Bounds:
