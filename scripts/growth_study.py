@@ -31,14 +31,14 @@ def study(phi: ApproxFn, steps: int, cap_bits: int) -> None:
         trace = exc.partial
         note = f"  [stopped: {exc}]"
     print(f"{'i':>3} {'coord bits':>11} {'wedge area bits':>16} {'b bits':>8}")
-    for entry in trace.entries:
-        bits = max(abs(c).bit_length() for c in entry.x.rep)
+    for i, entry in enumerate(trace.entries, start=1):
+        bits = max(abs(c).bit_length() for c in entry.x)
         if entry.step is not None:
-            area_bits = (wedge_sq(entry.x.rep, entry.step.z.rep).bit_length() + 1) // 2
+            area_bits = (wedge_sq(entry.x, entry.step.z).bit_length() + 1) // 2
             b_bits = entry.step.b.bit_length()
-            print(f"{entry.index:>3} {bits:>11} {area_bits:>16} {b_bits:>8}")
+            print(f"{i:>3} {bits:>11} {area_bits:>16} {b_bits:>8}")
         else:
-            print(f"{entry.index:>3} {bits:>11}")
+            print(f"{i:>3} {bits:>11}")
     if note:
         print(note)
 

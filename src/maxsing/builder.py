@@ -9,6 +9,12 @@ test; a smaller sporadic b may be skipped.  Every inequality is decided
 in exact rational arithmetic.  The trace records the points, the line
 generators, the multipliers and the family certificates; the verifier
 re-derives every other value from them.
+
+The builder knows no family: it calls the adapter's ``start`` and
+``member`` for the start point and, per step, ``line_step``, which returns
+z centred on x, the certificate document the trace stores as it is, and
+``witness_at``, the next point's witness at the accepted b; the auditor
+calls ``check_certificate`` (families.py).  Points are integer tuples.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from typing import Sequence
 from . import multilinear as ml
 from .errors import GeometryError, InputError, SearchExhausted, reading
 from .exact_geometry import (
-    ProjPointQ,
+    IntVec,
     ProjSubspaceQ,
     TracePoint,
     dot,
@@ -34,7 +40,9 @@ from .exact_geometry import (
     ln_lo_fixed,
     minors_gcd,
     norm_sq,
-    primitive,
+    # not called here, but bench/tests/test_bench.py::
+    # test_tracing_records_nested_spans_and_restores_functions reads builder.primitive
+    primitive,  # noqa: F401
     rank,
     spans_from_residues,
     subspace_span,
@@ -182,7 +190,7 @@ class ApproxFn:
 
 @dataclass(frozen=True)
 class StepData:
-    z: ProjPointQ
+    z: IntVec
     z_witness: tuple | None
     b: int
     certificate: dict
@@ -190,8 +198,7 @@ class StepData:
 
 @dataclass(frozen=True)
 class TraceEntry:
-    index: int
-    x: ProjPointQ
+    x: IntVec
     witness: tuple | None
     step: StepData | None
 
@@ -206,7 +213,7 @@ class SequenceTrace:
     partial: bool = False
     budget_note: str | None = None
 
-    def points(self) -> list[ProjPointQ]:
+    def points(self) -> list[IntVec]:
         return [e.x for e in self.entries]
 
 
@@ -214,7 +221,7 @@ class SequenceTrace:
 # construction steps
 
 
-def compute_hi(points: Sequence[ProjPointQ], ambient_dim: int,
+def compute_hi(points: Sequence[IntVec], ambient_dim: int,
                residues: Sequence[Sequence[int]] | None = None) -> ProjSubspaceQ:
     """Largest proper subspace spanned by a suffix of the points.
 
@@ -224,7 +231,7 @@ def compute_hi(points: Sequence[ProjPointQ], ambient_dim: int,
     ranks are nonincreasing in j, so the smallest proper suffix is found
     by binary search over integer rank computations.
 
-    ``residues``, when given, holds points[i].rep mod RANK_PRIME at index
+    ``residues``, when given, holds points[i] mod RANK_PRIME at index
     i, one entry per point; the audit, which takes H for every prefix of
     a trace, passes the prefix's slice of the residues it reduced once.
     Then a suffix is proper iff it does not span (spans_from_residues,
@@ -233,12 +240,11 @@ def compute_hi(points: Sequence[ProjPointQ], ambient_dim: int,
     gen, each probe is one rank call.
     """
     n = len(points)
-    reps = [p.rep for p in points]
 
     def proper(j: int) -> bool:
         if residues is None:
-            return rank(reps[j - 1:]) < ambient_dim
-        return not spans_from_residues(reps[j - 1:], residues[j - 1:])
+            return rank(points[j - 1:]) < ambient_dim
+        return not spans_from_residues(points[j - 1:], residues[j - 1:])
 
     if ambient_dim < 2:
         raise GeometryError("ambient dimension must be at least 2")
@@ -253,7 +259,7 @@ def compute_hi(points: Sequence[ProjPointQ], ambient_dim: int,
             else:
                 lo = mid
         j = hi
-    return subspace_span(reps[j - 1:], ambient_dim)
+    return subspace_span(points[j - 1:], ambient_dim)
 
 
 def _ceil_root(a: int, b: int, r: int) -> int:
@@ -339,12 +345,12 @@ def _hint_floor(dzx: int, disc: int, n2x: int) -> int:
 
 
 def _select_multiplier(
-    x: ProjPointQ,
-    z: ProjPointQ,
+    x: IntVec,
+    z: IntVec,
     phi: ApproxFn,
     dsq_prev: tuple[int, int] | None,
     budget: SearchBudget,
-) -> tuple[int, ProjPointQ, tuple[int, int]]:
+) -> tuple[int, IntVec, tuple[int, int]]:
     """A multiplier b >= 1 meeting the step conditions, found by search.
 
     Returns (b, x_next, (w2, n2x n2y)): the second pair is the squared
@@ -400,13 +406,12 @@ def _select_multiplier(
     passes, and the same exception is raised at once, carrying the bits of
     norm needed against the cap.
     """
-    xr, zr = x.rep, z.rep
-    n2x = norm_sq(xr)
-    dzx = dot(zr, xr)
-    n2z = norm_sq(zr)
+    n2x = norm_sq(x)
+    dzx = dot(z, x)
+    n2z = norm_sq(z)
     w2 = n2x * n2z - dzx * dzx
     w9 = 9 * w2
-    g = minors_gcd(xr, zr)
+    g = minors_gcd(x, z)
     prec = phi.precision_bits
     if dsq_prev is not None:  # telescoping: 9 w2 p_den <= p_num n2x n2y, dsq_prev = p_num/p_den
         tel_l, tel_r = w9 * dsq_prev[1], dsq_prev[0] * n2x
@@ -418,7 +423,7 @@ def _select_multiplier(
         n2y = n2z + 2 * b * dzx + b * b * n2x
         if dsq_prev is not None and _product_gt(((tel_l, 1),), ((tel_r, 1), (n2y, 1))):
             return None
-        y = vec_add(zr, vec_scale(b, xr))
+        y = vec_add(z, vec_scale(b, x))
         if not any(y):
             return None
         c = gcd(g, *y)
@@ -431,7 +436,7 @@ def _select_multiplier(
 
     def accept(r):
         b, y, n2y, c = r
-        return b, ProjPointQ(tuple(a // c for a in y)), (w2, n2x * n2y)
+        return b, tuple(a // c for a in y), (w2, n2x * n2y)
 
     # the region where |z + b*x| may still be shrinking is scanned in full
     vertex_end = 0 if dzx >= 0 else (-dzx) // n2x + 1
@@ -485,32 +490,8 @@ def _select_multiplier(
     return accept(best)
 
 
-def _reduce_line_generator(x: ProjPointQ, witness, z_tp: TracePoint, cert: dict):
-    """Shift z by a multiple of x to center it on the line.
-
-    Keeps the line and the wedge area, but brings the multiplier search
-    into a short monotone range; b >= 1 relative to the reduced z covers
-    exactly the norm-growing side of the line.
-    """
-    n2x = x.norm_sq()
-    dzx = dot(z_tp.point.rep, x.rep)
-    r = (2 * (-dzx) + n2x) // (2 * n2x)
-    if r == 0:
-        return z_tp, cert
-    y = vec_add(z_tp.point.rep, vec_scale(r, x.rep))
-    z_new = primitive(y)
-    if z_tp.witness is None:
-        return TracePoint(z_new), cert
-    w = ml.line_witness(witness, z_tp.witness, cert["slot"], cert["anchor_scale"], cert["z_scale"], r)
-    k = next(i for i, a in enumerate(z_new.rep) if a != 0)
-    scale = Fraction(y[k], z_new.rep[k])
-    cert = dict(cert)
-    cert["z_scale"] = str(scale)
-    return TracePoint(z_new, w), cert
-
-
 def next_point(
-    points: list[ProjPointQ],
+    points: list[IntVec],
     witnesses: list,
     adapter,
     phi: ApproxFn,
@@ -525,14 +506,10 @@ def next_point(
     """
     x = points[-1]
     h = compute_hi(points, adapter.ambient_dim)
-    tp = TracePoint(x, witnesses[-1])
-    z_tp, cert = adapter.line_step(tp, h, budget, rng)
-    z_tp, cert = _reduce_line_generator(x, witnesses[-1], z_tp, cert)
+    z_tp, cert, witness_at = adapter.line_step(TracePoint(x, witnesses[-1]), h, budget, rng)
     b, x_next, dsq = _select_multiplier(x, z_tp.point, phi, dsq_prev, budget)
-    next_witness = None if z_tp.witness is None else ml.line_witness(
-        witnesses[-1], z_tp.witness, cert["slot"], cert["anchor_scale"], cert["z_scale"], b)
     step = StepData(z=z_tp.point, z_witness=z_tp.witness, b=b, certificate=cert)
-    return TracePoint(x_next, next_witness), step, dsq
+    return TracePoint(x_next, witness_at(b)), step, dsq
 
 
 def run(
@@ -568,15 +545,15 @@ def run(
         try:
             nxt, step, dsq_prev = next_point(points, witnesses, adapter, phi, dsq_prev, budget, rng)
         except SearchExhausted as exc:
-            trace.entries = entries + [TraceEntry(i, points[-1], witnesses[-1], None)]
+            trace.entries = entries + [TraceEntry(points[-1], witnesses[-1], None)]
             trace.partial = True
             trace.budget_note = f"stopped at point {i}: {exc}"
             exc.partial = trace
             raise
-        entries.append(TraceEntry(i, points[-1], witnesses[-1], step))
+        entries.append(TraceEntry(points[-1], witnesses[-1], step))
         points.append(nxt.point)
         witnesses.append(nxt.witness)
-    entries.append(TraceEntry(steps, points[-1], witnesses[-1], None))
+    entries.append(TraceEntry(points[-1], witnesses[-1], None))
     trace.entries = entries
     return trace
 
@@ -592,7 +569,7 @@ def limit_radius_sq(trace: SequenceTrace) -> Fraction:
     """
     if len(trace.entries) < 3:
         raise InputError("limit extraction needs at least 3 points")
-    prev, last = trace.entries[-2].x.rep, trace.entries[-1].x.rep
+    prev, last = trace.entries[-2].x, trace.entries[-1].x
     nn = norm_sq(prev) * norm_sq(last)
     return Fraction(9 * (nn - dot(prev, last) ** 2), 4 * nn)
 
@@ -616,14 +593,14 @@ def _witness_doc(w):
 
 def trace_to_doc(trace: SequenceTrace) -> dict:
     entries = []
-    for e in trace.entries:
+    for i, e in enumerate(trace.entries, start=1):
         s = e.step
         entries.append({
-            "index": e.index,
-            "x": _hex_vec(e.x.rep),
+            "index": i,
+            "x": _hex_vec(e.x),
             "witness": _witness_doc(e.witness),
             "step": None if s is None else {
-                "z": _hex_vec(s.z.rep),
+                "z": _hex_vec(s.z),
                 "z_witness": _witness_doc(s.z_witness),
                 "b": format(s.b, "#x"),
                 "certificate": s.certificate,
@@ -641,13 +618,13 @@ def trace_to_doc(trace: SequenceTrace) -> dict:
     }
 
 
-def _parse_point(doc, dim: int, where: str) -> ProjPointQ:
+def _parse_point(doc, dim: int, where: str) -> IntVec:
     if not isinstance(doc, list) or len(doc) != dim:
         raise InputError(f"{where}: expected a list of {dim} integers")
     rep = tuple(int_from_doc(a, where) for a in doc)
     if not any(rep):
         raise InputError(f"{where}: the zero vector is not a projective point")
-    return ProjPointQ(rep)
+    return rep
 
 
 def _parse_witness(doc, where: str, shape: tuple[int, int] | None = None):
@@ -677,7 +654,8 @@ def _parse_step(doc, dim: int, shape, where: str) -> StepData:
 def trace_from_doc(doc) -> SequenceTrace:
     """A trace from a version 1 or 2 document, every stored field checked.
 
-    An integer is a JSON int, a 0x hex string or a decimal string.  A
+    An integer is a JSON int, a 0x hex string or a decimal string.  An
+    entry's index is its 1-based position, which the writer recomputes.  A
     point is a nonzero list of ambient_dim integers.  A z_witness has the
     family's k slots of n coordinates, since the certificate check indexes
     it; a point's witness is judged by the audit's membership test.  The
@@ -720,9 +698,11 @@ def trace_from_doc(doc) -> SequenceTrace:
         where = f"entries[{i}]"
         if not isinstance(e, dict):
             raise InputError(f"{where}: expected an object")
+        index = int_from_doc(e.get("index"), f"{where}.index")
+        if index != i + 1:
+            raise InputError(f"{where}.index: {index} is not the entry's position {i + 1}")
         s = e.get("step")
         trace.entries.append(TraceEntry(
-            index=int_from_doc(e.get("index"), f"{where}.index"),
             x=_parse_point(e.get("x"), dim, f"{where}.x"),
             witness=_parse_witness(e.get("witness"), f"{where}.witness"),
             step=None if s is None else _parse_step(s, dim, shape, f"{where}.step"),

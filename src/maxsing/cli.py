@@ -76,7 +76,9 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--precision-bits", type=_precision, default=None)
     g.add_argument("--max-height", type=_int_range(0), default=6, help="candidate search height cap")
     g.add_argument("--max-multiplier-bits", type=_int_range(0, MAX_MULTIPLIER_BITS), default=4096,
-                   help="bit cap for the step multiplier search")
+                   help="cap 2^bits on the doubling phase of the multiplier search and on the range "
+                        "of a log3x forced-stop proof; the scan and the 64 values above the hint "
+                        "are probed whatever the cap, so a multiplier may exceed it")
 
     v = sub.add_parser("verify", help="audit a trace")
     v.add_argument("trace", help="trace JSON path")
@@ -189,7 +191,7 @@ def cmd_exponent(args) -> int:
 def cmd_bruteforce(args) -> int:
     trace = builder.load_trace(args.trace)
     radius_sq = builder.limit_radius_sq(trace)
-    rows = verifier.brute_force_curve(trace.entries[-1].x.rep, radius_sq, args.xmax, args.precision)
+    rows = verifier.brute_force_curve(trace.entries[-1].x, radius_sq, args.xmax, args.precision)
     if args.json:
         print(json.dumps([verifier.bruteforce_row_doc(r) for r in rows], indent=2))
         return EXIT_OK

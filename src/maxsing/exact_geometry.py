@@ -53,32 +53,29 @@ def wedge_sq(x: Sequence, y: Sequence):
     return norm_sq(x) * norm_sq(y) - d * d
 
 
+def centring_shift(x: Sequence[int], z: Sequence[int]) -> int:
+    """r = floor((|x|^2 - 2 x.z) / (2 |x|^2)), x != 0: z + r x is the shortest z + b x over integers b.
+
+    It spans the same line with the same wedge area, and b >= 1 from it
+    runs along the side of the line where the norm grows.
+    """
+    n2x = norm_sq(x)
+    return (n2x - 2 * dot(x, z)) // (2 * n2x)
+
+
 # ---------------------------------------------------------------------------
-# projective points
-
-
-@dataclass(frozen=True)
-class ProjPointQ:
-    """A rational projective point: primitive integer vector, canonical sign."""
-
-    rep: IntVec
-
-    def norm_sq(self) -> int:
-        return norm_sq(self.rep)
-
-    def __repr__(self) -> str:  # compact, e.g. [1:0:2]
-        return "[" + ":".join(str(c) for c in self.rep) + "]"
+# projective points: a point is the primitive IntVec of its class (primitive)
 
 
 @dataclass(frozen=True)
 class TracePoint:
     """A point of a family, with the preimage tuple certifying it for k-linear images (else None)."""
 
-    point: ProjPointQ
+    point: IntVec
     witness: tuple[RatVec, ...] | None = None
 
 
-def primitive(v: Sequence) -> ProjPointQ:
+def primitive(v: Sequence) -> IntVec:
     """Canonical representative of the projective class of ``v``.
 
     Accepts integer or rational coordinates; clears denominators, divides
@@ -97,7 +94,7 @@ def primitive(v: Sequence) -> ProjPointQ:
             if a < 0:
                 ints = [-b for b in ints]
             break
-    return ProjPointQ(tuple(ints))
+    return tuple(ints)
 
 
 def minors_gcd(x: Sequence[int], z: Sequence[int]) -> int:
@@ -280,14 +277,13 @@ def subspace_span(vectors: Sequence[Sequence], ambient_dim: int | None = None) -
     row is a positive multiple of the rational RREF's row, and being
     primitive it is that row's ``primitive``: the Fraction basis.
     """
-    vecs = [v.rep if isinstance(v, ProjPointQ) else v for v in vectors]
     if ambient_dim is None:
-        if not vecs:
+        if not vectors:
             raise GeometryError("empty span needs an explicit ambient_dim")
-        ambient_dim = len(vecs[0])
+        ambient_dim = len(vectors[0])
     rows: list[IntVec] = []
     pivots: list[int] = []
-    for v in vecs:
+    for v in vectors:
         if not any(v):
             continue
         if len(v) != ambient_dim:
@@ -299,10 +295,10 @@ def subspace_span(vectors: Sequence[Sequence], ambient_dim: int | None = None) -
         pc = next((j for j, a in enumerate(r) if a), None)
         if pc is None:
             continue
-        r = primitive(r).rep
+        r = primitive(r)
         for i, row in enumerate(rows):
             if row[pc]:
-                rows[i] = primitive(_eliminate(row, r, pc)).rep
+                rows[i] = primitive(_eliminate(row, r, pc))
         rows.append(r)
         pivots.append(pc)
     order = sorted(range(len(rows)), key=pivots.__getitem__)
@@ -326,7 +322,6 @@ def in_span(v: Sequence, s: ProjSubspaceQ) -> bool:
     with it.  A rational vector is scaled to an integer one first, so
     each test is an integer dot product.
     """
-    v = v.rep if isinstance(v, ProjPointQ) else v
     if len(v) != s.ambient_dim:
         raise GeometryError("in_span: wrong ambient dimension")
     v = _clear_denominators(v)
@@ -353,7 +348,7 @@ def orthogonal_functionals(s: ProjSubspaceQ) -> tuple[IntVec, ...]:
         f[j] = scale
         for row, pc in zip(s.basis, pivots):
             f[pc] = -row[j] * (scale // row[pc])
-        funcs.append(primitive(f).rep)
+        funcs.append(primitive(f))
     return tuple(funcs)
 
 

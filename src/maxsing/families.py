@@ -1,9 +1,14 @@
 """Family adapters: one uniform line-step interface over both engines.
 
-The sequence builder only ever needs three things from a family: a
-certified start point, exact membership, and a line step through a given
-point inside a given subspace.  Each adapter also knows how to re-check
-the certificates it emits, so the auditor can stay family-agnostic.
+The builder and the auditor reach a family through four calls only:
+``start()``, a certified start point; ``member(tp)``, exact membership;
+``line_step(tp, h, budget, rng)``, a line through the point x inside H, as
+(z, the certificate document, witness_at), z centred on x
+(exact_geometry.centring_shift) and witness_at(b) the witness of
+primitive(z + b*x), None on a quadric; and ``check_certificate``, the
+exact re-check of a recorded step.  The adapter alone writes the
+certificate document.  Points are primitive integer tuples and travel in
+TracePoints, with their witnesses.
 """
 
 from __future__ import annotations
@@ -11,18 +16,21 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 from . import multilinear as ml
 from . import quadric as qd
 from .errors import GeometryError, InputError, reading
 from .exact_geometry import (
-    ProjPointQ,
     ProjSubspaceQ,
     TracePoint,
+    centring_shift,
     int_from_doc,
     primitive,
     rank,
+    vec_add,
+    vec_scale,
 )
 
 
@@ -56,14 +64,18 @@ class QuadricAdapter:
 
     def line_step(
         self, tp: TracePoint, h: ProjSubspaceQ, budget: SearchBudget, rng: random.Random | None
-    ) -> tuple[TracePoint, dict]:
-        s = qd.s_h_quadric(self.form, h, tp.point)
+    ) -> tuple[TracePoint, dict, Callable]:
+        x = tp.point
+        s = qd.s_h_quadric(self.form, h, x)
         if s == 0:
             raise GeometryError("line step needs the point inside the subspace")
         z = qd.line_in_quadric_through(
-            self.form, self.hyp_witness, tp.point, h, s, height=budget.max_height, rng=rng
+            self.form, self.hyp_witness, x, h, s, height=budget.max_height, rng=rng
         )
-        return TracePoint(z), {"kind": "quadric", "s_at_x": s}
+        r = centring_shift(x, z)
+        if r:
+            z = primitive(vec_add(z, vec_scale(r, x)))
+        return TracePoint(z), {"kind": "quadric", "s_at_x": s}, lambda b: None
 
     def check_certificate(
         self, x: TracePoint, z: TracePoint, h: ProjSubspaceQ, cert: dict
@@ -93,7 +105,7 @@ class QuadricAdapter:
         actual_s = qd.s_h_quadric(form, h, x.point)
         if actual_s != s:
             fails.append(f"recorded score {s} but recomputed {actual_s}")
-        xr, zr = x.point.rep, z.point.rep
+        xr, zr = x.point, z.point
         if form.q(zr) != 0:
             fails.append("line generator not on the quadric")
         if form.bilinear(xr, zr) != 0:
@@ -146,7 +158,7 @@ class KLinearAdapter:
 
     def line_step(
         self, tp: TracePoint, h: ProjSubspaceQ, budget: SearchBudget, rng: random.Random | None
-    ) -> tuple[TracePoint, dict]:
+    ) -> tuple[TracePoint, dict, Callable]:
         z, cert = ml.line_step(self.kmap, tp, h, budget.max_height, rng)
         cert_doc = {
             "kind": "klinear",
@@ -154,11 +166,11 @@ class KLinearAdapter:
             "m": cert.m,
             "anchor_scale": str(cert.anchor_scale),
             "z_scale": str(cert.z_scale),
-            "beta_point": [str(a) for a in cert.beta.point.rep],
+            "beta_point": [str(a) for a in cert.beta.point],
             "beta_witness": ml.witness_to_doc(cert.beta.witness),
             "beta_prime": None if cert.beta_prime is None else [str(a) for a in cert.beta_prime],
         }
-        return z, cert_doc
+        return z, cert_doc, partial(ml.line_witness, tp.witness, z.witness, cert.slot, cert.anchor_scale, cert.z_scale)
 
     def _cert_from_doc(self, cert: dict) -> ml.LineCertificate:
         """The certificate from its document; an InputError names a malformed field."""
@@ -173,7 +185,7 @@ class KLinearAdapter:
             m=int_from_doc(cert.get("m"), "certificate m"),
             anchor_scale=field("anchor_scale", Fraction),
             z_scale=field("z_scale", Fraction),
-            beta=TracePoint(ProjPointQ(beta_point),
+            beta=TracePoint(beta_point,
                             ml.witness_from_doc(cert.get("beta_witness"), "certificate beta_witness")),
             beta_prime=None if cert.get("beta_prime") is None else field(
                 "beta_prime", lambda v: tuple(map(ml.rational_from_doc, _list(v)))),
@@ -244,9 +256,9 @@ class KLinearAdapter:
             fails.append("anchor scale is zero")
         if cert.z_scale == 0:
             fails.append("z scale is zero")
-        if not _maps_to(ml.integer_image(kmap, x.witness), cert.anchor_scale, x.point.rep):
+        if not _maps_to(ml.integer_image(kmap, x.witness), cert.anchor_scale, x.point):
             fails.append("anchor scale does not match the anchor witness")
-        if not _maps_to(ml.integer_image(kmap, z.witness), cert.z_scale, z.point.rep):
+        if not _maps_to(ml.integer_image(kmap, z.witness), cert.z_scale, z.point):
             fails.append("z scale does not match the z witness")
         e_prime = ml.integer_image(kmap, ml.replace_slot(beta.witness, t, x.witness[t]))[1]
         if any(e_prime):

@@ -25,13 +25,16 @@ from typing import Iterator, Sequence
 
 from .errors import GeometryError, InputError, SearchExhausted, reading
 from .exact_geometry import (
-    ProjPointQ,
+    IntVec,
     ProjSubspaceQ,
     RatVec,
     TracePoint,
+    centring_shift,
     int_from_doc,
     primitive,
     rank,
+    vec_add,
+    vec_scale,
     wedge_sq,
 )
 
@@ -312,17 +315,17 @@ class LineCertificate:
 
     slot: int
     m: int
-    anchor_scale: Fraction   # the map at x.witness is anchor_scale * x.rep
-    z_scale: Fraction        # the map at z.witness is z_scale * z.rep
+    anchor_scale: Fraction   # the map at x.witness is anchor_scale * x.point
+    z_scale: Fraction        # the map at z.witness is z_scale * z.point
     beta: TracePoint
     beta_prime: tuple | None  # the map at beta.witness with slot <- x slot, None if zero
 
 
 def line_witness(x_witness: Sequence[Sequence], z_witness: Sequence[Sequence], slot: int,
-                 anchor_scale, z_scale, b) -> tuple[RatVec, ...]:
-    """Witness for b*x.rep + z.rep given a LineCertificate's slot and scales (rationals or their strings)."""
-    lam = Fraction(b) / Fraction(anchor_scale)
-    mu = 1 / Fraction(z_scale)
+                 anchor_scale: Fraction, z_scale: Fraction, b: int) -> tuple[RatVec, ...]:
+    """Witness for b*x + z given a LineCertificate's slot and scales."""
+    lam = b / anchor_scale
+    mu = 1 / z_scale
     ys = z_witness[slot]
     return replace_slot(x_witness, slot, tuple(lam * a + mu * c for a, c in zip(x_witness[slot], ys)))
 
@@ -342,7 +345,9 @@ def line_step(
     Among valid candidates the one minimizing |x ∧ z|^2 is kept, which
     controls coordinate growth of the whole construction; the search keeps
     the integer images (s, img) of the best one so far and builds its
-    certificate once, at the end.
+    certificate once, at the end.  The winner is centred on x first
+    (centring_shift): z + r*x has the witness line_witness gives at b = r,
+    and its own scale.
     """
     if not h.contains(x.point):
         raise GeometryError("line_step needs a point inside the subspace")
@@ -379,7 +384,7 @@ def line_step(
             bp_zero = not any(beta_prime)
             if not bp_zero and not h.contains(beta_prime):
                 continue  # cannot certify this slot; the bootstrap above already tried it
-            area = wedge_sq(x.point.rep, z_pt.rep)
+            area = wedge_sq(x.point, z_pt)
             if best is None or m > best_m or (m == best_m and area < best[0]):
                 best = (area, t, m, beta, w_z, z_pt, (s_z, alpha_prime), None if bp_zero else (s_b, beta_prime))
                 best_m = m
@@ -389,25 +394,26 @@ def line_step(
     if best is None:
         raise SearchExhausted("no non-degenerate certified line found within the search budget")
     _, t, m, beta, w_z, z_pt, (s_z, alpha_prime), b_prime = best
-    cert = LineCertificate(
-        slot=t,
-        m=m,
-        anchor_scale=_scale_of(img_x, x.point, s_x),
-        z_scale=_scale_of(alpha_prime, z_pt, s_z),  # z's witness is w_z
-        beta=beta,
-        beta_prime=None if b_prime is None else _rational(*b_prime),
-    )
-    return TracePoint(z_pt, w_z), cert
+    anchor_scale = _scale_of(img_x, x.point, s_x)
+    z_scale = _scale_of(alpha_prime, z_pt, s_z)  # z's witness is w_z
+    r = centring_shift(x.point, z_pt)
+    if r:
+        y = vec_add(z_pt, vec_scale(r, x.point))
+        w_z = line_witness(x.witness, w_z, t, anchor_scale, z_scale, r)
+        z_pt = primitive(y)
+        z_scale = _scale_of(y, z_pt)
+    b_prime = None if b_prime is None else _rational(*b_prime)
+    return TracePoint(z_pt, w_z), LineCertificate(t, m, anchor_scale, z_scale, beta, b_prime)
 
 
 def _differing_slots(x: TracePoint, beta: TracePoint) -> list[int]:
     return [t for t in range(len(x.witness)) if x.witness[t] != beta.witness[t]]
 
 
-def _scale_of(img: Sequence, point: ProjPointQ, s: int = 1) -> Fraction:
-    """The c with img / s == c * point.rep, given that img is a multiple of it."""
-    j = next(i for i, a in enumerate(point.rep) if a != 0)
-    return Fraction(img[j]) / (s * point.rep[j])
+def _scale_of(img: Sequence, point: IntVec, s: int = 1) -> Fraction:
+    """The c with img / s == c * point, given that img is a multiple of it."""
+    j = next(i for i, a in enumerate(point) if a != 0)
+    return Fraction(img[j]) / (s * point[j])
 
 
 # ---------------------------------------------------------------------------

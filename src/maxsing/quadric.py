@@ -22,7 +22,7 @@ from typing import Sequence
 from .errors import GeometryError, InputError, SearchExhausted, reading
 from .exact_geometry import (
     RANK_PRIME,
-    ProjPointQ,
+    IntVec,
     ProjSubspaceQ,
     dot,
     int_from_doc,
@@ -130,9 +130,8 @@ def validate_witness(form: QuadraticFormQ, w: HyperbolicWitness) -> bool:
     return True
 
 
-def on_quadric(form: QuadraticFormQ, p: ProjPointQ | Sequence) -> bool:
-    v = p.rep if isinstance(p, ProjPointQ) else p
-    return form.q(v) == 0
+def on_quadric(form: QuadraticFormQ, p: Sequence) -> bool:
+    return form.q(p) == 0
 
 
 def _pairing_row(form: QuadraticFormQ, v: Sequence) -> tuple:
@@ -143,7 +142,7 @@ def _pairing_row(form: QuadraticFormQ, v: Sequence) -> tuple:
     return row
 
 
-def orth_complement(form: QuadraticFormQ, p: ProjPointQ | Sequence) -> ProjSubspaceQ:
+def orth_complement(form: QuadraticFormQ, p: Sequence) -> ProjSubspaceQ:
     """Kernel of x -> b(p, x) as a canonical subspace, in closed form.
 
     With row = d*A*p and j* its last nonzero index, the kernel has the
@@ -153,8 +152,7 @@ def orth_complement(form: QuadraticFormQ, p: ProjPointQ | Sequence) -> ProjSubsp
     form, which is unique.  Dividing by gcd(row[j*], row[j]) and fixing
     the sign of row[j*] gives the primitive rows of ProjSubspaceQ.
     """
-    v = p.rep if isinstance(p, ProjPointQ) else p
-    row = _pairing_row(form, v)
+    row = _pairing_row(form, p)
     js = max(j for j, a in enumerate(row) if a != 0)
     lead = row[js]
     basis = []
@@ -166,7 +164,7 @@ def orth_complement(form: QuadraticFormQ, p: ProjPointQ | Sequence) -> ProjSubsp
     return ProjSubspaceQ(tuple(basis), form.dim)
 
 
-def s_h_quadric(form: QuadraticFormQ, h: ProjSubspaceQ, alpha: ProjPointQ) -> int:
+def s_h_quadric(form: QuadraticFormQ, h: ProjSubspaceQ, alpha: IntVec) -> int:
     """The three-valued obstruction score of alpha relative to H.
 
     0 if alpha is outside H; 1 if inside with orthogonal complement
@@ -179,10 +177,10 @@ def s_h_quadric(form: QuadraticFormQ, h: ProjSubspaceQ, alpha: ProjPointQ) -> in
     and b(alpha, h) = 0 for every basis row h of H.
     """
     if not on_quadric(form, alpha):
-        raise GeometryError(f"{alpha} is not a zero of the form")
+        raise GeometryError(f"[{':'.join(map(str, alpha))}] is not a zero of the form")
     if not h.contains(alpha):
         return 0
-    row = _pairing_row(form, alpha.rep)
+    row = _pairing_row(form, alpha)
     if h.rank != form.dim - 1:
         return 1
     return 2 if all(dot(row, hb) == 0 for hb in h.basis) else 1
@@ -205,10 +203,10 @@ def isotropic_in_subspace_outside(
     s: ProjSubspaceQ,
     h: ProjSubspaceQ,
     height: int,
-    anchor: ProjPointQ,
+    anchor: IntVec,
     seeds: Sequence[Sequence] = (),
     rng: random.Random | None = None,
-) -> ProjPointQ:
+) -> IntVec:
     """A zero of the form inside S but outside H of least wedge area with ``anchor``, by exhaustive enumeration.
 
     Seeds are tried first; then primitive coefficient vectors over S's
@@ -229,7 +227,7 @@ def isotropic_in_subspace_outside(
     """
     if all(h.contains(b) for b in s.basis):
         raise GeometryError("search subspace is contained in the excluded one")
-    found: dict[ProjPointQ, None] = {}  # the candidates, in the order found
+    found: dict[IntVec, None] = {}  # the candidates, in the order found
     for seed in seeds:
         if any(seed) and form.q(seed) == 0:
             pt = primitive(seed)
@@ -263,18 +261,18 @@ def isotropic_in_subspace_outside(
             found.setdefault(primitive(vec))
     if not found:
         raise SearchExhausted(f"no isotropic point in S outside H up to height {height}")
-    return min(found, key=lambda p: wedge_sq(anchor.rep, p.rep))
+    return min(found, key=lambda p: wedge_sq(anchor, p))
 
 
 def line_in_quadric_through(
     form: QuadraticFormQ,
     witness: HyperbolicWitness,
-    alpha: ProjPointQ,
+    alpha: IntVec,
     h: ProjSubspaceQ,
     s: int,
     height: int = 6,
     rng: random.Random | None = None,
-) -> ProjPointQ:
+) -> IntVec:
     """A second generator z of a totally isotropic rational line through alpha that lowers the score.
 
     For s = 1, z is an isotropic point of the orthogonal complement of
@@ -287,14 +285,14 @@ def line_in_quadric_through(
     if not h.contains(alpha):
         raise GeometryError("alpha must lie in the subspace")
     if not on_quadric(form, alpha):
-        raise GeometryError(f"{alpha} is not on the quadric")
+        raise GeometryError(f"[{':'.join(map(str, alpha))}] is not on the quadric")
     perp = orth_complement(form, alpha)
     w = witness.vectors()
     seeds = list(w)
     for a, b in itertools.product((w[0], w[1]), (w[2], w[3])):
         seeds.append(tuple(x + y for x, y in zip(a, b)))
         seeds.append(tuple(x - y for x, y in zip(a, b)))
-    excluded = h if s == 1 else subspace_span([alpha.rep], form.dim)
+    excluded = h if s == 1 else subspace_span([alpha], form.dim)
     return isotropic_in_subspace_outside(form, perp, excluded, height, alpha, seeds=seeds, rng=rng)
 
 

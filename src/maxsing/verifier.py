@@ -74,13 +74,13 @@ def trace_geometry(trace: SequenceTrace) -> TraceGeometry:
     on split4, so the only products near x_{j+1}'s size are the two with
     b.  When the check fails, both come from the stored points.
     """
-    reps = [e.x.rep for e in trace.entries]
+    reps = trace.points()
     norms = [norm_sq(reps[0])]
     wedges, step_ok = [], []
     for entry, x, x_next in zip(trace.entries, reps, reps[1:]):
         n2x, ok = norms[-1], False
         if entry.step is not None:
-            z, b = entry.step.z.rep, entry.step.b
+            z, b = entry.step.z, entry.step.b
             y = vec_add(z, vec_scale(b, x))
             c = gcd(minors_gcd(x, z), *y)
             if c:
@@ -129,7 +129,7 @@ def check_conditions(trace: SequenceTrace, geometry: TraceGeometry | None = None
     geo = geometry or trace_geometry(trace)
     n2, w = geo.norms, geo.wedges
     # each point reduced mod RANK_PRIME once; step i's compute_hi reads its prefix's residues only
-    residues = [[a % RANK_PRIME for a in p.rep] for p in points]
+    residues = [[a % RANK_PRIME for a in p] for p in points]
     records = []
     all_pass = True
     first = trace.entries[0]
@@ -243,12 +243,15 @@ def _primitive_points_in_ball(
         yield from rec(0, hi_sq - a * a)
 
 
+# the largest whole-ball bound (2*xmax+1)^n that brute_force_curve accepts
+BRUTE_FORCE_COST_GUARD = 10 ** 8
+
+
 def brute_force_curve(
     center: IntVec,
     radius_sq: Fraction,
     x_max: int,
     precision_bits: int = 64,
-    cost_guard: int = 10 ** 8,
 ) -> list[dict]:
     """Exhaustive best-approximation intervals at every integer scale <= x_max.
 
@@ -287,10 +290,10 @@ def brute_force_curve(
     if x_max < 1:
         raise InputError("x_max must be at least 1")
     est = (2 * x_max + 1) ** dim
-    if est > cost_guard:
+    if est > BRUTE_FORCE_COST_GUARD:
         raise InputError(
             f"xmax {x_max} refused: the whole-ball bound (2*xmax+1)^{dim} = "
-            f"{2 * x_max + 1}^{dim} = {est} exceeds the cost guard {cost_guard}"
+            f"{2 * x_max + 1}^{dim} = {est} exceeds the cost guard {BRUTE_FORCE_COST_GUARD}"
         )
     r2 = norm_sq(center)
     shift = precision_bits + 8
@@ -439,7 +442,7 @@ def audit_report(
     report = {"version": 3, **check_conditions(trace, geo)}
     n = len(trace.entries)
     # whether the points from i0 on span the ambient space, for every i0, each point reduced mod RANK_PRIME once
-    reps = [p.rep for p in trace.points()]
+    reps = trace.points()
     residues = [[a % RANK_PRIME for a in r] for r in reps]
     spanning = {str(i0): spans_from_residues(reps[i0 - 1:], residues[i0 - 1:]) for i0 in range(2, n + 1)}
     report["spanning"] = spanning
@@ -460,7 +463,7 @@ def audit_report(
     if bruteforce_xmax is not None and n >= 3:
         phi = ApproxFn.from_descriptor(trace.phi)
         radius_sq = limit_radius_sq(trace)
-        rows = brute_force_curve(trace.entries[-1].x.rep, radius_sq, bruteforce_xmax, precision_bits)
+        rows = brute_force_curve(trace.entries[-1].x, radius_sq, bruteforce_xmax, precision_bits)
         out_rows = []
         for row in rows:
             # domination is judged only at scales X with X^2 >= |x_2|^2

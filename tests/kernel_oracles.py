@@ -61,7 +61,7 @@ from math import isqrt
 
 from maxsing.builder import ApproxFn, limit_radius_sq
 from maxsing.errors import GeometryError, InputError
-from maxsing.exact_geometry import ProjPointQ, ProjSubspaceQ, TracePoint, dot, primitive, rank
+from maxsing.exact_geometry import ProjSubspaceQ, TracePoint, dot, primitive, rank
 from maxsing.multilinear import _contract, _integer_slots, _sparse, candidate_vectors, integer_image
 
 
@@ -118,22 +118,21 @@ def fraction_functionals(s) -> tuple:
         f[j] = Fraction(1)
         for row, pc in zip(s.basis, pivots):
             f[pc] = Fraction(-row[j], row[pc])
-        funcs.append(primitive(f).rep)
+        funcs.append(primitive(f))
     return tuple(funcs)
 
 
 def fraction_subspace_span(vectors, ambient_dim: int | None = None) -> ProjSubspaceQ:
-    vecs = [v.rep if isinstance(v, ProjPointQ) else v for v in vectors]
     if ambient_dim is None:
-        if not vecs:
+        if not vectors:
             raise GeometryError("empty span needs an explicit ambient_dim")
-        ambient_dim = len(vecs[0])
-    rows = [[Fraction(a) for a in v] for v in vecs if any(c != 0 for c in v)]
+        ambient_dim = len(vectors[0])
+    rows = [[Fraction(a) for a in v] for v in vectors if any(c != 0 for c in v)]
     for r in rows:
         if len(r) != ambient_dim:
             raise GeometryError("subspace_span: inconsistent dimensions")
     rref = _rref(rows, ambient_dim)
-    return ProjSubspaceQ(tuple(primitive(r).rep for r in rref), ambient_dim)
+    return ProjSubspaceQ(tuple(primitive(r) for r in rref), ambient_dim)
 
 
 def _rref(rows: list, ncols: int) -> list:
@@ -217,7 +216,7 @@ def exponent_row_v2(index: int, n2x: int, n2n: int, dxy: int, norm_prec: int, pr
 
 def exponent_report_v2(trace, precision_bits: int = 64) -> list:
     norm_prec = ApproxFn.from_descriptor(trace.phi).precision_bits
-    pts = [p.rep for p in trace.points()]
+    pts = trace.points()
     rows = []
     for i in range(2, len(trace.entries)):
         if trace.entries[i - 1].step is None:
@@ -230,7 +229,7 @@ def exponent_report_v2(trace, precision_bits: int = 64) -> list:
 
 
 def radius_sq_v2(trace) -> Fraction:
-    x, y = trace.entries[-2].x.rep, trace.entries[-1].x.rep
+    x, y = trace.entries[-2].x, trace.entries[-1].x
     return _decay_term(dot(x, x), dot(y, y), dot(x, y)) / dot(x, x)
 
 
@@ -352,7 +351,7 @@ def spanning_check(trace, i0: int) -> bool:
     n = len(trace.entries)
     if not 2 <= i0 <= n:
         raise InputError(f"i0 must lie in [2, {n}]")
-    return rank([p.rep for p in trace.points()[i0 - 1:]]) == trace.ambient_dim
+    return rank(trace.points()[i0 - 1:]) == trace.ambient_dim
 
 
 def dist_sq(x, y) -> Fraction:
@@ -395,7 +394,7 @@ def wedge_k(vectors) -> tuple:
 
 def trace_limit(trace) -> tuple:
     """(center, radius_sq): the certified ball around the trace's last point (builder.limit_radius_sq)."""
-    return trace.entries[-1].x.rep, limit_radius_sq(trace)
+    return trace.entries[-1].x, limit_radius_sq(trace)
 
 
 def d_xi(limit, x, precision_bits: int = 64) -> tuple[Fraction, Fraction]:

@@ -38,7 +38,7 @@ def sampled_quadric_check(adapter, x, z, b, h, cert, sample_range=20) -> list[st
         fails.append(f"recorded score {s} but recomputed {actual_s}")
     if s < 1:
         fails.append("step from a point with score 0")
-    xr, zr = x.point.rep, z.point.rep
+    xr, zr = x.point, z.point
     qx, bxz, qz = form.q(xr), form.bilinear(xr, zr), form.q(zr)
     if qz != 0:
         fails.append("line generator not on the quadric")
@@ -84,12 +84,12 @@ def sampled_klinear_check(adapter, x, z, b, h, cert_doc, sample_range=20) -> lis
             fails.append("recorded companion base does not match the witnesses")
     if z.point == x.point:
         fails.append("degenerate line: z proportional to x")
-    if evaluate(kmap, x.witness) != tuple(cert.anchor_scale * a for a in x.point.rep):
+    if evaluate(kmap, x.witness) != tuple(cert.anchor_scale * a for a in x.point):
         fails.append("anchor scale does not match the anchor witness")
-    if evaluate(kmap, z.witness) != tuple(cert.z_scale * a for a in z.point.rep):
+    if evaluate(kmap, z.witness) != tuple(cert.z_scale * a for a in z.point):
         fails.append("z scale does not match the z witness")
     for bb in sorted(set(range(-sample_range, sample_range + 1)) | {b}):
-        y = vec_add(vec_scale(bb, x.point.rep), z.point.rep)
+        y = vec_add(vec_scale(bb, x.point), z.point)
         if all(a == 0 for a in y):
             fails.append(f"line point at {bb} vanishes")
             continue

@@ -44,7 +44,6 @@ from hypothesis import given, settings, strategies as st
 from maxsing.builder import (
     ApproxFn,
     SequenceTrace,
-    _reduce_line_generator,
     compute_hi,
     limit_radius_sq,
     load_trace,
@@ -55,6 +54,7 @@ from maxsing.exact_geometry import (
     TracePoint,
     ln_hi_fixed,
     ln_lo_fixed,
+    norm_sq,
     primitive,
     subspace_span,
     wedge_sq,
@@ -90,19 +90,19 @@ def stopping_line(trace: SequenceTrace, budget: SearchBudget) -> tuple[IntVec, I
     """(x, z) spanning the line through the last point on which gen gave up.
 
     ``run`` draws from its RNG only inside ``line_step``, so replaying every
-    line step with the trace's own seed rebuilds the lines gen built; each
-    replayed line is checked against the recorded one.
+    line step with the trace's own seed rebuilds the lines gen built, each
+    generator centred by the adapter as gen records it; each replayed line
+    is checked against the recorded one.
     """
     adapter = adapter_from_descriptor(trace.family)
     rng = random.Random(trace.seed) if trace.seed else None
     points = trace.points()
     for i, entry in enumerate(trace.entries, start=1):
         h = compute_hi(points[:i], adapter.ambient_dim)
-        z_tp, cert = adapter.line_step(TracePoint(entry.x, entry.witness), h, budget, rng)
-        z_tp, _ = _reduce_line_generator(entry.x, entry.witness, z_tp, cert)
+        z_tp, _, _ = adapter.line_step(TracePoint(entry.x, entry.witness), h, budget, rng)
         if entry.step is not None:
             assert z_tp.point == entry.step.z, f"replayed line at point {i} differs from the trace"
-    return points[-1].rep, z_tp.point.rep
+    return points[-1], z_tp.point
 
 
 def forced_stop_certificate(trace: SequenceTrace, max_height: int) -> tuple[int, Fraction]:
@@ -186,7 +186,7 @@ def test_criterion_3_brute_force_domination(split4_log3x_trace):
     lim = trace_limit(trace)
     phi = ApproxFn.from_descriptor(trace.phi)
     rows = brute_force_curve(*lim, 25)
-    x_start = ceil_sqrt(trace.entries[1].x.norm_sq())
+    x_start = ceil_sqrt(norm_sq(trace.entries[1].x))
     checked = 0
     dominated = True
     for row in rows:
@@ -230,7 +230,7 @@ def test_criterion_5_telescoping_and_limit(split4_log3x_trace, split4_pow_trace,
               prodforms_pow_trace, grassmann_log3x_trace, prodforms_log3x_trace]
     ok = True
     for trace in traces:
-        pts = [e.x.rep for e in trace.entries]
+        pts = trace.points()
         dsqs = [dist_sq(a, b) for a, b in zip(pts, pts[1:])]
         for prev, cur in zip(dsqs, dsqs[1:]):
             if 9 * cur > prev:
@@ -296,7 +296,7 @@ _nonzero4 = _vec4.filter(lambda v: any(v))
 @settings(max_examples=CASES, derandomize=True, deadline=None)
 def test_criterion_8a_distance_scale_invariance(x, y, cx, cy):
     assert dist_sq(tuple(cx * a for a in x), tuple(-cy * a for a in y)) == dist_sq(x, y)
-    assert dist_sq(x, y) == dist_sq(primitive(x).rep, primitive(y).rep)
+    assert dist_sq(x, y) == dist_sq(primitive(x), primitive(y))
 
 
 @given(_vec4, _vec4, _vec4,

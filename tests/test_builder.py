@@ -24,14 +24,18 @@ from maxsing.cli import EXIT_BUDGET, main
 from maxsing.errors import GeometryError, InputError, SearchExhausted
 from maxsing.exact_geometry import (
     RANK_PRIME,
+    TracePoint,
+    centring_shift,
     norm_sq,
     inth_root,
     primitive,
     subspace_span,
+    vec_add,
+    vec_scale,
     wedge_sq,
 )
 from maxsing.families import SearchBudget, grassmann_adapter, prodforms_adapter, quadric_adapter
-from maxsing.quadric import split4
+from maxsing.quadric import line_in_quadric_through, s_h_quadric, split4
 
 from kernel_oracles import dist_sq, le_phi_sq_log3x_fraction, ln_bounds_two_series, sqrt_bounds_two_roots
 
@@ -158,7 +162,7 @@ class TestComputeHi:
         # x1..x4 span a hyperplane, x2..x4 only a plane, and x5 completes the
         # span: with each prefix's residues, H is the hyperplane, as without
         pts = [primitive(v) for v in (e(0), e(1), e(2), (0, 1, 1, 0), e(3))]
-        residues = [[a % RANK_PRIME for a in p.rep] for p in pts]
+        residues = [[a % RANK_PRIME for a in p] for p in pts]
         for i in range(1, len(pts) + 1):
             assert compute_hi(pts[:i], 4, residues[:i]) == compute_hi(pts[:i], 4)
         assert compute_hi(pts[:4], 4, residues[:4]) == subspace_span([e(0), e(1), e(2)], 4)
@@ -166,9 +170,58 @@ class TestComputeHi:
     def test_residues_must_match_the_points(self):
         # residues of later points would let a mod-p rank reach 4 on a prefix of rank 3
         pts = [primitive(v) for v in (e(0), e(1), e(2), (0, 1, 1, 0), e(3))]
-        residues = [[a % RANK_PRIME for a in p.rep] for p in pts]
+        residues = [[a % RANK_PRIME for a in p] for p in pts]
         with pytest.raises(GeometryError, match="residues do not match"):
             compute_hi(pts[:4], 4, residues)
+
+
+LINE_STEP_FAMILIES = {
+    "split4": lambda: quadric_adapter(*split4()),
+    "grassmann(4,2)": lambda: grassmann_adapter(4, 2),
+    "grassmann(5,2)": lambda: grassmann_adapter(5, 2),
+    "prodforms(2,3)": lambda: prodforms_adapter(2, 3),
+}
+
+
+class TestAdapterLineStep:
+    @given(st.sampled_from(sorted(LINE_STEP_FAMILIES)), st.lists(st.integers(1, 20), min_size=3, max_size=3),
+           st.integers(0, 3))
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_centred_generator_and_next_witness(self, family, multipliers, seed):
+        """line_step's z has centring shift 0, and witness_at(b) certifies primitive(z + b x).
+
+        The walk steps from x to primitive(z + b x) with a drawn b and
+        witness_at(b) as the witness, so every step starts from a member
+        inside its H.  witness_at is None on split4.
+        """
+        adapter = LINE_STEP_FAMILIES[family]()
+        rng = random.Random(seed) if seed else None
+        tp = adapter.start()
+        points = [tp.point]
+        for b_next in multipliers:
+            x = tp.point
+            h = compute_hi(points, adapter.ambient_dim)
+            z_tp, _, witness_at = adapter.line_step(tp, h, SearchBudget(max_height=2), rng)
+            z = z_tp.point
+            assert centring_shift(x, z) == 0
+            for b in range(1, 21):
+                y, w = primitive(vec_add(z, vec_scale(b, x))), witness_at(b)
+                assert (w is None) == (family == "split4")
+                assert adapter.member(TracePoint(y, w))
+            tp = TracePoint(primitive(vec_add(z, vec_scale(b_next, x))), witness_at(b_next))
+            points.append(tp.point)
+
+    def test_quadric_generator_off_centre(self):
+        """Here the raw split4 generator has shift 1, and line_step returns primitive(z + x)."""
+        adapter = quadric_adapter(*split4())
+        x = (2, -1, -1, -2)
+        h = subspace_span([x, e(1), e(2)], 4)
+        s = s_h_quadric(adapter.form, h, x)
+        raw = line_in_quadric_through(adapter.form, adapter.hyp_witness, x, h, s, height=1)
+        assert raw == (0, 1, 0, 2) and centring_shift(x, raw) == 1
+        z_tp, cert, witness_at = adapter.line_step(TracePoint(x), h, SearchBudget(max_height=1), None)
+        assert z_tp == TracePoint((2, 0, -1, 0)) and cert == {"kind": "quadric", "s_at_x": s}
+        assert witness_at(1) is None
 
 
 class TestRun:
@@ -180,19 +233,19 @@ class TestRun:
     def test_first_step_example(self, split4_form):
         form, wit = split4_form
         tr = run(quadric_adapter(form, wit), ApproxFn("log3x"), 2)
-        assert tr.entries[0].x.rep == (1, 0, 0, 0)
+        assert tr.entries[0].x == (1, 0, 0, 0)
         step = tr.entries[0].step
-        assert step.z.rep == (0, 0, 1, 0)
+        assert step.z == (0, 0, 1, 0)
         assert step.b == 1
-        assert tr.entries[1].x.rep == (1, 0, 1, 0)
-        assert tr.entries[1].x.norm_sq() == 2
+        assert tr.entries[1].x == (1, 0, 1, 0)
+        assert norm_sq(tr.entries[1].x) == 2
 
     def test_norm_growth_and_telescoping(self, split4_pow_trace):
         tr = split4_pow_trace
         pts = tr.points()
         for a, b in zip(pts, pts[1:]):
-            assert b.norm_sq() > a.norm_sq()
-        dsqs = [dist_sq(a.rep, b.rep) for a, b in zip(pts, pts[1:])]
+            assert norm_sq(b) > norm_sq(a)
+        dsqs = [dist_sq(a, b) for a, b in zip(pts, pts[1:])]
         for prev, cur in zip(dsqs, dsqs[1:]):
             assert 9 * cur <= prev
 
@@ -201,9 +254,9 @@ class TestRun:
         # content of z + b x_i cancels, so gen's unreduced distance is exact
         tr = split4_pow_trace
         for entry, nxt in zip(tr.entries[:-1], tr.entries[1:]):
-            x, s = entry.x.rep, entry.step
-            y = tuple(c + s.b * a for a, c in zip(x, s.z.rep))
-            assert Fraction(wedge_sq(x, s.z.rep), norm_sq(x) * norm_sq(y)) == dist_sq(x, nxt.x.rep)
+            x, s = entry.x, entry.step
+            y = tuple(c + s.b * a for a, c in zip(x, s.z))
+            assert Fraction(wedge_sq(x, s.z), norm_sq(x) * norm_sq(y)) == dist_sq(x, nxt.x)
 
     def test_log3x_budget_exhaustion_is_flagged(self, split4_log3x_trace):
         tr = split4_log3x_trace
@@ -258,7 +311,7 @@ def _decay_passes(x, z, b: int, phi: ApproxFn) -> bool:
     w2, n2y = wedge_sq(x, z), norm_sq(y)
     if 9 * w2 > 4 * n2y:  # phi <= 1
         return False
-    m = max(sqrt_bounds_two_roots(primitive(y).norm_sq(), phi.precision_bits)[0], Fraction(1))
+    m = max(sqrt_bounds_two_roots(norm_sq(primitive(y)), phi.precision_bits)[0], Fraction(1))
     # phi_lo(m) <= ln(3m)/m < bit_length(3 ceil(m)) ln 2 / m: an exact screen that
     # spares most b the logarithm
     ln_hi = (3 * math.ceil(m)).bit_length() * Fraction(6932, 10000)
@@ -327,7 +380,7 @@ class TestForcedStop:
         """Whenever the certificate says forced, no b up to b_max passes the decay test."""
         assume(any(xz[0]) and any(xz[1]))
         x, z = primitive(xz[0]), primitive(xz[1])
-        assume(wedge_sq(x.rep, z.rep) != 0)
+        assume(wedge_sq(x, z) != 0)
         phi = ApproxFn("log3x", precision_bits=prec)
         calls = []
         certificate = builder._log3x_stop_forced
@@ -343,7 +396,7 @@ class TestForcedStop:
         [((_, _, _, _, b_max, _), forced)] = calls
         assume(b_max <= 4096)
         if forced:
-            assert not any(_decay_passes(x.rep, z.rep, b, phi) for b in range(1, b_max + 1))
+            assert not any(_decay_passes(x, z, b, phi) for b in range(1, b_max + 1))
 
 
 class TestForcedStopIntegers:
@@ -393,7 +446,7 @@ class TestMultiplierKernels:
         y = tuple(c + b * a for a, c in zip(x, z))
         assume(any(y))
         c = math.gcd(_minor_gcd(x, z), *y)
-        p = primitive(y).rep
+        p = primitive(y)
         assert tuple(a // c for a in y) in (p, tuple(-a for a in p))
         assert norm_sq(p) == norm_sq(y) // (c * c)
 
@@ -475,24 +528,24 @@ class TestMultiplierKernels:
         """The returned point, distance and root are those computed from primitive(z + b x)."""
         assume(any(xz[0]) and any(xz[1]))
         x, z = primitive(xz[0]), primitive(xz[1])
-        assume(wedge_sq(x.rep, z.rep) != 0)
+        assume(wedge_sq(x, z) != 0)
         try:
             b, x_next, (w2, n2xy) = builder._select_multiplier(
                 x, z, phi, as_pair(dsq_prev), SearchBudget(multiplier_bits=12))
         except SearchExhausted:
             return
-        y = tuple(c + b * a for a, c in zip(x.rep, z.rep))
+        y = tuple(c + b * a for a, c in zip(x, z))
         assert x_next == primitive(y)
-        assert w2 == wedge_sq(x.rep, z.rep)
-        assert n2xy == x.norm_sq() * norm_sq(y)
+        assert w2 == wedge_sq(x, z)
+        assert n2xy == norm_sq(x) * norm_sq(y)
         dsq = Fraction(w2, n2xy)
-        assert dsq == dist_sq(x_next.rep, x.rep)
-        norm_lo = sqrt_bounds_two_roots(x_next.norm_sq(), phi.precision_bits)[0]
-        n2p = x_next.norm_sq()
-        assert n2p > x.norm_sq()
+        assert dsq == dist_sq(x_next, x)
+        norm_lo = sqrt_bounds_two_roots(norm_sq(x_next), phi.precision_bits)[0]
+        n2p = norm_sq(x_next)
+        assert n2p > norm_sq(x)
         if dsq_prev is not None:
             assert 9 * dsq <= dsq_prev
-            t = Fraction(9, 4) * dsq * x.norm_sq()
+            t = Fraction(9, 4) * dsq * norm_sq(x)
             if phi.variant == "pow":
                 p, q = phi.exponent.numerator, phi.exponent.denominator
                 assert t ** q * n2p ** p <= 1
@@ -504,7 +557,7 @@ class TestMultiplierKernels:
 class TestLimit:
     def test_radius_formula(self, split4_pow_trace):
         tr = split4_pow_trace
-        assert limit_radius_sq(tr) == Fraction(9, 4) * dist_sq(tr.entries[-2].x.rep, tr.entries[-1].x.rep)
+        assert limit_radius_sq(tr) == Fraction(9, 4) * dist_sq(tr.entries[-2].x, tr.entries[-1].x)
 
     def test_short_trace_rejected(self, split4_form):
         form, wit = split4_form

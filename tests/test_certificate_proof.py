@@ -15,7 +15,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from maxsing import multilinear as ml
 from maxsing import quadric as qd
-from maxsing.builder import _reduce_line_generator
 from maxsing.errors import SearchExhausted
 from maxsing.exact_geometry import TracePoint, primitive, subspace_span
 from maxsing.families import QuadricAdapter, SearchBudget, grassmann_adapter, prodforms_adapter
@@ -107,11 +106,13 @@ def quadric_lines(draw):
 def klinear_steps(draw):
     """A k-linear line step, re-checked against its subspace H or another one.
 
-    The step is built by the adapter.  Half the time its generator is
-    reduced as ``gen`` does, which rewrites z's slot, and half the time
-    z's witness is tampered with: random vectors in slot t, or in every
-    slot.  In the "tangent" case x is a square f·f of prodforms(2,2) and
-    H its tangent line, which no one-slot change of x's witness leaves,
+    The step is built by the adapter, which centres its generator on x.
+    Half the time the generator is shifted off centre to z + r·x, a drawn
+    r != 0, with the witness ``ml.line_witness`` gives at b = r and a
+    recomputed z_scale, which rewrites z's slot; and half the time z's
+    witness is tampered with: random vectors in slot t, or in every slot.
+    In the "tangent" case x is a square f·f of prodforms(2,2) and H its
+    tangent line, which no one-slot change of x's witness leaves,
     so β differs from x in both slots and E′ need not be a multiple of x.
     Re-checking against another subspace through x, or through E_y, puts
     E′ and E_y on either side.
@@ -129,7 +130,7 @@ def klinear_steps(draw):
 
     def subspace(*through, extra=True):
         vectors = draw(st.lists(st.tuples(*[small] * dim), max_size=dim - 2)) if extra else []
-        h = subspace_span([x.point.rep, *through, *vectors], dim)
+        h = subspace_span([x.point, *through, *vectors], dim)
         assume(h.rank < dim)
         return h
 
@@ -143,11 +144,19 @@ def klinear_steps(draw):
         h = subspace()
     x_tp = TracePoint(x.point, x.witness)
     try:
-        z_tp, cert = adapter.line_step(x_tp, h, SearchBudget(max_height=1), None)
+        z_tp, cert, _ = adapter.line_step(x_tp, h, SearchBudget(max_height=1), None)
     except SearchExhausted:
         assume(False)
     if draw(st.booleans()):
-        z_tp, cert = _reduce_line_generator(x.point, x.witness, z_tp, cert)
+        # an uncentred generator of the same line, like the search's winner before line_step centres it
+        r = draw(st.integers(-3, 3).filter(bool))
+        y = tuple(c + r * a for a, c in zip(x.point, z_tp.point))
+        z_pt = primitive(y)
+        z_witness = ml.line_witness(x.witness, z_tp.witness, cert["slot"], Fraction(cert["anchor_scale"]),
+                                    Fraction(cert["z_scale"]), r)
+        j = next(i for i, a in enumerate(z_pt) if a)
+        cert = {**cert, "z_scale": str(Fraction(y[j], z_pt[j]))}
+        z_tp = TracePoint(z_pt, z_witness)
     if draw(st.booleans()):
         # tampered generator: any vector in slot t keeps the line in the image but moves E_y
         t = cert["slot"]
@@ -164,8 +173,8 @@ def klinear_steps(draw):
         assume(any(img))
         z_pt = primitive(img)
         assume(z_pt != x.point)
-        j = next(i for i, a in enumerate(z_pt.rep) if a)
-        cert = {**cert, "z_scale": str(img[j] / z_pt.rep[j])}
+        j = next(i for i, a in enumerate(z_pt) if a)
+        cert = {**cert, "z_scale": str(img[j] / z_pt[j])}
         z_tp = TracePoint(z_pt, z_witness)
     recheck = draw(st.sampled_from(["same", "other", "through E_y"]))
     if recheck == "other":
@@ -213,9 +222,9 @@ class TestProofMatchesSampling:
         x = ml.witnessed_point(adapter.kmap, [e(4, 0), e(4, 1)])
         h = subspace_span([e(6, i) for i in range(5)], 6)
         x_tp = TracePoint(x.point, x.witness)
-        z_tp, cert = adapter.line_step(x_tp, h, SearchBudget(max_height=1), None)
+        z_tp, cert, _ = adapter.line_step(x_tp, h, SearchBudget(max_height=1), None)
         assert cert["m"] == 0 and cert["beta_prime"] is not None
-        h_small = subspace_span([x.point.rep], 6)
+        h_small = subspace_span([x.point], 6)
         fails = adapter.check_certificate(x_tp, z_tp, h_small, cert)
         assert "companion base point escapes the subspace" in fails
         assert _klinear_verdicts((adapter, x_tp, z_tp, 1, h_small, cert)) == (False, False)

@@ -149,7 +149,7 @@ class TestVerify:
         entry = doc["entries"][-2]
         x, z = ([int(a, 0) for a in v] for v in (entry["x"], entry["step"]["z"]))
         entry["step"]["b"] = hex(b)
-        doc["entries"][-1]["x"] = [format(a, "#x") for a in primitive([c + b * a for a, c in zip(x, z)]).rep]
+        doc["entries"][-1]["x"] = [format(a, "#x") for a in primitive([c + b * a for a, c in zip(x, z)])]
         bad, audit = tmp_path / "bad.json", tmp_path / "audit.json"
         bad.write_text(json.dumps(doc))
         assert main(["verify", str(bad), "--out", str(audit)]) == EXIT_AUDIT
@@ -292,6 +292,18 @@ class TestMalformedTrace:
         err = capsys.readouterr().err
         assert f"error: cannot load trace {bad}: {field}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_index_must_be_the_position(self, docs, tmp_path, capsys, version):
+        """The writer writes each entry's 1-based position, and the reader accepts nothing else."""
+        doc = copy.deepcopy(docs[version])
+        assert [int(e["index"]) for e in doc["entries"]] == list(range(1, len(doc["entries"]) + 1))
+        doc["entries"][1]["index"] = 9
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["verify", str(bad), "--out", str(tmp_path / "audit.json")]) == EXIT_USAGE
+        assert [line for line in capsys.readouterr().err.splitlines() if "error:" in line] == [
+            f"error: cannot load trace {bad}: entries[1].index: 9 is not the entry's position 2"]
 
 
 _GEN = ["gen", "--phi", "pow", "1/2", "--steps", "3", "--out", "{out}"]
@@ -497,6 +509,23 @@ class TestBudgetFlags:
         assert [line for line in err.splitlines() if "error:" in line] == [
             f"maxsing gen: error: argument {flag}: expected an integer {span}, got {value!r}"]
         assert "Traceback" not in err
+
+    def test_cap_bounds_the_doubling_phase_only(self, tmp_path, capsys):
+        """As the help says: at 0 bits the scan and the window above the hint still run.
+
+        A 6-point split4 pow 1/2 run then takes multipliers of 1, 3, 10, 33
+        and 117 bits, all found before the doubling phase.
+        """
+        assert main(["gen", "--help"]) == EXIT_OK
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert ("--max-multiplier-bits MAX_MULTIPLIER_BITS cap 2^bits on the doubling phase of the "
+                "multiplier search and on the range of a log3x forced-stop proof; the scan and the 64 "
+                "values above the hint are probed whatever the cap, so a multiplier may exceed it") in help_text
+        code, out = gen(tmp_path, "--family", "quadric", "--phi", "pow", "1/2", "--steps", "6", "--seed", "7",
+                        "--max-multiplier-bits", "0")
+        assert code == EXIT_OK
+        steps = [e["step"] for e in json.loads(out.read_text())["entries"][:-1]]
+        assert [int(s["b"], 16).bit_length() for s in steps] == [1, 3, 10, 33, 117]
 
     @pytest.mark.parametrize("phi", [["log3x"], ["pow", "1/2"]])
     def test_zero_multiplier_bits_is_accepted(self, tmp_path, phi):

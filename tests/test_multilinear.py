@@ -178,7 +178,7 @@ class TestIntegerKernel:
         x = witnessed_point(kmap, witness)
         dim = kmap.target_dim
         extra = data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * dim), max_size=dim - 2))
-        h = subspace_span([x.point.rep, *extra], dim)
+        h = subspace_span([x.point, *extra], dim)
         rng = random.Random(data.draw(st.integers(0, 99)))
         try:
             assert_certificate_recomputes(kmap, x, h, 2, rng)
@@ -302,7 +302,7 @@ class TestFindOutside:
         assert h.contains(anchor.point)
         beta = find_outside(kmap, h, anchor, 2)
         assert shared_count(anchor.witness, beta.witness) == 0
-        assert beta.point.rep[5] != 0
+        assert beta.point[5] != 0
         # oracle: no single-slot replacement can escape
         for w in itertools.product(range(-2, 3), repeat=4):
             if all(a == 0 for a in w):
@@ -348,7 +348,7 @@ class TestLineStep:
         assert z.point != x.point
         # every line point b*x + z escapes H: its first Plücker coordinate is fixed
         for b in range(-20, 21):
-            y = tuple(b * a + c for a, c in zip(x.point.rep, z.point.rep))
+            y = tuple(b * a + c for a, c in zip(x.point, z.point))
             w = line_witness(x.witness, z.witness, cert.slot, cert.anchor_scale, cert.z_scale, b)
             assert evaluate(kmap, w) == tuple(Fraction(a) for a in y)
             comp = companion_vector(kmap, cert, x, z, b)
@@ -362,7 +362,7 @@ class TestLineStep:
         assert h.contains(x.point)
         z, cert = line_step(kmap, x, h, 2)
         for b in (-3, 1, 5):
-            y = tuple(b * a + c for a, c in zip(x.point.rep, z.point.rep))
+            y = tuple(b * a + c for a, c in zip(x.point, z.point))
             w = line_witness(x.witness, z.witness, cert.slot, cert.anchor_scale, cert.z_scale, b)
             assert primitive(evaluate(kmap, w)) == primitive(y)
 

@@ -168,11 +168,11 @@ def _orth_complement_fraction(form, v):
 
 def _s_h_by_rref(form, h, alpha):
     """The score with H = alpha^perp decided by comparing canonical bases."""
-    if _bilinear_fraction(form, alpha.rep, alpha.rep) != 0:
+    if _bilinear_fraction(form, alpha, alpha) != 0:
         raise GeometryError(f"{alpha} is not a zero of the form")
-    if not in_span(alpha.rep, h):
+    if not in_span(alpha, h):
         return 0
-    return 2 if _orth_complement_fraction(form, alpha.rep) == h else 1
+    return 2 if _orth_complement_fraction(form, alpha) == h else 1
 
 
 def _isotropic_case(n, entries, alpha, k, extra, rnd):
@@ -308,7 +308,7 @@ class TestLineConstruction:
         alpha = primitive(e(0))
         h = hyperplane(1)  # equals perp(alpha): score 2
         z = line_in_quadric_through(form, witness, alpha, h, 2)
-        line = subspace_span([alpha.rep, z.rep], 4)
+        line = subspace_span([alpha, z], 4)
         assert line.rank == 2
         assert z == primitive(e(2))
         assert line == subspace_span([e(0), e(2)], 4)
@@ -317,7 +317,7 @@ class TestLineConstruction:
         alpha = primitive(e(0))
         h = hyperplane(2)  # score 1
         z = line_in_quadric_through(form, witness, alpha, h, 1)
-        assert subspace_span([alpha.rep, z.rep], 4).rank == 2
+        assert subspace_span([alpha, z], 4).rank == 2
         assert z == primitive(e(2))
         assert not h.contains(z)
         # every other rational line point leaves H
@@ -335,20 +335,20 @@ class TestLineConstruction:
         s = s_h_quadric(form, h, alpha)
         assert s == 1
         z = line_in_quadric_through(form, witness, alpha, h, s)
-        assert subspace_span([alpha.rep, z.rep], 4).rank == 2
-        assert form.q(z.rep) == 0
-        assert form.bilinear(alpha.rep, z.rep) == 0
+        assert subspace_span([alpha, z], 4).rank == 2
+        assert form.q(z) == 0
+        assert form.bilinear(alpha, z) == 0
         for lam, mu in itertools.product(range(-5, 6), repeat=2):
-            v = tuple(lam * a + mu * b for a, b in zip(alpha.rep, z.rep))
+            v = tuple(lam * a + mu * b for a, b in zip(alpha, z))
             assert form.q(v) == 0
 
     def test_score_two_samples_drop(self, form, witness):
         alpha = primitive(e(0))
         h = hyperplane(1)
         z = line_in_quadric_through(form, witness, alpha, h, 2)
-        assert subspace_span([alpha.rep, z.rep], 4).rank == 2
+        assert subspace_span([alpha, z], 4).rank == 2
         for lam in range(-20, 21):
-            y = primitive(tuple(lam * a + c for a, c in zip(alpha.rep, z.rep)))
+            y = primitive(tuple(lam * a + c for a, c in zip(alpha, z)))
             assert s_h_quadric(form, h, y) <= 1
 
 

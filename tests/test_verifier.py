@@ -79,7 +79,7 @@ class TestCheckConditions:
             z = entry["step"]["z"]
             z[0] = hex(int(z[0], 0) + 1)
             y = [int(c, 0) + int(entry["step"]["b"], 0) * int(a, 0) for a, c in zip(entry["x"], z)]
-            doc["entries"][3]["x"] = [hex(a) for a in primitive(y).rep]
+            doc["entries"][3]["x"] = [hex(a) for a in primitive(y)]
 
         failures = check_conditions(tamper(split4_pow_trace, corrupt))["conditions"][3]["failures"]
         assert failures[0] == "(a) next point is not a certified member"
@@ -171,12 +171,12 @@ class TestCheckConditions:
         x, z, b = entry.x, entry.step.z, entry.step.b
         b_small = next(
             bb for bb in range(1, b)
-            if prim(vec_add(z.rep, vec_scale(bb, x.rep))).norm_sq() > x.norm_sq()
+            if norm_sq(prim(vec_add(z, vec_scale(bb, x)))) > norm_sq(x)
         )
-        new_last = prim(vec_add(z.rep, vec_scale(b_small, x.rep)))
+        new_last = prim(vec_add(z, vec_scale(b_small, x)))
         doc = trace_to_doc(tr)
         doc["entries"][-2]["step"]["b"] = hex(b_small)
-        doc["entries"][-1]["x"] = [hex(a) for a in new_last.rep]
+        doc["entries"][-1]["x"] = [hex(a) for a in new_last]
         report = check_conditions(trace_from_doc(doc))
         assert not report["all_pass"]
         msgs = [m for r in report["conditions"] for m in r["failures"]]
@@ -250,9 +250,9 @@ class TestBruteForce:
         lim = trace_limit(split4_log3x_trace)
         x2 = split4_log3x_trace.entries[1].x
         n = 1
-        while n * n < x2.norm_sq():
+        while n * n < norm_sq(x2):
             n += 1
-        assert brute_force_curve(*lim, n)[-1]["hi"] <= d_xi(lim, x2.rep)[1]
+        assert brute_force_curve(*lim, n)[-1]["hi"] <= d_xi(lim, x2)[1]
 
     def test_cost_guard(self):
         lim = ((1,) * 8, Fraction(0))
@@ -390,7 +390,7 @@ class TestExponent:
             # the bound it certifies: Dmin(X) <= D(x_index) <= D_hi <= X^(-lambda)
             assert r.d_hi > 0
             x = split4_log3x_trace.entries[r.index - 1].x
-            assert d_xi(lim, x.rep)[1] <= r.d_hi + Fraction(1, 2 ** 40)
+            assert d_xi(lim, x)[1] <= r.d_hi + Fraction(1, 2 ** 40)
 
     def test_exact_reciprocal_gives_exponent_one(self):
         # D = X^-1 at X = 10 pins lambda at 1: test the certified-ratio arithmetic
@@ -455,13 +455,13 @@ def assert_geometry_of_stored_points(trace):
     """trace_geometry's values are norm_sq and the Lagrange identity on the stored points,
     and its step verdicts are x_next == primitive(z + b*x); returns the geometry."""
     geo = trace_geometry(trace)
-    reps = [p.rep for p in trace.points()]
+    reps = trace.points()
     assert geo.norms == tuple(norm_sq(r) for r in reps)
     assert geo.wedges == tuple(norm_sq(x) * norm_sq(y) - dot(x, y) ** 2 for x, y in zip(reps, reps[1:]))
     steps = []
     for entry, x_next in zip(trace.entries, trace.points()[1:]):
         s = entry.step
-        y = None if s is None else tuple(c + s.b * a for a, c in zip(entry.x.rep, s.z.rep))
+        y = None if s is None else tuple(c + s.b * a for a, c in zip(entry.x, s.z))
         steps.append(y is not None and any(y) and primitive(y) == x_next)
     assert geo.step_ok == tuple(steps)
     return geo
@@ -584,7 +584,7 @@ class TestAuditV3Bounds:
     @pytest.mark.parametrize("precision", [16, 64])
     def test_benchmark_families(self, request, name, precision):
         trace = request.getfixturevalue(name)
-        pts = [p.rep for p in trace.points()]
+        pts = trace.points()
         rows = exponent_report(trace, precision)
         oracle = exponent_report_v2(trace, precision)
         assert [r.index for r in rows] == [o[0] for o in oracle]
