@@ -49,7 +49,7 @@ from .exact_geometry import (
     vec_add,
     vec_scale,
 )
-from .families import SearchBudget
+from .families import KLinearAdapter, QuadricAdapter, SearchBudget, adapter_from_descriptor
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +205,8 @@ class TraceEntry:
 
 @dataclass
 class SequenceTrace:
-    family: dict
-    phi: dict
-    ambient_dim: int
+    family: QuadricAdapter | KLinearAdapter
+    phi: ApproxFn
     seed: int
     entries: list[TraceEntry] = field(default_factory=list)
     partial: bool = False
@@ -531,12 +530,7 @@ def run(
     tp = adapter.start()
     if not adapter.member(tp):
         raise InputError("start point is not a certified member of the family")
-    trace = SequenceTrace(
-        family=adapter.descriptor(),
-        phi=phi.descriptor(),
-        ambient_dim=adapter.ambient_dim,
-        seed=seed,
-    )
+    trace = SequenceTrace(family=adapter, phi=phi, seed=seed)
     points = [tp.point]
     witnesses = [tp.witness]
     entries: list[TraceEntry] = []
@@ -608,9 +602,9 @@ def trace_to_doc(trace: SequenceTrace) -> dict:
         })
     return {
         "version": 2,
-        "family": trace.family,
-        "phi": trace.phi,
-        "ambient_dim": trace.ambient_dim,
+        "family": trace.family.descriptor(),
+        "phi": trace.phi.descriptor(),
+        "ambient_dim": trace.family.ambient_dim,
         "seed": trace.seed,
         "partial": trace.partial,
         "budget_note": trace.budget_note,
@@ -654,14 +648,16 @@ def _parse_step(doc, dim: int, shape, where: str) -> StepData:
 def trace_from_doc(doc) -> SequenceTrace:
     """A trace from a version 1 or 2 document, every stored field checked.
 
+    The family's adapter and the decay target are built from their
+    descriptors before any entry is read, so every command that reads a
+    trace refuses a bad family, a map above the size caps or a bad decay
+    target first; ambient_dim must be the family's.
     An integer is a JSON int, a 0x hex string or a decimal string.  An
     entry's index is its 1-based position, which the writer recomputes.  A
     point is a nonzero list of ambient_dim integers.  A z_witness has the
-    family's k slots of n coordinates, since the certificate check indexes
-    it; a point's witness is judged by the audit's membership test.  The
-    family's n and k, and for grassmann and prodforms the map's D and
-    basis-image count, are checked against the caps before any entry is
-    read.  A defect raises an InputError naming the entry and the field.
+    adapter's ``witness_shape``, since the certificate check indexes it; a
+    point's witness is judged by the audit's membership test.  A defect
+    raises an InputError naming the entry and the field.
     """
     if not isinstance(doc, dict):
         raise InputError("a trace is a JSON object")
@@ -671,25 +667,20 @@ def trace_from_doc(doc) -> SequenceTrace:
     family, phi, entries = doc.get("family"), doc.get("phi"), doc.get("entries")
     if not isinstance(family, dict) or not isinstance(phi, dict):
         raise InputError("family and phi must be objects")
+    adapter = adapter_from_descriptor(family)
     with reading("phi"):
-        ApproxFn.from_descriptor(phi)
+        phi = ApproxFn.from_descriptor(phi)
     if not isinstance(entries, list):
         raise InputError("entries: expected a list")
     partial = doc.get("partial", False)
     if not isinstance(partial, bool):
         raise InputError(f"partial: expected true or false, got {partial!r:.40}")
     dim = int_from_doc(doc.get("ambient_dim"), "ambient_dim")
-    k, n = family.get("k"), family.get("n")
-    shape = (k, n) if isinstance(k, int) and isinstance(n, int) else None
-    if shape is not None:
-        ml.check_caps("family", n=n, k=k)
-        kind = family.get("kind")
-        if kind in ("grassmann", "prodforms") and n >= 1 and k >= 1:
-            ml.check_caps(f"{kind}({n}, {k})", **ml.map_sizes(kind, n, k))
+    if dim != adapter.ambient_dim:
+        raise InputError("ambient dimension does not match the family")
     trace = SequenceTrace(
-        family=family,
+        family=adapter,
         phi=phi,
-        ambient_dim=dim,
         seed=int_from_doc(doc.get("seed", 0), "seed"),
         partial=partial,
         budget_note=doc.get("budget_note"),
@@ -705,7 +696,7 @@ def trace_from_doc(doc) -> SequenceTrace:
         trace.entries.append(TraceEntry(
             x=_parse_point(e.get("x"), dim, f"{where}.x"),
             witness=_parse_witness(e.get("witness"), f"{where}.witness"),
-            step=None if s is None else _parse_step(s, dim, shape, f"{where}.step"),
+            step=None if s is None else _parse_step(s, dim, adapter.witness_shape, f"{where}.step"),
         ))
     return trace
 

@@ -142,8 +142,8 @@ def rank(vectors: Iterable[Sequence]) -> int:
     leaves an r_p x r_p minor of M that is nonzero mod p; that integer
     minor is then nonzero, so rank_Q(M) >= r_p.  If r_p equals
     min(rows, cols), the two bounds meet and r_p is the rank.  Otherwise
-    p may divide every larger minor, and the rank comes from exact
-    fraction-free elimination over Z instead.
+    p may divide every larger minor, and the rank is that of the exact
+    span (``subspace_span``) instead.
     """
     rows = [_clear_denominators(v) for v in vectors if any(a != 0 for a in v)]
     if not rows:
@@ -166,7 +166,7 @@ def rank_from_residues(rows: Sequence[Sequence[int]], residues: Sequence[Sequenc
     bound = min(len(rows), ncols)
     if _rank_mod_p(residues, ncols, RANK_PRIME) == bound:
         return bound
-    return _rank_exact([list(r) for r in rows], ncols)
+    return subspace_span(rows, ncols).rank
 
 
 def spans_from_residues(rows: Sequence[Sequence[int]], residues: Sequence[Sequence[int]]) -> bool:
@@ -198,37 +198,6 @@ def _rank_mod_p(rows: list[list[int]], ncols: int, p: int) -> int:
         rnk += 1
         if rnk == len(red):
             break
-    return rnk
-
-
-def _rank_exact(rows: list[list[int]], ncols: int) -> int:
-    """Exact rank over Q by fraction-free integer elimination; rows are overwritten."""
-    rnk = 0
-    col = 0
-    while rnk < len(rows) and col < ncols:
-        piv = None
-        for i in range(rnk, len(rows)):
-            if rows[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            col += 1
-            continue
-        rows[rnk], rows[piv] = rows[piv], rows[rnk]
-        pv = rows[rnk][col]
-        for i in range(rnk + 1, len(rows)):
-            ai = rows[i][col]
-            if ai == 0:
-                continue
-            g = gcd(pv, ai)
-            rows[i] = [a * (pv // g) - b * (ai // g) for a, b in zip(rows[i], rows[rnk])]
-            gg = 0
-            for a in rows[i]:
-                gg = gcd(gg, a)
-            if gg > 1:
-                rows[i] = [a // gg for a in rows[i]]
-        rnk += 1
-        col += 1
     return rnk
 
 

@@ -8,7 +8,10 @@ The builder and the auditor reach a family through four calls only:
 primitive(z + b*x), None on a quadric; and ``check_certificate``, the
 exact re-check of a recorded step.  The adapter alone writes the
 certificate document.  Points are primitive integer tuples and travel in
-TracePoints, with their witnesses.
+TracePoints, with their witnesses.  A trace holds its adapter: the trace
+reader builds it with ``adapter_from_descriptor`` and checks the entries
+against its ``ambient_dim`` and ``witness_shape``, and the writer stores
+its ``descriptor()``.
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ class QuadricAdapter:
     # a clean check_certificate and the step check put x_next on the quadric
     # (verifier.check_conditions), so the audit does not evaluate q(x_next)
     certificate_proves_next_member = True
+    # points carry no witness, so a trace's z_witness has no shape to check
+    witness_shape = None
 
     def __init__(self, form: qd.QuadraticFormQ, witness: qd.HyperbolicWitness):
         if not qd.validate_witness(form, witness):
@@ -129,6 +134,8 @@ class KLinearAdapter:
         self.kmap = kmap
         self.kind = kind
         self.ambient_dim = kmap.target_dim
+        # k slots of n coordinates, which a trace's z_witness must have
+        self.witness_shape = (kmap.k, kmap.n)
 
     def descriptor(self) -> dict:
         if self.kind in ("grassmann", "prodforms"):

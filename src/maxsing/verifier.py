@@ -15,8 +15,8 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterator
 
-from .builder import ApproxFn, SequenceTrace, _product_gt, compute_hi, limit_radius_sq
-from .errors import DOCUMENT_ERRORS, GeometryError, InputError, reading
+from .builder import SequenceTrace, _product_gt, compute_hi, limit_radius_sq
+from .errors import DOCUMENT_ERRORS, GeometryError, InputError
 from .exact_geometry import (
     RANK_PRIME,
     IntVec,
@@ -35,7 +35,6 @@ from .exact_geometry import (
     vec_scale,
     wedge_sq,
 )
-from .families import adapter_from_descriptor
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +105,8 @@ def check_conditions(trace: SequenceTrace, geometry: TraceGeometry | None = None
     aggregates them.  Failures name the condition and print bit lengths,
     never a full-size decimal.  ``geometry`` is trace_geometry(trace),
     computed here when not given; it holds each step check's verdict.
+    The family adapter and the decay target are the trace's own, built
+    and checked against ambient_dim when it was read (builder.trace_from_doc).
 
     (a) for a later point is implied, and not evaluated, when the adapter's
     ``certificate_proves_next_member`` holds, (c) passes cleanly (no
@@ -120,11 +121,7 @@ def check_conditions(trace: SequenceTrace, geometry: TraceGeometry | None = None
         raise InputError("empty trace")
     if len(trace.entries) < 2 and not trace.partial:
         raise InputError("a complete trace needs at least 2 points")
-    with reading("bad family or decay descriptor"):
-        adapter = adapter_from_descriptor(trace.family)
-        phi = ApproxFn.from_descriptor(trace.phi)
-    if adapter.ambient_dim != trace.ambient_dim:
-        raise InputError("ambient dimension does not match the family")
+    adapter, phi = trace.family, trace.phi
     points = trace.points()
     geo = geometry or trace_geometry(trace)
     n2, w = geo.norms, geo.wedges
@@ -148,7 +145,7 @@ def check_conditions(trace: SequenceTrace, geometry: TraceGeometry | None = None
             all_pass = False
             break
         x = points[i - 1]
-        h = compute_hi(points[:i], trace.ambient_dim, residues[:i])
+        h = compute_hi(points[:i], adapter.ambient_dim, residues[:i])
         # (c) certified score decrease along the line, for every step; corrupt
         # inputs make the exact re-derivations raise, which is itself a failure
         try:
@@ -446,7 +443,7 @@ def audit_report(
     residues = [[a % RANK_PRIME for a in r] for r in reps]
     spanning = {str(i0): spans_from_residues(reps[i0 - 1:], residues[i0 - 1:]) for i0 in range(2, n + 1)}
     report["spanning"] = spanning
-    span_required = range(2, n - trace.ambient_dim + 1)
+    span_required = range(2, n - trace.family.ambient_dim + 1)
     span_ok = all(spanning[str(i0)] for i0 in span_required)
     if not span_ok:
         report["all_pass"] = False
@@ -461,13 +458,12 @@ def audit_report(
         report["limit"] = None
         report["exponents"] = []
     if bruteforce_xmax is not None and n >= 3:
-        phi = ApproxFn.from_descriptor(trace.phi)
         radius_sq = limit_radius_sq(trace)
         rows = brute_force_curve(trace.entries[-1].x, radius_sq, bruteforce_xmax, precision_bits)
         out_rows = []
         for row in rows:
             # domination is judged only at scales X with X^2 >= |x_2|^2
-            phi_hi = phi.phi_hi(row["X"]) if row["X"] ** 2 >= geo.norms[1] else None
+            phi_hi = trace.phi.phi_hi(row["X"]) if row["X"] ** 2 >= geo.norms[1] else None
             out_rows.append({
                 **bruteforce_row_doc(row),
                 "phi_hi": None if phi_hi is None else str(phi_hi),

@@ -59,7 +59,7 @@ import random
 from fractions import Fraction
 from math import isqrt
 
-from maxsing.builder import ApproxFn, limit_radius_sq
+from maxsing.builder import limit_radius_sq
 from maxsing.errors import GeometryError, InputError
 from maxsing.exact_geometry import ProjSubspaceQ, TracePoint, dot, primitive, rank
 from maxsing.multilinear import _contract, _integer_slots, _sparse, candidate_vectors, integer_image
@@ -215,7 +215,7 @@ def exponent_row_v2(index: int, n2x: int, n2n: int, dxy: int, norm_prec: int, pr
 
 
 def exponent_report_v2(trace, precision_bits: int = 64) -> list:
-    norm_prec = ApproxFn.from_descriptor(trace.phi).precision_bits
+    norm_prec = trace.phi.precision_bits
     pts = trace.points()
     rows = []
     for i in range(2, len(trace.entries)):
@@ -351,7 +351,7 @@ def spanning_check(trace, i0: int) -> bool:
     n = len(trace.entries)
     if not 2 <= i0 <= n:
         raise InputError(f"i0 must lie in [2, {n}]")
-    return rank(trace.points()[i0 - 1:]) == trace.ambient_dim
+    return rank(trace.points()[i0 - 1:]) == trace.family.ambient_dim
 
 
 def dist_sq(x, y) -> Fraction:

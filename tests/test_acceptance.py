@@ -42,7 +42,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from maxsing.builder import (
-    ApproxFn,
     SequenceTrace,
     compute_hi,
     limit_radius_sq,
@@ -59,7 +58,7 @@ from maxsing.exact_geometry import (
     subspace_span,
     wedge_sq,
 )
-from maxsing.families import SearchBudget, adapter_from_descriptor
+from maxsing.families import SearchBudget
 from maxsing.multilinear import grassmann_map
 from maxsing.quadric import s_h_quadric, split4
 from maxsing.verifier import (
@@ -94,7 +93,7 @@ def stopping_line(trace: SequenceTrace, budget: SearchBudget) -> tuple[IntVec, I
     generator centred by the adapter as gen records it; each replayed line
     is checked against the recorded one.
     """
-    adapter = adapter_from_descriptor(trace.family)
+    adapter = trace.family
     rng = random.Random(trace.seed) if trace.seed else None
     points = trace.points()
     for i, entry in enumerate(trace.entries, start=1):
@@ -184,7 +183,7 @@ def test_criterion_3_brute_force_domination(split4_log3x_trace):
     t0 = time.monotonic()
     trace = split4_log3x_trace
     lim = trace_limit(trace)
-    phi = ApproxFn.from_descriptor(trace.phi)
+    phi = trace.phi
     rows = brute_force_curve(*lim, 25)
     x_start = ceil_sqrt(norm_sq(trace.entries[1].x))
     checked = 0
@@ -249,7 +248,7 @@ def test_criterion_6_spanning_proxy(split4_log3x_trace, grassmann_log3x_trace,
     log_traces = [("split4", split4_log3x_trace), ("grassmann", grassmann_log3x_trace),
                   ("prodforms", prodforms_log3x_trace)]
     for name, trace in log_traces:
-        idxs = range(2, len(trace.entries) - trace.ambient_dim + 1)
+        idxs = range(2, len(trace.entries) - trace.family.ambient_dim + 1)
         for i0 in idxs:
             if not spanning_check(trace, i0):
                 ok = False
@@ -259,7 +258,7 @@ def test_criterion_6_spanning_proxy(split4_log3x_trace, grassmann_log3x_trace,
     for name, trace in [("split4 pow", split4_pow_trace),
                         ("grassmann pow", grassmann_pow_trace),
                         ("prodforms pow", prodforms_pow_trace)]:
-        idxs = list(range(2, len(trace.entries) - trace.ambient_dim + 1))
+        idxs = list(range(2, len(trace.entries) - trace.family.ambient_dim + 1))
         for i0 in idxs:
             if not spanning_check(trace, i0):
                 ok = False

@@ -569,7 +569,7 @@ class TestLimit:
         tr = split4_pow_trace
         radii = []
         for n in range(3, len(tr.entries) + 1):
-            prefix = SequenceTrace(tr.family, tr.phi, tr.ambient_dim, tr.seed,
+            prefix = SequenceTrace(tr.family, tr.phi, tr.seed,
                                    tr.entries[:n])
             radii.append(limit_radius_sq(prefix))
         for a, b in zip(radii, radii[1:]):

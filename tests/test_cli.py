@@ -315,6 +315,15 @@ def _without(doc: dict, key: str) -> dict:
     return {k: v for k, v in doc.items() if k != key}
 
 
+def _five_dimensional(doc: dict) -> None:
+    """Claim ambient dimension 5 and give every x and z a zero fifth coordinate."""
+    doc["ambient_dim"] = 5
+    for e in doc["entries"]:
+        e["x"].append("0x0")
+        if e["step"] is not None:
+            e["step"]["z"].append("0x0")
+
+
 class TestNoTraceback:
     """Bad input of any kind exits 1 with one ``error:`` line on stderr, never a traceback."""
 
@@ -369,7 +378,51 @@ class TestNoTraceback:
         bad.write_text(json.dumps(doc))
         assert main(["verify", str(bad), "--out", str(tmp_path / "audit.json")]) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith("error: bad family or decay descriptor: family: dim: ")
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: cannot load trace {bad}: family: dim: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "{bad}", "--out", "{audit}"],
+        ["exponent", "{bad}"],
+        ["bruteforce", "{bad}", "--xmax", "3"],
+    ], ids=["verify", "exponent", "bruteforce"])
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda d: d.__setitem__("family", {"kind": "nonsense"}), "family: unknown kind 'nonsense'"),
+        (lambda d: d["family"].__setitem__("gram", 5), "family: gram: "),
+        (_five_dimensional, "ambient dimension does not match the family"),
+    ], ids=["unknown-kind", "gram-int", "ambient-dim-5"])
+    def test_bad_header_exits_1_for_every_command(self, traces, tmp_path, capsys, argv, mutate, message):
+        """Every command builds the family from the header before it reads an entry."""
+        doc = json.loads((traces / "split4.json").read_text())
+        mutate(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        paths = {"{bad}": str(bad), "{audit}": str(tmp_path / "audit.json")}
+        assert main([paths.get(a, a) for a in argv]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith(f"error: cannot load trace {bad}: {message}"), err
+
+    @pytest.mark.parametrize("name", ["split4", "grassmann"])
+    def test_verify_parses_the_header_once(self, traces, tmp_path, monkeypatch, name):
+        from maxsing import families
+        from maxsing.builder import ApproxFn
+
+        calls = []
+
+        def counted(label, fn):
+            def wrapper(d):
+                calls.append(label)
+                return fn(d)
+            return wrapper
+
+        # wherever a module holds adapter_from_descriptor, it calls the counted one
+        adapter_from_descriptor = families.adapter_from_descriptor
+        for module in [m for n, m in sys.modules.items() if n.startswith("maxsing")]:
+            if getattr(module, "adapter_from_descriptor", None) is adapter_from_descriptor:
+                monkeypatch.setattr(module, "adapter_from_descriptor", counted("family", adapter_from_descriptor))
+        monkeypatch.setattr(ApproxFn, "from_descriptor", staticmethod(counted("phi", ApproxFn.from_descriptor)))
+        assert main(["verify", str(traces / f"{name}.json"), "--out", str(tmp_path / "audit.json")]) == EXIT_OK
+        assert sorted(calls) == ["family", "phi"]
 
     @pytest.mark.parametrize("dim", [4, "4", "missing"])
     def test_quadric_dim_matching_or_missing_is_accepted(self, traces, tmp_path, dim):

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from maxsing.builder import trace_from_doc
+from maxsing.builder import trace_from_doc, trace_to_doc
 from maxsing.cli import EXIT_BUDGET, EXIT_OK, main
 from maxsing.multilinear import KLinearMap, map_to_doc, prodforms_map
 from kernel_oracles import write_json
@@ -236,7 +236,7 @@ class TestVersion1Fixture:
         v2 = json.loads(out.read_text())
         assert v2["version"] == 2
         assert stored_values_digest(v1) == stored_values_digest(v2)
-        assert trace_from_doc(v1) == trace_from_doc(v2)
+        assert trace_to_doc(trace_from_doc(v1)) == trace_to_doc(trace_from_doc(v2))
 
 
 # every one-place tamper of the 6-point split4 seed-7 traces (tamper_cases.py):
