@@ -22,10 +22,10 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Sequence
 
 from . import multilinear as ml
 from .errors import GeometryError, InputError, SearchExhausted, reading
@@ -101,7 +101,6 @@ def _top_bounds(side, k: int) -> tuple[int, int, int]:
 MAX_PRECISION_BITS = 4096
 
 
-@dataclass(frozen=True)
 class ApproxFn:
     """Monotonically decreasing decay target on [1, oo) with values in (0, 1].
 
@@ -110,23 +109,27 @@ class ApproxFn:
     certified lower (or upper) end of phi, and ``phi_hi`` gives a certified
     upper bound at integer scales, within 2^-(precision_bits + 2) of phi.
     The power law decides comparisons against phi^2 exactly by
-    cross-multiplied integer powers, with no rounding at all.
+    cross-multiplied integer powers, with no rounding at all.  Two decay
+    targets are equal when their descriptors are.
     """
 
-    variant: str
-    exponent: Fraction | None = None
-    precision_bits: int = 64
-
-    def __post_init__(self):
-        if self.variant not in ("log3x", "pow"):
-            raise InputError(f"unknown decay variant {self.variant!r}")
-        if self.variant == "pow":
-            if self.exponent is None or not 0 < self.exponent < 1:
+    def __init__(self, variant: str, exponent: Fraction | None = None, precision_bits: int = 64):
+        if variant not in ("log3x", "pow"):
+            raise InputError(f"unknown decay variant {variant!r}")
+        if variant == "pow":
+            if exponent is None or not 0 < exponent < 1:
                 raise InputError("power-law exponent must lie strictly between 0 and 1")
-        elif self.exponent is not None:
+        elif exponent is not None:
             raise InputError("log3x takes no exponent")
-        if not 0 <= self.precision_bits <= MAX_PRECISION_BITS:
-            raise InputError(f"precision_bits {self.precision_bits} is outside 0..{MAX_PRECISION_BITS}")
+        if not 0 <= precision_bits <= MAX_PRECISION_BITS:
+            raise InputError(f"precision_bits {precision_bits} is outside 0..{MAX_PRECISION_BITS}")
+        self.variant, self.exponent, self.precision_bits = variant, exponent, precision_bits
+
+    def __eq__(self, other):
+        return isinstance(other, ApproxFn) and self.descriptor() == other.descriptor()
+
+    def __repr__(self):
+        return f"ApproxFn({self.variant!r}, {self.exponent!r}, {self.precision_bits!r})"
 
     def descriptor(self) -> dict:
         d = {"variant": self.variant, "precision_bits": self.precision_bits}
@@ -188,29 +191,20 @@ class ApproxFn:
 # trace data
 
 
-@dataclass(frozen=True)
-class StepData:
-    z: IntVec
-    z_witness: tuple | None
-    b: int
-    certificate: dict
+# a step: the line's second generator z (an IntVec) with its witness, the
+# multiplier b and the family's certificate document
+StepData = namedtuple("StepData", "z z_witness b certificate")
+# a point x with its witness, and the step leaving it (None at the last point)
+TraceEntry = namedtuple("TraceEntry", "x witness step")
 
 
-@dataclass(frozen=True)
-class TraceEntry:
-    x: IntVec
-    witness: tuple | None
-    step: StepData | None
-
-
-@dataclass
 class SequenceTrace:
-    family: QuadricAdapter | KLinearAdapter
-    phi: ApproxFn
-    seed: int
-    entries: list[TraceEntry] = field(default_factory=list)
-    partial: bool = False
-    budget_note: str | None = None
+    def __init__(self, family: QuadricAdapter | KLinearAdapter, phi: ApproxFn, seed: int,
+                 entries: list[TraceEntry] | None = None, partial: bool = False,
+                 budget_note: str | None = None):
+        self.family, self.phi, self.seed = family, phi, seed
+        self.entries = [] if entries is None else entries
+        self.partial, self.budget_note = partial, budget_note
 
     def points(self) -> list[IntVec]:
         return [e.x for e in self.entries]
@@ -702,9 +696,13 @@ def trace_from_doc(doc) -> SequenceTrace:
 
 
 def save_trace(trace: SequenceTrace, path: str) -> None:
+    """Write the trace's document, encoded in full before the file is opened.
+
+    One write, and an encoding error leaves an existing file as it was.
+    """
+    text = json.dumps(trace_to_doc(trace), indent=2) + "\n"
     with open(path, "w") as fh:
-        json.dump(trace_to_doc(trace), fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_trace(path: str) -> SequenceTrace:

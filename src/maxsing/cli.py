@@ -58,11 +58,7 @@ def _default_precision() -> int:
         raise InputError(f"MAXSING_PRECISION_BITS: {exc}") from None
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="maxsing", description=__doc__)
-    sub = p.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("gen", help="construct a trace")
+def _gen_arguments(g: argparse.ArgumentParser) -> None:
     g.add_argument("--family", required=True, choices=["grassmann", "prodforms", "quadric", "klinear"])
     g.add_argument("--n", type=int, help="source dimension (grassmann/prodforms)")
     g.add_argument("--k", type=int, help="arity (grassmann/prodforms)")
@@ -80,23 +76,25 @@ def _build_parser() -> argparse.ArgumentParser:
                         "of a log3x forced-stop proof; the scan and the 64 values above the hint "
                         "are probed whatever the cap, so a multiplier may exceed it")
 
-    v = sub.add_parser("verify", help="audit a trace")
+
+def _verify_arguments(v: argparse.ArgumentParser) -> None:
     v.add_argument("trace", help="trace JSON path")
     v.add_argument("--precision", type=_precision, default=None)
     v.add_argument("--bruteforce-xmax", type=int, default=None)
     v.add_argument("--out", help="write the audit JSON here (default: stdout)")
 
-    e = sub.add_parser("exponent", help="per-scale certified exponent lower bounds")
+
+def _exponent_arguments(e: argparse.ArgumentParser) -> None:
     e.add_argument("trace")
     e.add_argument("--precision", type=_precision, default=None)
     e.add_argument("--json", action="store_true")
 
-    b = sub.add_parser("bruteforce", help="exhaustive best-approximation oracle")
+
+def _bruteforce_arguments(b: argparse.ArgumentParser) -> None:
     b.add_argument("trace")
     b.add_argument("--xmax", type=int, required=True)
     b.add_argument("--precision", type=_precision, default=None)
     b.add_argument("--json", action="store_true")
-    return p
 
 
 def _parse_phi(spec: list[str], precision: int) -> ApproxFn:
@@ -202,24 +200,55 @@ def cmd_bruteforce(args) -> int:
     return EXIT_OK
 
 
+# command name: (help line, the function adding its arguments, its handler)
+COMMANDS = {
+    "gen": ("construct a trace", _gen_arguments, cmd_gen),
+    "verify": ("audit a trace", _verify_arguments, cmd_verify),
+    "exponent": ("per-scale certified exponent lower bounds", _exponent_arguments, cmd_exponent),
+    "bruteforce": ("exhaustive best-approximation oracle", _bruteforce_arguments, cmd_bruteforce),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of one command, prog "maxsing <command>"; with None, the top-level parser of all four.
+
+    argparse names a subcommand's parser "maxsing <command>" too, so the
+    two give the same help, usage and error texts.
+    """
+    if command is not None:
+        p = argparse.ArgumentParser(prog=f"maxsing {command}")
+        COMMANDS[command][1](p)
+        return p
+    p = argparse.ArgumentParser(prog="maxsing", description=__doc__)
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments, _) in COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_line))
+    return p
+
+
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; the only place an exception becomes an exit code (errors.py has the table)."""
-    parser = _build_parser()
+    """Run one command; the only place an exception becomes an exit code (errors.py has the table).
+
+    An argv naming a command first is parsed by that command's parser
+    alone.  Any other argv (help, a missing or unknown command), or one
+    that leaves arguments over, is parsed whole by the top-level parser,
+    which reports unrecognized arguments under its own name.
+    """
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args, rest = None, None
+        if argv and argv[0] in COMMANDS:
+            args, rest = _build_parser(argv[0]).parse_known_args(argv[1:])
+            args.command = argv[0]
+        if args is None or rest:
+            args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    handlers = {
-        "gen": cmd_gen,
-        "verify": cmd_verify,
-        "exponent": cmd_exponent,
-        "bruteforce": cmd_bruteforce,
-    }
     flag = "precision_bits" if args.command == "gen" else "precision"
     try:
         if getattr(args, flag) is None:
             setattr(args, flag, _default_precision())
-        return handlers[args.command](args)
+        return COMMANDS[args.command][2](args)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

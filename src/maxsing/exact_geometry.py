@@ -10,12 +10,12 @@ intervals with directed rounding.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import index
-from typing import Iterable, Sequence
 
 from .errors import GeometryError, InputError
 
@@ -47,10 +47,10 @@ def vec_scale(c, x: Sequence) -> tuple:
     return tuple(c * a for a in x)
 
 
-def wedge_sq(x: Sequence, y: Sequence):
-    """``|x ∧ y|^2`` via the Lagrange identity |x|^2 |y|^2 - (x.y)^2."""
+def wedge_sq(x: Sequence, y: Sequence, n2x=None):
+    """``|x ∧ y|^2`` via the Lagrange identity |x|^2 |y|^2 - (x.y)^2; n2x, when given, is |x|^2."""
     d = dot(x, y)
-    return norm_sq(x) * norm_sq(y) - d * d
+    return (norm_sq(x) if n2x is None else n2x) * norm_sq(y) - d * d
 
 
 def centring_shift(x: Sequence[int], z: Sequence[int]) -> int:
@@ -67,12 +67,10 @@ def centring_shift(x: Sequence[int], z: Sequence[int]) -> int:
 # projective points: a point is the primitive IntVec of its class (primitive)
 
 
-@dataclass(frozen=True)
-class TracePoint:
+class TracePoint(namedtuple("TracePoint", "point witness", defaults=(None,))):
     """A point of a family, with the preimage tuple certifying it for k-linear images (else None)."""
 
-    point: IntVec
-    witness: tuple[RatVec, ...] | None = None
+    __slots__ = ()
 
 
 def primitive(v: Sequence) -> IntVec:
@@ -205,17 +203,23 @@ def _rank_mod_p(rows: list[list[int]], ncols: int, p: int) -> int:
 # rational subspaces with a canonical basis
 
 
-@dataclass(frozen=True)
 class ProjSubspaceQ:
     """Linear subspace of Q^n in canonical form.
 
     The basis is the reduced row echelon form over Q with every row
     scaled to a primitive integer vector with positive leading entry, so
-    two equal subspaces are structurally equal.
+    two equal subspaces are structurally equal: they compare equal.
     """
 
-    basis: tuple[IntVec, ...]
-    ambient_dim: int
+    def __init__(self, basis: tuple[IntVec, ...], ambient_dim: int):
+        self.basis = basis
+        self.ambient_dim = ambient_dim
+
+    def __eq__(self, other):
+        return isinstance(other, ProjSubspaceQ) and (self.basis, self.ambient_dim) == (other.basis, other.ambient_dim)
+
+    def __repr__(self):
+        return f"ProjSubspaceQ(basis={self.basis!r}, ambient_dim={self.ambient_dim!r})"
 
     @property
     def rank(self) -> int:

@@ -17,10 +17,10 @@ its ``descriptor()``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Sequence
 
 from . import multilinear as ml
 from . import quadric as qd
@@ -37,10 +37,7 @@ from .exact_geometry import (
 )
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    max_height: int = 6
-    multiplier_bits: int = 4096
+SearchBudget = namedtuple("SearchBudget", "max_height multiplier_bits", defaults=(6, 4096))
 
 
 class QuadricAdapter:

@@ -17,11 +17,11 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property
 from math import comb, lcm, perm, prod
-from typing import Iterator, Sequence
 
 from .errors import GeometryError, InputError, SearchExhausted, reading
 from .exact_geometry import (
@@ -31,6 +31,7 @@ from .exact_geometry import (
     TracePoint,
     centring_shift,
     int_from_doc,
+    norm_sq,
     primitive,
     rank,
     vec_add,
@@ -68,7 +69,6 @@ def map_sizes(kind: str, n: int, k: int) -> dict[str, int]:
     return {"D": comb(n + k - 1, k), "basis_images": n ** k}
 
 
-@dataclass(frozen=True)
 class KLinearMap:
     """A k-linear map (Q^n)^k -> Q^D given by its values on basis tuples.
 
@@ -77,26 +77,19 @@ class KLinearMap:
     everything downstream relies on that to escape proper subspaces.
     """
 
-    k: int
-    n: int
-    target_dim: int
-    basis_images: dict[tuple[int, ...], tuple]
-
-    def __post_init__(self):
-        if self.k < 1 or self.n < 1:
+    def __init__(self, k: int, n: int, target_dim: int, basis_images: dict[tuple[int, ...], tuple]):
+        if k < 1 or n < 1:
             raise InputError("k and n must be positive")
-        if self.target_dim < 3:
+        if target_dim < 3:
             raise InputError("target dimension must be at least 3")
-        for idx, img in self.basis_images.items():
-            if len(idx) != self.k or any(not 0 <= i < self.n for i in idx):
+        for idx, img in basis_images.items():
+            if len(idx) != k or any(not 0 <= i < n for i in idx):
                 raise InputError(f"bad basis index {idx}")
-            if len(img) != self.target_dim:
+            if len(img) != target_dim:
                 raise GeometryError(f"image of {idx} has dim {len(img)}")
-        if rank(self.basis_images.values()) != self.target_dim:
+        if rank(basis_images.values()) != target_dim:
             raise InputError("basis images do not span the target space")
-
-    def __hash__(self):
-        return hash((self.k, self.n, self.target_dim))
+        self.k, self.n, self.target_dim, self.basis_images = k, n, target_dim, basis_images
 
     @cached_property
     def integer_images(self) -> tuple[int, dict[tuple[int, ...], list[tuple[int, int]]]]:
@@ -297,8 +290,7 @@ def outside_candidates(
                         yield m, TracePoint(primitive(img), tuple(witness)), (scale, img)
 
 
-@dataclass(frozen=True)
-class LineCertificate:
+class LineCertificate(namedtuple("LineCertificate", "slot m anchor_scale z_scale beta beta_prime")):
     """Audit data for one line step.
 
     z's witness is x's witness with the stated slot t replaced.  For every
@@ -311,14 +303,13 @@ class LineCertificate:
     b.  That pins the witness-agreement drop along the line.
     ``families.KLinearAdapter.check_certificate`` proves it once per step,
     taking beta's integer image itself.
+
+    anchor_scale: the map at x.witness is anchor_scale * x.point.
+    z_scale: the map at z.witness is z_scale * z.point.
+    beta_prime: the map at beta.witness with slot <- x slot, None if zero.
     """
 
-    slot: int
-    m: int
-    anchor_scale: Fraction   # the map at x.witness is anchor_scale * x.point
-    z_scale: Fraction        # the map at z.witness is z_scale * z.point
-    beta: TracePoint
-    beta_prime: tuple | None  # the map at beta.witness with slot <- x slot, None if zero
+    __slots__ = ()
 
 
 def line_witness(x_witness: Sequence[Sequence], z_witness: Sequence[Sequence], slot: int,
@@ -353,6 +344,7 @@ def line_step(
         raise GeometryError("line_step needs a point inside the subspace")
     k = kmap.k
     s_x, img_x = integer_image(kmap, x.witness)
+    n2x = norm_sq(x.point)
     best = None  # (area, t, m, beta, w_z, z, (s_z, alpha_prime), (s_b, beta_prime) or None)
     best_m = -1
     order = 0
@@ -384,7 +376,7 @@ def line_step(
             bp_zero = not any(beta_prime)
             if not bp_zero and not h.contains(beta_prime):
                 continue  # cannot certify this slot; the bootstrap above already tried it
-            area = wedge_sq(x.point, z_pt)
+            area = wedge_sq(x.point, z_pt, n2x)
             if best is None or m > best_m or (m == best_m and area < best[0]):
                 best = (area, t, m, beta, w_z, z_pt, (s_z, alpha_prime), None if bp_zero else (s_b, beta_prime))
                 best_m = m

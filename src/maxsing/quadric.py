@@ -12,12 +12,12 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from operator import mul
-from typing import Sequence
 
 from .errors import GeometryError, InputError, SearchExhausted, reading
 from .exact_geometry import (
@@ -26,6 +26,7 @@ from .exact_geometry import (
     ProjSubspaceQ,
     dot,
     int_from_doc,
+    norm_sq,
     primitive,
     subspace_span,
     wedge_sq,
@@ -33,7 +34,6 @@ from .exact_geometry import (
 from .multilinear import candidate_vectors
 
 
-@dataclass(frozen=True)
 class QuadraticFormQ:
     """Symmetric rational Gram matrix A of the form b(x,y) = x^T A y, q(x) = b(x,x).
 
@@ -44,39 +44,33 @@ class QuadraticFormQ:
     Fraction(form.bilinear(x, y), form.denominator).
     """
 
-    gram: tuple[tuple[Fraction, ...], ...]
-    denominator: int = field(init=False, repr=False, compare=False)
-    # nonzero entries (j, d*A[i][j]) of each row i of d*A
-    _int_rows: tuple = field(init=False, repr=False, compare=False)
-    # nonzero terms (i, j, c) of d*q(x) = sum c*x_i*x_j over i <= j
-    _q_terms: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        n = len(self.gram)
-        for row in self.gram:
+    def __init__(self, gram: tuple[tuple[Fraction, ...], ...]):
+        n = len(gram)
+        for row in gram:
             if len(row) != n:
                 raise GeometryError("gram matrix must be square")
         for i in range(n):
             for j in range(n):
-                if self.gram[i][j] != self.gram[j][i]:
+                if gram[i][j] != gram[j][i]:
                     raise InputError("gram matrix must be symmetric")
-        if all(a == 0 for row in self.gram for a in row):
+        if all(a == 0 for row in gram for a in row):
             raise InputError("quadratic form must not vanish identically")
         d = 1
-        for row in self.gram:
+        for row in gram:
             for a in row:
                 den = Fraction(a).denominator
                 d = d * den // gcd(d, den)
-        int_rows = tuple(
-            tuple((j, int(a * d)) for j, a in enumerate(row) if a != 0) for row in self.gram
+        self.gram = gram
+        self.denominator = d
+        # nonzero entries (j, d*A[i][j]) of each row i of d*A
+        self._int_rows = tuple(
+            tuple((j, int(a * d)) for j, a in enumerate(row) if a != 0) for row in gram
         )
-        q_terms = tuple(
+        # nonzero terms (i, j, c) of d*q(x) = sum c*x_i*x_j over i <= j
+        self._q_terms = tuple(
             (i, j, a if i == j else 2 * a)
-            for i, row in enumerate(int_rows) for j, a in row if i <= j
+            for i, row in enumerate(self._int_rows) for j, a in row if i <= j
         )
-        object.__setattr__(self, "denominator", d)
-        object.__setattr__(self, "_int_rows", int_rows)
-        object.__setattr__(self, "_q_terms", q_terms)
 
     @property
     def dim(self) -> int:
@@ -101,17 +95,13 @@ class QuadraticFormQ:
         return sum(c * x[i] * x[j] for i, j, c in self._q_terms)
 
 
-@dataclass(frozen=True)
-class HyperbolicWitness:
+class HyperbolicWitness(namedtuple("HyperbolicWitness", "u1 v1 u2 v2")):
     """Two orthogonal hyperbolic planes: q(u_i)=q(v_i)=0, b(u_i,v_i)!=0, cross-pairs orthogonal."""
 
-    u1: tuple[int, ...]
-    v1: tuple[int, ...]
-    u2: tuple[int, ...]
-    v2: tuple[int, ...]
+    __slots__ = ()
 
     def vectors(self) -> tuple[tuple[int, ...], ...]:
-        return (self.u1, self.v1, self.u2, self.v2)
+        return tuple(self)
 
 
 def validate_witness(form: QuadraticFormQ, w: HyperbolicWitness) -> bool:
@@ -261,7 +251,10 @@ def isotropic_in_subspace_outside(
             found.setdefault(primitive(vec))
     if not found:
         raise SearchExhausted(f"no isotropic point in S outside H up to height {height}")
-    return min(found, key=lambda p: wedge_sq(anchor, p))
+    if len(found) == 1:
+        return next(iter(found))
+    n2a = norm_sq(anchor)
+    return min(found, key=lambda p: wedge_sq(anchor, p, n2a))
 
 
 def line_in_quadric_through(

@@ -10,10 +10,10 @@ scoring every primitive point up to a norm bound, at desk scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Iterator
 
 from .builder import SequenceTrace, _product_gt, compute_hi, limit_radius_sq
 from .errors import DOCUMENT_ERRORS, GeometryError, InputError
@@ -41,20 +41,17 @@ from .exact_geometry import (
 # condition audit
 
 
-@dataclass(frozen=True)
-class TraceGeometry:
+class TraceGeometry(namedtuple("TraceGeometry", "norms wedges step_ok")):
     """The full-size quantities an audit needs, each computed once.
 
     For the trace's points x_0, x_1, ...: norms[j] = |x_j|^2 and
     wedges[j] = |x_j ^ x_{j+1}|^2, so that
     dist(x_j, x_{j+1})^2 = wedges[j] / (norms[j] norms[j+1]).  step_ok[j]
     is the verdict of the step check x_{j+1} == primitive(z_j + b_j x_j),
-    False when entry j has no step record.
+    False when entry j has no step record.  Each is a tuple.
     """
 
-    norms: tuple[int, ...]
-    wedges: tuple[int, ...]
-    step_ok: tuple[bool, ...]
+    __slots__ = ()
 
 
 def trace_geometry(trace: SequenceTrace) -> TraceGeometry:
@@ -356,12 +353,11 @@ def bruteforce_row_doc(row: dict) -> dict:
 # exponent estimates
 
 
-@dataclass(frozen=True)
-class ExponentRow:
-    index: int
-    x_scale: Fraction     # the scale X_i, a dyadic with |x_i| <= X_i
-    d_hi: Fraction        # dyadic upper bound on D(x_i)
-    lambda_lb: Fraction   # certified lower bound: Dmin(X_i) <= X_i^(-lambda_lb)
+class ExponentRow(namedtuple("ExponentRow", "index x_scale d_hi lambda_lb")):
+    # x_scale: the scale X_i, a dyadic with |x_i| <= X_i
+    # d_hi: dyadic upper bound on D(x_i)
+    # lambda_lb: certified lower bound, Dmin(X_i) <= X_i^(-lambda_lb)
+    __slots__ = ()
 
     def to_doc(self) -> dict:
         """X and D_hi exact as dyadics and as 12 significant digits; lambda_lb as a decimal."""

@@ -589,3 +589,16 @@ class TestSerialization:
         again = load_trace(str(path))
         assert trace_to_doc(again) == trace_to_doc(grassmann_pow_trace)
         assert again.entries[2].witness == grassmann_pow_trace.entries[2].witness
+
+    def test_unencodable_trace_leaves_the_file_alone(self, split4_pow_trace, tmp_path):
+        """The document is encoded before the file is opened, so a failure truncates nothing."""
+        tr = split4_pow_trace
+        first = tr.entries[0]
+        bad_step = first.step._replace(certificate={"kind": "quadric", "s_at_x": Fraction(1, 3)})
+        bad = SequenceTrace(tr.family, tr.phi, tr.seed, [first._replace(step=bad_step), *tr.entries[1:]])
+        path = tmp_path / "t.json"
+        save_trace(tr, str(path))
+        before = path.read_bytes()
+        with pytest.raises(TypeError, match="Fraction"):
+            save_trace(bad, str(path))
+        assert path.read_bytes() == before
