@@ -337,43 +337,132 @@ def _hint_floor(dzx: int, disc: int, n2x: int) -> int:
     return b + 1 if t * t <= disc else b
 
 
+def _pow_hint_term(lhs: int, w9: int, n2x: int, v: int, p: int, q: int) -> int:
+    """floor(n2x theta / v) for theta = ceil(((w9 v^2)^q / 4^q)^(1/(q-p))), lhs = w9^q v^(q+p).
+
+    As 2q = (q + p) + (q - p), (w9 v^2)^q = lhs v^(q-p).  When q - p = 1,
+    theta = ceil(A / B) with A = lhs v and B = 4^q, that is (A + s) / B
+    with s = (-A) mod B, taken from residues mod B.  So n2x theta / v =
+    (n2x lhs + n2x s / v) / B, and as n2x lhs is an integer the floor is
+    (n2x lhs + floor(n2x s / v)) // B: nothing full-size is divided by v.
+    """
+    bq = 4 ** q
+    if q - p == 1:
+        s = -(pow(w9, q, bq) * pow(v, 2 * q, bq)) % bq
+        return (n2x * lhs + n2x * s // v) // bq
+    return n2x * _ceil_root(lhs * v ** (q - p), bq, q - p) // v
+
+
+def _hint_root(n2x: int, dzx: int, n2z: int, w2: int, v: int,
+               tel: tuple[int, int] | None = None, decay: tuple[int, int, int] | None = None) -> int | None:
+    """The multiplier hint floor((-d + sqrt(X)) / U), or None when X <= d^2; see _select_multiplier.
+
+    In moving coordinates U = n2x, d = dzx, E = n2z, w2 = U E - d^2 and
+    V = v.  theta is the largest of the lower bounds on the full-size
+    |y ⊗ k|^2 = V |z + b x|^2 that hold where y = z + b x is primitive:
+    V U + 1 (growth); with decay = (lhs, p, q), lhs = (9 w2)^q V^(q+p),
+    ceil(((9 V^2 w2)^q / 4^q)^(1/(q-p))) (the power law); with
+    tel = (tel_l, tel_r), floor(rho) + 1 with rho = V tel_l / tel_r, the
+    full-size 9 V^2 w2 p_den / (p_num U V) (telescoping).  U b^2 + 2 d b
+    + E >= theta / V solves to b >= (-d + sqrt(X)) / U with
+    X = d^2 - U E + U theta / V, which is the full-size formula
+    (-V d + sqrt(V^2 X)) / (U V).
+
+    - One floor.  -d and U are integers, so the floor is that of
+      (-d + isqrt(floor(X))) / U, and floor(X) = t - w2 with
+      t = floor(U theta / V), the largest of the bounds' own
+      floor(U theta_i / V): U^2 + U // V for growth, _pow_hint_term for
+      the power law and U (floor(rho) + 1) // V for telescoping.
+      _hint_floor takes it from there.
+    - The test.  X > d^2 iff theta > V E, which holds iff one bound
+      exceeds V E: V U + 1 > V E iff U >= E; the power law's iff
+      lhs > 4^q E^(q-p), as ceil(r) > n iff r > n for an integer n, and
+      (9 V^2 w2)^q > 4^q (V E)^(q-p) divided by V^(q-p); telescoping's iff
+      floor(rho) >= V E, that is tel_l >= E tel_r.
+    - A skipped division.  floor(rho) + 1 <= 2^l with l = bl(V) +
+      bl(tel_l) - bl(tel_r) + 1, bl the bit length, and the other bounds
+      give theta >= V t / U >= 2^(bl(V) + bl(t) - bl(U) - 2).  So when
+      bl(U) + bl(tel_l) - bl(tel_r) + 3 <= bl(t), telescoping changes
+      neither theta nor the test, and rho is not divided out.
+    """
+    t, big = n2x * n2x + n2x // v, n2x >= n2z
+    if decay is not None:
+        lhs, p, q = decay
+        t = max(t, _pow_hint_term(lhs, 9 * w2, n2x, v, p, q))
+        big = big or _product_gt(((lhs, 1),), ((4 ** q, 1), (n2z, q - p)))
+    if tel is not None:
+        tel_l, tel_r = tel
+        if n2x.bit_length() + tel_l.bit_length() - tel_r.bit_length() + 3 > t.bit_length():
+            t = max(t, n2x * ((v * tel_l) // tel_r + 1) // v)
+            big = big or tel_l >= n2z * tel_r
+    return _hint_floor(dzx, t - w2, n2x) if big else None
+
+
+def _line_gcd(x: Sequence[int], z: Sequence[int]) -> int:
+    """minors_gcd(x, z); for 2-vectors, a Segre line's moving coordinates, the one minor |det(x, z)|."""
+    return abs(x[0] * z[1] - x[1] * z[0]) if len(x) == 2 else minors_gcd(x, z)
+
+
 def _select_multiplier(
     x: IntVec,
     z: IntVec,
     phi: ApproxFn,
     dsq_prev: tuple[int, int] | None,
     budget: SearchBudget,
+    kept_sq: int = 1,
 ) -> tuple[int, IntVec, tuple[int, int]]:
     """A multiplier b >= 1 meeting the step conditions, found by search.
 
-    Returns (b, x_next, (w2, n2x n2y)): the second pair is the squared
-    distance dist(x_next, x)^2 = w2 / (n2x n2y), unreduced, with
-    w2 = |x ^ z|^2, n2x = |x|^2 and n2y = |z + b x|^2.  dsq_prev is the
-    previous step's distance in the same form.  The search scans the
-    region where |z + b*x| may still shrink, then 64 values from an
-    analytic hint, then doubles up to the 2^multiplier_bits cap and
+    One search for every family, on a line's moving coordinates
+    (families.MovingLine): the point is x ⊗ k and the line's second
+    generator z ⊗ k, with kept_sq = V = |k|^2.  On a plain line x and z
+    are the points themselves and V = 1.  On split4 they are the moving
+    Segre factors, 2-vectors, and every full-size quantity is V or V^2
+    times one of the moving factor's size: with U = |x|^2, d = x.z and
+    E = |z|^2, |x ⊗ k|^2 = U V, (x ⊗ k).(z ⊗ k) = d V, |z ⊗ k|^2 = E V and
+    |(x ⊗ k) ^ (z ⊗ k)|^2 = V^2 (U E - d^2), and for y = z + b x the point
+    (z + b x) ⊗ k = y ⊗ k has |y ⊗ k|^2 = V |y|^2 and the content of y,
+    k being primitive (Gauss's lemma).
+
+    Returns (b, p, (w2, n2x n2y)) with p = y / c, c the content of y, and
+    w2 = U E - d^2, n2x = U and n2y = |y|^2 in moving coordinates.  p is
+    primitive(y) up to sign, which the line's lift fixes; on a plain line
+    it is primitive(y) itself (below).  The pair is the squared distance
+    dist(x_next, x)^2 = V^2 w2 / (U V V n2y) = w2 / (n2x n2y), unreduced,
+    V^2 cancelling; dsq_prev is the previous step's in the same form, any
+    representation of the same ratio.  The search scans the region where
+    |z + b*x| may still shrink, then 64 values from an analytic hint
+    (_hint_root), then doubles up to the 2^multiplier_bits cap and
     bisects.  The conditions are monotone in b on the growing branch
     except at sporadic content jumps of the primitive representative, so
     the first b this search accepts passes the full exact test but a
     smaller sporadic b may be skipped.
 
-    A probe decides b on integers; primitive(y), y = z + b*x, is computed
-    for the accepted b only, and no distance is reduced.
+    A probe decides b on integers, in moving coordinates; y / c is
+    computed for the accepted b only, and no distance is reduced.
 
     - Content through G.  With G = minors_gcd(x, z), the gcd of the 2x2
       minors of (x, z), the content c of y divides G (proof there), so
       c = gcd(G, y_0, ..., y_{n-1}), and |primitive(y)|^2 = n2y / c^2
-      with n2y = |y|^2 in closed form.
+      with n2y = |y|^2 in closed form.  For 2-vectors G = |det(x, z)|,
+      the one minor (_line_gcd).  On split4 it is also the full-size G:
+      those minors are det(x, z) times products of two entries of k, and
+      k_0^2, k_0 k_1 and k_1^2 have gcd 1.
     - One distance.  For the same reason |y ^ x| = |z ^ x|, and the
       content cancels: dist(x_next, x)^2 = w2 / (n2x n2y).
+    - The tests, with V cancelled.  Telescoping, 9 V^2 w2 p_den <=
+      p_num (U V)(V n2y), is 9 w2 p_den <= p_num U n2y; growth,
+      V n2y / c^2 > U V, is n2y / c^2 > U.  The power-law decay test
+      (9 V^2 w2)^q (V n2y / c^2)^p <= (4 V n2y)^q, times
+      c^2p / (V^q n2y^p), is (9 w2)^q V^(q+p) <= 4^q n2y^(q-p) c^2p: its
+      left side is one integer for every b, and the right side n2y
+      times small factors when q - p = 1, so no probe multiplies two
+      full-size numbers.  Under log3x the decay test reads the full-size ratio and
+      norm, V times the moving ones.
     - No second gcd.  ``accept`` divides y by the c that ``attempt``
-      found, which is y's content.  The first nonzero entries of x and z
-      are positive and b >= 1, so the first nonzero entry of y is too, and
-      y / c is primitive(y).
-    - A skipped division.  With l = bl(tel_l) - bl(tel_r) + 1, bl the bit
-      length, tel_l / tel_r < 2^l, so floor(tel_l / tel_r) + 1 <= 2^l.
-      theta >= 2^(bl(theta) - 1), so when l < bl(theta) the telescoping
-      bound cannot raise theta and is not divided out.
+      found, which is y's content.  On a plain line the first nonzero
+      entries of x and z are positive and b >= 1, so the first nonzero
+      entry of y is too, and y / c is primitive(y).
     - Bit lengths first (_product_gt).  An f >= 1 of bit length l has
       2^(l-1) <= f < 2^l, so a product of powers f^e lies in [2^lo, 2^hi),
       lo = sum e (l - 1), hi = sum e l.  The left is larger if its lo
@@ -395,26 +484,31 @@ def _select_multiplier(
 
     Raises SearchExhausted when no probed b passes.  Under log3x from the
     second step on, the covolume certificate (_log3x_stop_forced) is
-    checked before any probe: when it holds, no b the search could probe
-    passes, and the same exception is raised at once, carrying the bits of
-    norm needed against the cap.
+    checked on the full-size values before any probe: when it holds, no b
+    the search could probe passes, and the same exception is raised at
+    once, carrying the bits of norm needed against the cap.
     """
+    v = kept_sq
     n2x = norm_sq(x)
     dzx = dot(z, x)
     n2z = norm_sq(z)
     w2 = n2x * n2z - dzx * dzx
     w9 = 9 * w2
-    g = minors_gcd(x, z)
+    g = _line_gcd(x, z)
     prec = phi.precision_bits
+    tel = decay = None
     if dsq_prev is not None:  # telescoping: 9 w2 p_den <= p_num n2x n2y, dsq_prev = p_num/p_den
         tel_l, tel_r = w9 * dsq_prev[1], dsq_prev[0] * n2x
-    if phi.variant == "pow":
-        pp, qq = phi.exponent.numerator, phi.exponent.denominator
+        tel = tel_l, tel_r
+        if phi.variant == "pow":  # (9 w2)^q V^(q+p), the decay test's left side for every b
+            pp, qq = phi.exponent.numerator, phi.exponent.denominator
+            pow_lhs = w9 ** qq * v ** (qq + pp)
+            decay = pow_lhs, pp, qq
 
     def attempt(b: int):
-        # (b, y, n2y) when b passes, else None
+        # (b, y, n2y, c) when b passes, else None
         n2y = n2z + 2 * b * dzx + b * b * n2x
-        if dsq_prev is not None and _product_gt(((tel_l, 1),), ((tel_r, 1), (n2y, 1))):
+        if tel is not None and _product_gt(((tel_l, 1),), ((tel_r, 1), (n2y, 1))):
             return None
         y = vec_add(z, vec_scale(b, x))
         if not any(y):
@@ -423,7 +517,10 @@ def _select_multiplier(
         n2p = n2y // (c * c)
         if n2p <= n2x:
             return None
-        if dsq_prev is not None and not phi.le_phi_sq(w9, 4 * n2y, n2p):
+        if decay is not None:
+            if _product_gt(((pow_lhs, 1),), ((4 ** qq, 1), (n2y, qq - pp), (c, 2 * pp))):
+                return None
+        elif tel is not None and not phi.le_phi_sq(w9 * v, 4 * n2y, n2p * v):
             return None
         return b, y, n2y, c
 
@@ -435,26 +532,16 @@ def _select_multiplier(
     vertex_end = 0 if dzx >= 0 else (-dzx) // n2x + 1
     scan_end = min(vertex_end, 4096) + 8
 
-    # analytic lower bound on |z + b*x|^2 from the necessary conditions,
-    # exact in the model where z + b*x is already primitive
-    theta = n2x + 1
-    if dsq_prev is not None:
-        if phi.variant == "pow":  # need n2y^(q-p) >= (9 w2 / 4)^q
-            theta = max(theta, _ceil_root(w9 ** qq, 4 ** qq, qq - pp))
-        if tel_l.bit_length() - tel_r.bit_length() + 1 >= theta.bit_length():
-            theta = max(theta, tel_l // tel_r + 1)
-    if theta > n2z:
-        disc = dzx * dzx + n2x * (theta - n2z)
-        b_hint = max(scan_end + 1, _hint_floor(dzx, disc, n2x))
-    else:
-        b_hint = scan_end + 1
+    root = _hint_root(n2x, dzx, n2z, w2, v, tel, decay)
+    b_hint = scan_end + 1 if root is None else max(scan_end + 1, root)
 
     if phi.variant == "log3x" and dsq_prev is not None:
-        # every b probed below is at most b_max
+        # every b probed below is at most b_max; the certificate reads full-size values
         b_max = max(scan_end, b_hint + 63, 1 << budget.multiplier_bits)
-        if _log3x_stop_forced(n2x, n2z, w2, g, b_max, prec):
-            raise _no_multiplier(budget.multiplier_bits, w2, *_log3x_stop_bits(
-                n2x, n2z, w2, g, budget.multiplier_bits, prec))
+        full = (n2x * v, n2z * v, w2 * v * v, g)
+        if _log3x_stop_forced(*full, b_max, prec):
+            raise _no_multiplier(budget.multiplier_bits, w2 * v * v,
+                                 *_log3x_stop_bits(*full, budget.multiplier_bits, prec))
 
     for b in itertools.chain(range(1, scan_end + 1), range(b_hint, b_hint + 64)):
         r = attempt(b)
@@ -472,7 +559,7 @@ def _select_multiplier(
         lo = b
         b *= 2
     else:
-        raise _no_multiplier(budget.multiplier_bits, w2)
+        raise _no_multiplier(budget.multiplier_bits, w2 * v * v)
     while lo + 1 < hi:
         mid = (lo + hi) // 2
         r = attempt(mid)
@@ -491,18 +578,24 @@ def next_point(
     dsq_prev: tuple[int, int] | None,
     budget: SearchBudget,
     rng: random.Random | None,
-) -> tuple[TracePoint, StepData, tuple[int, int]]:
+    factors=None,
+) -> tuple[TracePoint, StepData, tuple[int, int], object]:
     """Extend the sequence by one audited step.
 
-    Returns the next point, the step record and the step's squared
-    distance as an unreduced pair (see _select_multiplier).
+    Returns the next point, the step record, the step's squared distance
+    as an unreduced pair (see _select_multiplier) and the next point's
+    factors.  ``factors`` are the last point's (families.MovingLine): the
+    line step and the multiplier search run on its moving coordinates, and
+    the line's lift builds the next point.
     """
     x = points[-1]
     h = compute_hi(points, adapter.ambient_dim)
-    z_tp, cert, witness_at = adapter.line_step(TracePoint(x, witnesses[-1]), h, budget, rng)
-    b, x_next, dsq = _select_multiplier(x, z_tp.point, phi, dsq_prev, budget)
+    z_tp, cert, witness_at = adapter.line_step(TracePoint(x, witnesses[-1]), h, budget, rng, factors)
+    a, e, kept_sq, lift = adapter.moving_line(x, z_tp.point, factors)
+    b, p, dsq = _select_multiplier(a, e, phi, dsq_prev, budget, kept_sq)
+    x_next, factors = lift(p)
     step = StepData(z=z_tp.point, z_witness=z_tp.witness, b=b, certificate=cert)
-    return TracePoint(x_next, witness_at(b)), step, dsq
+    return TracePoint(x_next, witness_at(b)), step, dsq, factors
 
 
 def run(
@@ -528,10 +621,11 @@ def run(
     points = [tp.point]
     witnesses = [tp.witness]
     entries: list[TraceEntry] = []
-    dsq_prev = None
+    dsq_prev = factors = None
     for i in range(1, steps):
         try:
-            nxt, step, dsq_prev = next_point(points, witnesses, adapter, phi, dsq_prev, budget, rng)
+            nxt, step, dsq_prev, factors = next_point(points, witnesses, adapter, phi, dsq_prev, budget, rng,
+                                                      factors)
         except SearchExhausted as exc:
             trace.entries = entries + [TraceEntry(points[-1], witnesses[-1], None)]
             trace.partial = True

@@ -227,7 +227,7 @@ class ProjSubspaceQ:
 
     @cached_property
     def functionals(self) -> tuple[IntVec, ...]:
-        """orthogonal_functionals(self), computed on first use and kept."""
+        """orthogonal_functionals(self), computed on first use and kept; a maker that knows them sets them."""
         return orthogonal_functionals(self)
 
     def contains(self, v: Sequence) -> bool:

@@ -1,13 +1,16 @@
 """Family adapters: one uniform line-step interface over both engines.
 
-The builder and the auditor reach a family through four calls only:
+The builder and the auditor reach a family through five calls only:
 ``start()``, a certified start point; ``member(tp)``, exact membership;
-``line_step(tp, h, budget, rng)``, a line through the point x inside H, as
-(z, the certificate document, witness_at), z centred on x
+``line_step(tp, h, budget, rng, factors)``, a line through the point x
+inside H, as (z, the certificate document, witness_at), z centred on x
 (exact_geometry.centring_shift) and witness_at(b) the witness of
-primitive(z + b*x), None on a quadric; and ``check_certificate``, the
-exact re-check of a recorded step.  The adapter alone writes the
-certificate document.  Points are primitive integer tuples and travel in
+primitive(z + b*x), None on a quadric; ``moving_line(x, z, factors)``,
+the line's moving coordinates (MovingLine); and ``check_certificate``,
+the exact re-check of a recorded step.  The adapter alone writes the
+certificate document.  ``factors`` are x's Segre factors on the built-in
+split4 form, which lift returns with each next point, and None elsewhere
+(the plain line).  Points are primitive integer tuples and travel in
 TracePoints, with their witnesses.  A trace holds its adapter: the trace
 reader builds it with ``adapter_from_descriptor`` and checks the entries
 against its ``ambient_dim`` and ``witness_shape``, and the writer stores
@@ -30,6 +33,7 @@ from .exact_geometry import (
     TracePoint,
     centring_shift,
     int_from_doc,
+    norm_sq,
     primitive,
     rank,
     vec_add,
@@ -38,6 +42,21 @@ from .exact_geometry import (
 
 
 SearchBudget = namedtuple("SearchBudget", "max_height multiplier_bits", defaults=(6, 4096))
+
+# The line through x and z in moving coordinates: the points of the line are
+# (e + b a) ⊗ k with x = a ⊗ k, z = e ⊗ k, kept_sq = |k|^2, and lift(p) gives
+# (the point p ⊗ k with canonical sign, its factors).  On split4 a and e are
+# the moving Segre factors (quadric.segre); a plain line has a = x, e = z,
+# k = (1), kept_sq = 1 and no factors.
+MovingLine = namedtuple("MovingLine", "a e kept_sq lift")
+
+
+def _plain_lift(p: tuple) -> tuple[tuple, None]:
+    return (p if next(a for a in p if a) > 0 else tuple(-a for a in p)), None
+
+
+def plain_line(x: Sequence[int], z: Sequence[int]) -> MovingLine:
+    return MovingLine(x, z, 1, _plain_lift)
 
 
 class QuadricAdapter:
@@ -54,6 +73,8 @@ class QuadricAdapter:
         self.form = form
         self.hyp_witness = witness
         self.ambient_dim = form.dim
+        # the Segre path: only a form whose integer rows are split4's
+        self.segre = form._int_rows == qd.SPLIT4_ROWS
 
     def descriptor(self) -> dict:
         return {"kind": "quadric", **qd.form_to_doc(self.form, self.hyp_witness)}
@@ -64,20 +85,51 @@ class QuadricAdapter:
     def member(self, tp: TracePoint) -> bool:
         return qd.on_quadric(self.form, tp.point)
 
+    def _factors(self, x: Sequence[int], factors):
+        """x's Segre factors: ``factors`` when given, else from x (quadric.segre_factors); None off split4."""
+        if not self.segre:
+            return None
+        return qd.segre_factors(x) if factors is None else factors
+
     def line_step(
-        self, tp: TracePoint, h: ProjSubspaceQ, budget: SearchBudget, rng: random.Random | None
+        self, tp: TracePoint, h: ProjSubspaceQ, budget: SearchBudget, rng: random.Random | None,
+        factors=None,
     ) -> tuple[TracePoint, dict, Callable]:
+        """The line of quadric.line_in_quadric_through, centred on x in its moving coordinates.
+
+        On split4 the search and the centring run on x's Segre factors, with
+        the same z.  The shift of centring_shift is the same in moving
+        coordinates: with x = a ⊗ k and z = e ⊗ k, |x|^2 = |a|^2 |k|^2 and
+        x.z = (a.e) |k|^2, and |k|^2 cancels in the quotient.
+        """
         x = tp.point
         s = qd.s_h_quadric(self.form, h, x)
         if s == 0:
             raise GeometryError("line step needs the point inside the subspace")
+        factors = self._factors(x, factors)
         z = qd.line_in_quadric_through(
-            self.form, self.hyp_witness, x, h, s, height=budget.max_height, rng=rng
+            self.form, self.hyp_witness, x, h, s, height=budget.max_height, rng=rng, factors=factors
         )
-        r = centring_shift(x, z)
+        a, e, _, lift = self.moving_line(x, z, factors)
+        r = centring_shift(a, e)
         if r:
-            z = primitive(vec_add(z, vec_scale(r, x)))
+            z = lift(primitive(vec_add(e, vec_scale(r, a))))[0]
         return TracePoint(z), {"kind": "quadric", "s_at_x": s}, lambda b: None
+
+    def moving_line(self, x: Sequence[int], z: Sequence[int], factors=None) -> MovingLine:
+        """The line through x and z on x's Segre factors, when z is on a ruling through x; else the plain line.
+
+        Off split4, or when x does not factor (quadric.segre_factors) or z
+        is on neither ruling (quadric.segre_split), the line is plain.  Every
+        split is checked exactly, so the line's points are those of z + b x.
+        """
+        uv = self._factors(x, factors)
+        split = None if uv is None else qd.segre_split(*uv, z)
+        if split is None:
+            return plain_line(x, z)
+        e, first = split
+        a, k = uv if first else uv[::-1]
+        return MovingLine(a, e, norm_sq(k), partial(qd.segre_lift, k=k, first=first))
 
     def check_certificate(
         self, x: TracePoint, z: TracePoint, h: ProjSubspaceQ, cert: dict
@@ -161,7 +213,8 @@ class KLinearAdapter:
         return any(img) and primitive(img) == tp.point
 
     def line_step(
-        self, tp: TracePoint, h: ProjSubspaceQ, budget: SearchBudget, rng: random.Random | None
+        self, tp: TracePoint, h: ProjSubspaceQ, budget: SearchBudget, rng: random.Random | None,
+        factors=None,
     ) -> tuple[TracePoint, dict, Callable]:
         z, cert = ml.line_step(self.kmap, tp, h, budget.max_height, rng)
         cert_doc = {
@@ -175,6 +228,9 @@ class KLinearAdapter:
             "beta_prime": None if cert.beta_prime is None else [str(a) for a in cert.beta_prime],
         }
         return z, cert_doc, partial(ml.line_witness, tp.witness, z.witness, cert.slot, cert.anchor_scale, cert.z_scale)
+
+    def moving_line(self, x: Sequence[int], z: Sequence[int], factors=None) -> MovingLine:
+        return plain_line(x, z)
 
     def _cert_from_doc(self, cert: dict) -> ml.LineCertificate:
         """The certificate from its document; an InputError names a malformed field."""

@@ -132,7 +132,7 @@ def _pairing_row(form: QuadraticFormQ, v: Sequence) -> tuple:
     return row
 
 
-def orth_complement(form: QuadraticFormQ, p: Sequence) -> ProjSubspaceQ:
+def orth_complement(form: QuadraticFormQ, p: Sequence, factors: tuple[IntVec, IntVec] | None = None) -> ProjSubspaceQ:
     """Kernel of x -> b(p, x) as a canonical subspace, in closed form.
 
     With row = d*A*p and j* its last nonzero index, the kernel has the
@@ -141,6 +141,11 @@ def orth_complement(form: QuadraticFormQ, p: Sequence) -> ProjSubspaceQ:
     scaling each row to its leading entry this is the reduced row echelon
     form, which is unique.  Dividing by gcd(row[j*], row[j]) and fixing
     the sign of row[j*] gives the primitive rows of ProjSubspaceQ.
+
+    ``factors`` are p's Segre factors (u, v) on split4.  Each row then
+    comes from the factors' entries (_perp_entries), and the subspace's
+    functional is row itself: its entries are p's, permuted, so it is
+    primitive as p is; its sign is made canonical.
     """
     row = _pairing_row(form, p)
     js = max(j for j, a in enumerate(row) if a != 0)
@@ -148,10 +153,16 @@ def orth_complement(form: QuadraticFormQ, p: Sequence) -> ProjSubspaceQ:
     basis = []
     for j in range(form.dim):
         if j != js:
-            g = gcd(lead, row[j]) if lead > 0 else -gcd(lead, row[j])
-            basis.append(tuple(lead // g if i == j else -row[j] // g if i == js else 0
-                               for i in range(form.dim)))
-    return ProjSubspaceQ(tuple(basis), form.dim)
+            if factors is None:
+                g = gcd(lead, row[j]) if lead > 0 else -gcd(lead, row[j])
+                a, c = lead // g, -row[j] // g
+            else:
+                a, c = _perp_entries(*factors, row, js, j)
+            basis.append(tuple(a if i == j else c if i == js else 0 for i in range(form.dim)))
+    perp = ProjSubspaceQ(tuple(basis), form.dim)
+    if factors is not None:
+        perp.functionals = (row if next(a for a in row if a) > 0 else tuple(-a for a in row),)
+    return perp
 
 
 def s_h_quadric(form: QuadraticFormQ, h: ProjSubspaceQ, alpha: IntVec) -> int:
@@ -196,6 +207,7 @@ def isotropic_in_subspace_outside(
     anchor: IntVec,
     seeds: Sequence[Sequence] = (),
     rng: random.Random | None = None,
+    factors: tuple[IntVec, IntVec] | None = None,
 ) -> IntVec:
     """A zero of the form inside S but outside H of least wedge area with ``anchor``, by exhaustive enumeration.
 
@@ -214,6 +226,12 @@ def isotropic_in_subspace_outside(
     reduced once.  q mod p != 0 implies q != 0, so a skipped vector is
     not a zero; the rest get the exact integer test.  The candidates, their
     order and the result are those of the exact test alone.
+
+    ``factors``, the anchor's Segre factors on split4 with S = anchor^perp,
+    put every candidate on a ruling through the anchor, as the zeros of
+    the form in anchor^perp are the two rulings; each found candidate is
+    then made primitive and its area taken from the factors
+    (segre_primitive, segre_wedge_sq), with the same values.
     """
     if all(h.contains(b) for b in s.basis):
         raise GeometryError("search subspace is contained in the excluded one")
@@ -248,11 +266,13 @@ def isotropic_in_subspace_outside(
                 if c:
                     for j, a in enumerate(bas):
                         vec[j] += c * a
-            found.setdefault(primitive(vec))
+            found.setdefault(primitive(vec) if factors is None else segre_primitive(*factors, vec))
     if not found:
         raise SearchExhausted(f"no isotropic point in S outside H up to height {height}")
     if len(found) == 1:
         return next(iter(found))
+    if factors is not None:
+        return min(found, key=lambda p: segre_wedge_sq(*factors, p))
     n2a = norm_sq(anchor)
     return min(found, key=lambda p: wedge_sq(anchor, p, n2a))
 
@@ -265,13 +285,15 @@ def line_in_quadric_through(
     s: int,
     height: int = 6,
     rng: random.Random | None = None,
+    factors: tuple[IntVec, IntVec] | None = None,
 ) -> IntVec:
     """A second generator z of a totally isotropic rational line through alpha that lowers the score.
 
     For s = 1, z is an isotropic point of the orthogonal complement of
     alpha outside H, so every other rational line point leaves H.  For
     s = 2 (complement equals H) any isotropic line through alpha works;
-    the witness guarantees one exists.
+    the witness guarantees one exists.  ``factors`` are alpha's Segre
+    factors on split4 (orth_complement, isotropic_in_subspace_outside).
     """
     if s not in (1, 2):
         raise GeometryError(f"line construction needs score 1 or 2, got {s}")
@@ -279,14 +301,15 @@ def line_in_quadric_through(
         raise GeometryError("alpha must lie in the subspace")
     if not on_quadric(form, alpha):
         raise GeometryError(f"[{':'.join(map(str, alpha))}] is not on the quadric")
-    perp = orth_complement(form, alpha)
+    perp = orth_complement(form, alpha, factors)
     w = witness.vectors()
     seeds = list(w)
     for a, b in itertools.product((w[0], w[1]), (w[2], w[3])):
         seeds.append(tuple(x + y for x, y in zip(a, b)))
         seeds.append(tuple(x - y for x, y in zip(a, b)))
     excluded = h if s == 1 else subspace_span([alpha], form.dim)
-    return isotropic_in_subspace_outside(form, perp, excluded, height, alpha, seeds=seeds, rng=rng)
+    return isotropic_in_subspace_outside(form, perp, excluded, height, alpha, seeds=seeds, rng=rng,
+                                         factors=factors)
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +329,139 @@ def split4() -> tuple[QuadraticFormQ, HyperbolicWitness]:
     form = QuadraticFormQ(gram)
     wit = HyperbolicWitness((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     return form, wit
+
+
+# ---------------------------------------------------------------------------
+# split4 on its rulings
+#
+# A zero x of x0*x1 + x2*x3 is the rank-one matrix [[x0, x2], [-x3, x1]] = u v^T,
+# that is x = segre(u, v) = u ⊗ v, the Segre embedding of P^1 x P^1.  By
+# Gauss's lemma content(segre(u, v)) = content(u) content(v), so x is
+# primitive iff u and v are.  The inner products factor:
+# <segre(u, v), segre(u', v')> = <u, u'><v, v'>.  The lines through x in the
+# quadric are its two rulings, the points segre(f, v) and segre(u, f); they
+# make up the zeros in x^perp.  A line step keeps one factor k and moves the
+# other, a: x = a ⊗ k, z = e ⊗ k and z + b x = (e + b a) ⊗ k.
+
+# split4's d*A as QuadraticFormQ._int_rows; a form with other rows takes no Segre path
+SPLIT4_ROWS = (((1, 1),), ((0, 1),), ((3, 1),), ((2, 1),))
+# entry j of split4's d*A*segre(u, v) = (x1, x0, x3, x2) is s u[i] v[k], (i, k, s) = _ROW_FACTORS[j]
+_ROW_FACTORS = ((1, 1, 1), (0, 0, 1), (1, 0, -1), (0, 1, 1))
+
+
+def segre(u: Sequence[int], v: Sequence[int]) -> IntVec:
+    """The point u ⊗ v = (u0 v0, u1 v1, u0 v1, -u1 v0) of x0*x1 + x2*x3 = 0."""
+    return (u[0] * v[0], u[1] * v[1], u[0] * v[1], -u[1] * v[0])
+
+
+def segre_factors(x: Sequence[int]) -> tuple[IntVec, IntVec] | None:
+    """Primitive (u, v) with segre(u, v) == x, or None when x is zero, not of rank one or not primitive.
+
+    Takes gcds of x's entries, so it is meant for small points: a start
+    point, or a point the step check could not factor.  A nonzero row of
+    u v^T is u_i v and a nonzero column u v_j, so each divided by its
+    content is v or u up to sign; the sign of u is then fixed by testing.
+    """
+    m = ((x[0], x[2]), (-x[3], x[1]))
+    if not any(x) or m[0][0] * m[1][1] != m[0][1] * m[1][0]:
+        return None
+    row = m[0] if any(m[0]) else m[1]
+    col = (m[0][0], m[1][0]) if m[0][0] or m[1][0] else (m[0][1], m[1][1])
+    gv, gu = gcd(*row), gcd(*col)
+    v, u = (row[0] // gv, row[1] // gv), (col[0] // gu, col[1] // gu)
+    x = tuple(x)
+    for f in (u, (-u[0], -u[1])):
+        if segre(f, v) == x:
+            return f, v
+    return None
+
+
+def segre_split(u: Sequence[int], v: Sequence[int], w: Sequence[int]) -> tuple[IntVec, bool] | None:
+    """(f, True) with w == segre(f, v), or (f, False) with w == segre(u, f); None if w is on neither ruling.
+
+    u and v are nonzero.  w's matrix is f k^T or k f^T for the kept factor
+    k, so f is a column or a row of it divided by a nonzero entry of k,
+    exactly, and all of w is then checked against the product: no gcd.
+    The larger factor is tried first, so the quotient is the small one.  A
+    w on both rulings is a multiple of segre(u, v), and either split of it
+    gives the same line.
+    """
+    w = tuple(w)
+    m = ((w[0], w[2]), (-w[3], w[1]))
+    order = ((True, v), (False, u))
+    if max(map(abs, u)) > max(map(abs, v)):
+        order = order[::-1]
+    for first, k in order:
+        j = 0 if k[0] else 1
+        (f0, r0), (f1, r1) = (divmod(a, k[j]) for a in ((m[0][j], m[1][j]) if first else m[j]))
+        if not (r0 or r1) and (segre((f0, f1), k) if first else segre(k, (f0, f1))) == w:
+            return (f0, f1), first
+    return None
+
+
+def segre_lift(p: IntVec, k: IntVec, first: bool) -> tuple[IntVec, tuple[IntVec, IntVec]]:
+    """The point segre(p, k) (``first``) or segre(k, p), with its factors (u, v).
+
+    p is nonzero; its sign is flipped when needed so that the point's
+    first nonzero entry is positive.  With p and k primitive the point is
+    primitive(segre(p, k)) (Gauss's lemma).
+    """
+    x = segre(p, k) if first else segre(k, p)
+    if next(a for a in x if a) < 0:
+        p, x = (-p[0], -p[1]), tuple(-a for a in x)
+    return x, ((p, k) if first else (k, p))
+
+
+def segre_primitive(u: IntVec, v: IntVec, vec: Sequence[int]) -> IntVec:
+    """primitive(vec) for a nonzero vec on a ruling through segre(u, v), u and v primitive.
+
+    vec = f ⊗ k with k one of the factors, so its content is f's (Gauss's
+    lemma) and primitive(vec) is the lift of f / content(f): one gcd of
+    f's entries.
+    """
+    (f0, f1), first = segre_split(u, v, vec)
+    g = gcd(f0, f1)
+    return segre_lift((f0 // g, f1 // g), v if first else u, first)[0]
+
+
+def segre_wedge_sq(u: IntVec, v: IntVec, w: Sequence[int]) -> int:
+    """|segre(u, v) ^ w|^2 for w on a ruling through segre(u, v).
+
+    With x = a ⊗ k and w = f ⊗ k, the Lagrange identity and the factored
+    inner products give |x|^2 |w|^2 - <x, w>^2 = |k|^4 (|a|^2 |f|^2 - <a, f>^2)
+    = |k|^4 det(a, f)^2.
+    """
+    f, first = segre_split(u, v, w)
+    a, k = (u, v) if first else (v, u)
+    nk = norm_sq(k)
+    return nk * nk * (a[0] * f[1] - a[1] * f[0]) ** 2
+
+
+def _sign(a: int) -> int:
+    return 1 if a > 0 else -1
+
+
+def _perp_entries(u: IntVec, v: IntVec, row: Sequence[int], js: int, j: int) -> tuple[int, int]:
+    """The entries at j and js of orth_complement's row (row[js] e_j - row[j] e_js) / g, for p = segre(u, v).
+
+    g = gcd(row[js], row[j]) with row[js]'s sign, u and v primitive.  The
+    entries are s u_i v_k and s' u_i' v_k' (_ROW_FACTORS).  For i = i'
+    the gcd is |u_i| gcd(v_k, v_k') = |u_i|, as v is primitive, and the
+    quotients are the other factors' entries: row[js] / g = |v_k| and
+    -row[j] / g = -s s' sgn(v_k) v_k'.  Likewise for k = k', with g = |v_k|.
+    Otherwise gcd(u_i, u_i') = gcd(v_k, v_k') = 1, and then
+    g = gcd(u_i, v_k') gcd(v_k, u_i'): a prime divides at most one of
+    u_i, u_i' and at most one of v_k, v_k', so its exponents on both sides
+    agree case by case; zero entries included.  No gcd of full-size
+    entries is taken.
+    """
+    (i, k, s), (i2, k2, s2) = _ROW_FACTORS[js], _ROW_FACTORS[j]
+    if i == i2:
+        return abs(v[k]), -s * s2 * _sign(v[k]) * v[k2]
+    if k == k2:
+        return abs(u[i]), -s * s2 * _sign(u[i]) * u[i2]
+    g = gcd(u[i], v[k2]) * gcd(v[k], u[i2]) * _sign(row[js])
+    return row[js] // g, -row[j] // g
 
 
 def form_to_doc(form: QuadraticFormQ, witness: HyperbolicWitness) -> dict:

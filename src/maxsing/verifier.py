@@ -15,7 +15,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .builder import SequenceTrace, _product_gt, compute_hi, limit_radius_sq
+from .builder import SequenceTrace, _line_gcd, _product_gt, compute_hi, limit_radius_sq
 from .errors import DOCUMENT_ERRORS, GeometryError, InputError
 from .exact_geometry import (
     RANK_PRIME,
@@ -27,7 +27,6 @@ from .exact_geometry import (
     dyadic_str,
     ln_hi_fixed,
     ln_lo_fixed,
-    minors_gcd,
     norm_sq,
     sci_str,
     spans_from_residues,
@@ -57,36 +56,56 @@ class TraceGeometry(namedtuple("TraceGeometry", "norms wedges step_ok")):
 def trace_geometry(trace: SequenceTrace) -> TraceGeometry:
     """The step checks, and every norm and wedge, from each step's small operands where it can.
 
-    Step j has x = x_j, z = z_j, b = b_j and y = z + b x.  Its content c
-    is taken through G = minors_gcd(x, z) (proof there), and c = 0 iff
-    y = 0.  The check passes iff y != 0 and x_{j+1} = y/c or -y/c, the
-    one whose first nonzero entry is positive: primitive(y).  Then
-    x ^ x_{j+1} = +-(x ^ z)/c, as x ^ x = 0, and by the Lagrange identity
+    Step j has x = x_j, z = z_j and b = b_j, read on the family's moving
+    line (families.MovingLine): x = a ⊗ k, z = e ⊗ k and V = |k|^2.  On
+    the built-in split4 form a, e and k are 2-vectors: x's Segre factors
+    are taken once, from x_1 by gcds (quadric.segre_factors), and then by
+    induction from the previous step's lift; z must be e ⊗ k for one of
+    them, which quadric.segre_split checks exactly (exact division with a
+    remainder check, then four products).  Elsewhere, or when x or z does
+    not factor, the line is plain: a = x, e = z, V = 1, as before.
 
-        |x_{j+1}|^2 = (|z|^2 + b (2 x.z + b |x|^2)) / c^2,
-        wedges[j] = (|x|^2 |z|^2 - (x.z)^2) / c^2,
+    With y = e + b a, z + b x = y ⊗ k, whose content c is y's (Gauss's
+    lemma, k primitive), taken through G = minors_gcd(a, e) (proof there;
+    |det(a, e)| on 2-vectors), and c = 0 iff y = 0.  The check passes iff
+    y != 0 and x_{j+1} is the line's lift of y / c: the point (y / c) ⊗ k
+    with the sign that makes its first nonzero entry positive, which is
+    primitive(z + b x).  Then x ^ x_{j+1} = +-(x ^ z)/c, as x ^ x = 0, and
+    by the Lagrange identity and the factored inner products
 
-    both exact divisions.  Each step multiplies the bit size by about 3.6
-    on split4, so the only products near x_{j+1}'s size are the two with
-    b.  When the check fails, both come from the stored points.
+        |x_{j+1}|^2 = V (|e|^2 + b (2 a.e + b |a|^2)) / c^2,
+        wedges[j] = V^2 (|a|^2 |e|^2 - (a.e)^2) / c^2,
+
+    both exact divisions by c^2.  On split4 the content's gcd runs against
+    G, of the moving factor's size, with no minors_gcd; the check's
+    products are the two of b with a and the four of the lift, and the
+    norm's are the two with b and the one with V, of x_{j+1}'s size.  On a
+    plain line |a|^2 = |x|^2 is norms[j].  When the check fails, both come
+    from the stored points, and the next step's factors are taken from
+    x_{j+1} afresh.
     """
+    family = trace.family
     reps = trace.points()
     norms = [norm_sq(reps[0])]
     wedges, step_ok = [], []
+    factors = None
     for entry, x, x_next in zip(trace.entries, reps, reps[1:]):
         n2x, ok = norms[-1], False
         if entry.step is not None:
-            z, b = entry.step.z, entry.step.b
-            y = vec_add(z, vec_scale(b, x))
-            c = gcd(minors_gcd(x, z), *y)
+            b = entry.step.b
+            a, e, v, lift = family.moving_line(x, entry.step.z, factors)
+            y = vec_add(e, vec_scale(b, a))
+            c = gcd(_line_gcd(a, e), *y)
             if c:
-                c = c if next(a for a in y if a) > 0 else -c
-                ok = tuple(a // c for a in y) == x_next
+                p, factors = lift(tuple(t // c for t in y))
+                ok = p == x_next
         if ok:
-            n2z, xz, cc = norm_sq(z), dot(x, z), c * c
-            norms.append((n2z + b * (2 * xz + b * n2x)) // cc)
-            wedges.append((n2x * n2z - xz * xz) // cc)
+            n2a = n2x if v == 1 else norm_sq(a)
+            n2e, ae, cc = norm_sq(e), dot(a, e), c * c
+            norms.append(v * ((n2e + b * (2 * ae + b * n2a)) // cc))
+            wedges.append(v * v * ((n2a * n2e - ae * ae) // cc))
         else:
+            factors = None
             norms.append(norm_sq(x_next))
             wedges.append(n2x * norms[-1] - dot(x, x_next) ** 2)
         step_ok.append(ok)
@@ -95,13 +114,21 @@ def trace_geometry(trace: SequenceTrace) -> TraceGeometry:
     return TraceGeometry(tuple(norms), tuple(wedges), tuple(step_ok))
 
 
-def check_conditions(trace: SequenceTrace, geometry: TraceGeometry | None = None) -> dict:
+def _point_residues(points: list[IntVec]) -> list[list[int]]:
+    """Each point mod RANK_PRIME, reduced once per audit for the ranks of compute_hi and the spanning check."""
+    return [[a % RANK_PRIME for a in p] for p in points]
+
+
+def check_conditions(trace: SequenceTrace, geometry: TraceGeometry | None = None,
+                     residues: list[list[int]] | None = None) -> dict:
     """Re-derive every construction inequality from the recorded points.
 
     Returns a report dict with one record per step index; ``all_pass``
     aggregates them.  Failures name the condition and print bit lengths,
     never a full-size decimal.  ``geometry`` is trace_geometry(trace),
     computed here when not given; it holds each step check's verdict.
+    ``residues`` are the points mod RANK_PRIME (_point_residues), reduced
+    here when not given.
     The family adapter and the decay target are the trace's own, built
     and checked against ambient_dim when it was read (builder.trace_from_doc).
 
@@ -122,8 +149,8 @@ def check_conditions(trace: SequenceTrace, geometry: TraceGeometry | None = None
     points = trace.points()
     geo = geometry or trace_geometry(trace)
     n2, w = geo.norms, geo.wedges
-    # each point reduced mod RANK_PRIME once; step i's compute_hi reads its prefix's residues only
-    residues = [[a % RANK_PRIME for a in p] for p in points]
+    if residues is None:
+        residues = _point_residues(points)
     records = []
     all_pass = True
     first = trace.entries[0]
@@ -432,11 +459,11 @@ def audit_report(
 ) -> dict:
     """Full audit: conditions, exponents, spanning, optional brute force."""
     geo = trace_geometry(trace)
-    report = {"version": 3, **check_conditions(trace, geo)}
-    n = len(trace.entries)
-    # whether the points from i0 on span the ambient space, for every i0, each point reduced mod RANK_PRIME once
     reps = trace.points()
-    residues = [[a % RANK_PRIME for a in r] for r in reps]
+    residues = _point_residues(reps)
+    report = {"version": 3, **check_conditions(trace, geo, residues)}
+    n = len(trace.entries)
+    # whether the points from i0 on span the ambient space, for every i0
     spanning = {str(i0): spans_from_residues(reps[i0 - 1:], residues[i0 - 1:]) for i0 in range(2, n + 1)}
     report["spanning"] = spanning
     span_required = range(2, n - trace.family.ambient_dim + 1)

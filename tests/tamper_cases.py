@@ -13,6 +13,11 @@ and changes one stored value per case:
 The log3x run stops at 4 points, so the two traces give 108 + 68 = 176
 cases.
 
+``ruling_tampers`` takes the same two traces and replaces each step's z
+= e ⊗ k (x = u ⊗ v, k the factor the step keeps) by the point with the
+same e on x's other ruling, by a point of rank two, and by a point of
+the quadric on neither ruling through x: 3 * (5 + 3) = 24 cases.
+
 ``leaf_tampers`` takes the ``pow 1/2`` traces of grassmann(4,2) and
 prodforms(2,3) at ``--max-height 4`` and sets one string leaf under
 ``entries`` (coordinates, witnesses, multipliers and every certificate
@@ -22,6 +27,7 @@ them.
 
 import copy
 import json
+import math
 
 from maxsing.cli import EXIT_BUDGET, EXIT_OK, main
 
@@ -107,3 +113,39 @@ def tamper_cases(doc: dict):
             cert = t["entries"][i]["step"]["certificate"]
             cert["s_at_x"] = 3 - cert["s_at_x"]
         yield f"entries[{i}].s_at_x flipped", edit(flip)
+
+
+def _segre(u, v):
+    return (u[0] * v[0], u[1] * v[1], u[0] * v[1], -u[1] * v[0])
+
+
+def _factors(x):
+    """Primitive (u, v) with _segre(u, v) == x, for a primitive point x of the split quadric."""
+    row = (x[0], x[2]) if x[0] or x[2] else (-x[3], x[1])
+    col = (x[0], -x[3]) if x[0] or x[3] else (x[2], x[1])
+    v = tuple(a // math.gcd(*row) for a in row)
+    u = tuple(a // math.gcd(*col) for a in col)
+    return next((s * u[0], s * u[1]) for s in (1, -1) if _segre((s * u[0], s * u[1]), v) == tuple(x)), v
+
+
+def _canonical(p):
+    return p if next(a for a in p if a) > 0 else tuple(-a for a in p)
+
+
+def ruling_tampers(doc: dict):
+    """(label, tampered copy of doc) for every step of a split4 trace and every tamper of the module docstring."""
+    for i, entry in enumerate(doc["entries"]):
+        if entry["step"] is None:
+            continue
+        x = tuple(int(a, 0) for a in entry["x"])
+        z = tuple(int(a, 0) for a in entry["step"]["z"])
+        u, v = _factors(x)
+        zu, zv = _factors(z)
+        # z = e ⊗ v keeps v; the same e on the other ruling is u ⊗ e, and the reverse
+        other = _segre(u, zu) if zv in (v, tuple(-a for a in v)) else _segre(zv, v)
+        rank_two = (z[0] + 1, *z[1:]) if (z[0] + 1) * z[1] + z[2] * z[3] else (z[0], z[1] + 1, *z[2:])
+        neither = _segre((u[1], -u[0]), (v[1], -v[0]))
+        for tag, new_z in (("other ruling", other), ("rank two", rank_two), ("neither ruling", neither)):
+            new = copy.deepcopy(doc)
+            new["entries"][i]["step"]["z"] = [format(a, "#x") for a in _canonical(new_z)]
+            yield f"entries[{i}].z {tag}", new

@@ -1,8 +1,11 @@
+import hashlib
 import itertools
 import json
 import math
 import random
+import sys
 import time
+from contextlib import ExitStack
 from fractions import Fraction
 from unittest import mock
 
@@ -28,6 +31,7 @@ from maxsing.exact_geometry import (
     centring_shift,
     norm_sq,
     inth_root,
+    minors_gcd,
     primitive,
     subspace_span,
     vec_add,
@@ -35,9 +39,15 @@ from maxsing.exact_geometry import (
     wedge_sq,
 )
 from maxsing.families import SearchBudget, grassmann_adapter, prodforms_adapter, quadric_adapter
-from maxsing.quadric import line_in_quadric_through, s_h_quadric, split4
+from maxsing.quadric import QuadraticFormQ, form_to_doc, line_in_quadric_through, s_h_quadric, split4
 
-from kernel_oracles import dist_sq, le_phi_sq_log3x_fraction, ln_bounds_two_series, sqrt_bounds_two_roots
+from kernel_oracles import (
+    dist_sq,
+    le_phi_sq_log3x_fraction,
+    ln_bounds_two_series,
+    sqrt_bounds_two_roots,
+    write_json,
+)
 
 
 def e(i, n=4):
@@ -552,6 +562,163 @@ class TestMultiplierKernels:
             else:
                 m = max(norm_lo, Fraction(1))
                 assert t <= Fraction(*phi._log3x_phi(m.numerator, m.denominator, False)) ** 2
+
+
+def _full_size_hint_root(n2x, dzx, n2z, w2, tel, pq):
+    """The multiplier hint computed on full-size values, as before moving coordinates.
+
+    theta = max(n2x + 1, the power-law bound, floor(tel_l / tel_r) + 1),
+    then floor((-dzx + sqrt(dzx^2 + n2x (theta - n2z))) / n2x) when
+    theta > n2z, else None.  Returns (root, which bound is largest).
+    """
+    bounds = {"growth": n2x + 1}
+    if pq is not None:
+        p, q = pq
+        bounds["pow"] = builder._ceil_root((9 * w2) ** q, 4 ** q, q - p)
+    if tel is not None:
+        bounds["tel"] = tel[0] // tel[1] + 1
+    theta = max(bounds.values())
+    winner = max(bounds, key=bounds.get)
+    if theta <= n2z:
+        return None, winner
+    return (-dzx + math.isqrt(dzx * dzx + n2x * (theta - n2z))) // n2x, winner
+
+
+def _hint_case(seed: int, kind: str):
+    """Moving coordinates (a, e), kept_sq V, dsq_prev and the decay exponent of one hint case.
+
+    Kinds: "below" has theta <= n2z; "growth" has growth as the only
+    bound, on small numbers; "small" keeps the full n2x within 64 bits;
+    "tel" and "tel_pow" make telescoping the largest bound, without and
+    with a power law; "pow" draws exponents 1/2, 2/3 and 2/5.
+    """
+    rng = random.Random(seed)
+
+    def vec(bits, n=2):
+        while True:
+            v = tuple(rng.getrandbits(bits) * rng.choice((1, -1)) for _ in range(n))
+            if any(v):
+                return v
+
+    def kept(bits):
+        k = vec(bits)
+        return k[0] * k[0] + k[1] * k[1]
+
+    pq = None
+    dsq = None
+    if kind == "below":
+        a = vec(rng.randrange(1, 30))
+        e = vec(a[0].bit_length() + a[1].bit_length() + 40)
+        v = kept(rng.randrange(1, 200))
+    elif kind == "growth":
+        a, e, v = vec(rng.randrange(1, 6)), vec(rng.randrange(1, 4)), kept(rng.randrange(1, 3))
+    elif kind == "small":
+        a, e, v = vec(rng.randrange(1, 12)), vec(rng.randrange(1, 12)), kept(rng.randrange(1, 12))
+        pq = rng.choice([None, (1, 2), (2, 3)])
+        dsq = tuple(rng.randrange(1, 1 << rng.choice((4, 20, 40))) for _ in range(2))
+    else:
+        a, e = vec(rng.randrange(1, 400)), vec(rng.randrange(1, 40))
+        v = rng.choice([1, kept(rng.randrange(1, 300)), rng.randrange(1, 1 << 500)])
+        pq = {"tel": None, "tel_pow": (1, 2), "pow": rng.choice([(1, 2), (2, 3), (2, 5)])}[kind]
+        w2 = norm_sq(a) * norm_sq(e) - (a[0] * e[0] + a[1] * e[1]) ** 2
+        # telescoping wins when p_den / p_num exceeds about n2x (growth) or 9 V^3 w2 n2x (power law)
+        spread = 9 * v ** 3 * (w2 + 1) * norm_sq(a) * 64 if kind != "pow" else 1
+        p_num = rng.randrange(1, 1 << 30)
+        dsq = (p_num, p_num * spread * rng.randrange(1, 1 << 20) + rng.randrange(1, 1 << 20))
+    return a, e, v, dsq, pq
+
+
+class TestFactoredHint:
+    """_hint_root in moving coordinates equals the full-size hint of the same line."""
+
+    @given(st.integers(0, 2 ** 32), st.sampled_from(["below", "growth", "small", "tel", "tel_pow", "pow"]))
+    @example(0, "tel")
+    @example(1, "tel_pow")
+    @example(2, "below")
+    @example(3, "small")
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    def test_factored_hint_matches_the_full_size_one(self, seed, kind):
+        a, e, v, dsq, pq = _hint_case(seed, kind)
+        n2a, d, n2e = norm_sq(a), a[0] * e[0] + a[1] * e[1], norm_sq(e)
+        w2 = n2a * n2e - d * d
+        assume(w2 > 0)
+        tel = None if dsq is None else (9 * w2 * dsq[1], dsq[0] * n2a)
+        decay = None if pq is None else ((9 * w2) ** pq[1] * v ** (pq[1] + pq[0]), *pq)
+        full_tel = None if dsq is None else (9 * v * v * w2 * dsq[1], dsq[0] * n2a * v)
+        expect, winner = _full_size_hint_root(n2a * v, d * v, n2e * v, v * v * w2, full_tel, pq)
+        assert builder._hint_root(n2a, d, n2e, w2, v, tel, decay) == expect
+        if kind in ("tel", "tel_pow"):
+            assert winner == "tel"
+        if kind == "below":
+            assert expect is None
+        if kind == "small":
+            assert (n2a * v).bit_length() <= 64
+        if v == 1:  # a plain line: the full-size values are the moving ones
+            assert builder._hint_root(n2a, d, n2e, w2, 1, full_tel, decay) == expect
+
+    _ints = st.one_of(st.integers(1, 40), st.integers(1, 2 ** 90))
+
+    @given(_ints, st.one_of(st.just(0), _ints), _ints, st.sampled_from([(1, 2), (2, 3), (3, 4), (1, 3), (2, 5)]))
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    def test_pow_term_matches_its_definition(self, n2x, w9, v, pq):
+        """floor(n2x theta / v) with theta the power-law bound on the full-size |y ⊗ k|^2."""
+        p, q = pq
+        theta = builder._ceil_root((w9 * v * v) ** q, 4 ** q, q - p) if w9 else 0
+        assert builder._pow_hint_term(w9 ** q * v ** (q + p), w9, n2x, v, p, q) == n2x * theta // v
+
+
+def _patched_everywhere(name, replacement):
+    """mock.patch of maxsing's ``name`` in every module that holds the same function."""
+    original = getattr(sys.modules["maxsing.exact_geometry"], name)
+    stack = ExitStack()
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("maxsing") and getattr(mod, name, None) is original:
+            stack.enter_context(mock.patch.object(mod, name, replacement))
+    return stack
+
+
+def _no_minors_gcd(*args):
+    raise AssertionError("minors_gcd called on a split4 step")
+
+
+SPLIT4_POW_8_SEED7 = "10b75e45fdfc89a3aba2e7727e9c34b3e0d46da4d44ee93d218132cf0894a36f"
+SPLIT4_POW_8_SEED7_AUDIT = "1fd8970a81f67fdf5017556aaf2248a8f21567f93976db774f654991d1f71b1e"
+SPLIT4_LOG3X_SEED7 = "ca92318656fab4b7a6d699df2148721247f5e994f80a8d6d3e27435de48a53c8"
+
+
+class TestSegrePath:
+    """Which path runs: split4 steps on their Segre factors, everything else on plain lines."""
+
+    def test_split4_runs_without_minors_gcd(self, tmp_path):
+        """The 8-point pow 1/2 gen and verify and the log3x gen give their pinned bytes with minors_gcd raising."""
+        trace, audit, log3x = tmp_path / "t.json", tmp_path / "t.audit.json", tmp_path / "l.json"
+        with _patched_everywhere("minors_gcd", _no_minors_gcd):
+            assert main(["gen", "--family", "quadric", "--phi", "pow", "1/2", "--steps", "8", "--seed", "7",
+                         "--precision-bits", "64", "--out", str(trace)]) == 0
+            assert main(["verify", str(trace), "--precision", "64", "--out", str(audit)]) == 0
+            assert main(["gen", "--family", "quadric", "--phi", "log3x", "--steps", "12", "--seed", "7",
+                         "--precision-bits", "64", "--out", str(log3x)]) == EXIT_BUDGET
+        for path, digest in ((trace, SPLIT4_POW_8_SEED7), (audit, SPLIT4_POW_8_SEED7_AUDIT),
+                             (log3x, SPLIT4_LOG3X_SEED7)):
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_other_forms_keep_the_plain_line(self, split4_form, tmp_path):
+        """A --quadric-file form whose integer rows are not split4's runs every step on the 4-vectors."""
+        form, wit = split4_form
+        assert quadric_adapter(form, wit).segre
+        # 2 x0 x1 + x2 x3, with split4's witness
+        half, one, zero = Fraction(1, 2), Fraction(1), Fraction(0)
+        other = QuadraticFormQ(((zero, one, zero, zero), (one, zero, zero, zero),
+                                (zero, zero, zero, half), (zero, zero, half, zero)))
+        assert not quadric_adapter(other, wit).segre
+        path = tmp_path / "form.json"
+        write_json(form_to_doc(other, wit), path)
+        calls = []
+        with _patched_everywhere("minors_gcd", lambda x, z, real=minors_gcd: calls.append(len(x)) or real(x, z)):
+            assert main(["gen", "--family", "quadric", "--quadric-file", str(path), "--phi", "pow", "1/2",
+                         "--steps", "5", "--seed", "7", "--out", str(tmp_path / "t.json")]) == 0
+            assert main(["verify", str(tmp_path / "t.json"), "--out", str(tmp_path / "a.json")]) == 0
+        assert calls == [4] * 8  # the content bound of every step, in gen and in verify
 
 
 class TestLimit:

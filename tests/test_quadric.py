@@ -1,12 +1,25 @@
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from maxsing.errors import GeometryError, InputError, SearchExhausted
-from maxsing.exact_geometry import RANK_PRIME, in_span, primitive, subspace_span
+from maxsing.exact_geometry import (
+    RANK_PRIME,
+    dot,
+    in_span,
+    minors_gcd,
+    norm_sq,
+    orthogonal_functionals,
+    primitive,
+    subspace_span,
+    wedge_sq,
+)
 from maxsing.quadric import (
+    SPLIT4_ROWS,
     HyperbolicWitness,
     QuadraticFormQ,
     isotropic_in_subspace_outside,
@@ -16,6 +29,12 @@ from maxsing.quadric import (
     orth_complement,
     form_to_doc,
     s_h_quadric,
+    segre,
+    segre_factors,
+    segre_lift,
+    segre_primitive,
+    segre_split,
+    segre_wedge_sq,
     split4,
     validate_witness,
 )
@@ -350,6 +369,135 @@ class TestLineConstruction:
         for lam in range(-20, 21):
             y = primitive(tuple(lam * a + c for a, c in zip(alpha, z)))
             assert s_h_quadric(form, h, y) <= 1
+
+
+# an entry of a Segre factor: small, or of a few hundred bits, either sign
+_entry = st.one_of(st.integers(-9, 9), st.integers(-2 ** 300, 2 ** 300))
+
+
+@st.composite
+def _primitive2(draw):
+    f = (draw(_entry), draw(_entry))
+    assume(any(f))
+    g = math.gcd(*f)
+    return f[0] // g, f[1] // g
+
+
+def _det(a, b):
+    return a[0] * b[1] - a[1] * b[0]
+
+
+class TestSegre:
+    """The factored split4 step against the 4-vector definitions (the Segre path of gen and verify)."""
+
+    def test_split4_rows(self, form):
+        assert form._int_rows == SPLIT4_ROWS
+
+    @given(_primitive2(), _primitive2(), _primitive2(), st.integers(1, 12), st.booleans(),
+           st.integers(-2 ** 400, 2 ** 400))
+    @example((1, 0), (1, 0), (0, 1), 1, True, 1)
+    @example((3, -5), (2, 7), (1, 1), 6, False, -4)
+    @example((0, 1), (1, 0), (1, 0), 2, True, 3)
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_factored_step_matches_the_4_vectors(self, u, v, f, content, first, b):
+        """G, the content of z + b x, the norms, the wedge and the primitive point, from the factors.
+
+        x = u ⊗ v and z = e ⊗ k on the ruling that keeps k (v when
+        ``first``), with e = content * f: contents above 1 and negative
+        entries included.
+        """
+        x = segre(u, v)
+        a, k = (u, v) if first else (v, u)
+        e = (content * f[0], content * f[1])
+        z = segre(e, k) if first else segre(k, e)
+        assert x[0] * x[1] + x[2] * x[3] == 0 and z[0] * z[1] + z[2] * z[3] == 0
+        assert segre_factors(primitive(x)) is not None and segre(*segre_factors(primitive(x))) == primitive(x)
+        assert norm_sq(x) == norm_sq(u) * norm_sq(v)
+        assert dot(x, z) == dot(a, e) * norm_sq(k)
+        g = abs(_det(a, e))
+        assert minors_gcd(x, z) == g
+        assert wedge_sq(x, z) == norm_sq(k) ** 2 * _det(a, e) ** 2
+        y = tuple(c + b * t for t, c in zip(x, z))
+        ym = (e[0] + b * a[0], e[1] + b * a[1])
+        assume(any(ym))
+        assert math.gcd(*y) == math.gcd(g, *ym)
+        assert norm_sq(y) == norm_sq(k) * norm_sq(ym)
+        c = math.gcd(*ym)
+        lifted, (lu, lv) = segre_lift((ym[0] // c, ym[1] // c), k, first)
+        assert lifted == primitive(y) and segre(lu, lv) == lifted
+        # z splits back on its ruling; a point that is neither ruling's does not
+        split = segre_split(u, v, z)
+        assert split is not None
+        sf, sfirst = split
+        assert (segre(sf, v) if sfirst else segre(u, sf)) == z
+        if g:  # z is not a multiple of x, so the ruling is determined
+            assert (sf, sfirst) == (e, first)
+        w = (z[0] + 1, *z[1:])
+        split = segre_split(u, v, w)
+        if w[0] * w[1] + w[2] * w[3] != 0:  # not of rank one: on no ruling
+            assert split is None
+        elif split is not None:
+            sf, sfirst = split
+            assert (segre(sf, v) if sfirst else segre(u, sf)) == w
+
+    @given(_primitive2(), _primitive2(), _primitive2(), st.integers(-12, 12).filter(bool), st.booleans())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_candidate_point_and_area_from_the_factors(self, u, v, f, content, first):
+        """segre_primitive is primitive and segre_wedge_sq is the wedge, on both rulings."""
+        e = (content * f[0], content * f[1])
+        vec = segre(e, v) if first else segre(u, e)
+        assert segre_primitive(u, v, vec) == primitive(vec)
+        p = primitive(vec)
+        assert segre_wedge_sq(u, v, p) == wedge_sq(segre(u, v), p)
+        area = norm_sq(v) ** 2 * _det(u, f) ** 2 if first else norm_sq(u) ** 2 * _det(v, f) ** 2
+        assert segre_wedge_sq(u, v, p) == area
+
+    @given(_primitive2(), _primitive2())
+    @example((1, 0), (0, 1))
+    @example((0, 1), (1, 0))
+    @example((2, 3), (0, -1))
+    @example((-2, 3), (-5, 1))
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_perp_basis_gcds_from_the_factors(self, form, u, v):
+        """orth_complement on the factors equals the one on the point, zero entries included, and so do its functionals.
+
+        The factors keep the signs drawn, as a lift leaves them: only u is
+        negated to make the point's first nonzero entry positive.
+        """
+        x = segre(u, v)
+        if next(a for a in x if a) < 0:
+            u = (-u[0], -u[1])
+            x = segre(u, v)
+        perp = orth_complement(form, x, (u, v))
+        assert perp == orth_complement(form, x)
+        assert perp.functionals == orthogonal_functionals(perp)
+
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=2, max_size=8),
+           st.integers(0, 2), st.integers(0, 2 ** 32), st.integers(1, 3))
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_line_search_on_the_factors(self, form, witness, pairs, n_extra, seed, height):
+        """The factored isotropic search finds the same z and leaves the rng in the same state.
+
+        x = u ⊗ v; H is spanned by x and up to two more small points of
+        the quadric, so that x lies in it.
+        """
+        vecs = [p for p in pairs if any(p)]
+        assume(len(vecs) >= 2)
+        x = primitive(segre(vecs[0], vecs[1]))
+        extra = [primitive(segre(vecs[i % len(vecs)], vecs[(i + 1) % len(vecs)])) for i in range(2, 2 + n_extra)]
+        h = subspace_span([x, *extra], 4)
+        assume(h.rank < 4)
+        s = s_h_quadric(form, h, x)
+        assume(s in (1, 2))
+        outcomes = []
+        for factors in (None, segre_factors(x)):
+            rng = random.Random(seed)
+            try:
+                z = line_in_quadric_through(form, witness, x, h, s, height=height, rng=rng, factors=factors)
+            except SearchExhausted:
+                z = None
+            outcomes.append((z, rng.getstate()))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestFormIO:

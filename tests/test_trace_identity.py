@@ -24,6 +24,7 @@ from tamper_cases import (
     PHIS,
     klinear_seed7_doc,
     leaf_tampers,
+    ruling_tampers,
     split4_seed7_doc,
     tamper_cases,
 )
@@ -262,6 +263,16 @@ def verify_outcomes_digest(tmp_path, capsys, cases) -> tuple[int, str]:
 def test_tampered_audits_digest(tmp_path, capsys):
     cases = ((phi[0], label, bad) for phi in PHIS for label, bad in tamper_cases(split4_seed7_doc(tmp_path, phi)))
     assert verify_outcomes_digest(tmp_path, capsys, cases) == (176, SPLIT4_SEED7_TAMPERED_AUDITS)
+
+
+# z moved off its ruling in the 6-point split4 seed-7 traces (tamper_cases.ruling_tampers):
+# the verify outcomes of the plain-line audit, which the Segre path falls back to
+SPLIT4_SEED7_RULING_TAMPERS = "d9e7124a9c34828d7c3d3b5ade849a4ff8e01ee2ef39033b32a90cff7db3aa2f"
+
+
+def test_ruling_tampered_audits_digest(tmp_path, capsys):
+    cases = ((phi[0], label, bad) for phi in PHIS for label, bad in ruling_tampers(split4_seed7_doc(tmp_path, phi)))
+    assert verify_outcomes_digest(tmp_path, capsys, cases) == (24, SPLIT4_SEED7_RULING_TAMPERS)
 
 
 # every string-leaf tamper of the 6-point grassmann(4,2) and prodforms(2,3)

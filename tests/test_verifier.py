@@ -11,7 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from maxsing.builder import ApproxFn, limit_radius_sq, run, trace_from_doc, trace_to_doc
 from maxsing.errors import InputError, SearchExhausted
-from maxsing.exact_geometry import dot, ln_hi_fixed, ln_lo_fixed, norm_sq, primitive
+from maxsing import verifier
+from maxsing.exact_geometry import RANK_PRIME, dot, ln_hi_fixed, ln_lo_fixed, norm_sq, primitive
 from maxsing.families import KLinearAdapter, SearchBudget, grassmann_adapter, prodforms_adapter, quadric_adapter
 from maxsing.multilinear import prodforms_map
 from maxsing.quadric import split4
@@ -35,7 +36,7 @@ from kernel_oracles import (
     spanning_check,
     trace_limit,
 )
-from tamper_cases import PHIS, split4_seed7_doc, tamper_cases
+from tamper_cases import PHIS, ruling_tampers, split4_seed7_doc, tamper_cases
 
 
 def tamper(trace, mutate):
@@ -494,6 +495,14 @@ class TestDerivedGeometry:
                     pass
         return traces
 
+    def test_ruling_tampers(self, tmp_path):
+        """A z moved to x's other ruling, off the quadric or to neither ruling fails its step, and only it."""
+        for phi in PHIS:
+            for label, doc in ruling_tampers(split4_seed7_doc(tmp_path, phi)):
+                step_ok = assert_geometry_of_stored_points(trace_from_doc(doc)).step_ok
+                i = int(re.match(r"entries\[(\d+)\]", label).group(1))
+                assert [j for j, ok in enumerate(step_ok) if not ok] == [i], label
+
     def test_tamper_cases(self, tampered):
         assert len(tampered) == 172
         verdicts = [assert_geometry_of_stored_points(t).step_ok for t in tampered]
@@ -621,7 +630,16 @@ class TestAuditV3Bounds:
     def test_shared_geometry_gives_the_same_report(self, split4_pow_trace):
         geo = trace_geometry(split4_pow_trace)
         assert check_conditions(split4_pow_trace, geo) == check_conditions(split4_pow_trace)
+        residues = [[a % RANK_PRIME for a in p] for p in split4_pow_trace.points()]
+        assert check_conditions(split4_pow_trace, geo, residues) == check_conditions(split4_pow_trace)
         assert exponent_report(split4_pow_trace, 64, geo) == exponent_report(split4_pow_trace, 64)
+
+    def test_points_reduced_once_per_audit(self, split4_pow_trace, monkeypatch):
+        """audit_report reduces every point mod RANK_PRIME once, for check_conditions and the spanning check."""
+        reduced, reduce = [], verifier._point_residues
+        monkeypatch.setattr(verifier, "_point_residues", lambda points: reduced.append(len(points)) or reduce(points))
+        audit_report(split4_pow_trace)
+        assert reduced == [len(split4_pow_trace.entries)]
 
     def test_report_is_version_3_with_dyadics(self, split4_pow_trace):
         report = audit_report(split4_pow_trace)
