@@ -584,16 +584,16 @@ def next_point(
 
     Returns the next point, the step record, the step's squared distance
     as an unreduced pair (see _select_multiplier) and the next point's
-    factors.  ``factors`` are the last point's (families.MovingLine): the
-    line step and the multiplier search run on its moving coordinates, and
-    the line's lift builds the next point.
+    factors.  ``factors`` are the last point's: the line step and the
+    multiplier search run on the moving coordinates of the line that
+    line_step returns (families.MovingLine), and its lift builds the next
+    point.
     """
     x = points[-1]
     h = compute_hi(points, adapter.ambient_dim)
-    z_tp, cert, witness_at = adapter.line_step(TracePoint(x, witnesses[-1]), h, budget, rng, factors)
-    a, e, kept_sq, lift = adapter.moving_line(x, z_tp.point, factors)
-    b, p, dsq = _select_multiplier(a, e, phi, dsq_prev, budget, kept_sq)
-    x_next, factors = lift(p)
+    z_tp, cert, witness_at, line = adapter.line_step(TracePoint(x, witnesses[-1]), h, budget, rng, factors)
+    b, p, dsq = _select_multiplier(line.a, line.e, phi, dsq_prev, budget, line.kept_sq)
+    x_next, factors, _ = line.lift(p)
     step = StepData(z=z_tp.point, z_witness=z_tp.witness, b=b, certificate=cert)
     return TracePoint(x_next, witness_at(b)), step, dsq, factors
 

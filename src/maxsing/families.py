@@ -3,12 +3,12 @@
 The builder and the auditor reach a family through five calls only:
 ``start()``, a certified start point; ``member(tp)``, exact membership;
 ``line_step(tp, h, budget, rng, factors)``, a line through the point x
-inside H, as (z, the certificate document, witness_at), z centred on x
-(exact_geometry.centring_shift) and witness_at(b) the witness of
-primitive(z + b*x), None on a quadric; ``moving_line(x, z, factors)``,
-the line's moving coordinates (MovingLine); and ``check_certificate``,
-the exact re-check of a recorded step.  The adapter alone writes the
-certificate document.  ``factors`` are x's Segre factors on the built-in
+inside H, as (z, the certificate document, witness_at, the line's
+MovingLine), z centred on x (exact_geometry.centring_shift) and
+witness_at(b) the witness of primitive(z + b*x), None on a quadric;
+``moving_line(x, z, factors)``, the moving coordinates of a recorded
+line (MovingLine); and ``check_certificate``, the exact re-check of a
+recorded step.  The adapter alone writes the certificate document.  ``factors`` are x's Segre factors on the built-in
 split4 form, which lift returns with each next point, and None elsewhere
 (the plain line).  Points are primitive integer tuples and travel in
 TracePoints, with their witnesses.  A trace holds its adapter: the trace
@@ -45,14 +45,15 @@ SearchBudget = namedtuple("SearchBudget", "max_height multiplier_bits", defaults
 
 # The line through x and z in moving coordinates: the points of the line are
 # (e + b a) ⊗ k with x = a ⊗ k, z = e ⊗ k, kept_sq = |k|^2, and lift(p) gives
-# (the point p ⊗ k with canonical sign, its factors).  On split4 a and e are
-# the moving Segre factors (quadric.segre); a plain line has a = x, e = z,
-# k = (1), kept_sq = 1 and no factors.
+# (the point p ⊗ k with canonical sign, its factors, p with that sign).  On
+# split4 a and e are the moving Segre factors (quadric.segre); a plain line
+# has a = x, e = z, k = (1), kept_sq = 1 and no factors.
 MovingLine = namedtuple("MovingLine", "a e kept_sq lift")
 
 
-def _plain_lift(p: tuple) -> tuple[tuple, None]:
-    return (p if next(a for a in p if a) > 0 else tuple(-a for a in p)), None
+def _plain_lift(p: tuple) -> tuple[tuple, None, tuple]:
+    q = p if next(a for a in p if a) > 0 else tuple(-a for a in p)
+    return q, None, q
 
 
 def plain_line(x: Sequence[int], z: Sequence[int]) -> MovingLine:
@@ -94,7 +95,7 @@ class QuadricAdapter:
     def line_step(
         self, tp: TracePoint, h: ProjSubspaceQ, budget: SearchBudget, rng: random.Random | None,
         factors=None,
-    ) -> tuple[TracePoint, dict, Callable]:
+    ) -> tuple[TracePoint, dict, Callable, MovingLine]:
         """The line of quadric.line_in_quadric_through, centred on x in its moving coordinates.
 
         On split4 the search and the centring run on x's Segre factors, with
@@ -110,11 +111,12 @@ class QuadricAdapter:
         z = qd.line_in_quadric_through(
             self.form, self.hyp_witness, x, h, s, height=budget.max_height, rng=rng, factors=factors
         )
-        a, e, _, lift = self.moving_line(x, z, factors)
-        r = centring_shift(a, e)
+        line = self.moving_line(x, z, factors)
+        r = centring_shift(line.a, line.e)
         if r:
-            z = lift(primitive(vec_add(e, vec_scale(r, a))))[0]
-        return TracePoint(z), {"kind": "quadric", "s_at_x": s}, lambda b: None
+            z, _, e = line.lift(primitive(vec_add(line.e, vec_scale(r, line.a))))
+            line = line._replace(e=e)
+        return TracePoint(z), {"kind": "quadric", "s_at_x": s}, lambda b: None, line
 
     def moving_line(self, x: Sequence[int], z: Sequence[int], factors=None) -> MovingLine:
         """The line through x and z on x's Segre factors, when z is on a ruling through x; else the plain line.
@@ -215,7 +217,7 @@ class KLinearAdapter:
     def line_step(
         self, tp: TracePoint, h: ProjSubspaceQ, budget: SearchBudget, rng: random.Random | None,
         factors=None,
-    ) -> tuple[TracePoint, dict, Callable]:
+    ) -> tuple[TracePoint, dict, Callable, MovingLine]:
         z, cert = ml.line_step(self.kmap, tp, h, budget.max_height, rng)
         cert_doc = {
             "kind": "klinear",
@@ -227,7 +229,8 @@ class KLinearAdapter:
             "beta_witness": ml.witness_to_doc(cert.beta.witness),
             "beta_prime": None if cert.beta_prime is None else [str(a) for a in cert.beta_prime],
         }
-        return z, cert_doc, partial(ml.line_witness, tp.witness, z.witness, cert.slot, cert.anchor_scale, cert.z_scale)
+        witness_at = partial(ml.line_witness, tp.witness, z.witness, cert.slot, cert.anchor_scale, cert.z_scale)
+        return z, cert_doc, witness_at, plain_line(tp.point, z.point)
 
     def moving_line(self, x: Sequence[int], z: Sequence[int], factors=None) -> MovingLine:
         return plain_line(x, z)

@@ -97,7 +97,7 @@ def trace_geometry(trace: SequenceTrace) -> TraceGeometry:
             y = vec_add(e, vec_scale(b, a))
             c = gcd(_line_gcd(a, e), *y)
             if c:
-                p, factors = lift(tuple(t // c for t in y))
+                p, factors, _ = lift(tuple(t // c for t in y))
                 ok = p == x_next
         if ok:
             n2a = n2x if v == 1 else norm_sq(a)

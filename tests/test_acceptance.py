@@ -98,7 +98,7 @@ def stopping_line(trace: SequenceTrace, budget: SearchBudget) -> tuple[IntVec, I
     points = trace.points()
     for i, entry in enumerate(trace.entries, start=1):
         h = compute_hi(points[:i], adapter.ambient_dim)
-        z_tp, _, _ = adapter.line_step(TracePoint(entry.x, entry.witness), h, budget, rng)
+        z_tp, _, _, _ = adapter.line_step(TracePoint(entry.x, entry.witness), h, budget, rng)
         if entry.step is not None:
             assert z_tp.point == entry.step.z, f"replayed line at point {i} differs from the trace"
     return points[-1], z_tp.point

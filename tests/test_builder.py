@@ -39,7 +39,9 @@ from maxsing.exact_geometry import (
     wedge_sq,
 )
 from maxsing.families import SearchBudget, grassmann_adapter, prodforms_adapter, quadric_adapter
-from maxsing.quadric import QuadraticFormQ, form_to_doc, line_in_quadric_through, s_h_quadric, split4
+from maxsing.quadric import (
+    SPLIT4_ROWS, QuadraticFormQ, form_from_doc, form_to_doc, line_in_quadric_through, s_h_quadric, split4,
+)
 
 from kernel_oracles import (
     dist_sq,
@@ -211,7 +213,7 @@ class TestAdapterLineStep:
         for b_next in multipliers:
             x = tp.point
             h = compute_hi(points, adapter.ambient_dim)
-            z_tp, _, witness_at = adapter.line_step(tp, h, SearchBudget(max_height=2), rng)
+            z_tp, _, witness_at, _ = adapter.line_step(tp, h, SearchBudget(max_height=2), rng)
             z = z_tp.point
             assert centring_shift(x, z) == 0
             for b in range(1, 21):
@@ -229,7 +231,7 @@ class TestAdapterLineStep:
         s = s_h_quadric(adapter.form, h, x)
         raw = line_in_quadric_through(adapter.form, adapter.hyp_witness, x, h, s, height=1)
         assert raw == (0, 1, 0, 2) and centring_shift(x, raw) == 1
-        z_tp, cert, witness_at = adapter.line_step(TracePoint(x), h, SearchBudget(max_height=1), None)
+        z_tp, cert, witness_at, _ = adapter.line_step(TracePoint(x), h, SearchBudget(max_height=1), None)
         assert z_tp == TracePoint((2, 0, -1, 0)) and cert == {"kind": "quadric", "s_at_x": s}
         assert witness_at(1) is None
 
@@ -703,9 +705,15 @@ class TestSegrePath:
             assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_other_forms_keep_the_plain_line(self, split4_form, tmp_path):
-        """A --quadric-file form whose integer rows are not split4's runs every step on the 4-vectors."""
+        """A --quadric-file form whose integer rows are not split4's runs every step on the 4-vectors.
+
+        The test is on the integer rows d*A: split4's Gram matrix read from
+        a file, or twice it, has split4's rows and takes the Segre path.
+        """
         form, wit = split4_form
         assert quadric_adapter(form, wit).segre
+        assert quadric_adapter(*form_from_doc(form_to_doc(form, wit))).segre
+        assert QuadraticFormQ(tuple(tuple(2 * a for a in row) for row in form.gram))._int_rows == SPLIT4_ROWS
         # 2 x0 x1 + x2 x3, with split4's witness
         half, one, zero = Fraction(1, 2), Fraction(1), Fraction(0)
         other = QuadraticFormQ(((zero, one, zero, zero), (one, zero, zero, zero),

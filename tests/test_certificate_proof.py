@@ -144,7 +144,7 @@ def klinear_steps(draw):
         h = subspace()
     x_tp = TracePoint(x.point, x.witness)
     try:
-        z_tp, cert, _ = adapter.line_step(x_tp, h, SearchBudget(max_height=1), None)
+        z_tp, cert, _, _ = adapter.line_step(x_tp, h, SearchBudget(max_height=1), None)
     except SearchExhausted:
         assume(False)
     if draw(st.booleans()):
@@ -222,7 +222,7 @@ class TestProofMatchesSampling:
         x = ml.witnessed_point(adapter.kmap, [e(4, 0), e(4, 1)])
         h = subspace_span([e(6, i) for i in range(5)], 6)
         x_tp = TracePoint(x.point, x.witness)
-        z_tp, cert, _ = adapter.line_step(x_tp, h, SearchBudget(max_height=1), None)
+        z_tp, cert, _, _ = adapter.line_step(x_tp, h, SearchBudget(max_height=1), None)
         assert cert["m"] == 0 and cert["beta_prime"] is not None
         h_small = subspace_span([x.point], 6)
         fails = adapter.check_certificate(x_tp, z_tp, h_small, cert)
