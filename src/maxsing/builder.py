@@ -59,19 +59,13 @@ from .families import KLinearAdapter, QuadricAdapter, SearchBudget, adapter_from
 def _product_gt(lhs, rhs) -> bool:
     """prod(f^e for f, e in lhs) > prod(f^e for f, e in rhs), for ints f >= 0, e >= 1.
 
-    Decided from bit lengths, then from top bits, where they suffice, and
-    exactly (proof in _select_multiplier).
+    Decided from top bits where they suffice, else exactly (proof in
+    _select_multiplier).
     """
     if not all(f for f, _ in lhs):
         return False
     if not all(f for f, _ in rhs):
         return True
-    l_lo, r_lo = (sum(e * (f.bit_length() - 1) for f, e in s) for s in (lhs, rhs))
-    l_hi, r_hi = (sum(e * f.bit_length() for f, e in s) for s in (lhs, rhs))
-    if l_lo >= r_hi:
-        return True
-    if l_hi <= r_lo:
-        return False
     k = 64
     while True:
         (l_lo, l_hi, l_s), (r_lo, r_hi, r_s) = _top_bounds(lhs, k), _top_bounds(rhs, k)
@@ -463,13 +457,9 @@ def _select_multiplier(
       found, which is y's content.  On a plain line the first nonzero
       entries of x and z are positive and b >= 1, so the first nonzero
       entry of y is too, and y / c is primitive(y).
-    - Bit lengths first (_product_gt).  An f >= 1 of bit length l has
-      2^(l-1) <= f < 2^l, so a product of powers f^e lies in [2^lo, 2^hi),
-      lo = sum e (l - 1), hi = sum e l.  The left is larger if its lo
-      reaches the right's hi, smaller if its hi is at most the right's lo.
-      A zero factor makes its side 0, so the left is not larger, or larger
-      than a zero right.
-    - Top bits next (_top_bounds).  With s = max(0, l - K) and t = f >> s,
+    - Top bits (_product_gt, _top_bounds).  A zero factor makes its side
+      0, so the left is not larger, or larger than a zero right.  Else,
+      for an f >= 1 of bit length l, with s = max(0, l - K) and t = f >> s,
       t 2^s <= f <= (t + [s > 0]) 2^s.  A cut factor (s > 0) has
       t >= 2^(K-1), so (t + 1) / t <= 1 + 2^(1-K).  With lo the product of
       the t^e and c the sum of the e of cut factors, a side lies in

@@ -8,13 +8,15 @@ MovingLine), z centred on x (exact_geometry.centring_shift) and
 witness_at(b) the witness of primitive(z + b*x), None on a quadric;
 ``moving_line(x, z, factors)``, the moving coordinates of a recorded
 line (MovingLine); and ``check_certificate``, the exact re-check of a
-recorded step.  The adapter alone writes the certificate document.  ``factors`` are x's Segre factors on the built-in
-split4 form, which lift returns with each next point, and None elsewhere
-(the plain line).  Points are primitive integer tuples and travel in
-TracePoints, with their witnesses.  A trace holds its adapter: the trace
-reader builds it with ``adapter_from_descriptor`` and checks the entries
-against its ``ambient_dim`` and ``witness_shape``, and the writer stores
-its ``descriptor()``.
+recorded step.  The adapter alone writes the certificate document.
+``factors`` are x's Segre factors on a form whose integer rows are
+split4's (QuadricAdapter.segre), which lift returns with each next
+point, and None elsewhere (the plain line).  Points are primitive
+integer tuples and travel in TracePoints, with their witnesses.  A trace
+holds its adapter: the trace reader builds it with
+``adapter_from_descriptor`` and checks the entries against its
+``ambient_dim`` and ``witness_shape``, and the writer stores its
+``descriptor()``.
 """
 
 from __future__ import annotations

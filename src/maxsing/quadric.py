@@ -100,16 +100,13 @@ class HyperbolicWitness(namedtuple("HyperbolicWitness", "u1 v1 u2 v2")):
 
     __slots__ = ()
 
-    def vectors(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self)
-
 
 def validate_witness(form: QuadraticFormQ, w: HyperbolicWitness) -> bool:
     """True iff the witness certifies two orthogonal hyperbolic planes."""
-    for v in w.vectors():
+    for v in w:
         if len(v) != form.dim:
             raise GeometryError("witness vector of wrong dimension")
-    if any(form.q(v) != 0 for v in w.vectors()):
+    if any(form.q(v) != 0 for v in w):
         return False
     if form.bilinear(w.u1, w.v1) == 0 or form.bilinear(w.u2, w.v2) == 0:
         return False
@@ -207,7 +204,6 @@ def isotropic_in_subspace_outside(
     anchor: IntVec,
     seeds: Sequence[Sequence] = (),
     rng: random.Random | None = None,
-    factors: tuple[IntVec, IntVec] | None = None,
 ) -> IntVec:
     """A zero of the form inside S but outside H of least wedge area with ``anchor``, by exhaustive enumeration.
 
@@ -226,12 +222,6 @@ def isotropic_in_subspace_outside(
     reduced once.  q mod p != 0 implies q != 0, so a skipped vector is
     not a zero; the rest get the exact integer test.  The candidates, their
     order and the result are those of the exact test alone.
-
-    ``factors``, the anchor's Segre factors on split4 with S = anchor^perp,
-    put every candidate on a ruling through the anchor, as the zeros of
-    the form in anchor^perp are the two rulings; each found candidate is
-    then made primitive from the factors (segre_primitive), with the same
-    value, once the anchor's entries reach SEGRE_MIN_BITS.
     """
     if all(h.contains(b) for b in s.basis):
         raise GeometryError("search subspace is contained in the excluded one")
@@ -248,8 +238,6 @@ def isotropic_in_subspace_outside(
                for i, j in itertools.combinations_with_replacement(range(r), 2)]
     weights_p = [w % RANK_PRIME for w in weights]
     pairings = [[dot(f, b) for b in s.basis] for f in h.functionals]
-    if factors is not None and max(map(abs, anchor)).bit_length() < SEGRE_MIN_BITS:
-        factors = None
 
     for hh in range(1, height + 1):
         shell, monos = _coefficient_shell(r, hh)
@@ -268,7 +256,7 @@ def isotropic_in_subspace_outside(
                 if c:
                     for j, a in enumerate(bas):
                         vec[j] += c * a
-            found.setdefault(primitive(vec) if factors is None else segre_primitive(*factors, vec))
+            found.setdefault(primitive(vec))
     if not found:
         raise SearchExhausted(f"no isotropic point in S outside H up to height {height}")
     if len(found) == 1:
@@ -289,27 +277,23 @@ def line_in_quadric_through(
 ) -> IntVec:
     """A second generator z of a totally isotropic rational line through alpha that lowers the score.
 
+    s must be s_h_quadric(form, h, alpha), which has checked that alpha
+    is on the quadric and, for s >= 1, inside H; neither is checked again.
     For s = 1, z is an isotropic point of the orthogonal complement of
     alpha outside H, so every other rational line point leaves H.  For
     s = 2 (complement equals H) any isotropic line through alpha works;
     the witness guarantees one exists.  ``factors`` are alpha's Segre
-    factors on split4 (orth_complement, isotropic_in_subspace_outside).
+    factors on split4 (orth_complement).
     """
     if s not in (1, 2):
         raise GeometryError(f"line construction needs score 1 or 2, got {s}")
-    if not h.contains(alpha):
-        raise GeometryError("alpha must lie in the subspace")
-    if not on_quadric(form, alpha):
-        raise GeometryError(f"[{':'.join(map(str, alpha))}] is not on the quadric")
     perp = orth_complement(form, alpha, factors)
-    w = witness.vectors()
-    seeds = list(w)
-    for a, b in itertools.product((w[0], w[1]), (w[2], w[3])):
+    seeds = list(witness)
+    for a, b in itertools.product(witness[:2], witness[2:]):
         seeds.append(tuple(x + y for x, y in zip(a, b)))
         seeds.append(tuple(x - y for x, y in zip(a, b)))
     excluded = h if s == 1 else subspace_span([alpha], form.dim)
-    return isotropic_in_subspace_outside(form, perp, excluded, height, alpha, seeds=seeds, rng=rng,
-                                         factors=factors)
+    return isotropic_in_subspace_outside(form, perp, excluded, height, alpha, seeds=seeds, rng=rng)
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +331,6 @@ def split4() -> tuple[QuadraticFormQ, HyperbolicWitness]:
 SPLIT4_ROWS = (((1, 1),), ((0, 1),), ((3, 1),), ((2, 1),))
 # entry j of split4's d*A*segre(u, v) = (x1, x0, x3, x2) is s u[i] v[k], (i, k, s) = _ROW_FACTORS[j]
 _ROW_FACTORS = ((1, 1, 1), (0, 0, 1), (1, 0, -1), (0, 1, 1))
-# below this entry size one C gcd of a candidate's four entries is cheaper than
-# segre_primitive's split and lift (on 3.11: 2.5 against 3.7 us at 130 bits,
-# 4.1 against 3.7 us at 390 bits), so the line search keeps primitive there
-SEGRE_MIN_BITS = 320
 
 
 def segre(u: Sequence[int], v: Sequence[int]) -> IntVec:
@@ -393,9 +373,7 @@ def segre_split(u: Sequence[int], v: Sequence[int], w: Sequence[int]) -> tuple[I
     w = tuple(w)
     m = ((w[0], w[2]), (-w[3], w[1]))
     order = ((True, v), (False, u))
-    if max(map(abs, u)) > max(map(abs, v)):
-        order = order[::-1]
-    for first, k in order:
+    for first, k in order[::-1] if max(map(abs, u)) > max(map(abs, v)) else order:
         j = 0 if k[0] else 1
         (f0, r0), (f1, r1) = (divmod(a, k[j]) for a in ((m[0][j], m[1][j]) if first else m[j]))
         if not (r0 or r1) and (segre((f0, f1), k) if first else segre(k, (f0, f1))) == w:
@@ -414,18 +392,6 @@ def segre_lift(p: IntVec, k: IntVec, first: bool) -> tuple[IntVec, tuple[IntVec,
     if next(a for a in x if a) < 0:
         p, x = (-p[0], -p[1]), tuple(-a for a in x)
     return x, ((p, k) if first else (k, p)), p
-
-
-def segre_primitive(u: IntVec, v: IntVec, vec: Sequence[int]) -> IntVec:
-    """primitive(vec) for a nonzero vec on a ruling through segre(u, v), u and v primitive.
-
-    vec = f ⊗ k with k one of the factors, so its content is f's (Gauss's
-    lemma) and primitive(vec) is the lift of f / content(f): one gcd of
-    f's entries.
-    """
-    (f0, f1), first = segre_split(u, v, vec)
-    g = gcd(f0, f1)
-    return segre_lift((f0 // g, f1 // g), v if first else u, first)[0]
 
 
 def _sign(a: int) -> int:
@@ -460,7 +426,7 @@ def form_to_doc(form: QuadraticFormQ, witness: HyperbolicWitness) -> dict:
     return {
         "dim": form.dim,
         "gram": [[str(a) for a in row] for row in form.gram],
-        "witness": {name: [str(a) for a in v] for name, v in zip(names, witness.vectors())},
+        "witness": {name: [str(a) for a in v] for name, v in zip(names, witness)},
     }
 
 

@@ -58,12 +58,14 @@ def trace_geometry(trace: SequenceTrace) -> TraceGeometry:
 
     Step j has x = x_j, z = z_j and b = b_j, read on the family's moving
     line (families.MovingLine): x = a ⊗ k, z = e ⊗ k and V = |k|^2.  On
-    the built-in split4 form a, e and k are 2-vectors: x's Segre factors
-    are taken once, from x_1 by gcds (quadric.segre_factors), and then by
-    induction from the previous step's lift; z must be e ⊗ k for one of
-    them, which quadric.segre_split checks exactly (exact division with a
-    remainder check, then four products).  Elsewhere, or when x or z does
-    not factor, the line is plain: a = x, e = z, V = 1, as before.
+    a form whose integer rows are split4's
+    (families.QuadricAdapter.segre) a, e and k are 2-vectors: x's Segre
+    factors are taken once, from x_1 by gcds (quadric.segre_factors),
+    and then by induction from the previous step's lift; z must be e ⊗ k
+    for one of them, which quadric.segre_split checks exactly (exact
+    division with a remainder check, then four products).  Elsewhere, or
+    when x or z does not factor, the line is plain: a = x, e = z, V = 1,
+    as before.
 
     With y = e + b a, z + b x = y ⊗ k, whose content c is y's (Gauss's
     lemma, k primitive), taken through G = minors_gcd(a, e) (proof there;

@@ -12,7 +12,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from maxsing import builder
+from maxsing import builder, quadric
 from maxsing.builder import (
     ApproxFn,
     SequenceTrace,
@@ -727,6 +727,19 @@ class TestSegrePath:
                          "--steps", "5", "--seed", "7", "--out", str(tmp_path / "t.json")]) == 0
             assert main(["verify", str(tmp_path / "t.json"), "--out", str(tmp_path / "a.json")]) == 0
         assert calls == [4] * 8  # the content bound of every step, in gen and in verify
+
+    def test_gen_checks_each_point_on_the_quadric_once(self, tmp_path):
+        """An 8-point gen calls on_quadric 8 times: the start point's membership, then one s_h_quadric per step.
+
+        line_in_quadric_through takes the score s_h_quadric has just given
+        and does not check the point again.
+        """
+        calls = []
+        real = quadric.on_quadric
+        with mock.patch.object(quadric, "on_quadric", lambda form, p: calls.append(p) or real(form, p)):
+            assert main(["gen", "--family", "quadric", "--phi", "pow", "1/2", "--steps", "8", "--seed", "7",
+                         "--precision-bits", "64", "--out", str(tmp_path / "t.json")]) == 0
+        assert len(calls) == 8
 
 
 class TestLimit:

@@ -28,7 +28,7 @@ def _split4_plus_zero() -> QuadricAdapter:
     form, w = qd.split4()
     gram = tuple(row + (Fraction(0),) for row in form.gram) + ((Fraction(0),) * 5,)
     return QuadricAdapter(qd.QuadraticFormQ(gram),
-                          qd.HyperbolicWitness(*(v + (0,) for v in w.vectors())))
+                          qd.HyperbolicWitness(*(v + (0,) for v in w)))
 
 
 SPLIT4 = QuadricAdapter(*qd.split4())

@@ -2,12 +2,10 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from maxsing import quadric
 from maxsing.errors import GeometryError, InputError, SearchExhausted
 from maxsing.exact_geometry import (
     RANK_PRIME,
@@ -34,7 +32,6 @@ from maxsing.quadric import (
     segre,
     segre_factors,
     segre_lift,
-    segre_primitive,
     segre_split,
     split4,
     validate_witness,
@@ -441,14 +438,6 @@ class TestSegre:
             sf, sfirst = split
             assert (segre(sf, v) if sfirst else segre(u, sf)) == w
 
-    @given(_primitive2(), _primitive2(), _primitive2(), st.integers(-12, 12).filter(bool), st.booleans())
-    @settings(max_examples=300, derandomize=True, deadline=None)
-    def test_candidate_point_from_the_factors(self, u, v, f, content, first):
-        """segre_primitive is primitive(vec) on both rulings, contents above 1 and negative entries included."""
-        e = (content * f[0], content * f[1])
-        vec = segre(e, v) if first else segre(u, e)
-        assert segre_primitive(u, v, vec) == primitive(vec)
-
     @given(_primitive2(), _primitive2())
     @example((1, 0), (0, 1))
     @example((0, 1), (1, 0))
@@ -473,11 +462,10 @@ class TestSegre:
            st.integers(0, 2), st.integers(0, 2 ** 32), st.integers(1, 3))
     @settings(max_examples=150, derandomize=True, deadline=None)
     def test_line_search_on_the_factors(self, form, witness, pairs, n_extra, seed, height):
-        """The factored isotropic search finds the same z and leaves the rng in the same state.
+        """The search on x's factored complement finds the same z and leaves the rng in the same state.
 
         x = u ⊗ v; H is spanned by x and up to two more small points of
-        the quadric, so that x lies in it.  SEGRE_MIN_BITS is lowered to 0
-        so that these small points take the factored branch.
+        the quadric, so that x lies in it.
         """
         vecs = [p for p in pairs if any(p)]
         assume(len(vecs) >= 2)
@@ -491,8 +479,7 @@ class TestSegre:
         for factors in (None, segre_factors(x)):
             rng = random.Random(seed)
             try:
-                with mock.patch.object(quadric, "SEGRE_MIN_BITS", 0):
-                    z = line_in_quadric_through(form, witness, x, h, s, height=height, rng=rng, factors=factors)
+                z = line_in_quadric_through(form, witness, x, h, s, height=height, rng=rng, factors=factors)
             except SearchExhausted:
                 z = None
             outcomes.append((z, rng.getstate()))
