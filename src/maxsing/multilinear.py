@@ -154,10 +154,6 @@ def integer_image(kmap: KLinearMap, vectors: Sequence[Sequence]) -> tuple[int, l
     return d * scale, _contract(images, kmap.target_dim, ints).get((), [0] * kmap.target_dim)
 
 
-def _rational(s: int, img: Sequence[int]) -> tuple:
-    return tuple(Fraction(a, s) for a in img)
-
-
 def witnessed_point(kmap: KLinearMap, witness: Sequence[Sequence]) -> TracePoint:
     img = integer_image(kmap, witness)[1]
     if not any(img):
@@ -339,31 +335,27 @@ def line_step(
     certificate once, at the end.  The winner is centred on x first
     (centring_shift): z + r*x has the witness line_witness gives at b = r,
     and its own scale.
+
+    Stop rule: the search stops at the first candidate of lower agreement
+    than the best's, or after nine certified (candidate, slot) pairs.  No
+    candidate is promoted by setting a replaced slot back to x's:
+    outside_candidates yields each level m = k-1, ..., 0 whole up to
+    max_height, so an outside promotion of a level-m candidate was already
+    yielded at level m+1 with the same (s, img), and scoring it again gives
+    the same m and areas, which the strict comparison never takes.
     """
     if not h.contains(x.point):
         raise GeometryError("line_step needs a point inside the subspace")
-    k = kmap.k
     s_x, img_x = integer_image(kmap, x.witness)
     n2x = norm_sq(x.point)
     best = None  # (area, t, m, beta, w_z, z, (s_z, alpha_prime), (s_b, beta_prime) or None)
-    best_m = -1
-    order = 0
+    certified = 0
     for m, beta, beta_image in outside_candidates(kmap, h, x, max_height, rng):
-        # bootstrap: improve beta while a replaced slot yields an outside point
-        improved = True
-        while improved and m < k - 1:
-            improved = False
-            for t in _differing_slots(x, beta):
-                w2 = replace_slot(beta.witness, t, x.witness[t])
-                image2 = integer_image(kmap, w2)
-                if any(image2[1]) and not h.contains(image2[1]):
-                    beta, beta_image = TracePoint(primitive(image2[1]), w2), image2
-                    m += 1
-                    improved = True
-                    break
-        if m < best_m:
-            continue
-        for t in _differing_slots(x, beta):
+        if best is not None and m < best[2]:
+            break
+        for t in range(kmap.k):
+            if beta.witness[t] == x.witness[t]:
+                continue
             w_z = replace_slot(x.witness, t, beta.witness[t])
             s_z, alpha_prime = beta_image if w_z == beta.witness else integer_image(kmap, w_z)
             if not any(alpha_prime):
@@ -375,14 +367,13 @@ def line_step(
             s_b, beta_prime = (s_x, img_x) if w_b == x.witness else integer_image(kmap, w_b)
             bp_zero = not any(beta_prime)
             if not bp_zero and not h.contains(beta_prime):
-                continue  # cannot certify this slot; the bootstrap above already tried it
+                continue  # cannot certify this slot
             area = wedge_sq(x.point, z_pt, n2x)
-            if best is None or m > best_m or (m == best_m and area < best[0]):
+            if best is None or area < best[0]:
                 best = (area, t, m, beta, w_z, z_pt, (s_z, alpha_prime), None if bp_zero else (s_b, beta_prime))
-                best_m = m
-            order += 1
-        if best is not None and best_m == k - 1 and (m < k - 1 or order > 8):
-            break  # nothing can beat a maximal-agreement candidate
+            certified += 1
+        if certified >= 9:
+            break
     if best is None:
         raise SearchExhausted("no non-degenerate certified line found within the search budget")
     _, t, m, beta, w_z, z_pt, (s_z, alpha_prime), b_prime = best
@@ -394,12 +385,8 @@ def line_step(
         w_z = line_witness(x.witness, w_z, t, anchor_scale, z_scale, r)
         z_pt = primitive(y)
         z_scale = _scale_of(y, z_pt)
-    b_prime = None if b_prime is None else _rational(*b_prime)
+    b_prime = None if b_prime is None else tuple(Fraction(a, b_prime[0]) for a in b_prime[1])
     return TracePoint(z_pt, w_z), LineCertificate(t, m, anchor_scale, z_scale, beta, b_prime)
-
-
-def _differing_slots(x: TracePoint, beta: TracePoint) -> list[int]:
-    return [t for t in range(len(x.witness)) if x.witness[t] != beta.witness[t]]
 
 
 def _scale_of(img: Sequence, point: IntVec, s: int = 1) -> Fraction:

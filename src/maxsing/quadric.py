@@ -184,6 +184,11 @@ def s_h_quadric(form: QuadraticFormQ, h: ProjSubspaceQ, alpha: IntVec) -> int:
     return 2 if all(dot(row, hb) == 0 for hb in h.basis) else 1
 
 
+# the largest coefficient count (2*height+1)^(dim-1) that line_in_quadric_through
+# accepts: the isotropic search builds and caches every shell up to the height whole
+ISOTROPIC_COST_GUARD = 10 ** 6
+
+
 @lru_cache(maxsize=None)
 def _coefficient_shell(r: int, h: int) -> tuple[tuple, tuple]:
     """Primitive coefficient vectors of max-norm h with canonical sign, and their monomials.
@@ -283,10 +288,15 @@ def line_in_quadric_through(
     alpha outside H, so every other rational line point leaves H.  For
     s = 2 (complement equals H) any isotropic line through alpha works;
     the witness guarantees one exists.  ``factors`` are alpha's Segre
-    factors on split4 (orth_complement).
+    factors on split4 (orth_complement).  A height whose search would
+    exceed ISOTROPIC_COST_GUARD raises an InputError before any shell.
     """
     if s not in (1, 2):
         raise GeometryError(f"line construction needs score 1 or 2, got {s}")
+    est = (2 * height + 1) ** (form.dim - 1)
+    if est > ISOTROPIC_COST_GUARD:
+        raise InputError(f"max height {height} refused for a form of dimension {form.dim}: the isotropic "
+                         f"search's (2*height+1)^(dim-1) = {est} exceeds the cost guard {ISOTROPIC_COST_GUARD}")
     perp = orth_complement(form, alpha, factors)
     seeds = list(witness)
     for a, b in itertools.product(witness[:2], witness[2:]):

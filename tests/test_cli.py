@@ -730,6 +730,44 @@ class TestUserMap:
         assert main(["verify", str(out)]) == EXIT_OK
 
 
+def split_form_doc(dim: int) -> dict:
+    """The split form x0*x1 + x2*x3 + ... on Q^dim, with the witness e0, e1, e2, e3."""
+    gram = [["1/2" if i != j and i // 2 == j // 2 else "0" for j in range(dim)] for i in range(dim)]
+    e = [[str(int(j == i)) for j in range(dim)] for i in range(4)]
+    return {"dim": dim, "gram": gram, "witness": dict(zip(("u1", "v1", "u2", "v2"), e))}
+
+
+class TestIsotropicCostGuard:
+    """The isotropic search is priced before any coefficient shell is built."""
+
+    def test_large_form_refused_at_the_default_height(self, tmp_path):
+        qf = tmp_path / "split8.json"
+        write_json(split_form_doc(8), qf)
+        out = tmp_path / "t.json"
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "maxsing.cli", "gen", "--family", "quadric", "--quadric-file", str(qf),
+             "--phi", "pow", "1/2", "--steps", "4", "--seed", "1", "--out", str(out)],
+            capture_output=True, text=True,
+        )
+        assert time.perf_counter() - start < 2
+        assert proc.returncode == EXIT_USAGE
+        assert "Traceback" not in proc.stderr
+        assert [line for line in proc.stderr.splitlines() if "error:" in line] == [
+            "error: max height 6 refused for a form of dimension 8: the isotropic search's "
+            "(2*height+1)^(dim-1) = 62748517 exceeds the cost guard 1000000"]
+        assert not out.exists()
+
+    def test_large_form_runs_at_height_one(self, tmp_path):
+        qf = tmp_path / "split8.json"
+        write_json(split_form_doc(8), qf)
+        code, out = gen(tmp_path, "--family", "quadric", "--quadric-file", str(qf),
+                        "--phi", "pow", "1/2", "--steps", "4", "--seed", "1", "--max-height", "1")
+        assert code == EXIT_OK
+        assert len(json.loads(out.read_text())["entries"]) == 4
+        assert main(["verify", str(out)]) == EXIT_OK
+
+
 class TestEntryPoint:
     def test_console_script(self, tmp_path):
         out = tmp_path / "t.json"

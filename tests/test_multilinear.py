@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import time
 from fractions import Fraction
 from math import prod
 
@@ -9,6 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from maxsing.errors import GeometryError, InputError, SearchExhausted, reading
 from maxsing.exact_geometry import TracePoint, primitive, subspace_span
+from maxsing.families import KLinearAdapter, SearchBudget
 from maxsing.multilinear import (
     KLinearMap,
     candidate_vectors,
@@ -375,6 +377,57 @@ class TestLineStep:
         # companion family stay outside for every multiplier
         if cert.beta_prime is not None:
             assert h.contains(primitive(cert.beta_prime))
+
+
+def p34_case():
+    """grassmann(4,2) at [e1 ^ e2] with H = {p34 = 0}: no one-slot replacement escapes H."""
+    kmap = grassmann_map(4, 2)
+    return kmap, witnessed_point(kmap, [e(4, 0), e(4, 1)]), subspace_span([e(6, i) for i in range(5)], 6)
+
+
+class TestLineStepStopRule:
+    """The search stops at the first lower agreement or after nine certified (candidate, slot) pairs."""
+
+    @pytest.mark.parametrize("max_height", [1, 2])
+    def test_p34_keeps_its_line(self, max_height):
+        kmap, x, h = p34_case()
+        z, cert = line_step(kmap, x, h, max_height)
+        assert z.point == (0, 0, 0, 0, 1, 0)
+        assert cert.m == 0
+
+    def test_p34_is_bounded_at_the_default_height(self):
+        kmap, x, h = p34_case()
+        adapter = KLinearAdapter(kmap, "grassmann")
+        start = time.perf_counter()
+        z, cert_doc, _, _ = adapter.line_step(x, h, SearchBudget(), None)
+        assert time.perf_counter() - start < 1
+        assert adapter.check_certificate(x, z, h, cert_doc) == []
+
+    @given(st.sampled_from(SEARCH_MAPS), st.data())
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    def test_certificate_checks_clean(self, kmap, data):
+        witness = [data.draw(slots(kmap.n).filter(any)) for _ in range(kmap.k)]
+        assume(any(evaluate(kmap, witness)))
+        x = witnessed_point(kmap, witness)
+        dim = kmap.target_dim
+        gens = [x.point]
+        if data.draw(st.booleans()):
+            # H holds x's tangent: no one-slot replacement escapes, so the search goes down in m
+            gens += [evaluate(kmap, replace_slot(x.witness, t, e(kmap.n, i)))
+                     for t in range(kmap.k) for i in range(kmap.n)]
+        gens += data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim), max_size=dim - 2))
+        h = subspace_span(gens, dim)
+        assume(h.rank < dim)
+        seed = data.draw(st.one_of(st.none(), st.integers(0, 99)))
+        rng = None if seed is None else random.Random(seed)
+        adapter = KLinearAdapter(kmap, "klinear")
+        try:
+            z, cert_doc, _, _ = adapter.line_step(x, h, SearchBudget(data.draw(st.integers(1, 2))), rng)
+        except SearchExhausted:
+            assume(False)
+        assert adapter.check_certificate(x, z, h, cert_doc) == []
+        beta_witness = witness_from_doc(cert_doc["beta_witness"], "beta_witness")
+        assert shared_count(x.witness, beta_witness) == cert_doc["m"]
 
 
 class TestWitnessedPoint:
