@@ -13,10 +13,11 @@ other name is imported from its module (``maxsing.builder``,
 
 import sys as _sys
 
-# points are written in hex, but version 1 traces store integers in decimal,
-# and k-linear traces still write witnesses, line scales and the full-size
-# beta_point in decimal: both routinely exceed the default 4300-digit guard
-# on int <-> decimal-string conversion
+# trace version 3 writes every number of an entry in hex, but versions 1 and 2,
+# which are still read, store integers (version 1) and k-linear witnesses, line
+# scales and the full-size beta_point (both) in decimal, and family descriptors
+# and a partial trace's stop note are decimal too: those can exceed the default
+# 4300-digit guard on int <-> decimal-string conversion
 if hasattr(_sys, "set_int_max_str_digits"):
     _sys.set_int_max_str_digits(0)
 

@@ -649,10 +649,15 @@ def limit_radius_sq(trace: SequenceTrace) -> Fraction:
 # ---------------------------------------------------------------------------
 # trace (de)serialization
 #
-# Version 2 writes integers as 0x hex strings, which convert in linear time
-# where decimal takes quadratic time (Brent and Zimmermann, Modern Computer
-# Arithmetic, 2010, section 1.7).  Version 1 wrote them in decimal, and also
-# the values the verifier re-derives; the reader ignores those.
+# Version 3 writes every number of an entry in hex: integers as 0x strings
+# and rationals (k-linear witnesses and certificate scales) as 0x<num> or
+# 0x<num>/0x<den> (ml.rational_to_doc), which convert in linear time where
+# decimal takes quadratic time (Brent and Zimmermann, Modern Computer
+# Arithmetic, 2010, section 1.7).  It is encoded without indentation, which
+# runs json's C encoder.  Version 2 wrote the k-linear fields in decimal,
+# and version 1 every integer too, and also the values the verifier
+# re-derives; the reader ignores those.  One parser per kind of number,
+# int_from_doc and ml.rational_from_doc, reads every version.
 
 
 def _hex_vec(v) -> list[str]:
@@ -679,7 +684,7 @@ def trace_to_doc(trace: SequenceTrace) -> dict:
             },
         })
     return {
-        "version": 2,
+        "version": 3,
         "family": trace.family.descriptor(),
         "phi": trace.phi.descriptor(),
         "ambient_dim": trace.family.ambient_dim,
@@ -724,13 +729,14 @@ def _parse_step(doc, dim: int, shape, where: str) -> StepData:
 
 
 def trace_from_doc(doc) -> SequenceTrace:
-    """A trace from a version 1 or 2 document, every stored field checked.
+    """A trace from a version 1, 2 or 3 document, every stored field checked.
 
     The family's adapter and the decay target are built from their
     descriptors before any entry is read, so every command that reads a
     trace refuses a bad family, a map above the size caps or a bad decay
     target first; ambient_dim must be the family's.
-    An integer is a JSON int, a 0x hex string or a decimal string.  An
+    An integer is a JSON int, a 0x hex string or a decimal string, and a
+    witness entry a rational in hex or decimal (ml.rational_from_doc).  An
     entry's index is its 1-based position, which the writer recomputes.  A
     point is a nonzero list of ambient_dim integers.  A z_witness has the
     adapter's ``witness_shape``, since the certificate check indexes it; a
@@ -740,7 +746,7 @@ def trace_from_doc(doc) -> SequenceTrace:
     if not isinstance(doc, dict):
         raise InputError("a trace is a JSON object")
     version = doc.get("version")
-    if version not in (1, 2):
+    if version not in (1, 2, 3):
         raise InputError(f"unsupported trace version {version!r:.40}")
     family, phi, entries = doc.get("family"), doc.get("phi"), doc.get("entries")
     if not isinstance(family, dict) or not isinstance(phi, dict):
@@ -783,8 +789,9 @@ def save_trace(trace: SequenceTrace, path: str) -> None:
     """Write the trace's document, encoded in full before the file is opened.
 
     One write, and an encoding error leaves an existing file as it was.
+    The compact separators keep json on its C encoder.
     """
-    text = json.dumps(trace_to_doc(trace), indent=2) + "\n"
+    text = json.dumps(trace_to_doc(trace), separators=(",", ":")) + "\n"
     with open(path, "w") as fh:
         fh.write(text)
 

@@ -225,11 +225,11 @@ class KLinearAdapter:
             "kind": "klinear",
             "slot": cert.slot,
             "m": cert.m,
-            "anchor_scale": str(cert.anchor_scale),
-            "z_scale": str(cert.z_scale),
-            "beta_point": [str(a) for a in cert.beta.point],
+            "anchor_scale": ml.rational_to_doc(cert.anchor_scale),
+            "z_scale": ml.rational_to_doc(cert.z_scale),
+            "beta_point": [format(a, "#x") for a in cert.beta.point],
             "beta_witness": ml.witness_to_doc(cert.beta.witness),
-            "beta_prime": None if cert.beta_prime is None else [str(a) for a in cert.beta_prime],
+            "beta_prime": None if cert.beta_prime is None else [ml.rational_to_doc(a) for a in cert.beta_prime],
         }
         witness_at = partial(ml.line_witness, tp.witness, z.witness, cert.slot, cert.anchor_scale, cert.z_scale)
         return z, cert_doc, witness_at, plain_line(tp.point, z.point)
@@ -238,7 +238,11 @@ class KLinearAdapter:
         return plain_line(x, z)
 
     def _cert_from_doc(self, cert: dict) -> ml.LineCertificate:
-        """The certificate from its document; an InputError names a malformed field."""
+        """The certificate from its document; an InputError names a malformed field.
+
+        Every number is read as trace versions 1 to 3 write it: integers by
+        int_from_doc, rationals by ml.rational_from_doc, hex or decimal.
+        """
 
         def field(name: str, parse):
             with reading(f"certificate {name}"):
@@ -248,8 +252,8 @@ class KLinearAdapter:
         return ml.LineCertificate(
             slot=int_from_doc(cert.get("slot"), "certificate slot"),
             m=int_from_doc(cert.get("m"), "certificate m"),
-            anchor_scale=field("anchor_scale", Fraction),
-            z_scale=field("z_scale", Fraction),
+            anchor_scale=field("anchor_scale", ml.rational_from_doc),
+            z_scale=field("z_scale", ml.rational_from_doc),
             beta=TracePoint(beta_point,
                             ml.witness_from_doc(cert.get("beta_witness"), "certificate beta_witness")),
             beta_prime=None if cert.get("beta_prime") is None else field(
@@ -290,7 +294,7 @@ class KLinearAdapter:
         other vector, so those tests read img in place of img/s.  A scale
         check M(w) = (num/den)·rep, den > 0, is img_j/s = num·rep_j/den for
         every j, that is img_j·den = num·s·rep_j once both sides are
-        multiplied by s·den > 0.  Only the two scales are Fractions.
+        multiplied by s·den > 0.  Only the two scales are rationals.
         """
         if cert_doc.get("kind") != "klinear":
             return [f"certificate kind {cert_doc.get('kind')!r:.40} is not 'klinear'"]
@@ -354,7 +358,7 @@ def _proportional(u: Sequence, v: Sequence) -> bool:
     return primitive(u) == primitive(v)
 
 
-def _maps_to(image: tuple[int, list[int]], scale: Fraction, rep: Sequence[int]) -> bool:
+def _maps_to(image: tuple[int, list[int]], scale: int | Fraction, rep: Sequence[int]) -> bool:
     """img/s == scale·rep for image = (s, img), s > 0: img_j·den == num·s·rep_j for every j."""
     s, img = image
     num, den = scale.numerator, scale.denominator

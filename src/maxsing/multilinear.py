@@ -161,20 +161,42 @@ def witnessed_point(kmap: KLinearMap, witness: Sequence[Sequence]) -> TracePoint
     return TracePoint(primitive(img), tuple(tuple(Fraction(c) for c in v) for v in witness))
 
 
+def rational_to_doc(c) -> str:
+    """An int or Fraction as 0x<num>, or 0x<num>/0x<den> when den > 1, the sign in front.
+
+    Hex converts in linear time where decimal takes quadratic time
+    (builder's serialization note); rational_from_doc reads it.
+    """
+    num = format(c.numerator, "#x")
+    return num if c.denominator == 1 else f"{num}/{c.denominator:#x}"
+
+
 def witness_to_doc(witness: Sequence[Sequence]) -> list[list[str]]:
-    """A witness as its JSON list of lists of rational strings (witness_from_doc reads it)."""
-    return [[str(c) for c in v] for v in witness]
+    """A witness as its JSON list of lists of rational_to_doc strings (witness_from_doc reads it)."""
+    return [[rational_to_doc(c) for c in v] for v in witness]
 
 
 def rational_from_doc(value):
-    """Fraction(value), as the int of the same value when value is a string of the form -?[0-9]+.
+    """A rational from JSON: the hex forms of rational_to_doc, else Fraction(value).
 
-    Such a string is what witness_to_doc writes for an integer entry;
-    Fraction would parse it with the same int() and then reduce by a gcd.
-    Every other value goes to Fraction, which accepts or rejects it with
-    its own message.
+    Mirrors exact_geometry.int_from_doc.  A string whose numerator is 0x
+    hex is 0x<num> (an int) or 0x<num>/0x<den> (a Fraction, den > 0); a
+    malformed hex part or a zero or signed denominator raises ValueError,
+    which the caller's ``reading`` names.  A decimal string of the form
+    -?[0-9]+, which trace versions 1 and 2 write for an integer, is the
+    int of the same value; Fraction would parse it with the same int()
+    and then reduce by a gcd.  Every other value goes to Fraction, which
+    accepts or rejects it with its own message.
     """
     if isinstance(value, str):
+        num, slash, den = value.partition("/")
+        if num.lstrip("+-")[:2].lower() == "0x":
+            if not slash:
+                return int(num, 16)
+            d = int(den, 16) if den[:2].lower() == "0x" else 0
+            if not d:
+                raise ValueError(f"{value!r:.40}: the denominator is not a positive 0x integer")
+            return Fraction(int(num, 16), d)
         digits = value[1:] if value[:1] == "-" else value
         if digits.isascii() and digits.isdigit():
             return int(value)
@@ -186,7 +208,7 @@ def witness_from_doc(doc, field: str) -> tuple[RatVec, ...]:
 
     Each slot must be a list: a string slot such as "1000" would otherwise
     be read digit by digit as a vector.  Entries are read by
-    rational_from_doc, so integer entries are ints.
+    rational_from_doc, hex or decimal, so integer entries are ints.
     """
     if not isinstance(doc, list) or not all(isinstance(v, list) for v in doc):
         raise InputError(f"{field} {doc!r:.80} is not a witness: expected a list of lists")
@@ -309,10 +331,10 @@ class LineCertificate(namedtuple("LineCertificate", "slot m anchor_scale z_scale
 
 
 def line_witness(x_witness: Sequence[Sequence], z_witness: Sequence[Sequence], slot: int,
-                 anchor_scale: Fraction, z_scale: Fraction, b: int) -> tuple[RatVec, ...]:
-    """Witness for b*x + z given a LineCertificate's slot and scales."""
-    lam = b / anchor_scale
-    mu = 1 / z_scale
+                 anchor_scale: int | Fraction, z_scale: int | Fraction, b: int) -> tuple[RatVec, ...]:
+    """Witness for b*x + z given a LineCertificate's slot and scales, ints or Fractions."""
+    lam = Fraction(b) / anchor_scale
+    mu = 1 / Fraction(z_scale)
     ys = z_witness[slot]
     return replace_slot(x_witness, slot, tuple(lam * a + mu * c for a, c in zip(x_witness[slot], ys)))
 

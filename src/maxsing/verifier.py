@@ -199,8 +199,13 @@ def check_conditions(trace: SequenceTrace, geometry: TraceGeometry | None = None
             if _product_gt(((9 * w[i - 1], 1), (n2[i - 2], 1)), ((w[i - 2], 1), (n2[i], 1))):
                 fails.append("(d) telescoping fails: 9 dist(x, x_next)^2 > dist(x_prev, x)^2")
             # t = (9/4) dsq |x|^2 as an unreduced pair u/v; |x|^2 cancels
-            lo_ok = phi.le_phi_sq(9 * w[i - 1], 4 * n2[i], n2[i])
-            hi_ok = lo_ok or phi.le_phi_sq(9 * w[i - 1], 4 * n2[i], n2[i], upper=True)  # phi_lo <= phi_hi
+            if phi.variant == "pow":
+                # exact at either end: (9 w)^q n2^p <= (4 n2)^q, divided by n2^p as in gen's probe
+                p, q = phi.exponent.numerator, phi.exponent.denominator
+                lo_ok = hi_ok = not _product_gt(((9 * w[i - 1], q),), ((4 ** q, 1), (n2[i], q - p)))
+            else:
+                lo_ok = phi.le_phi_sq(9 * w[i - 1], 4 * n2[i], n2[i])
+                hi_ok = lo_ok or phi.le_phi_sq(9 * w[i - 1], 4 * n2[i], n2[i], upper=True)  # phi_lo <= phi_hi
             if not lo_ok:
                 fails.append("(d) decay target fails at the certified norm bound")
             if not hi_ok:

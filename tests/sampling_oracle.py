@@ -21,7 +21,7 @@ from kernel_oracles import evaluate
 def companion_vector(kmap, cert: ml.LineCertificate, x, z, b) -> tuple:
     """Image of beta's witness with the same slot combination as the line point b*x + z."""
     lam = Fraction(b) / cert.anchor_scale
-    mu = 1 / cert.z_scale
+    mu = 1 / Fraction(cert.z_scale)
     xs = x.witness[cert.slot]
     ys = z.witness[cert.slot]
     w = list(cert.beta.witness)

@@ -683,9 +683,9 @@ def _no_minors_gcd(*args):
     raise AssertionError("minors_gcd called on a split4 step")
 
 
-SPLIT4_POW_8_SEED7 = "10b75e45fdfc89a3aba2e7727e9c34b3e0d46da4d44ee93d218132cf0894a36f"
+SPLIT4_POW_8_SEED7 = "8bf0d84f284e235abbd52b00eef46e49a9f75efd1555fddb84a18b346f686dfb"
 SPLIT4_POW_8_SEED7_AUDIT = "1fd8970a81f67fdf5017556aaf2248a8f21567f93976db774f654991d1f71b1e"
-SPLIT4_LOG3X_SEED7 = "ca92318656fab4b7a6d699df2148721247f5e994f80a8d6d3e27435de48a53c8"
+SPLIT4_LOG3X_SEED7 = "8d6d73d3c4f21c568edeb521bfd80a0b8d732eabc431e4df6bf0e82fb0496e3b"
 
 
 class TestSegrePath:

@@ -152,10 +152,10 @@ def klinear_steps(draw):
         r = draw(st.integers(-3, 3).filter(bool))
         y = tuple(c + r * a for a, c in zip(x.point, z_tp.point))
         z_pt = primitive(y)
-        z_witness = ml.line_witness(x.witness, z_tp.witness, cert["slot"], Fraction(cert["anchor_scale"]),
-                                    Fraction(cert["z_scale"]), r)
+        z_witness = ml.line_witness(x.witness, z_tp.witness, cert["slot"], ml.rational_from_doc(cert["anchor_scale"]),
+                                    ml.rational_from_doc(cert["z_scale"]), r)
         j = next(i for i, a in enumerate(z_pt) if a)
-        cert = {**cert, "z_scale": str(Fraction(y[j], z_pt[j]))}
+        cert = {**cert, "z_scale": ml.rational_to_doc(Fraction(y[j], z_pt[j]))}
         z_tp = TracePoint(z_pt, z_witness)
     if draw(st.booleans()):
         # tampered generator: any vector in slot t keeps the line in the image but moves E_y
@@ -174,7 +174,7 @@ def klinear_steps(draw):
         z_pt = primitive(img)
         assume(z_pt != x.point)
         j = next(i for i, a in enumerate(z_pt) if a)
-        cert = {**cert, "z_scale": str(img[j] / z_pt[j])}
+        cert = {**cert, "z_scale": ml.rational_to_doc(img[j] / z_pt[j])}
         z_tp = TracePoint(z_pt, z_witness)
     recheck = draw(st.sampled_from(["same", "other", "through E_y"]))
     if recheck == "other":

@@ -13,7 +13,9 @@ from maxsing.exact_geometry import primitive
 
 from kernel_oracles import write_json
 
+ROOT = Path(__file__).resolve().parents[1]
 V1_TRACE = Path(__file__).with_name("data") / "grassmann42_pow_seed7_v1.json"
+V2_TRACE = Path(__file__).with_name("data") / "grassmann42_pow_seed7_v2.json"
 
 
 def gen(tmp_path, *extra, name="t.json"):
@@ -260,17 +262,19 @@ class TestCertificateTamper:
 
 
 class TestMalformedTrace:
-    """A malformed version 1 or 2 trace is rejected on load: exit 1, a message naming
-    the entry and the field, never a traceback or a wrong reading."""
+    """A malformed version 1, 2 or 3 trace is rejected on load: exit 1, a message naming
+    the entry and the field, never a traceback or a wrong reading.  Versions 1 and 2
+    are the committed fixtures, version 3 a gen."""
 
     @pytest.fixture(scope="class")
     def docs(self, tmp_path_factory):
         out = tmp_path_factory.mktemp("malformed") / "g42.json"
         assert main(["gen", "--family", "grassmann", "--n", "4", "--k", "2", "--phi", "pow", "1/2",
                      "--steps", "5", "--seed", "7", "--out", str(out)]) == EXIT_OK
-        return {1: json.loads(V1_TRACE.read_text()), 2: json.loads(out.read_text())}
+        return {1: json.loads(V1_TRACE.read_text()), 2: json.loads(V2_TRACE.read_text()),
+                3: json.loads(out.read_text())}
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     @pytest.mark.parametrize("mutate, field", [
         (lambda d: d["entries"][2]["x"].__setitem__(0, "1/2"), "entries[2].x"),
         (lambda d: d["entries"][2].__setitem__("x", ["0"] * 6), "entries[2].x"),
@@ -293,7 +297,7 @@ class TestMalformedTrace:
         assert f"error: cannot load trace {bad}: {field}" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_index_must_be_the_position(self, docs, tmp_path, capsys, version):
         """The writer writes each entry's 1-based position, and the reader accepts nothing else."""
         doc = copy.deepcopy(docs[version])
@@ -781,3 +785,33 @@ class TestEntryPoint:
 
     def test_usage_error(self):
         assert main(["gen", "--family", "quadric"]) == EXIT_USAGE
+
+
+# gen and verify in a fresh interpreter that turns Python's default int <-> decimal
+# guard back on after the import, which turns it off for version 1 and 2 traces
+_UNDER_THE_GUARD = """
+import sys
+sys.path.insert(0, "src")
+import maxsing
+from maxsing.cli import main
+
+sys.set_int_max_str_digits(4300)
+out = sys.argv[1]
+for name, family in (("g52", ["grassmann", "--n", "5", "--k", "2", "--max-height", "4"]), ("split4", ["quadric"])):
+    trace = f"{out}/{name}.json"
+    assert main(["gen", "--family", *family, "--phi", "pow", "1/2", "--steps", "12", "--seed", "7",
+                 "--out", trace]) == 0, name
+    assert main(["verify", trace, "--out", f"{out}/{name}.audit.json"]) == 0, name
+"""
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no int <-> str guard")
+def test_version_3_runs_under_the_decimal_guard(tmp_path):
+    """12-point grassmann(5,2) at --max-height 4 and split4, pow 1/2, seed 7: gen and verify exit 0.
+
+    Their numbers exceed 4,300 decimal digits, so one decimal conversion of
+    a point, a witness or a certificate number raises ValueError.
+    """
+    proc = subprocess.run([sys.executable, "-c", _UNDER_THE_GUARD, str(tmp_path)], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import json
 import random
 import re
 import time
@@ -8,6 +10,7 @@ from math import prod
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from maxsing.cli import EXIT_OK, EXIT_USAGE, main
 from maxsing.errors import GeometryError, InputError, SearchExhausted, reading
 from maxsing.exact_geometry import TracePoint, primitive, subspace_span
 from maxsing.families import KLinearAdapter, SearchBudget
@@ -22,6 +25,8 @@ from maxsing.multilinear import (
     outside_candidates,
     prodforms_map,
     map_to_doc,
+    rational_from_doc,
+    rational_to_doc,
     replace_slot,
     shared_count,
     witness_from_doc,
@@ -463,15 +468,30 @@ _ENTRY_TEXT = st.one_of(
 )
 
 
+# hex-looking entries: a signed 0x numerator, and maybe a denominator with or without 0x
+_HEX_TEXT = st.from_regex(r"[-+]{0,2}0[xX][0-9a-fA-Fg_]{0,5}(/[-+]?(0[xX])?[0-9a-fA-Fg_]{0,4})?", fullmatch=True)
+
+
+def _hex_reading(value: str):
+    """0x<num> as an int, 0x<num>/0x<den> as a Fraction; ValueError for any other hex text or den <= 0."""
+    num, slash, den = value.partition("/")
+    if not slash:
+        return int(num, 16)
+    if not den.lower().startswith("0x") or int(den, 16) <= 0:
+        raise ValueError(den)
+    return Fraction(int(num, 16), int(den, 16))
+
+
 class TestWitnessEntryParse:
-    """witness_from_doc reads an entry as Fraction(entry) did, integer strings as ints."""
+    """witness_from_doc reads a decimal entry as Fraction(entry) did, integer strings as ints,
+    and a hex entry as rational_to_doc writes it."""
 
     @staticmethod
     def fraction_reading(value):
         with reading("w"):
             return Fraction(value)
 
-    @given(st.one_of(_ENTRY_TEXT, st.sampled_from([None, 3, -7, 1.5, True, [], {}, "", "-", "0x10", "1/0"])))
+    @given(st.one_of(_ENTRY_TEXT, st.sampled_from([None, 3, -7, 1.5, True, [], {}, "", "-", "1/0", "1/0x2"])))
     @example("007")
     @example("-0")
     @example("\u0663")
@@ -491,3 +511,52 @@ class TestWitnessEntryParse:
         plain = isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value) is not None
         assert type(got) is (int if plain else Fraction)
 
+    @given(_HEX_TEXT)
+    @example("0x10")
+    @example("-0x3/0x5")
+    @example("0X1/0x2")
+    @example("0x1/2")
+    @settings(max_examples=300, derandomize=True)
+    def test_hex_forms(self, value):
+        """A hex entry is the value of its hex parts, an int without a slash, else an InputError naming the field."""
+        try:
+            expect = _hex_reading(value)
+        except ValueError:
+            with pytest.raises(InputError, match=r"^w: "):
+                witness_from_doc([[value]], "w")
+            return
+        (got,), = witness_from_doc([[value]], "w")
+        assert got == expect and type(got) is type(expect)
+
+    @given(st.one_of(st.integers(), st.fractions(),
+                     st.builds(lambda n, s: s * (7 * 10 ** n + 1), st.integers(4299, 4400), st.sampled_from([1, -1])),
+                     st.builds(Fraction, st.integers(-10 ** 4400, 10 ** 4400), st.integers(1, 10 ** 4400))))
+    @example(0)
+    @example(Fraction(-3, 5))
+    @example(Fraction(10 ** 4301, 3))
+    @settings(max_examples=200, derandomize=True)
+    def test_round_trip(self, c):
+        """rational_from_doc(rational_to_doc(c)) == c, an int for an integer, beyond 4,300 digits too."""
+        text = rational_to_doc(c)
+        got = rational_from_doc(text)
+        assert got == c and type(got) is (int if got.denominator == 1 else Fraction)
+        assert re.fullmatch(r"-?0x[0-9a-f]+(/0x[0-9a-f]+)?", text)
+
+    @pytest.fixture(scope="class")
+    def trace_doc(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("hex") / "g42.json"
+        assert main(["gen", "--family", "grassmann", "--n", "4", "--k", "2", "--phi", "pow", "1/2",
+                     "--steps", "5", "--seed", "7", "--out", str(out)]) == EXIT_OK
+        return json.loads(out.read_text())
+
+    @pytest.mark.parametrize("value", ["0x1/0x0", "0x1/-0x2", "0x", "0xg", "0x1/"])
+    def test_malformed_hex_is_named(self, trace_doc, tmp_path, capsys, value):
+        """verify exits 1 on a malformed hex witness entry, naming the field, with no traceback."""
+        doc = copy.deepcopy(trace_doc)
+        doc["entries"][2]["witness"][0][0] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["verify", str(bad), "--out", str(tmp_path / "audit.json")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"error: cannot load trace {bad}: entries[2].witness: " in err
+        assert "Traceback" not in err

@@ -1,11 +1,12 @@
 """Traces stay byte-identical: gen output is pinned by sha256 digests, and so is one audit.
 
-Each case pins two digests.  The file digest is of the trace version 2
+Each case pins two digests.  The file digest is of the trace version 3
 bytes; a speed change must keep it, a deliberate format change replaces
 it and says so.  The stored-values digest is of what a trace stores (the
 header, and per entry x, witness, z, z_witness, b and certificate) in a
-canonical form, so it holds across formats: these were taken from the
-version 1 traces, before the format changed.
+canonical form, every number read as a number, so it holds across
+formats: these were taken from the version 1 traces, before the format
+changed, and held through versions 2 and 3.
 """
 
 import hashlib
@@ -17,7 +18,7 @@ import pytest
 
 from maxsing.builder import trace_from_doc, trace_to_doc
 from maxsing.cli import EXIT_BUDGET, EXIT_OK, main
-from maxsing.multilinear import KLinearMap, map_to_doc, prodforms_map
+from maxsing.multilinear import KLinearMap, map_to_doc, prodforms_map, rational_from_doc
 from kernel_oracles import write_json
 from tamper_cases import (
     KLINEAR_FAMILIES,
@@ -30,6 +31,8 @@ from tamper_cases import (
 )
 
 V1_FIXTURE = Path(__file__).with_name("data") / "grassmann42_pow_seed7_v1.json"
+# GRASSMANN42_V1 at seed 7 and 64 precision bits, written as version 2 before version 3
+V2_FIXTURE = Path(__file__).with_name("data") / "grassmann42_pow_seed7_v2.json"
 
 KLINEAR_POW = ("--phi", "pow", "1/2", "--steps", "8", "--max-height", "4")
 SPLIT4_POW = ("--family", "quadric", "--phi", "pow", "1/2", "--steps", "11")
@@ -55,17 +58,29 @@ def rational_prodforms_map() -> KLinearMap:
 
 
 def stored_values_digest(doc: dict) -> str:
-    """sha256 of a trace document's stored values, the same for version 1 and 2."""
+    """sha256 of a trace document's stored values, the same for versions 1, 2 and 3.
+
+    Points, z and b are taken as hex; every number string under a witness,
+    a z_witness and a certificate (but its kind) is read by
+    rational_from_doc and written back in version 2's decimal form.
+    """
     def ints(v):
         return [format(int(a, 0), "x") for a in v]
 
+    def decimal(node):
+        if isinstance(node, str):
+            return str(rational_from_doc(node))
+        return [decimal(a) for a in node] if isinstance(node, list) else node
+
     def step(s):
-        return None if s is None else {"z": ints(s["z"]), "z_witness": s["z_witness"],
-                                       "b": format(int(s["b"], 0), "x"), "certificate": s["certificate"]}
+        return None if s is None else {
+            "z": ints(s["z"]), "z_witness": decimal(s["z_witness"]), "b": format(int(s["b"], 0), "x"),
+            "certificate": {k: v if k == "kind" else decimal(v) for k, v in s["certificate"].items()}}
 
     canon = {
         "header": {k: doc[k] for k in ("family", "phi", "ambient_dim", "seed", "partial", "budget_note")},
-        "entries": [{"index": e["index"], "x": ints(e["x"]), "witness": e["witness"], "step": step(e["step"])}
+        "entries": [{"index": e["index"], "x": ints(e["x"]), "witness": decimal(e["witness"]),
+                     "step": step(e["step"])}
                     for e in doc["entries"]],
     }
     return hashlib.sha256(json.dumps(canon, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
@@ -100,21 +115,21 @@ def gen(tmp_path, args, seed) -> tuple[int, Path]:
 
 
 @pytest.mark.parametrize("args, seed, exit_code, digest, stored", [
-    (SPLIT4_POW, 0, EXIT_OK, "f0c54eaa5900c33029c361769bb483e4d252cae922e84f997dd1d4db3dca5021",
+    (SPLIT4_POW, 0, EXIT_OK, "b328f12af766baa292eff08d8f823e894d4ee81aa6d80aa635a2f212254bcf5a",
      "e79bd3a378bc80ab4bf3d4c7d652d182f2d41ca49bbacb53ce20e31af8f9bddc"),
-    (SPLIT4_POW, 7, EXIT_OK, "3d8b2a08a241e277241b2e0c31c4f39263c5f72d38819547c99d36fda1c7e2c1",
+    (SPLIT4_POW, 7, EXIT_OK, "5850b691476d779764590f4096e53c436ea12eba26225a958f645b40f1a2b580",
      "f260982c56516e5ddd2311877022b0e0c588bc8b52938c03cf5c0dc02c3a6979"),
-    (SPLIT4_LOG3X, 7, EXIT_BUDGET, "ca92318656fab4b7a6d699df2148721247f5e994f80a8d6d3e27435de48a53c8",
+    (SPLIT4_LOG3X, 7, EXIT_BUDGET, "8d6d73d3c4f21c568edeb521bfd80a0b8d732eabc431e4df6bf0e82fb0496e3b",
      "c1c98a6d7e450f723d80c663bf7694ad219d05e1f901d5f6e271682d8720bc2e"),
-    (GRASSMANN42_POW, 7, EXIT_OK, "abf9c335a2dcc5e32c3bf74d80fa0f7cd2f997a74ae65b3f403c6bafc6913f4e",
+    (GRASSMANN42_POW, 7, EXIT_OK, "792bd4b8e380d0dd94638f7cc887e2b505c758da4a8b7ce2fced1885e5b485e3",
      "41d4968b23342e50c45e57eb32edd532631d998e25ad1e113658cf3a0f9b84af"),
-    (GRASSMANN52_POW, 7, EXIT_OK, "9846d62ca3a554031f0b5bc19e3a48566dadf124fe7dee4ca35ddf819ff1aa0e",
+    (GRASSMANN52_POW, 7, EXIT_OK, "2a0d408d962d17e1f8aa54c48c636bf08ad64fe25867bde19f55b5ee65b32e5d",
      "f962e89bc0e3da5cfd80412226bfe89d4539ecbf404e6c60023bb99ad50ad3b5"),
-    (PRODFORMS23_POW, 7, EXIT_OK, "6d639a57b9c20fc724fde2c7c02742f0f0ed4e2ac0538f120dc34b3c36351c73",
+    (PRODFORMS23_POW, 7, EXIT_OK, "4e3d8f77ded27c946b14889ab06532d761344640f10b41e361ab6eaecbb1c4ba",
      "dab77217be8557a9d6aadc40c66bab06720ec60a0198dc7cf88ec605ee7d354d"),
-    (GRASSMANN42_LOG3X, 7, EXIT_BUDGET, "bd51e0f810751b6a7e80423d92e070bd985844bb361f155d21799ae8f3c8225b",
+    (GRASSMANN42_LOG3X, 7, EXIT_BUDGET, "7e21d42c4b33addc06bf9d5c134cadaaa0d841e26f75556ba8116247d4db101d",
      "b6f3b7f6f6b764b8c67f70c421be8de488c7797e8c7f2f5cf4bb2bfb8cfc5a31"),
-    (RATIONAL_MAP_POW, 7, EXIT_OK, "8a1859eaa1d3c6fefaec032c7f9228a49c655c924744cc05c0f7daa36e6a6655",
+    (RATIONAL_MAP_POW, 7, EXIT_OK, "c895646bb948426317b667272f2d55623275fae0356aaf854fa47699182a3fb1",
      "8e9db1f2eaac252ac83512ec338d943c79614cb9473118a391a60a26f333c590"),
 ], ids=["split4-pow-seed0", "split4-pow-seed7", "split4-log3x-seed7", "grassmann42-pow-seed7",
         "grassmann52-pow-seed7", "prodforms23-pow-seed7", "grassmann42-log3x-seed7",
@@ -212,32 +227,39 @@ def test_pow_bruteforce_audit_digest(tmp_path, args, digest):
 
 
 class TestVersion1Fixture:
-    """A version 1 trace, written before the format changed, still reads and audits the same.
+    """Version 1 and 2 traces, written before the format changed, still read and audit the same.
 
-    The fixture is GRASSMANN42_V1 at seed 7 and 64 precision bits.  The
+    Both fixtures are GRASSMANN42_V1 at seed 7 and 64 precision bits.  The
     audit file digest is of the audit version 3 rendering; the
     audit-values digest was taken from the version 2 audit, before
     version 3 changed it, so the report still states the same verdicts
     and decimals.
     """
 
-    def test_verify_audit_is_unchanged(self, tmp_path):
+    @pytest.mark.parametrize("fixture", [V1_FIXTURE, V2_FIXTURE], ids=["v1", "v2"])
+    def test_verify_audit_is_unchanged(self, tmp_path, fixture):
         audit = tmp_path / "audit.json"
-        assert main(["verify", str(V1_FIXTURE), "--precision", "64", "--out", str(audit)]) == EXIT_OK
+        assert main(["verify", str(fixture), "--precision", "64", "--out", str(audit)]) == EXIT_OK
         assert hashlib.sha256(audit.read_bytes()).hexdigest() == (
             "d72c2a1a2205f0499962f7958f89fe931d9e1c9652db963aa0691298bcf32f83")
         assert audit_values_digest(json.loads(audit.read_text())) == (
             "a805659727570d3b371cb3d24a2ac94108ca233419d8b2589f16d3e5ec5f38c4")
 
-    def test_reads_as_a_version_2_rerun(self, tmp_path):
-        v1 = json.loads(V1_FIXTURE.read_text())
-        assert v1["version"] == 1
+    def test_v1_v2_and_a_v3_rerun_read_the_same(self, tmp_path):
+        """The v1 and v2 fixtures and a v3 rerun have equal stored values and re-serialize equal.
+
+        A trace keeps each certificate document as it was read, so v1 and v2
+        re-serialize to one document, with decimal certificates, and the v3
+        rerun to itself; all of them store the same values.
+        """
+        v1, v2 = (json.loads(path.read_text()) for path in (V1_FIXTURE, V2_FIXTURE))
         code, out = gen(tmp_path, GRASSMANN42_V1, 7)
         assert code == EXIT_OK
-        v2 = json.loads(out.read_text())
-        assert v2["version"] == 2
-        assert stored_values_digest(v1) == stored_values_digest(v2)
-        assert trace_to_doc(trace_from_doc(v1)) == trace_to_doc(trace_from_doc(v2))
+        v3 = json.loads(out.read_text())
+        assert [d["version"] for d in (v1, v2, v3)] == [1, 2, 3]
+        again = [trace_to_doc(trace_from_doc(d)) for d in (v1, v2, v3)]
+        assert again[0] == again[1] and again[2] == v3
+        assert len({stored_values_digest(d) for d in (v1, v2, v3, *again)}) == 1
 
 
 # every one-place tamper of the 6-point split4 seed-7 traces (tamper_cases.py):

@@ -155,6 +155,22 @@ class TestCheckConditions:
         assert any(m.startswith("(eq2)") for m in msgs)
         assert not any("telescoping" in m for m in msgs)
 
+    @pytest.mark.parametrize("exponent", ["1/3", "1/2", "51/100", "5/9", "2/3", "5/7"])
+    def test_power_law_decay_matches_le_phi_sq(self, split4_pow_trace, grassmann_pow_trace, exponent):
+        """The audit's power-law test, with n2^p cancelled, gives le_phi_sq's verdict at every step."""
+        def relabel(doc):
+            doc["phi"]["exponent"] = exponent
+
+        for trace in (tamper(split4_pow_trace, relabel), tamper(grassmann_pow_trace, relabel)):
+            geo = trace_geometry(trace)
+            n2, w = geo.norms, geo.wedges
+            for rec in check_conditions(trace, geo)["conditions"][2:]:
+                i = rec["index"]
+                ok = trace.phi.le_phi_sq(9 * w[i - 1], 4 * n2[i], n2[i])
+                assert ok == trace.phi.le_phi_sq(9 * w[i - 1], 4 * n2[i], n2[i], upper=True)
+                assert any(m.startswith("(d) decay target fails") for m in rec["failures"]) == (not ok)
+                assert any(m.startswith("(eq2)") for m in rec["failures"]) == (not ok)
+
     def test_malformed_trace_rejected(self, split4_pow_trace):
         doc = copy.deepcopy(trace_to_doc(split4_pow_trace))
         doc["family"] = {"kind": "nonsense"}
